@@ -105,7 +105,8 @@ def identify_cdn_customers(world, domains: Sequence[str],
     Fetches each domain once (with the Akamai Pragma header attached) from
     a control vantage point, inspects every response in the redirect chain
     for provider headers, and checks A records against the discovered
-    AppEngine netblocks.
+    AppEngine netblocks.  Only headers are read, so the fetch is a
+    ``HEAD`` (kept across redirects): the origin renders no page body.
 
     Every fetch draws from a per-domain derived RNG rather than the
     world's shared streams, so the outcome is a pure function of the
@@ -120,7 +121,7 @@ def identify_cdn_customers(world, domains: Sequence[str],
     headers.set("Pragma", AKAMAI_PRAGMA)
 
     for domain in domains:
-        request = Request(url=parse_url(f"http://{domain}/"),
+        request = Request(url=parse_url(f"http://{domain}/"), method="HEAD",
                           headers=headers.copy())
         rng = derive_rng(world.config.seed, "identify", domain)
         try:

@@ -21,9 +21,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.classify import VERDICT_EXPLICIT, classify_body
 from repro.core.fingerprints import FingerprintRegistry
-from repro.httpsim.messages import Request
+from repro.httpsim.messages import BodyPolicy, Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers, crawler_headers
+from repro.lumscan.records import BODY_KEEP_THRESHOLD
 from repro.netsim.errors import FetchError
 from repro.proxynet.transport import fetch_with_redirects
 from repro.util.rng import derive_rng
@@ -36,11 +37,11 @@ _TOR_BLOCK_BASE = 0.02
 _TOR_BLOCK_CDN = 0.35
 _TOR_BLOCK_PROTECTED = 0.70
 
-
-#: Local bodies above this length are not retained in memory.  Every CDN
-#: block page, captcha, and censor page is far below it, so the analyses
-#: (which only fingerprint block pages) are unaffected.
-BODY_KEEP_THRESHOLD = 6_000
+#: Local bodies over the dataset keep threshold are not retained: every
+#: CDN block page, captcha and censor page is far below it, so the
+#: analyses (which only fingerprint block pages) are unaffected, and the
+#: origin is asked not to render them at all.
+_LOCAL_BODY_POLICY = BodyPolicy.lengths_over(BODY_KEEP_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,15 @@ class OONICorpus:
         request = Request(url=parse_url(f"http://{domain}/"),
                           headers=browser_headers())
         try:
-            result = fetch_with_redirects(world, request, ip)
+            result = fetch_with_redirects(world, request, ip,
+                                          body_policy=_LOCAL_BODY_POLICY)
         except FetchError:
             return 0, None
-        status = result.response.status
-        body = result.response.body
-        if status == 200 and len(body) > BODY_KEEP_THRESHOLD:
-            body = None
-        return status, body
+        response = result.response
+        if response.status == 200 and \
+                response.content_length > BODY_KEEP_THRESHOLD:
+            return 200, None
+        return response.status, response.body
 
 
 @dataclass

@@ -100,13 +100,15 @@ class Request:
 class BodyPolicy:
     """What a caller needs from response bodies.
 
-    The scan pipeline discards the body of any 200 response longer than
-    ``BODY_KEEP_THRESHOLD`` — only its length survives into the dataset.
-    Declaring that up front (``lengths_over(threshold)``) lets the origin
-    simulation skip materializing exactly those bodies and answer with
-    ``Response.body_length`` instead.  Block pages, errors, and short pages
-    are always materialized, so classification inputs are byte-identical
-    either way.
+    The scan pipeline and the OONI corpus discard the body of any 200
+    response longer than ``BODY_KEEP_THRESHOLD`` — only its length
+    survives.  Declaring that up front (``lengths_over(threshold)``) lets
+    the origin simulation skip materializing exactly those bodies and
+    answer with ``Response.body_length`` instead.  Block pages, errors,
+    and short pages are always materialized, so classification inputs are
+    byte-identical either way.  The policy holds on the world's shared
+    RNG streams as well as on a task-private one: an elided fetch leaves
+    the shared streams where a materializing fetch would leave them.
     """
 
     #: 200-bodies strictly longer than this may be elided to a length.

@@ -349,13 +349,26 @@ class World:
         property the parallel scan engine's determinism contract rests on.
 
         ``body_policy`` lets a caller that only keeps *lengths* of large
-        200-bodies (the scan pipeline) ask for those bodies to be elided:
-        the response then carries ``body_length`` and an empty ``body``.
-        Elision requires a private ``rng`` — the shared noise stream must
-        see every draw, while a task-private stream is discarded with the
-        probe, so skipping its trailing token draws is unobservable.
-        Block pages, errors, and short pages always materialize.
+        200-bodies (scan probes, OONI reports) ask for those bodies to be
+        elided: the response then carries ``body_length`` and an empty
+        ``body``.  Elision never changes what the streams see afterwards.
+        On the shared noise stream the jitter token is still drawn, so the
+        stream advances exactly as a materializing fetch would advance it;
+        a task-private stream is discarded with the probe, so its trailing
+        token draws are skipped.  Block pages, errors, and short pages
+        always materialize.
+
+        A ``HEAD`` request (CDN identification reads only headers) answers
+        an origin 200 with the edge headers and ``Content-Type`` alone: no
+        page is rendered, degraded, measured or jittered, so
+        ``body_length`` stays None.  Block pages, challenges, bot pages and
+        redirects are served as for ``GET``.  A ``HEAD`` must bring a
+        task-private ``rng``: the draws it skips would otherwise shift the
+        shared streams, so one on the shared streams raises ValueError.
         """
+        head = request.method == "HEAD"
+        if head and rng is None:
+            raise ValueError("HEAD requests need a task-private rng")
         self._fetch_count.increment()
         domain = self._resolve(request.url.host)
         if domain is None:
@@ -413,45 +426,41 @@ class World:
         degraded = degradation is not None and degradation.applies(seen_country)
         headers = edge_headers
         headers.add("Content-Type", "text/html; charset=utf-8")
+        if head:
+            return Response(status=200, headers=headers, url=request.url)
 
-        elide = (body_policy is not None and body_policy.elides
-                 and rng is not None)
-        if elide and not degraded:
-            # Fast lane: the undegraded base length comes from the cached
-            # length-only synthesis — no page string is ever built unless
-            # the jittered result lands under the keep threshold.
-            base_length = self._page_length(domain)
-            pad = jitter_pad(base_length, rng)
+        noise = rng if rng is not None else self._noise_rng
+        if body_policy is not None and body_policy.elides:
+            if degraded:
+                # Degraded combinations are sparse; materializing the base
+                # is unavoidable (price rescaling shifts digit counts), but
+                # the jitter concat can still be skipped for large pages.
+                base = self._degraded_page(domain, degradation, seen_country)
+                base_length = len(base)
+            else:
+                # Fast lane: the undegraded base length comes from the
+                # cached length-only synthesis — no page string is ever
+                # built unless the jittered result lands under the keep
+                # threshold.
+                base = None
+                base_length = self._page_length(domain)
+            pad = jitter_pad(base_length, noise)
             body_length = jitter_length(base_length, pad)
             if body_length > body_policy.length_threshold:
+                if rng is None:
+                    # Keep the shared stream in step with sample_jitter.
+                    jitter_token(noise)
                 return Response(status=200, headers=headers, url=request.url,
                                 body_length=body_length)
-            body = render_jitter(self._page(domain), pad, jitter_token(rng))
+            if base is None:
+                base = self._page(domain)
+            body = render_jitter(base, pad, jitter_token(noise))
             return Response(status=200, headers=headers, body=body,
                             url=request.url)
 
-        base = self._page(domain)
-        if degraded:
-            base = degrade_page(
-                base,
-                remove_account=(seen_country
-                                in degradation.remove_account_countries),
-                price_multiplier=degradation.price_multipliers.get(
-                    seen_country, 1.0),
-            )
-        if elide:
-            # Degraded combinations are sparse; materializing the base is
-            # unavoidable (price rescaling shifts digit counts), but the
-            # jitter concat can still be skipped for large pages.
-            pad = jitter_pad(len(base), rng)
-            body_length = jitter_length(len(base), pad)
-            if body_length > body_policy.length_threshold:
-                return Response(status=200, headers=headers, url=request.url,
-                                body_length=body_length)
-            body = render_jitter(base, pad, jitter_token(rng))
-            return Response(status=200, headers=headers, body=body,
-                            url=request.url)
-        body = sample_jitter(base, rng if rng is not None else self._noise_rng)
+        base = (self._degraded_page(domain, degradation, seen_country)
+                if degraded else self._page(domain))
+        body = sample_jitter(base, noise)
         return Response(status=200, headers=headers, body=body, url=request.url)
 
     @property
@@ -479,6 +488,15 @@ class World:
                                  seed=self.config.seed)
             self._page_cache.put(domain.name, base)
         return base
+
+    def _degraded_page(self, domain: Domain, degradation,
+                       country: str) -> str:
+        """The domain's front page as degraded for ``country``."""
+        return degrade_page(
+            self._page(domain),
+            remove_account=country in degradation.remove_account_countries,
+            price_multiplier=degradation.price_multipliers.get(country, 1.0),
+        )
 
     def _page_length(self, domain: Domain) -> int:
         """``len(self._page(domain))`` without materializing the page."""

@@ -47,7 +47,6 @@ from repro.lumscan.shards import (
     FINGERPRINT_BYTES,
     _combine_digests,
     _pad,
-    _unregister_shm,
     shm_available,
 )
 from repro.netsim.dns import DNSServer
@@ -388,9 +387,10 @@ def write_worldpack_file(world: World, path: str) -> WorldPackHandle:
 def write_worldpack_shm(world: World) -> WorldPackHandle:
     """Freeze ``world`` into a shared-memory block.
 
-    Ownership passes to the caller: like the shard writer, the block is
-    unregistered from this process's resource tracker and must be
-    unlinked via :func:`release_worldpack` exactly once.
+    The writing process owns the block and must unlink it via
+    :func:`release_worldpack` exactly once.  Its resource-tracker
+    registration is kept until then, so a parent killed before the
+    release still has the block unlinked by the tracker.
     """
     from multiprocessing import shared_memory
 
@@ -403,11 +403,9 @@ def write_worldpack_shm(world: World) -> WorldPackHandle:
         block.close()
         block.unlink()
         raise
-    name = block.name
     block.close()
-    _unregister_shm(name)
     fingerprint = json.loads(header_bytes)["fingerprint"]
-    return WorldPackHandle(kind=KIND_SHM, ref=name, nbytes=nbytes,
+    return WorldPackHandle(kind=KIND_SHM, ref=block.name, nbytes=nbytes,
                            fingerprint=fingerprint)
 
 
@@ -435,8 +433,11 @@ def release_worldpack(handle: WorldPackHandle) -> None:
 class WorldPackReader:
     """Read-only mapping of one worldpack (context manager).
 
-    ``file`` packs map the segment with ``mmap``; ``shm`` packs attach
-    the shared block (handing tracker registration back to the owner).
+    Both kinds map the segment read-only with ``mmap``.  A ``shm`` pack
+    is opened by name rather than through ``SharedMemory``: before
+    Python 3.13 every ``SharedMemory`` attach registers the block with
+    the resource tracker the pool shares with the parent, and a reader
+    cannot undo that without dropping the owner's registration.
     Array sections are zero-copy ``numpy`` views into the mapping — the
     reader must outlive every view it handed out, so callers consume
     views before :meth:`close` (as :func:`load_world` does) or hold the
@@ -445,22 +446,20 @@ class WorldPackReader:
 
     def __init__(self, handle: WorldPackHandle) -> None:
         self._handle = handle
-        self._shm = None
         self._mmap = None
-        self._file = None
         if handle.kind == KIND_SHM:
-            from multiprocessing import shared_memory
+            import _posixshmem
 
-            self._shm = shared_memory.SharedMemory(name=handle.ref)
-            _unregister_shm(self._shm.name)
-            self._buffer = self._shm.buf
+            fd = _posixshmem.shm_open("/" + handle.ref.lstrip("/"),
+                                      os.O_RDONLY, mode=0o600)
         elif handle.kind == KIND_FILE:
-            self._file = open(handle.ref, "rb")
-            self._mmap = mmap.mmap(self._file.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            self._buffer = self._mmap
+            fd = os.open(handle.ref, os.O_RDONLY)
         else:
             raise ValueError(f"unknown worldpack kind {handle.kind!r}")
+        try:
+            self._mmap = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
         try:
             self.header = self._read_header()
         except BaseException:
@@ -474,7 +473,7 @@ class WorldPackReader:
         # The named memoryview must be released before this method can
         # raise: a failed init calls close(), and an exported view kept
         # alive by the traceback frame would turn that into BufferError.
-        with memoryview(self._buffer) as view:
+        with memoryview(self._mmap) as view:
             if bytes(view[:len(MAGIC)]) != MAGIC:
                 raise ValueError("not a worldpack (bad magic)")
             header_len = int.from_bytes(
@@ -496,7 +495,7 @@ class WorldPackReader:
         """Zero-copy read-only view of one array section."""
         section = self._sections[name]
         start = self._base + section["offset"]
-        view = np.frombuffer(self._buffer, dtype=section["dtype"],
+        view = np.frombuffer(self._mmap, dtype=section["dtype"],
                              count=section["count"], offset=start)
         view.flags.writeable = False
         return view
@@ -505,7 +504,7 @@ class WorldPackReader:
         """Raw bytes of one JSON section (for deferred decoding)."""
         section = self._sections[name]
         start = self._base + section["offset"]
-        with memoryview(self._buffer) as view:
+        with memoryview(self._mmap) as view:
             return bytes(view[start:start + section["nbytes"]])
 
     def json(self, name: str):
@@ -517,12 +516,6 @@ class WorldPackReader:
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
 
     def __enter__(self) -> "WorldPackReader":
         return self

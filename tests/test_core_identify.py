@@ -9,6 +9,8 @@ from repro.core.identify import (
     identify_cdn_customers,
 )
 from repro.datasets.alexa import AlexaList
+from repro.httpsim.messages import Request
+from repro.websim.world import World, WorldConfig
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +115,46 @@ class TestHeaderIdentification:
         if not dual_truth:
             pytest.skip("no dual-service domains in nano world")
         assert dual_truth & identified.multi_service_domains()
+
+
+class TestHeaderOnlyFetch:
+    """Identification sends HEAD and finds exactly what a GET would."""
+
+    @staticmethod
+    def _get_reference(world, monkeypatch):
+        # The same identification with every request forced to GET.
+        import repro.core.identify as identify_module
+
+        def get_request(**fields):
+            return Request(**{**fields, "method": "GET"})
+
+        with monkeypatch.context() as patch:
+            patch.setattr(identify_module, "Request", get_request)
+            return identify_cdn_customers(
+                world, AlexaList(world.population).full())
+
+    def test_tiny_world_matches_get_reference(self, monkeypatch):
+        world = World(WorldConfig.tiny())
+        domains = AlexaList(world.population).full()
+        head = identify_cdn_customers(world, domains)
+        reference = self._get_reference(World(WorldConfig.tiny()),
+                                        monkeypatch)
+        assert head.tested == reference.tested
+        assert head.customers == reference.customers
+        assert head.all_domains()
+
+    def test_renders_no_page(self, monkeypatch):
+        import repro.websim.world as world_module
+
+        world = World(WorldConfig.nano())
+        reference = self._get_reference(World(WorldConfig.nano()),
+                                        monkeypatch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("identification touched page synthesis")
+
+        monkeypatch.setattr(world_module, "generate_page", forbidden)
+        monkeypatch.setattr(world_module, "page_length", forbidden)
+        identified = identify_cdn_customers(
+            world, AlexaList(world.population).full())
+        assert identified.customers == reference.customers

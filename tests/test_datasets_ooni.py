@@ -9,6 +9,8 @@ from repro.datasets.ooni import (
     control_blocking_stats,
     find_geoblock_confounding,
 )
+from repro.httpsim.messages import BodyPolicy
+from repro.websim.world import World, WorldConfig
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +100,33 @@ class TestConfoundingAnalysis:
         stats = control_blocking_stats(data, set())
         assert stats.control_403 == 0
         assert stats.local_blocked_control_ok == 0
+
+
+class TestBodyElision:
+    def test_elided_corpus_matches_full_bodies(self, monkeypatch):
+        # The local probe asks the origin to skip bodies it would drop;
+        # on the world's shared streams that must change nothing — not
+        # the corpus and not the stream state later traffic sees.
+        import repro.datasets.ooni as ooni_module
+
+        def generate(world):
+            citizenlab = CitizenLabList(world.population, world.taxonomy,
+                                        seed=world.config.seed)
+            return list(OONICorpus.generate(
+                world, citizenlab.domains(), countries=["US", "IR", "SY"],
+                measurements_per_pair=1, seed=world.config.seed))
+
+        elided_world = World(WorldConfig.tiny())
+        elided = generate(elided_world)
+        full_world = World(WorldConfig.tiny())
+        with monkeypatch.context() as patch:
+            patch.setattr(ooni_module, "_LOCAL_BODY_POLICY",
+                          BodyPolicy.full())
+            full = generate(full_world)
+        assert elided == full
+        assert any(m.local_status == 200 and m.local_body is None
+                   for m in full)
+        assert elided_world._noise_rng.getstate() == \
+            full_world._noise_rng.getstate()
+        assert elided_world._render_rng.getstate() == \
+            full_world._render_rng.getstate()

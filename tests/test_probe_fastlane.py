@@ -12,6 +12,9 @@ The fast lane's correctness claim has three layers, each pinned here:
    whose columns, retained bodies, candidate pairs, confirmed blocks and
    per-sample classifications are identical to a full-materialization
    scan.
+
+A ``HEAD`` (header-only CDN identification) returns the matching GET's
+status and headers without touching page synthesis at all.
 """
 
 import pytest
@@ -29,6 +32,7 @@ from repro.lumscan.scanner import Lumscan
 from repro.netsim.errors import FetchError
 from repro.proxynet.luminati import LuminatiClient
 from repro.util.rng import derive_rng
+from repro.websim.world import World, WorldConfig
 from repro.websim.content import (
     JITTER_OVERHEAD,
     generate_page,
@@ -165,26 +169,123 @@ class TestFetchEquivalence:
         assert checked > 100
         assert elided > 50  # the lane actually engaged
 
-    def test_shared_stream_never_elides(self, nano_world):
-        # Without a task-private rng the shared noise stream must see
-        # every draw, so the policy is ignored and the body materializes.
-        policy = BodyPolicy.lengths_over(0)
-        for domain in nano_world.population:
-            if domain.dead or domain.redirect_loop or \
-                    domain.name in nano_world.policies:
-                continue
-            ip = nano_world.residential_address("US", derive_rng(6, "ip"))
+    def test_shared_stream_elision_keeps_streams_in_step(self):
+        # On the shared streams an elided fetch must leave the world in
+        # exactly the state a materializing fetch leaves it in: same
+        # response shape, same noise/render stream states, and so the
+        # same bytes on every later fetch.
+        full_world = World(WorldConfig.nano())
+        fast_world = World(WorldConfig.nano())
+        full_policy = BodyPolicy.full()
+        fast_policy = BodyPolicy.lengths_over(0)
+        ip = full_world.residential_address("US", derive_rng(6, "ip"))
+        served = elided = 0
+        for domain in full_world.population:
             request = Request(url=parse_url(f"http://{domain.name}/"),
                               headers=browser_headers())
             try:
-                response = nano_world.fetch(request, ip, body_policy=policy)
+                full = full_world.fetch(request, ip, body_policy=full_policy)
+            except FetchError as exc:
+                with pytest.raises(type(exc)):
+                    fast_world.fetch(request, ip, body_policy=fast_policy)
+                continue
+            fast = fast_world.fetch(request, ip, body_policy=fast_policy)
+            assert fast.status == full.status
+            assert fast.headers == full.headers
+            assert fast.content_length == full.content_length
+            if fast.body_length is None:
+                assert fast.body == full.body
+            else:
+                elided += 1
+            served += full.status == 200
+            assert fast_world._noise_rng.getstate() == \
+                full_world._noise_rng.getstate()
+            assert fast_world._render_rng.getstate() == \
+                full_world._render_rng.getstate()
+        assert served > 50
+        assert elided == served  # every 200 took the lane
+        name = next(d.name for d in full_world.population
+                    if not d.dead and not d.redirect_loop)
+        request = Request(url=parse_url(f"http://{name}/"),
+                          headers=browser_headers())
+        after_full = full_world.fetch(request, ip)
+        after_fast = fast_world.fetch(request, ip)
+        assert after_fast.body == after_full.body
+        assert after_fast.headers == after_full.headers
+
+
+class TestHeadRequest:
+    """HEAD: the headers of the matching GET, and no body work at all."""
+
+    def _requests(self, world, name, method):
+        headers = browser_headers()
+        headers.set("Pragma", "akamai-x-cache-on")
+        return Request(url=parse_url(f"http://{name}/"), method=method,
+                       headers=headers)
+
+    def test_head_matches_get_headers(self, nano_world):
+        countries = nano_world.registry.luminati_codes()[:4]
+        origin_200s = 0
+        for domain in nano_world.population:
+            for country in countries:
+                ip = nano_world.residential_address(
+                    country, derive_rng(7, "ip", country, domain.name))
+                get_rng = derive_rng(7, "head", domain.name, country)
+                head_rng = derive_rng(7, "head", domain.name, country)
+                try:
+                    get = nano_world.fetch(
+                        self._requests(nano_world, domain.name, "GET"), ip,
+                        rng=get_rng)
+                except FetchError as exc:
+                    with pytest.raises(type(exc)):
+                        nano_world.fetch(
+                            self._requests(nano_world, domain.name, "HEAD"),
+                            ip, rng=head_rng)
+                    continue
+                head = nano_world.fetch(
+                    self._requests(nano_world, domain.name, "HEAD"), ip,
+                    rng=head_rng)
+                assert head.status == get.status
+                assert head.headers == get.headers
+                if get.status == 200:
+                    origin_200s += 1
+                    assert head.body == ""
+                    assert head.body_length is None
+                else:
+                    # Block pages, challenges and redirects are unchanged.
+                    assert head.body == get.body
+        assert origin_200s > 100
+
+    def test_head_builds_no_body(self, monkeypatch):
+        import repro.websim.world as world_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("HEAD touched page synthesis")
+
+        for name in ("generate_page", "page_length", "degrade_page",
+                     "sample_jitter", "jitter_pad", "jitter_token",
+                     "render_jitter"):
+            monkeypatch.setattr(world_module, name, forbidden)
+        world = World(WorldConfig.nano())
+        ip = world.vps_address("US")
+        served = 0
+        for domain in world.population:
+            request = self._requests(world, domain.name, "HEAD")
+            try:
+                response = world.fetch(request, ip,
+                                       rng=derive_rng(8, domain.name))
             except FetchError:
                 continue
-            if response.status == 200:
-                assert response.body_length is None
-                assert response.body
-                return
-        pytest.fail("no 200 response found")
+            served += response.status == 200
+        assert served > 50
+
+    def test_shared_stream_head_raises(self, nano_world):
+        name = next(iter(nano_world.population)).name
+        before = nano_world.fetch_count
+        with pytest.raises(ValueError):
+            nano_world.fetch(self._requests(nano_world, name, "HEAD"),
+                             nano_world.vps_address("US"))
+        assert nano_world.fetch_count == before
 
 
 class TestDatasetEquivalence:

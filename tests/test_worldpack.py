@@ -19,7 +19,11 @@ layer:
 """
 
 import dataclasses
+import multiprocessing
 import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +277,64 @@ class TestFileTransport:
         names = [section["name"] for section in header["sections"]]
         assert "tld_codes" in names
         assert "config" in names
+
+
+def _attach_and_record_tracker_calls(handle):
+    """Worker body: map a pack the way a pool worker does, log tracker use."""
+    from multiprocessing import resource_tracker
+
+    calls = []
+    resource_tracker.register = lambda *args: calls.append(("register", args))
+    resource_tracker.unregister = \
+        lambda *args: calls.append(("unregister", args))
+    world = load_world(handle)
+    assert world.source == "pack"
+    return calls
+
+
+_KILLED_OWNER = """
+import os, signal, sys
+from repro.websim.world import World, WorldConfig
+from repro.websim.worldpack import freeze_world
+pack = freeze_world(World(WorldConfig.nano()), mode="shm")
+print(pack.handle.ref, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(not shm_available(),
+                    reason="POSIX shared memory unavailable")
+class TestShmTracker:
+    """Only the owner of a shm pack ever talks to the resource tracker."""
+
+    def test_worker_attach_leaves_tracker_alone(self, built_world):
+        frozen = freeze_world(built_world, mode="shm")
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=1,
+                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                calls = pool.submit(_attach_and_record_tracker_calls,
+                                    frozen.handle).result()
+        finally:
+            frozen.release()
+        assert calls == []
+
+    def test_killed_owner_segment_is_reclaimed(self):
+        # The owner keeps its tracker registration, so a SIGKILL between
+        # freeze and release still has the tracker unlink the block.
+        # run() returns once the tracker (which shares the pipes) exits.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", _KILLED_OWNER],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        name = done.stdout.strip()
+        assert name, done.stderr
+        path = os.path.join("/dev/shm", name.lstrip("/"))
+        leaked = os.path.exists(path)
+        if leaked:
+            os.unlink(path)
+        assert not leaked
 
 
 class TestStageStats:
