@@ -8,23 +8,26 @@ They live here once, so every benchmark reports identically.  The
 RSS/peak-memory helpers round out the set: worker memory is a measured
 quantity of the frozen-world layer, and both ``BENCH_world.json`` and the
 ``BENCH_probe.json`` scaling curve record it through the same two
-functions.
+functions.  :data:`GATES` is the table of CI thresholds over the
+recorded files, checked by ``benchmarks/gate.py``.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple, Union
 
 from repro.util.memory import rss_bytes
 
 __all__ = [
-    "best_of", "cpu_count", "measure_child", "oversubscription_fields",
-    "oversubscription_note", "results_path", "rss_bytes",
-    "worker_rss_fields", "write_trajectory",
+    "GATES", "Gate", "best_of", "check_gate", "cpu_count", "measure_child",
+    "oversubscription_fields", "oversubscription_note", "results_path",
+    "rss_bytes", "worker_rss_fields", "write_trajectory",
 ]
 
 #: Directory the BENCH_*.json trajectory files land in (the repo root).
@@ -130,3 +133,61 @@ def oversubscription_note(workers: int) -> str:
     """Human-readable caveat for an oversubscribed measurement set."""
     return (f"runner has {cpu_count()} cpu(s); entries with workers > cpus "
             f"measure pool overhead, not parallel scaling")
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One CI threshold over a value recorded in ``BENCH_<bench>.json``.
+
+    ``metric`` is a dotted path into the record.  ``bound`` is either a
+    literal or, as a string, another dotted path in the same record.
+    ``min_cpus`` skips the gate on smaller runners: a scaling claim
+    needs as many cpus as it compares.
+    """
+
+    bench: str
+    metric: str
+    op: str
+    bound: Union[float, bool, str]
+    claim: str
+    min_cpus: int = 1
+
+
+_OPS = {">=": operator.ge, "<": operator.lt, "==": operator.eq}
+
+#: Every CI gate over the micro-benchmarks' recorded numbers.
+GATES: Tuple[Gate, ...] = (
+    Gate("store", "load.speedup", ">=", 5.0,
+         "mmap load of an LSHD checkpoint vs a gzip-JSONL parse"),
+    Gate("segments", "append.speedup", ">=", 5.0,
+         "LSHM manifest append vs a full rewrite"),
+    Gate("segments", "compact.byte_identical", "==", True,
+         "compaction output equals the sequential writer's bytes"),
+    Gate("world", "worker_init.speedup", ">=", 5.0,
+         "pack-mapped worker init vs rebuild from the spec"),
+    Gate("world", "freeze_amortization.freeze_seconds", "<",
+         "freeze_amortization.rebuild_seconds",
+         "freezing the world costs less than one worker rebuild"),
+    Gate("probe", "executor_scaling.process_probes_per_sec", ">=",
+         "executor_scaling.serial_probes_per_sec",
+         "process pool vs a serial scan", min_cpus=2),
+)
+
+
+def _lookup(record: dict, path: str):
+    value = record
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def check_gate(gate: Gate, record: dict) -> Tuple[bool, str]:
+    """``(passed, report line)`` for one gate over its loaded record."""
+    value = _lookup(record, gate.metric)
+    bound = _lookup(record, gate.bound) if isinstance(gate.bound, str) \
+        else gate.bound
+    line = (f"{gate.bench}: {gate.metric} = {value} {gate.op} {bound} "
+            f"({gate.claim})")
+    if cpu_count() < gate.min_cpus:
+        return True, f"{line} -- skipped on {cpu_count()} cpu(s)"
+    return bool(_OPS[gate.op](value, bound)), line

@@ -11,11 +11,10 @@ worlds (cold page caches, the state a real scan starts from):
   the dataset would drop anyway.
 * **Process sharding**: at 4 workers the ``ProcessPoolExecutor`` shape
   (columnar shard exchange, streaming merge) must beat both the
-  GIL-bound thread pool *and* a plain serial scan on wall clock.  The
-  container this repo develops in has a single core, so those assertions
-  are gated on ``os.cpu_count() >= 2`` (CI runners have more); the
-  timings are recorded unconditionally, including a 1/2/4-worker scaling
-  curve and a shard-vs-pickle exchange comparison.
+  GIL-bound thread pool *and* a plain serial scan on wall clock.  A
+  single-core host cannot show that, so those assertions are gated on
+  ``os.cpu_count() >= 2``; the timings are recorded unconditionally,
+  including a 1/2/4-worker scaling curve.
 
 Throughputs land in ``BENCH_probe.json`` at the repo root so CI keeps a
 trajectory across commits.
@@ -111,13 +110,12 @@ def test_fast_lane_speedup_single_worker():
         f"got {speedup:.2f}x")
 
 
-def _process_engine_factory(workers: int, exchange: str, engines=None):
+def _process_engine_factory(workers: int, engines=None):
     """Engine factory; ``engines`` (a list) collects every built engine so
     the caller can read worker-init stats off the one that ran."""
     def factory(world):
         engine = ScanEngine(Lumscan(LuminatiClient(world), seed=SCAN_SEED),
-                            workers=workers, executor="process",
-                            exchange=exchange)
+                            workers=workers, executor="process")
         if engines is not None:
             engines.append(engine)
         return engine
@@ -136,15 +134,13 @@ def test_executor_scaling():
         n_countries=EXECUTOR_COUNTRIES)
     process_engines = []
     processed, process_rate, process_time = _timed_scan(
-        _process_engine_factory(WORKERS, "auto", process_engines),
+        _process_engine_factory(WORKERS, process_engines),
         n_countries=EXECUTOR_COUNTRIES)
 
     assert _rows(threaded) == _rows(serial)
     assert _rows(processed) == _rows(serial)
 
-    # The multi-core scaling curve: shard exchange across worker counts,
-    # plus the legacy pickle return path at full width for comparison.
-    # Single-repeat per point keeps the curve affordable; the headline
+    # The multi-core scaling curve across worker counts.  Single-repeat per point keeps the curve affordable; the headline
     # numbers above stay best-of-2.  Every point carries the shared
     # cpu-count/oversubscription fields (see bench_util) — on a 1-CPU
     # runner a 4-worker entry measures process overhead, not scaling,
@@ -157,34 +153,23 @@ def test_executor_scaling():
         else:
             engines = []
             point, rate, elapsed = _timed_scan(
-                _process_engine_factory(workers, "auto", engines),
+                _process_engine_factory(workers, engines),
                 repeat=1, n_countries=EXECUTOR_COUNTRIES)
             assert _rows(point) == _rows(serial)
             engine = engines[-1]
-        curve.append({"workers": workers, "exchange": "shard",
+        curve.append({"workers": workers,
                       "probes_per_sec": round(rate, 1),
                       "seconds": round(elapsed, 2),
                       **oversubscription_fields(workers),
                       **worker_rss_fields(engine)})
-    pickle_engines = []
-    pickled, pickle_rate, pickle_time = _timed_scan(
-        _process_engine_factory(WORKERS, "pickle", pickle_engines),
-        repeat=1, n_countries=EXECUTOR_COUNTRIES)
-    assert _rows(pickled) == _rows(serial)
-    curve.append({"workers": WORKERS, "exchange": "pickle",
-                  "probes_per_sec": round(pickle_rate, 1),
-                  "seconds": round(pickle_time, 2),
-                  **oversubscription_fields(WORKERS),
-                  **worker_rss_fields(pickle_engines[-1])})
 
     print(f"\nexecutors ({cpus} cpus, {WORKERS} workers): "
           f"serial {serial_rate:,.0f} probes/s, "
           f"thread {thread_rate:,.0f} probes/s ({thread_time:.2f}s), "
-          f"process/shard {process_rate:,.0f} probes/s ({process_time:.2f}s), "
-          f"process/pickle {pickle_rate:,.0f} probes/s ({pickle_time:.2f}s)")
+          f"process {process_rate:,.0f} probes/s ({process_time:.2f}s)")
     for point in curve:
         tag = " [oversubscribed]" if point["oversubscribed"] else ""
-        print(f"  {point['workers']} workers ({point['exchange']}): "
+        print(f"  {point['workers']} workers: "
               f"{point['probes_per_sec']:,.0f} probes/s{tag}")
     payload = {
         "cpus": cpus,
@@ -193,7 +178,6 @@ def test_executor_scaling():
         "serial_probes_per_sec": round(serial_rate, 1),
         "thread_probes_per_sec": round(thread_rate, 1),
         "process_probes_per_sec": round(process_rate, 1),
-        "process_pickle_probes_per_sec": round(pickle_rate, 1),
         "scaling_curve": curve,
     }
     if any(point["oversubscribed"] for point in curve):
@@ -202,8 +186,8 @@ def test_executor_scaling():
     if cpus >= 2:
         # The simulated transport never blocks, so threads are GIL-bound
         # and the process pool is the only shape that can actually scale.
-        # With the shard exchange the pool must also beat a plain serial
-        # scan outright — the multi-core win the exchange exists for.
+        # The pool must also beat a plain serial scan outright — the
+        # multi-core win the shard exchange exists for.
         assert process_rate > thread_rate, (
             f"process pool ({process_rate:,.0f}/s) should beat the thread "
             f"pool ({thread_rate:,.0f}/s) on {cpus} cpus")

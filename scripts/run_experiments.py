@@ -7,10 +7,12 @@ renders the measured-vs-paper report.  Expect tens of minutes of runtime.
 
 Usage: python scripts/run_experiments.py [--scale paper|small|tiny]
            [--workers N] [--executor thread|process]
-           [--exchange auto|shm|file|pickle] [--merge memory|spill]
-           [--target-chunk-ms N]
-           [--checkpoint-format lshd|lshm|jsonl.gz|jsonl]
+           [--merge memory|spill] [--target-chunk-ms N]
+           [--checkpoint-dir DIR [--resume]]
+           [--checkpoint-format lshd|lshm]
            [--out PATH]
+
+The engine and checkpoint flags are those of ``repro-geoblock run``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import argparse
 import logging
 import sys
 
-from repro.analysis.experiments import ExperimentSuite, PAPER_REFERENCE
-from repro.core.pipeline import StudyConfig
+from repro.analysis.experiments import PAPER_REFERENCE
+from repro.cli import add_run_flags, suite_from_args
 from repro.util.clock import SystemClock
 from repro.websim.world import World, WorldConfig
 
@@ -44,53 +46,12 @@ def main() -> int:
     parser.add_argument("--scale", default="paper",
                         choices=("paper", "small", "tiny"))
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="scan-engine worker pool width; output is "
-                             "identical for any count (default: 1)")
-    parser.add_argument("--executor", default="thread",
-                        choices=("thread", "process"),
-                        help="scan-engine pool shape; 'process' sidesteps "
-                             "the GIL for CPU-bound simulated probing "
-                             "(default: thread)")
-    parser.add_argument("--exchange", default="auto",
-                        choices=("auto", "shm", "file", "pickle"),
-                        help="process-worker result transport: columnar "
-                             "shard segments in shared memory or spill "
-                             "files, or the legacy whole-dataset pickle "
-                             "(default: auto)")
-    parser.add_argument("--merge", default="memory",
-                        choices=("memory", "spill"),
-                        help="process-merge sink: accumulate worker shards "
-                             "in RAM, or stream them to an on-disk LSHD "
-                             "segment and mmap the result (default: memory)")
-    parser.add_argument("--target-chunk-ms", type=int, default=250,
-                        help="autotune process chunks toward this "
-                             "wall-time per chunk; 0 keeps a fixed chunk "
-                             "size (default: 250)")
-    parser.add_argument("--world-source", default="auto",
-                        choices=("auto", "pack", "rebuild"),
-                        help="how process workers obtain the world: map the "
-                             "parent's frozen worldpack zero-copy, or "
-                             "rebuild from the spec; 'auto' freezes and "
-                             "falls back to rebuild when freezing fails "
-                             "(default: auto)")
-    parser.add_argument("--checkpoint-format", default="lshd",
-                        choices=("lshd", "lshm", "jsonl.gz", "jsonl"),
-                        help="dataset codec for checkpoints; 'lshm' writes "
-                             "manifest-backed multi-segment datasets; loads "
-                             "sniff magic bytes so resume works across "
-                             "formats (default: lshd)")
+    add_run_flags(parser)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument("--save-json", default=None,
                         help="also save the report as JSON")
     parser.add_argument("--figures-dir", default=None,
                         help="also render Figures 1-5 as SVG into this dir")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="persist per-stage study artifacts here; an "
-                             "interrupted run can be resumed with --resume")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip stages whose checkpoints are complete "
-                             "(requires --checkpoint-dir)")
     args = parser.parse_args()
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
@@ -112,14 +73,7 @@ def main() -> int:
           f"{len(world.geoblocking_domains())} geoblocking domains",
           flush=True)
 
-    suite = ExperimentSuite(world, study_config=StudyConfig(
-        seed=args.seed, workers=max(1, args.workers), executor=args.executor,
-        exchange=args.exchange, merge=args.merge,
-        target_chunk_ms=max(0, args.target_chunk_ms),
-        world_source=args.world_source),
-        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-        checkpoint_format=args.checkpoint_format)
-    report = suite.run()
+    report = suite_from_args(world, args).run()
     minutes = stopwatch.elapsed() / 60.0
     print(f"[+{stopwatch.elapsed():7.1f}s] suite finished in "
           f"{minutes:.1f} min", flush=True)

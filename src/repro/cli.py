@@ -17,6 +17,7 @@ from typing import Optional
 from repro.analysis.experiments import ExperimentSuite
 from repro.analysis.report import render_figure, render_table
 from repro.core.pipeline import StudyConfig, run_top10k_study
+from repro.run.artifacts import DATASET_FORMATS
 from repro.util.clock import Clock, SystemClock
 from repro.websim.world import World, WorldConfig
 
@@ -36,17 +37,57 @@ def _world(scale: str, seed: int) -> World:
     return World(factory(seed=seed))
 
 
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the scan-engine and checkpoint flags of a suite run.
+
+    Shared by ``repro-geoblock run`` and ``scripts/run_experiments.py``;
+    :func:`suite_from_args` turns the parsed flags into a suite.
+    """
+    parser.add_argument("--checkpoint-dir", default=None,
+                        help="persist per-stage study artifacts here; an "
+                             "interrupted run can be resumed with --resume")
+    parser.add_argument("--resume", action="store_true",
+                        help="skip stages whose checkpoints are complete "
+                             "(requires --checkpoint-dir)")
+    parser.add_argument("--checkpoint-format", default="lshd",
+                        choices=DATASET_FORMATS,
+                        help="dataset codec for checkpoints; 'lshm' writes "
+                             "manifest-backed multi-segment datasets; loads "
+                             "sniff magic bytes, so legacy JSONL "
+                             "checkpoints still resume (default: lshd)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="scan-engine worker pool width; output is "
+                             "identical for any count (default: 1)")
+    parser.add_argument("--executor", default="thread",
+                        choices=("thread", "process"),
+                        help="scan-engine pool shape; 'process' sidesteps "
+                             "the GIL for the CPU-bound simulated probes "
+                             "(default: thread)")
+    parser.add_argument("--merge", default="memory",
+                        choices=("memory", "spill"),
+                        help="process-merge sink: accumulate worker shards "
+                             "in RAM, or stream them to an on-disk LSHD "
+                             "segment and mmap the result (default: memory)")
+    parser.add_argument("--target-chunk-ms", type=int, default=250,
+                        help="autotune process chunks toward this "
+                             "wall-time per chunk; 0 keeps a fixed chunk "
+                             "size (default: 250)")
+
+
+def suite_from_args(world: World, args: argparse.Namespace) -> ExperimentSuite:
+    """The experiment suite the :func:`add_run_flags` flags describe."""
+    config = StudyConfig(seed=args.seed, workers=max(1, args.workers),
+                         executor=args.executor, merge=args.merge,
+                         target_chunk_ms=max(0, args.target_chunk_ms))
+    return ExperimentSuite(world, study_config=config,
+                           checkpoint_dir=args.checkpoint_dir,
+                           resume=args.resume,
+                           checkpoint_format=args.checkpoint_format)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     world = _world(args.scale, args.seed)
-    config = StudyConfig(seed=args.seed, workers=max(1, args.workers),
-                         executor=args.executor, exchange=args.exchange,
-                         merge=args.merge,
-                         target_chunk_ms=max(0, args.target_chunk_ms),
-                         world_source=args.world_source)
-    suite = ExperimentSuite(world, study_config=config,
-                            checkpoint_dir=args.checkpoint_dir,
-                            resume=args.resume,
-                            checkpoint_format=args.checkpoint_format)
+    suite = suite_from_args(world, args)
     stopwatch = args.clock.stopwatch()
     report = suite.run(include_top1m=not args.no_top1m,
                        include_vps=not args.no_vps,
@@ -346,46 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-top1m", action="store_true")
     run.add_argument("--no-vps", action="store_true")
     run.add_argument("--no-ooni", action="store_true")
-    run.add_argument("--checkpoint-dir", default=None,
-                     help="persist per-stage study artifacts here")
-    run.add_argument("--resume", action="store_true",
-                     help="skip stages with complete checkpoints "
-                          "(requires --checkpoint-dir)")
-    run.add_argument("--workers", type=int, default=1,
-                     help="scan-engine worker pool width; output is "
-                          "identical for any count (default: 1)")
-    run.add_argument("--executor", default="thread",
-                     choices=("thread", "process"),
-                     help="scan-engine pool shape; 'process' sidesteps the "
-                          "GIL for the CPU-bound simulated probes "
-                          "(default: thread)")
-    run.add_argument("--exchange", default="auto",
-                     choices=("auto", "shm", "file", "pickle"),
-                     help="process-worker result transport: columnar shard "
-                          "segments in shared memory or spill files, or the "
-                          "legacy whole-dataset pickle; 'auto' prefers "
-                          "shared memory (default: auto)")
-    run.add_argument("--merge", default="memory",
-                     choices=("memory", "spill"),
-                     help="process-merge sink: accumulate worker shards in "
-                          "RAM, or stream them to an on-disk LSHD segment "
-                          "and mmap the result (default: memory)")
-    run.add_argument("--target-chunk-ms", type=int, default=250,
-                     help="autotune process chunks toward this wall-time "
-                          "per chunk; 0 keeps a fixed chunk size "
-                          "(default: 250)")
-    run.add_argument("--world-source", default="auto",
-                     choices=("auto", "pack", "rebuild"),
-                     help="how process workers obtain the world: map the "
-                          "parent's frozen worldpack zero-copy, or rebuild "
-                          "from the spec; 'auto' freezes and falls back to "
-                          "rebuild when freezing fails (default: auto)")
-    run.add_argument("--checkpoint-format", default="lshd",
-                     choices=("lshd", "lshm", "jsonl.gz", "jsonl"),
-                     help="dataset codec for checkpoints; 'lshm' writes "
-                          "manifest-backed multi-segment datasets; loads "
-                          "sniff magic bytes so resume works across formats "
-                          "(default: lshd)")
+    add_run_flags(run)
     run.set_defaults(func=_cmd_run)
 
     top10k = sub.add_parser("top10k", help="run only the Top-10K study")

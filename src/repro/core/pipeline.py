@@ -95,10 +95,8 @@ class StudyConfig:
     seed: int = 0
     workers: int = 1                  # scan-engine pool width (1 = inline)
     executor: str = "thread"          # scan-engine pool shape (or "process")
-    exchange: str = "auto"            # worker→parent result transport
     merge: str = "memory"             # process-merge sink ("spill" = on-disk)
     target_chunk_ms: int = 250        # chunk autotune target (0 = fixed)
-    world_source: str = "auto"        # worker world: frozen pack or rebuild
 
 
 def registry_salt(registry: Optional[FingerprintRegistry]) -> str:
@@ -137,10 +135,9 @@ def _build_engine(scanner: Lumscan, cfg: StudyConfig,
     """
     target = cfg.target_chunk_ms / 1000.0 if cfg.target_chunk_ms else None
     return ScanEngine(scanner, workers=cfg.workers, executor=cfg.executor,
-                      exchange=cfg.exchange, merge=cfg.merge,
+                      merge=cfg.merge,
                       spill_dir=store.directory if store else None,
-                      target_chunk_seconds=target,
-                      world_source=cfg.world_source)
+                      target_chunk_seconds=target)
 
 
 # ===================================================================== #
@@ -371,8 +368,9 @@ def run_top10k_study(world: World,
     there; with ``resume=True`` as well, stages whose checkpoints are
     complete (same configs, same stage fingerprint) are skipped and their
     artifacts loaded — producing bit-identical results to a fresh run.
-    ``checkpoint_format`` selects the dataset codec (loads always sniff,
-    so resuming works across formats).
+    ``checkpoint_format`` selects the dataset codec, ``"lshd"`` or
+    ``"lshm"`` (loads always sniff, so legacy JSONL checkpoints still
+    resume).
     """
     cfg = config or StudyConfig()
     lum = luminati or LuminatiClient(world)

@@ -22,17 +22,18 @@ The engine offers two pool shapes.  ``executor="thread"`` matches the
 real tool's latency-bound profile.  The *simulated* transport, however,
 never blocks — a thread pool is GIL-bound and buys little — so
 ``executor="process"`` ships task chunks to a ``ProcessPoolExecutor``:
-each worker process rebuilds the scanner once from a picklable
-:class:`~repro.lumscan.scanner.ScannerSpec` and runs chunks carved from
-the canonical task order.  Three mechanisms keep the process pool's
-merge path off the critical path:
+each worker process builds the scanner once from a picklable
+:class:`~repro.lumscan.scanner.ScannerSpec` — mapping the world the
+parent froze into a worldpack, or rebuilding it from the spec when
+freezing failed (a logged warning; the bytes are identical) — and runs
+chunks carved from the canonical task order.  Four mechanisms keep the
+process pool's merge path off the critical path:
 
-* **Columnar shard exchange** (default): workers serialize chunk
-  results into flat binary segments (:mod:`repro.lumscan.shards` —
-  shared-memory blocks or mmap-able spill files) and return only a tiny
-  handle; the parent maps each segment and bulk-extends with zero row
-  decode.  ``exchange="pickle"`` keeps the legacy whole-dataset pickle
-  path for comparison.
+* **Columnar shard exchange**: workers serialize chunk results into
+  flat binary segments (:mod:`repro.lumscan.shards` — shared-memory
+  blocks, or mmap-able spill files where shared memory is unavailable)
+  and return only a tiny handle; the parent maps each segment and
+  bulk-extends with zero row decode.
 * **Streaming merge**: chunk results are consumed *as they complete*
   (``FIRST_COMPLETED`` waits plus a :class:`ChunkReorderBuffer` that
   restores chunk-sequence order), so the parent never barriers on the
@@ -68,15 +69,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.lumscan.engine")
 
-from repro.lumscan.records import NO_RESPONSE, ScanDataset, \
-    SegmentedScanDataset
+from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.lumscan.shards import (
-    EXCHANGE_MODES,
     ExchangeSpec,
     ShardExchange,
     ShardHandle,
     SpillDatasetBuilder,
-    append_segment,
     open_shard,
     release_shard,
     write_shard,
@@ -93,18 +91,9 @@ DEFAULT_CHUNK_SIZE = 64
 #: Valid ``ScanEngine(executor=...)`` values.
 EXECUTORS = ("thread", "process")
 
-#: Valid ``ScanEngine(exchange=...)`` values: the shard transports plus
-#: the legacy whole-dataset pickle return path.
-EXCHANGES = EXCHANGE_MODES + ("pickle",)
-
 #: Valid ``ScanEngine(merge=...)`` values: hold the merged dataset in
 #: parent RAM, or stream it into an on-disk segment and map it back.
 MERGES = ("memory", "spill")
-
-#: Valid ``ScanEngine(world_source=...)`` values: freeze the world when
-#: possible ("auto"), require the frozen pack ("pack"), or force every
-#: worker onto the legacy spec rebuild ("rebuild").
-WORLD_SOURCES = ("auto", "pack", "rebuild")
 
 #: Outstanding chunks per worker: enough that a worker finishing early
 #: always has a queued chunk, small enough to bound unmerged backlog.
@@ -315,7 +304,7 @@ _WORKER_CLOCK: Clock = SYSTEM_CLOCK
 _WORKER_INIT_INFO: Optional[dict] = None
 
 
-def _process_worker_init(spec, exchange_spec: Optional[ExchangeSpec],
+def _process_worker_init(spec, exchange_spec: ExchangeSpec,
                          clock: Clock) -> None:
     global _WORKER_SCANNER, _WORKER_COUNTS, _WORKER_EXCHANGE, _WORKER_CLOCK
     global _WORKER_INIT_INFO
@@ -345,12 +334,11 @@ def _process_worker_init(spec, exchange_spec: Optional[ExchangeSpec],
 def _process_run_chunk(seq: int, chunk: List[ProbeTask]):
     """Run one chunk in a worker.
 
-    Returns ``(seq, payload, request_delta, fetch_delta, tasks,
-    elapsed, init_info)`` where ``payload`` is a :class:`ShardHandle`
-    under the shard exchange (the rows stay in the segment) or a trimmed
-    columnar :class:`ScanDataset` under the legacy pickle exchange, and
-    ``init_info`` is this worker's one-time spawn-cost record (None on
-    every chunk after the first).
+    Returns ``(seq, handle, request_delta, fetch_delta, tasks, elapsed,
+    init_info)`` where ``handle`` is the :class:`ShardHandle` of the
+    chunk's segment (the rows stay in the segment) and ``init_info`` is
+    this worker's one-time spawn-cost record (None on every chunk after
+    the first).
     """
     global _WORKER_COUNTS, _WORKER_INIT_INFO
     scanner = _WORKER_SCANNER
@@ -363,12 +351,9 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask]):
     prev_requests, prev_fetches = _WORKER_COUNTS
     _WORKER_COUNTS = (requests, fetches)
     elapsed = stopwatch.elapsed()
-    if _WORKER_EXCHANGE is None:
-        payload = data
-    else:
-        payload = write_shard(data.export_columns(), _WORKER_EXCHANGE, seq)
+    handle = write_shard(data.export_columns(), _WORKER_EXCHANGE, seq)
     init_info, _WORKER_INIT_INFO = _WORKER_INIT_INFO, None
-    return (seq, payload, requests - prev_requests,
+    return (seq, handle, requests - prev_requests,
             fetches - prev_fetches, len(chunk), elapsed, init_info)
 
 
@@ -390,13 +375,11 @@ class ScanEngine:
     def __init__(self, scanner, workers: int = 1,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  executor: str = "thread",
-                 exchange: str = "auto",
                  merge: str = "memory",
                  spill_dir: Optional[str] = None,
                  target_chunk_seconds: Optional[float] =
                  DEFAULT_TARGET_CHUNK_SECONDS,
-                 clock: Optional[Clock] = None,
-                 world_source: str = "auto") -> None:
+                 clock: Optional[Clock] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:
@@ -404,9 +387,6 @@ class ScanEngine:
         if executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if exchange not in EXCHANGES:
-            raise ValueError(
-                f"exchange must be one of {EXCHANGES}, got {exchange!r}")
         if merge not in MERGES:
             raise ValueError(
                 f"merge must be one of {MERGES}, got {merge!r}")
@@ -414,17 +394,11 @@ class ScanEngine:
             raise ValueError(
                 "merge='spill' requires executor='process' (the spill "
                 "builder backs the process pool's streaming merge)")
-        if world_source not in WORLD_SOURCES:
-            raise ValueError(
-                f"world_source must be one of {WORLD_SOURCES}, "
-                f"got {world_source!r}")
         self._merge = merge
-        self._world_source = world_source
         self._scanner = scanner
         self._workers = workers
         self._chunk_size = chunk_size
         self._executor = executor
-        self._exchange = exchange
         self._spill_dir = spill_dir
         self._target_chunk_seconds = target_chunk_seconds
         self._clock = clock if clock is not None else SYSTEM_CLOCK
@@ -440,19 +414,9 @@ class ScanEngine:
         return self._executor
 
     @property
-    def exchange(self) -> str:
-        """Configured worker-result transport ("auto"/"shm"/"file"/"pickle")."""
-        return self._exchange
-
-    @property
     def merge(self) -> str:
         """Configured merge sink ("memory" or "spill")."""
         return self._merge
-
-    @property
-    def world_source(self) -> str:
-        """Configured worker world source ("auto"/"pack"/"rebuild")."""
-        return self._world_source
 
     def worker_init_stats(self):
         """The scanner's accumulated worker spawn/build costs, if tracked."""
@@ -463,55 +427,20 @@ class ScanEngine:
 
     def scan(self, urls: Sequence[str], countries: Sequence[str],
              samples: int = 3, epoch: int = 0,
-             dataset: Optional[ScanDataset] = None,
-             append_to: Optional[str] = None) -> ScanDataset:
+             dataset: Optional[ScanDataset] = None) -> ScanDataset:
         """Probe every (country, domain) pair ``samples`` times.
 
         Samples for a pair land contiguously in serial order, which
         downstream consumers (``ScanDataset.pairs``) rely on.
-        ``append_to`` finalizes the run into a new segment of an
-        ``.lshm`` manifest instead (see :meth:`_finalize_append`).
         """
-        tasks = scan_tasks(urls, countries, samples, epoch)
-        if append_to is not None:
-            return self._finalize_append(tasks, dataset, append_to)
-        return self._execute(tasks, dataset)
+        return self._execute(scan_tasks(urls, countries, samples, epoch),
+                             dataset)
 
     def resample(self, pairs: Iterable[Tuple[str, str]], samples: int,
                  epoch: int = 0,
-                 dataset: Optional[ScanDataset] = None,
-                 append_to: Optional[str] = None) -> ScanDataset:
-        """Re-probe specific (domain, country) pairs ``samples`` times.
-
-        ``append_to`` finalizes the run into a new segment of an
-        ``.lshm`` manifest instead (see :meth:`_finalize_append`).
-        """
-        tasks = resample_tasks(pairs, samples, epoch)
-        if append_to is not None:
-            return self._finalize_append(tasks, dataset, append_to)
-        return self._execute(tasks, dataset)
-
-    def _finalize_append(self, tasks: List[ProbeTask],
-                         dataset: Optional[ScanDataset],
-                         manifest_path: str) -> "SegmentedScanDataset":
-        """Run ``tasks`` and append the result as one manifest segment.
-
-        The engine's **append mode**: the run executes into a fresh
-        dataset exactly as usual (any executor/exchange/merge mode),
-        the finished rows are written as one fingerprinted segment
-        beside ``manifest_path`` (created when missing), and the
-        manifest gains one entry — prior segments are never read or
-        rewritten, so a rescan costs O(new rows) on the storage side.
-        Returns the whole logical dataset, reopened from the manifest.
-        """
-        if dataset is not None:
-            raise ValueError("append_to and dataset are mutually exclusive: "
-                             "append mode always runs into a fresh segment")
-        from repro.lumscan.serialize import load_dataset
-        result = self._execute(tasks, None)
-        append_segment(manifest_path, result.export_columns())
-        result.close()
-        return load_dataset(manifest_path)
+                 dataset: Optional[ScanDataset] = None) -> ScanDataset:
+        """Re-probe specific (domain, country) pairs ``samples`` times."""
+        return self._execute(resample_tasks(pairs, samples, epoch), dataset)
 
     # ------------------------------------------------------------------ #
 
@@ -556,8 +485,6 @@ class ScanEngine:
         pack = self._freeze_world_pack()
         if pack is not None:
             spec = replace(spec, world_source=pack.handle)
-        exchange = None if self._exchange == "pickle" else \
-            ShardExchange(self._exchange, spill_dir=self._spill_dir)
         tuner = ChunkAutotuner(initial=self._chunk_size,
                                target_seconds=self._target_chunk_seconds)
         buffer = ChunkReorderBuffer()
@@ -569,14 +496,14 @@ class ScanEngine:
         rss_peak = 0
         cursor = 0
         seq = 0
-        logger.debug("engine: %d tasks over %d process workers "
-                     "(exchange=%s, merge=%s, autotune=%s, world=%s)",
-                     len(tasks), self._workers, self._exchange, self._merge,
-                     tuner.enabled,
-                     "pack" if pack is not None else "rebuild")
+        exchange = ShardExchange(spill_dir=self._spill_dir)
         try:
-            exchange_spec = None if exchange is None else \
-                exchange.open().spec()
+            exchange_spec = exchange.open().spec()
+            logger.debug("engine: %d tasks over %d process workers "
+                         "(exchange=%s, merge=%s, autotune=%s, world=%s)",
+                         len(tasks), self._workers, exchange.mode,
+                         self._merge, tuner.enabled,
+                         "pack" if pack is not None else "rebuild")
             if self._merge == "spill":
                 # The builder owns its own directory under spill_dir —
                 # never the exchange session dir, which is removed
@@ -616,7 +543,7 @@ class ScanEngine:
                                    return_when=FIRST_COMPLETED)
                     for future in done:
                         pending.pop(future)
-                        (chunk_seq, payload, request_delta, fetch_delta,
+                        (chunk_seq, handle, request_delta, fetch_delta,
                          n_tasks, elapsed, init_info) = future.result()
                         if init_info is not None:
                             spawned += 1
@@ -627,11 +554,11 @@ class ScanEngine:
                                 pack_loads += 1
                         tuner.record(n_tasks, elapsed)
                         buffer.push(chunk_seq,
-                                    (payload, request_delta, fetch_delta))
+                                    (handle, request_delta, fetch_delta))
                         submit_next()
-                    for payload, request_delta, fetch_delta in \
+                    for handle, request_delta, fetch_delta in \
                             buffer.pop_ready():
-                        self._merge_payload(sink, payload)
+                        self._merge_shard(sink, handle)
                         requests += request_delta
                         fetches += fetch_delta
             if merger is not None:
@@ -645,8 +572,8 @@ class ScanEngine:
             # are chained with nested finally blocks so a failure inside
             # one cleanup cannot skip the ones after it.
             try:
-                for payload, _, _ in buffer.drain():
-                    self._discard_payload(payload)
+                for handle, _, _ in buffer.drain():
+                    release_shard(handle)
                 for future in pending:
                     if future.cancel():
                         continue
@@ -654,15 +581,14 @@ class ScanEngine:
                         result = future.result()
                     except Exception:
                         continue
-                    self._discard_payload(result[1])
+                    release_shard(result[1])
             finally:
                 try:
                     if merger is not None:
                         merger.abort()
                 finally:
                     try:
-                        if exchange is not None:
-                            exchange.close()
+                        exchange.close()
                     finally:
                         if pack is not None:
                             # The parent owns the pack's backing
@@ -680,48 +606,34 @@ class ScanEngine:
         return data
 
     def _freeze_world_pack(self):
-        """Freeze the scanner's world for the pool, per ``world_source``.
+        """Freeze the scanner's world for the pool.
 
         Returns the parent-owned pack (released in the execute
-        ``finally``) or None when freezing is off, unsupported by the
-        scanner, or failed under ``world_source="auto"`` — the workers
-        then fall back to the spec rebuild, which is bit-identical.
-        ``world_source="pack"`` propagates freeze failures instead of
-        degrading silently.
+        ``finally``) or None when the scanner cannot freeze its world or
+        freezing failed — the workers then fall back to the spec
+        rebuild, which is bit-identical, and the failure is logged as a
+        warning (the rebuild costs every worker a full world build).
         """
-        if self._world_source == "rebuild":
-            return None
         freeze = getattr(self._scanner, "freeze_world_pack", None)
         if freeze is None:
             return None
         try:
             return freeze(directory=self._spill_dir)
         except OSError:
-            if self._world_source == "pack":
-                raise
-            logger.debug("world freeze failed; workers will rebuild",
-                         exc_info=True)
+            logger.warning("world freeze failed; workers will rebuild",
+                           exc_info=True)
             return None
 
     @staticmethod
-    def _merge_payload(sink, payload) -> None:
-        """Fold one chunk's result into the merge sink.
+    def _merge_shard(sink, handle: ShardHandle) -> None:
+        """Fold one chunk's shard into the merge sink, then release it.
 
         ``sink`` is the parent :class:`ScanDataset` (memory merge) or a
         :class:`SpillDatasetBuilder` (spill merge) — both consume
         bundles through the same ``extend_columns`` contract.
         """
-        if isinstance(payload, ShardHandle):
-            try:
-                with open_shard(payload) as reader:
-                    sink.extend_columns(reader.columns)
-            finally:
-                release_shard(payload)
-        else:
-            sink.extend_columns(payload.export_columns())
-
-    @staticmethod
-    def _discard_payload(payload) -> None:
-        """Release a chunk result without merging it (error paths)."""
-        if isinstance(payload, ShardHandle):
-            release_shard(payload)
+        try:
+            with open_shard(handle) as reader:
+                sink.extend_columns(reader.columns)
+        finally:
+            release_shard(handle)

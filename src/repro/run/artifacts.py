@@ -5,9 +5,7 @@ Layout under the checkpoint root::
     <root>/<study>/<stage>.manifest.json        stage completion record
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
     <root>/<study>/<stage>.<artifact>.lshd      scan datasets (columnar
-                                                segments, mmap-loaded;
-                                                ``dataset_format`` selects
-                                                the legacy JSONL flavors)
+                                                segments, mmap-loaded)
     <root>/<study>/<stage>.<artifact>.lshm      manifest-backed datasets:
                                                 a canonical-JSON list of
                                                 content-addressed segment
@@ -21,6 +19,10 @@ optional salt for non-config inputs (e.g. the fingerprint registry a
 Top-1M run inherits from Top-10K discovery).  A checkpoint is only reused
 when its fingerprint matches the requesting run exactly — change any
 methodology knob, world parameter, or seed and every stage re-executes.
+The engine settings in :data:`ENGINE_FIELDS` are left out: they change
+how probes are scheduled, never what they return, so a run resumed with
+a different ``workers``/``executor``/``merge``/``target_chunk_ms``
+reuses every stage.
 
 Crash safety is ordering + atomicity: artifact files are written first
 (each atomically, via temp + ``os.replace``), the manifest last.  A stage
@@ -40,7 +42,6 @@ from typing import Dict, Optional, Sequence
 from repro.lumscan.records import DatasetReader, ScanDataset, \
     SegmentedScanDataset
 from repro.lumscan.serialize import (
-    dump_dataset,
     dump_dataset_lshd,
     dump_dataset_manifest,
     load_dataset,
@@ -55,7 +56,16 @@ FORMAT_VERSION = 1
 #: Dataset codecs a store can write (suffix doubles as the format name).
 #: Loading always sniffs magic bytes, so checkpoints in any format —
 #: including pre-columnar ``.jsonl.gz`` ones — stay loadable.
-DATASET_FORMATS = ("lshd", "lshm", "jsonl.gz", "jsonl")
+DATASET_FORMATS = ("lshd", "lshm")
+
+#: Suffixes of dataset checkpoints older stores wrote; still loadable,
+#: and still removed by ``invalidate(remove_artifacts=True)``.
+LEGACY_DATASET_SUFFIXES = ("jsonl.gz", "jsonl")
+
+#: ``StudyConfig`` fields that choose how the scan engine runs probes,
+#: never what the probes return (output is byte-identical for any of
+#: them), so they stay out of the checkpoint fingerprint.
+ENGINE_FIELDS = ("workers", "executor", "merge", "target_chunk_ms")
 
 #: Resource-lifetime contract enforced by ``repro.lint``: the store
 #: manifest is only ever written through the atomic JSON writer below.
@@ -84,9 +94,13 @@ def _jsonable_config(config: object) -> object:
 
 def run_fingerprint(study_config: object, world_config: object,
                     study: str, stage: str, salt: str = "") -> str:
-    """SHA-256 key of one stage's checkpoint."""
+    """SHA-256 key of one stage's checkpoint (engine fields excluded)."""
+    config = _jsonable_config(study_config)
+    if isinstance(config, dict):
+        config = {name: value for name, value in sorted(config.items())
+                  if name not in ENGINE_FIELDS}
     payload = {
-        "study_config": _jsonable_config(study_config),
+        "study_config": config,
         "world_config": _jsonable_config(world_config),
         "study": study,
         "stage": stage,
@@ -119,9 +133,8 @@ class ArtifactStore:
     columnar segments, ``"lshm"`` writes manifest-backed multi-segment
     datasets keyed by manifest fingerprint (a re-checkpoint of a logical
     dataset that grew by one rescan segment reuses the existing segment
-    files and costs O(new rows)), ``"jsonl.gz"`` / ``"jsonl"`` keep the
-    row-oriented JSONL export format.  Loads sniff the actual bytes, so
-    a store reads checkpoints written under any format.
+    files and costs O(new rows)).  Loads sniff the actual bytes, so a
+    store also reads legacy gzip-JSONL checkpoints.
     """
 
     def __init__(self, root: str, study: str, study_config: object,
@@ -204,12 +217,10 @@ class ArtifactStore:
                         f"declared as dataset but is {type(value).__name__}")
                 if self._dataset_format == "lshd":
                     entry["records"] = dump_dataset_lshd(value, path)
-                elif self._dataset_format == "lshm":
+                else:
                     entry["records"] = dump_dataset_manifest(value, path)
                     entry["manifest_fingerprint"] = \
                         read_manifest(path).fingerprint
-                else:
-                    entry["records"] = dump_dataset(value, path)
             else:
                 _atomic_write_json(path, {
                     "version": FORMAT_VERSION,
@@ -273,8 +284,8 @@ class ArtifactStore:
             if not remove_artifacts:
                 continue
             for spec in stage.outputs:
-                suffixes = DATASET_FORMATS if spec.kind == KIND_DATASET \
-                    else ("json",)
+                suffixes = DATASET_FORMATS + LEGACY_DATASET_SUFFIXES \
+                    if spec.kind == KIND_DATASET else ("json",)
                 for suffix in suffixes:
                     path = os.path.join(
                         self._dir, f"{stage.name}.{spec.name}.{suffix}")

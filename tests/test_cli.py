@@ -42,8 +42,15 @@ class TestParser:
             build_parser().parse_args(["run", "--merge", "tape"])
 
     def test_checkpoint_format_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--checkpoint-format", "csv"])
+        for fmt in ("csv", "jsonl.gz", "jsonl"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["run", "--checkpoint-format", fmt])
+
+    def test_removed_engine_flags_rejected(self):
+        for flags in (["--exchange", "shm"], ["--world-source", "pack"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", *flags])
 
     def test_store_inspect_requires_path(self):
         with pytest.raises(SystemExit):

@@ -6,8 +6,10 @@ contract is the same as the thread pool's: the merged dataset is
 identical — same records, same order — to a serial scan, and the parent
 scanner's request/fetch counters account for all worker traffic.  The
 shard exchange adds two more: the merged bytes stay identical under any
-chunk completion order, and no shard segment outlives the scan — not
-even when a worker blows up mid-run.
+chunk completion order and either transport, and no shard segment
+outlives the scan — not even when a worker blows up mid-run.  The
+transport is picked by ``shm_available()``; tests force spill files by
+patching it to return False.
 """
 
 import os
@@ -17,11 +19,12 @@ import time
 import pytest
 
 import repro.lumscan.engine as engine_mod
-from repro.lumscan.engine import EXECUTORS, EXCHANGES, ScanEngine, scan_tasks
+import repro.lumscan.shards as shards_mod
+from repro.lumscan.engine import EXECUTORS, ScanEngine, scan_tasks
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.scanner import Lumscan, ScannerSpec
 from repro.lumscan.serialize import dump_dataset
-from repro.lumscan.shards import shm_available
+from repro.lumscan.shards import EXCHANGE_MODES, shm_available
 from repro.proxynet.luminati import LuminatiClient
 
 
@@ -197,20 +200,18 @@ def _exploding_run_chunk(seq, chunk):
     return _REAL_RUN_CHUNK(seq, chunk)
 
 
-def _exchanges():
-    modes = ["file", "pickle"]
-    if shm_available():
-        modes.insert(0, "shm")
-    return modes
+def _transports():
+    return ["shm", "file"] if shm_available() else ["file"]
+
+
+def _force_file_transport(monkeypatch):
+    """Make the engine's shard exchange resolve to spill files."""
+    monkeypatch.setattr(shards_mod, "shm_available", lambda: False)
 
 
 class TestShardExchange:
     def test_exchanges_tuple(self):
-        assert EXCHANGES == ("auto", "shm", "file", "pickle")
-
-    def test_unknown_exchange_rejected(self, nano_luminati):
-        with pytest.raises(ValueError):
-            ScanEngine(Lumscan(nano_luminati, seed=3), exchange="carrier")
+        assert EXCHANGE_MODES == ("auto", "shm", "file")
 
     @pytest.fixture(scope="class")
     def serial(self, nano_world):
@@ -220,13 +221,15 @@ class TestShardExchange:
         data = Lumscan(client, seed=11).scan(urls, countries, samples=3)
         return urls, countries, data
 
-    @pytest.mark.parametrize("exchange", _exchanges())
+    @pytest.mark.parametrize("exchange", _transports())
     def test_every_exchange_is_byte_identical_to_serial(
-            self, nano_world, serial, tmp_path, exchange):
+            self, nano_world, serial, tmp_path, monkeypatch, exchange):
         urls, countries, expected = serial
+        if exchange == "file":
+            _force_file_transport(monkeypatch)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=16, executor="process",
-                            exchange=exchange, spill_dir=str(tmp_path))
+                            spill_dir=str(tmp_path))
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, exchange) == \
             _encoded(expected, tmp_path, "serial")
@@ -252,12 +255,13 @@ class TestShardExchange:
         # written — buffered, in flight, or still on disk — and remove
         # the spill session directory under the checkpoint dir.
         urls, countries, _ = serial
+        _force_file_transport(monkeypatch)
         monkeypatch.setattr(engine_mod, "_process_run_chunk",
                             _exploding_run_chunk)
         spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            exchange="file", spill_dir=str(spill),
+                            spill_dir=str(spill),
                             target_chunk_seconds=None)
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
@@ -276,7 +280,7 @@ class TestShardExchange:
                             _exploding_run_chunk)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            exchange="shm", target_chunk_seconds=None)
+                            target_chunk_seconds=None)
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
         assert set(os.listdir("/dev/shm")) - before == set()
@@ -343,12 +347,13 @@ class TestSpillMerge:
     def test_spill_worker_failure_cleans_up(self, nano_world, serial,
                                             tmp_path, monkeypatch):
         urls, countries, _ = serial
+        _force_file_transport(monkeypatch)
         monkeypatch.setattr(engine_mod, "_process_run_chunk",
                             _exploding_run_chunk)
         spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            exchange="file", merge="spill",
+                            merge="spill",
                             spill_dir=str(spill),
                             target_chunk_seconds=None)
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
@@ -426,7 +431,7 @@ class TestWorldpackInitCleanup:
                             _exploding_worker_init)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            exchange="shm", target_chunk_seconds=None)
+                            target_chunk_seconds=None)
         with pytest.raises(Exception) as excinfo:
             engine.scan(urls, ["US", "IR"], samples=2)
         assert "process" in type(excinfo.value).__name__.lower() \
@@ -440,6 +445,6 @@ class TestWorldpackInitCleanup:
         before = set(os.listdir("/dev/shm"))
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            exchange="shm", target_chunk_seconds=None)
+                            target_chunk_seconds=None)
         engine.scan(urls, ["US", "IR"], samples=2)
         assert set(os.listdir("/dev/shm")) - before == set()

@@ -5,8 +5,8 @@ and byte-determinism, O(new rows) append (prior segments untouched),
 adoption of pre-finalized spill segments, compaction byte-identical to
 the sequential segment writer, the :class:`SegmentedScanDataset` logical
 view (kernels folded over segments must be bit-identical to the flat
-columnar path and the scalar references), serialize-layer round-trips
-with segment reuse, and the scan engine's manifest append mode.
+columnar path and the scalar references), and serialize-layer
+round-trips with segment reuse.
 """
 
 import os
@@ -21,13 +21,11 @@ from repro.core.lengths import (
     relative_differences,
     representative_lengths,
 )
-from repro.lumscan.engine import ScanEngine
 from repro.lumscan.records import (
     NO_RESPONSE,
     ScanDataset,
     SegmentedScanDataset,
 )
-from repro.lumscan.scanner import Lumscan
 from repro.lumscan.serialize import (
     dump_dataset_lshd,
     dump_dataset_manifest,
@@ -45,7 +43,6 @@ from repro.lumscan.shards import (
     write_manifest,
     write_segment_file,
 )
-from repro.proxynet.luminati import LuminatiClient
 
 
 def _dataset(offset: int = 0, n: int = 12) -> ScanDataset:
@@ -324,45 +321,6 @@ class TestSerializeManifest:
             # Re-checkpointing rewrote no segment bytes.
             assert (tmp_path / entry.file).stat().st_mtime_ns \
                 == stats[entry.file]
-
-
-class TestEngineAppend:
-    def _engine(self, world):
-        return ScanEngine(Lumscan(LuminatiClient(world)))
-
-    def _urls(self, world, n):
-        urls = []
-        for domain in world.population:
-            if not domain.dead and not domain.redirect_loop:
-                urls.append(f"http://{domain.name}/")
-                if len(urls) == n:
-                    break
-        return urls
-
-    def test_scan_append_matches_fresh_scans(self, nano_world, tmp_path):
-        engine = self._engine(nano_world)
-        urls = self._urls(nano_world, 6)
-        man = str(tmp_path / "scan.lshm")
-        first = engine.scan(urls[:3], ["US", "IR"], samples=1,
-                            append_to=man)
-        assert isinstance(first, SegmentedScanDataset)
-        assert len(read_manifest(man).entries) == 1
-        first.close()
-        combined = engine.scan(urls[3:], ["US", "IR"], samples=1,
-                               append_to=man)
-        assert len(read_manifest(man).entries) == 2
-        fresh_a = engine.scan(urls[:3], ["US", "IR"], samples=1)
-        fresh_b = engine.scan(urls[3:], ["US", "IR"], samples=1)
-        assert _rows(combined) == _rows(_merged(fresh_a, fresh_b))
-        combined.close()
-
-    def test_append_and_dataset_mutually_exclusive(self, nano_world,
-                                                   tmp_path):
-        engine = self._engine(nano_world)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            engine.scan(["http://a.com/"], ["US"], samples=1,
-                        dataset=ScanDataset(),
-                        append_to=str(tmp_path / "scan.lshm"))
 
 
 # --------------------------------------------------------------------- #

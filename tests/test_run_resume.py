@@ -10,6 +10,8 @@ exactly and no skipped stage leaks shared-RNG state.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import shutil
 
@@ -26,7 +28,7 @@ from repro.lumscan.records import ScanDataset, SegmentedScanDataset
 from repro.lumscan.serialize import dump_dataset, load_dataset
 from repro.lumscan.shards import append_segment
 from repro.proxynet.luminati import LuminatiClient
-from repro.run import ArtifactStore
+from repro.run import ArtifactStore, encode_artifact
 from repro.websim.world import World, WorldConfig
 
 #: Stages assumed complete when the run "crashed" after the initial scan.
@@ -219,7 +221,40 @@ def _registry_salt(registry):
     return registry_salt(registry)
 
 
+def _result_digest(result, tmp_path, name) -> str:
+    """SHA-256 over every field of a study result except its timings."""
+    parts = {}
+    for field in dataclasses.fields(result):
+        if field.name == "stage_stats":
+            continue
+        value = getattr(result, field.name)
+        if isinstance(value, (ScanDataset, SegmentedScanDataset)):
+            path = tmp_path / f"{name}.{field.name}.jsonl.gz"
+            dump_dataset(value, path)
+            parts[field.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            parts[field.name] = encode_artifact(value)
+    canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 class TestCheckpointInvalidation:
+    def test_engine_change_reuses_every_stage(self, tmp_path):
+        """Engine settings change scheduling, never output: resuming a
+        serial run on the process pool must hit every checkpoint."""
+        root = str(tmp_path / "ckpt")
+        world = World(WorldConfig.nano())
+        fresh = run_top10k_study(world, config=StudyConfig(),
+                                 checkpoint_dir=root)
+
+        pooled = StudyConfig(workers=2, executor="process")
+        resumed_world = World(WorldConfig.nano())
+        resumed = run_top10k_study(resumed_world, config=pooled,
+                                   checkpoint_dir=root, resume=True)
+        assert all(s.cache_hit for s in resumed.stage_stats)
+        assert _result_digest(resumed, tmp_path, "resumed") == \
+            _result_digest(fresh, tmp_path, "fresh")
+
     def test_config_change_invalidates_everything(self, tmp_path):
         """Changing a methodology knob must force full re-execution."""
         root = str(tmp_path)

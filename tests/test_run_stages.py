@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from repro.core.identify import CDNPopulation
 from repro.core.lengths import Outlier
 from repro.core.resample import ConfirmedBlock
 from repro.lumscan.records import Sample, ScanDataset
+from repro.lumscan.serialize import dump_dataset
 from repro.run import (
     KIND_DATASET,
     ArtifactSpec,
@@ -207,30 +209,37 @@ class TestArtifactStore:
         assert [loaded.row(i) for i in range(3)] \
             == [_dataset().row(i) for i in range(3)]
 
-    def test_jsonl_format_mode(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1},
-                              dataset_format="jsonl")
-        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
-        assert (tmp_path / "study" / "scan.initial.jsonl").exists()
-        assert store.load_stage(_STAGE)["initial"].row(1) \
-            == _dataset().row(1)
-
     def test_cross_format_resume(self, tmp_path):
-        # A store in one format reads checkpoints written under another:
-        # the manifest records the actual filename and loads sniff bytes.
-        old = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 10},
-                            dataset_format="jsonl.gz")
-        old.save_stage(_STAGE, {"initial": _dataset(), "notes": ["n1"]})
-        new = _store(tmp_path)
-        assert new.manifest(_STAGE) is not None
-        loaded = new.load_stage(_STAGE)["initial"]
+        # Legacy checkpoints stored datasets as gzip-JSONL; the manifest
+        # records the actual filename and loads sniff bytes, so they
+        # still resume.
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": ["n1"]})
+        study = tmp_path / "study"
+        (study / "scan.initial.lshd").unlink()
+        dump_dataset(_dataset(), study / "scan.initial.jsonl.gz")
+        manifest_path = study / "scan.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["artifacts"]:
+            if entry["name"] == "initial":
+                entry["file"] = "scan.initial.jsonl.gz"
+        manifest_path.write_text(json.dumps(manifest))
+
+        resumed = _store(tmp_path)
+        assert resumed.manifest(_STAGE) is not None
+        loaded = resumed.load_stage(_STAGE)["initial"]
         assert not loaded.is_mapped
         assert loaded.row(2) == _dataset().row(2)
 
+        resumed.invalidate([_STAGE], remove_artifacts=True)
+        assert not (study / "scan.initial.jsonl.gz").exists()
+
     def test_bad_dataset_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactStore(str(tmp_path), "study", {}, {},
-                          dataset_format="csv")
+        # JSONL is load-only: stores write nothing but lshd/lshm.
+        for fmt in ("csv", "jsonl.gz", "jsonl"):
+            with pytest.raises(ValueError):
+                ArtifactStore(str(tmp_path), "study", {}, {},
+                              dataset_format=fmt)
 
     def test_dataset_type_enforced(self, tmp_path):
         with pytest.raises(TypeError):

@@ -12,23 +12,28 @@ layer:
 2. probe outcomes — ``Lumscan.run_task`` over a hypothesis-driven slice
    of (domain, country, sample) identities — are equal on both worlds;
 3. a process-pool scan serializes to byte-identical datasets whether
-   workers map the pack or rebuild from the spec, at any worker count;
+   workers map the pack or — when the parent cannot freeze it — rebuild
+   from the spec;
 4. the fallback, release, and tamper paths fail safe: a worker that
    cannot map the pack rebuilds, a released pack raises, a fingerprint
    mismatch is rejected.
 """
 
 import dataclasses
+import errno
+import logging
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lumscan.engine as engine_mod
 from repro.lumscan.engine import ScanEngine, scan_tasks
 from repro.lumscan.scanner import Lumscan
 from repro.lumscan.serialize import dump_dataset
@@ -166,43 +171,85 @@ class TestProbeEquivalence:
             assert loaded.run_task(task) == built.run_task(task)
 
 
+_REAL_RUN_CHUNK = engine_mod._process_run_chunk
+
+
+def _slow_run_chunk(seq, chunk):
+    """Chunk runner slow enough that every pool worker gets a chunk.
+
+    Fork-started workers inherit the monkeypatched module state, and the
+    pool pickles this function by reference, so the patch applies inside
+    workers too.
+    """
+    time.sleep(0.05)
+    return _REAL_RUN_CHUNK(seq, chunk)
+
+
+def _no_room(self, mode="auto", directory=None):
+    raise OSError(errno.ENOSPC, "no space left for the worldpack")
+
+
 class TestEngineByteIdentity:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pack_and_rebuild_scans_identical(self, built_world, tmp_path,
-                                              workers):
+                                              monkeypatch, workers):
+        # Workers that map the frozen pack and workers that rebuild the
+        # world from the spec (forced by a freeze failure in the parent)
+        # produce byte-identical datasets at any worker count.
         urls = _clean_urls(built_world, 12)
         countries = ["US", "IR", "CN"]
 
-        def scan(world_source):
+        def scan():
             engine = ScanEngine(
                 Lumscan(LuminatiClient(built_world), seed=11),
-                workers=workers, chunk_size=8, executor="process",
-                world_source=world_source)
+                workers=workers, chunk_size=8, executor="process")
             return engine, engine.scan(urls, countries, samples=2)
 
-        packed_engine, packed = scan("pack")
-        rebuilt_engine, rebuilt = scan("rebuild")
+        packed_engine, packed = scan()
+        with monkeypatch.context() as patch:
+            patch.setattr(Lumscan, "freeze_world_pack", _no_room)
+            rebuilt_engine, rebuilt = scan()
         assert _encoded(packed, tmp_path, f"pack{workers}") == \
             _encoded(rebuilt, tmp_path, f"rebuild{workers}")
         assert packed_engine.worker_init_stats().pack_loads == \
             packed_engine.worker_init_stats().spawned
         assert rebuilt_engine.worker_init_stats().pack_loads == 0
 
+    def test_freeze_failure_falls_back_to_rebuild(self, built_world,
+                                                  tmp_path, monkeypatch,
+                                                  caplog):
+        # When the parent cannot freeze the world (here: no room for the
+        # pack), every worker rebuilds it from the spec; the rows still
+        # match a serial scan byte for byte, and the fallback is logged.
+        monkeypatch.setattr(Lumscan, "freeze_world_pack", _no_room)
+        monkeypatch.setattr(engine_mod, "_process_run_chunk",
+                            _slow_run_chunk)
+        urls = _clean_urls(built_world, 12)
+        countries = ["US", "IR", "CN"]
+        serial = Lumscan(LuminatiClient(built_world), seed=11).scan(
+            urls, countries, samples=2)
+        workers = 2
+        engine = ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
+                            workers=workers, chunk_size=8,
+                            executor="process", target_chunk_seconds=None)
+        with caplog.at_level(logging.WARNING, logger=engine_mod.logger.name):
+            data = engine.scan(urls, countries, samples=2)
+        assert _encoded(data, tmp_path, "rebuilt") == \
+            _encoded(serial, tmp_path, "serial")
+        stats = engine.worker_init_stats()
+        assert stats.spawned == workers
+        assert stats.pack_loads == 0
+        assert "world freeze failed" in caplog.text
+
     def test_init_stats_accumulate(self, built_world):
         engine = ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
-                            world_source="auto")
+                            workers=2, chunk_size=8, executor="process")
         engine.scan(_clean_urls(built_world, 8), ["US"], samples=1)
         stats = engine.worker_init_stats()
         assert stats.spawned >= 1
         assert stats.spawn_seconds > 0.0
         assert stats.build_seconds >= 0.0
         assert stats.rss_peak_bytes >= 0
-
-    def test_unknown_world_source_rejected(self, built_world):
-        with pytest.raises(ValueError, match="world_source"):
-            ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
-                       executor="process", world_source="cache")
 
 
 class TestFallbackAndRelease:
@@ -343,7 +390,7 @@ class TestStageStats:
 
         world = World(WorldConfig.nano())
         result = run_top10k_study(world, config=StudyConfig(
-            workers=2, executor="process", world_source="auto"))
+            workers=2, executor="process"))
         spawned = sum(s.workers_spawned for s in result.stage_stats)
         assert spawned > 0
         scan_stages = [s for s in result.stage_stats if s.workers_spawned]
