@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.netsim.ip import AddressAllocator, Netblock
+from repro.netsim.ip import AddressAllocator, Netblock, NetblockIndex
 from repro.util.rng import derive_rng
 
 
@@ -31,7 +31,7 @@ class ASRegistry:
 
     def __init__(self) -> None:
         self._records: Dict[int, ASRecord] = {}
-        self._block_to_asn: List = []
+        self._block_to_asn: NetblockIndex[int] = NetblockIndex()
 
     def register_as(self, record: ASRecord) -> None:
         """Add an AS; re-registration of the same ASN is rejected."""
@@ -40,17 +40,15 @@ class ASRegistry:
         self._records[record.asn] = record
 
     def assign_block(self, block: Netblock, asn: int) -> None:
-        """Attach a netblock to an AS."""
+        """Attach a netblock to an AS (ValueError if it overlaps another)."""
         if asn not in self._records:
             raise KeyError(f"unknown AS{asn}")
-        self._block_to_asn.append((block, asn))
+        self._block_to_asn.add(block, asn)
 
     def lookup(self, address: str) -> Optional[ASRecord]:
         """The AS owning an address, if any."""
-        for block, asn in self._block_to_asn:
-            if address in block:
-                return self._records[asn]
-        return None
+        asn = self._block_to_asn.get(address)
+        return None if asn is None else self._records[asn]
 
     def get(self, asn: int) -> ASRecord:
         """AS record by number."""

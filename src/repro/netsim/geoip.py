@@ -15,11 +15,14 @@ netblocks may carry a region tag that CDNs can match on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.netsim.ip import Netblock
+from repro.netsim.ip import Netblock, NetblockIndex
 from repro.util.cache import MemoDict
 from repro.util.rng import derive_rng, stable_hash
+
+#: Memo-miss marker (None is a valid memoized answer).
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -36,21 +39,30 @@ class GeoIPDatabase:
     def __init__(self, seed: int = 0, error_rate: float = 0.0) -> None:
         if not 0.0 <= error_rate < 1.0:
             raise ValueError("error_rate must be in [0, 1)")
+        # ``_entries`` is the registration-ordered serialized form (the
+        # worldpack section and ``fingerprint``); ``_index`` answers
+        # lookups.
         self._entries: List[Tuple[Netblock, GeoEntry]] = []
-        self._by_owner: Dict[str, GeoEntry] = {}
+        self._index: NetblockIndex[GeoEntry] = NetblockIndex()
         self._seed = seed
         self._error_rate = error_rate
         self._countries: List[str] = []
         # Lookups are deterministic per address (including error modelling),
         # so results are memoized; registering new space invalidates them.
-        # Registration only happens at world build time, before any worker
-        # runs, so the memo tables only fill (idempotently) under scans.
+        # Registration only happens at world build and worldpack restore,
+        # before any worker runs, so under scans the index is read-only
+        # and the memo tables only fill (idempotently).
         self._lookup_cache: MemoDict[str, Optional[GeoEntry]] = MemoDict()
         self._true_cache: MemoDict[str, Optional[GeoEntry]] = MemoDict()
 
     def register(self, block: Netblock, country: str, region: Optional[str] = None) -> None:
-        """Record that ``block`` geolocates to ``country`` (and ``region``)."""
+        """Record that ``block`` geolocates to ``country`` (and ``region``).
+
+        Raises ValueError, leaving the database unchanged, when ``block``
+        overlaps registered space.
+        """
         entry = GeoEntry(country=country, region=region)
+        self._index.add(block, entry)
         self._entries.append((block, entry))
         if country not in self._countries:
             self._countries.append(country)
@@ -63,8 +75,9 @@ class GeoIPDatabase:
         With probability ``error_rate`` (deterministic per address), the
         true country is replaced by a stable wrong one.
         """
-        if address in self._lookup_cache:
-            return self._lookup_cache[address]
+        cached = self._lookup_cache.get(address, _MISS)
+        if cached is not _MISS:
+            return cached
         true_entry = self._true_lookup(address)
         result = true_entry
         if (true_entry is not None and self._error_rate > 0.0
@@ -79,13 +92,10 @@ class GeoIPDatabase:
         return result
 
     def _true_lookup(self, address: str) -> Optional[GeoEntry]:
-        if address in self._true_cache:
-            return self._true_cache[address]
-        result = None
-        for block, entry in self._entries:
-            if address in block:
-                result = entry
-                break
+        cached = self._true_cache.get(address, _MISS)
+        if cached is not _MISS:
+            return cached
+        result = self._index.get(address)
         self._true_cache[address] = result
         return result
 

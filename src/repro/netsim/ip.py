@@ -9,30 +9,44 @@ the ``_cloud-netblocks.googleusercontent.com`` mechanism the paper used.
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import (
+    Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar,
+)
 
 from repro.util.rng import derive_rng
 
-#: Module-level parse caches shared by all (frozen) Netblock instances.
-_NETWORK_CACHE: Dict[str, ipaddress.IPv4Network] = {}
+V = TypeVar("V")
+
+#: Module-level parse cache shared by all (frozen) Netblock instances.
 _RANGE_CACHE: Dict[str, "tuple[int, int]"] = {}
 
 
 def _address_to_int(address: str) -> Optional[int]:
-    """Parse a dotted-quad IPv4 address to an int (None when invalid)."""
+    """Parse a dotted-quad IPv4 address to an int (None when invalid).
+
+    Only ASCII digits are accepted: ``str.isdigit`` alone also admits
+    other Unicode digits, which ``int`` either parses (Arabic-Indic
+    digits) or rejects with a ValueError (superscripts).
+    """
     parts = address.split(".")
     if len(parts) != 4:
         return None
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             return None
         octet = int(part)
         if octet > 255:
             return None
         value = (value << 8) | octet
     return value
+
+
+def _int_to_address(value: int) -> str:
+    """Format an int as a dotted-quad IPv4 address."""
+    return f"{value >> 24}.{(value >> 16) & 255}.{(value >> 8) & 255}.{value & 255}"
 
 
 @dataclass(frozen=True)
@@ -43,20 +57,11 @@ class Netblock:
     owner: str
 
     @property
-    def network(self) -> ipaddress.IPv4Network:
-        """The parsed network object (cached after first use)."""
-        cached = _NETWORK_CACHE.get(self.cidr)
-        if cached is None:
-            cached = ipaddress.IPv4Network(self.cidr)
-            _NETWORK_CACHE[self.cidr] = cached
-        return cached
-
-    @property
     def int_range(self) -> "tuple[int, int]":
         """(first, last) address of the block as ints (cached)."""
         cached = _RANGE_CACHE.get(self.cidr)
         if cached is None:
-            net = self.network
+            net = ipaddress.IPv4Network(self.cidr)
             first = int(net.network_address)
             cached = (first, first + net.num_addresses - 1)
             _RANGE_CACHE[self.cidr] = cached
@@ -71,13 +76,57 @@ class Netblock:
 
     def address_at(self, index: int) -> str:
         """Return the host address at ``index`` within the block."""
-        net = self.network
-        size = net.num_addresses
+        first, last = self.int_range
+        size = last - first + 1
         if size <= 2:
             host_index = index % size
         else:
             host_index = 1 + (index % (size - 2))
-        return str(net.network_address + host_index)
+        return _int_to_address(first + host_index)
+
+
+class NetblockIndex(Generic[V]):
+    """Disjoint netblocks sorted by first address, each mapped to a value.
+
+    A lookup parses the address once and bisects the span starts, so
+    resolving an address costs O(log n) regardless of how many blocks
+    are registered.  Blocks may only be added, never removed, and a block
+    that overlaps indexed space is rejected, so every address has at
+    most one answer.
+    """
+
+    def __init__(self) -> None:
+        self._firsts: List[int] = []
+        self._lasts: List[int] = []
+        self._values: List[V] = []
+
+    def add(self, block: Netblock, value: V) -> None:
+        """Index ``block`` under ``value``; ValueError if it overlaps.
+
+        The index is unchanged when the block is rejected.
+        """
+        first, last = block.int_range
+        pos = bisect_right(self._firsts, first)
+        if ((pos and self._lasts[pos - 1] >= first)
+                or (pos < len(self._firsts) and self._firsts[pos] <= last)):
+            raise ValueError(f"netblock {block.cidr} overlaps indexed space")
+        self._firsts.insert(pos, first)
+        self._lasts.insert(pos, last)
+        self._values.insert(pos, value)
+
+    def get(self, address: str) -> Optional[V]:
+        """The value of the block containing ``address`` (None if none)."""
+        point = _address_to_int(address)
+        if point is None:
+            return None
+        pos = bisect_right(self._firsts, point) - 1
+        if pos < 0 or point > self._lasts[pos]:
+            return None
+        return self._values[pos]
+
+
+#: Number of /16 blocks in the 10.0.0.0/8 through 126.0.0.0/8 plan.
+_PLAN_BLOCKS = 117 * 256
 
 
 class AddressAllocator:
@@ -91,21 +140,44 @@ class AddressAllocator:
     def __init__(self, seed: int = 0) -> None:
         self._next = 0
         self._blocks: Dict[str, List[Netblock]] = {}
+        self._owners: NetblockIndex[str] = NetblockIndex()
         self._rng = derive_rng(seed, "ip-allocator")
+
+    @classmethod
+    def from_plan(cls, seed: int, next_block: int,
+                  owners: Iterable[Tuple[str, List[str]]]) -> "AddressAllocator":
+        """Rebuild an allocator from its serialized plan.
+
+        ``owners`` yields ``(owner, cidrs)`` in allocation order, which
+        ``random_address`` depends on.
+        """
+        allocator = cls(seed=seed)
+        allocator._next = next_block
+        for owner, cidrs in owners:
+            allocator._record(owner, [Netblock(cidr=cidr, owner=owner)
+                                      for cidr in cidrs])
+        return allocator
 
     def allocate(self, owner: str, count: int = 1) -> List[Netblock]:
         """Allocate ``count`` fresh /16 blocks to ``owner``."""
         if count < 1:
             raise ValueError("count must be >= 1")
+        if self._next + count > _PLAN_BLOCKS:
+            raise ValueError("address plan exhausted")
         blocks = []
         for _ in range(count):
-            first_octet = 10 + (self._next // 256) % 117
+            first_octet = 10 + self._next // 256
             second_octet = self._next % 256
             self._next += 1
             block = Netblock(cidr=f"{first_octet}.{second_octet}.0.0/16", owner=owner)
             blocks.append(block)
-        self._blocks.setdefault(owner, []).extend(blocks)
+        self._record(owner, blocks)
         return blocks
+
+    def _record(self, owner: str, blocks: List[Netblock]) -> None:
+        for block in blocks:
+            self._owners.add(block, owner)
+        self._blocks.setdefault(owner, []).extend(blocks)
 
     def blocks_of(self, owner: str) -> List[Netblock]:
         """All blocks allocated to ``owner`` so far."""
@@ -113,11 +185,7 @@ class AddressAllocator:
 
     def owner_of(self, address: str) -> Optional[str]:
         """Return the owner of the block containing ``address``, if any."""
-        for owner, blocks in self._blocks.items():
-            for block in blocks:
-                if address in block:
-                    return owner
-        return None
+        return self._owners.get(address)
 
     def random_address(self, owner: str, rng=None) -> str:
         """A uniformly random host address within one of ``owner``'s blocks."""

@@ -652,11 +652,8 @@ def _thaw(reader: WorldPackReader) -> World:
         for name, state in reader.json("degradations")}
 
     allocator_state = reader.json("allocator")
-    allocator = AddressAllocator(seed=config.seed)
-    allocator._next = allocator_state["next"]
-    for owner, cidrs in allocator_state["owners"]:
-        allocator._blocks[owner] = [Netblock(cidr=cidr, owner=owner)
-                                    for cidr in cidrs]
+    allocator = AddressAllocator.from_plan(
+        config.seed, allocator_state["next"], allocator_state["owners"])
 
     geoip_state = reader.json("geoip")
     geoip = GeoIPDatabase(seed=config.seed,

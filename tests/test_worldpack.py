@@ -111,7 +111,7 @@ class TestRoundTrip:
 
     def test_geoip_entries_and_country_order(self, built_world,
                                              loaded_world):
-        # First-match semantics make entry order part of GeoIP behavior.
+        # Entry order is GeoIP's serialized form and feeds fingerprint().
         assert loaded_world.geoip._entries == built_world.geoip._entries
         assert list(loaded_world.geoip._countries) == \
             list(built_world.geoip._countries)
@@ -142,6 +142,31 @@ class TestRoundTrip:
     def test_geoblocking_domains_identical(self, built_world, loaded_world):
         assert loaded_world.geoblocking_domains() == \
             built_world.geoblocking_domains()
+
+
+class TestGeolocationEquivalence:
+    def test_tiny_world_exits_and_vps_geolocate_identically(self, tiny_world):
+        frozen = freeze_world(tiny_world)
+        try:
+            loaded = load_world(frozen.handle)
+        finally:
+            frozen.release()
+        assert loaded.geoip.fingerprint() == tiny_world.geoip.fingerprint()
+        client = LuminatiClient(tiny_world)
+        addresses = [node.ip for code in client.countries()
+                     for node in client.exits(code)]
+        addresses += [tiny_world.vps_address(country.code)
+                      for country in tiny_world.registry.vps_countries()]
+        assert len(addresses) > 10_000
+        for address in addresses:
+            assert loaded.geoip.lookup(address) == \
+                tiny_world.geoip.lookup(address)
+            assert loaded.geoip.true_country(address) == \
+                tiny_world.geoip.true_country(address)
+            assert loaded.geoip.is_mislocated(address) == \
+                tiny_world.geoip.is_mislocated(address)
+            assert loaded.allocator.owner_of(address) == \
+                tiny_world.allocator.owner_of(address)
 
 
 class TestProbeEquivalence:
