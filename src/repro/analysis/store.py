@@ -23,11 +23,7 @@ def save_report(report: ExperimentReport, path: Union[str, os.PathLike]) -> None
     payload = {
         "version": _FORMAT_VERSION,
         "tables": {
-            key: {
-                "title": table.title,
-                "columns": table.columns,
-                "rows": table.rows,
-            }
+            key: table.to_plain()
             for key, table in report.tables.items()  # lint: ordered(tables land in deterministic suite order; load_report rebuilds the same order, so sorting would break saved-vs-fresh comparison)
         },
         "figures": {
@@ -69,11 +65,7 @@ def load_report(path: Union[str, os.PathLike]) -> ExperimentReport:
         raise ValueError(f"unsupported report format version: {version!r}")
     report = ExperimentReport()
     for key, data in payload.get("tables", {}).items():
-        report.tables[key] = TableData(
-            title=data["title"],
-            columns=list(data["columns"]),
-            rows=[list(row) for row in data["rows"]],
-        )
+        report.tables[key] = TableData.from_plain(data)
     for key, data in payload.get("figures", {}).items():
         figure = FigureData(title=data["title"], x_label=data["x_label"],
                             y_label=data["y_label"])

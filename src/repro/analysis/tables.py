@@ -39,6 +39,17 @@ class TableData:
         """Rows as dictionaries."""
         return [dict(zip(self.columns, row)) for row in self.rows]
 
+    def to_plain(self) -> Dict[str, object]:
+        """Checkpoint form: title, columns and rows as plain lists."""
+        return {"title": self.title, "columns": list(self.columns),
+                "rows": [list(row) for row in self.rows]}
+
+    @classmethod
+    def from_plain(cls, data: Mapping[str, object]) -> "TableData":
+        """Invert :meth:`to_plain`."""
+        return cls(title=data["title"], columns=list(data["columns"]),
+                   rows=[list(row) for row in data["rows"]])
+
 
 #: Providers whose block pages explicitly signal geoblocking (§4.1.3) and
 #: that correspond to CDN / hosting services (Airbnb-like brands excluded).

@@ -114,16 +114,6 @@ def registry_salt(registry: Optional[FingerprintRegistry]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _study_store(checkpoint_dir: Optional[str], study: str,
-                 config: StudyConfig, world: World,
-                 salt: str = "",
-                 dataset_format: str = "lshd") -> Optional[ArtifactStore]:
-    if checkpoint_dir is None:
-        return None
-    return ArtifactStore(checkpoint_dir, study, config, world.config,
-                         salt=salt, dataset_format=dataset_format)
-
-
 def _build_engine(scanner: Lumscan, cfg: StudyConfig,
                   store: Optional[ArtifactStore]) -> ScanEngine:
     """The study's scan engine, spilling shard files under its store.
@@ -138,6 +128,32 @@ def _build_engine(scanner: Lumscan, cfg: StudyConfig,
                       merge=cfg.merge,
                       spill_dir=store.directory if store else None,
                       target_chunk_seconds=target)
+
+
+def run_study(name: str, stages: Sequence[Stage], world: World,
+              cfg: StudyConfig, luminati: LuminatiClient, scanner: Lumscan,
+              extras: Optional[Mapping[str, object]] = None,
+              checkpoint_dir: Optional[str] = None, resume: bool = False,
+              salt: str = "", checkpoint_format: str = "lshd") -> RunContext:
+    """Run one staged study and return its finished context.
+
+    Every study wires its store, scan engine and context here: the
+    store under ``<checkpoint_dir>/<name>`` (none without a checkpoint
+    dir), the engine from ``cfg``'s run flags spilling into that store,
+    and ``luminati`` both as ``extras["luminati"]`` and as the stage
+    probe counter.  ``ctx.scanner`` is the engine, for scans after the
+    stages.
+    """
+    store = None
+    if checkpoint_dir is not None:
+        store = ArtifactStore(checkpoint_dir, name, cfg, world.config,
+                              salt=salt, dataset_format=checkpoint_format)
+    ctx = RunContext(world=world, config=cfg,
+                     scanner=_build_engine(scanner, cfg, store),
+                     extras={"luminati": luminati, **(extras or {})},
+                     probe_counter=lambda: luminati.request_count)
+    return StudyRunner(name, list(stages), store=store,
+                       resume=resume).run(ctx)
 
 
 # ===================================================================== #
@@ -375,16 +391,11 @@ def run_top10k_study(world: World,
     cfg = config or StudyConfig()
     lum = luminati or LuminatiClient(world)
     scanner = Lumscan(lum, config=lumscan_config, seed=cfg.seed)
-    store = _study_store(checkpoint_dir, "top10k", cfg, world,
-                         salt=registry_salt(catalog),
-                         dataset_format=checkpoint_format)
-    engine = _build_engine(scanner, cfg, store)
-    runner = StudyRunner("top10k", top10k_stages(), store=store,
-                         resume=resume)
-    ctx = RunContext(world=world, config=cfg, scanner=engine,
-                     extras={"luminati": lum, "catalog": catalog},
-                     probe_counter=lambda: lum.request_count)
-    runner.run(ctx)
+    ctx = run_study("top10k", top10k_stages(), world, cfg, lum, scanner,
+                    extras={"catalog": catalog},
+                    checkpoint_dir=checkpoint_dir, resume=resume,
+                    salt=registry_salt(catalog),
+                    checkpoint_format=checkpoint_format)
 
     return Top10KResult(
         countries=ctx.artifact("countries"),
@@ -624,15 +635,11 @@ def run_top1m_study(world: World,
     lum = luminati or LuminatiClient(world)
     scanner = Lumscan(lum, seed=cfg.seed)
     reg = registry or FingerprintRegistry.default()
-    store = _study_store(checkpoint_dir, "top1m", cfg, world,
-                         salt=registry_salt(reg),
-                         dataset_format=checkpoint_format)
-    engine = _build_engine(scanner, cfg, store)
-    runner = StudyRunner("top1m", top1m_stages(), store=store, resume=resume)
-    ctx = RunContext(world=world, config=cfg, scanner=engine,
-                     extras={"luminati": lum, "registry": reg},
-                     probe_counter=lambda: lum.request_count)
-    runner.run(ctx)
+    ctx = run_study("top1m", top1m_stages(), world, cfg, lum, scanner,
+                    extras={"registry": reg},
+                    checkpoint_dir=checkpoint_dir, resume=resume,
+                    salt=registry_salt(reg),
+                    checkpoint_format=checkpoint_format)
 
     return Top1MResult(
         population=ctx.artifact("population"),

@@ -15,10 +15,12 @@ Layout under the checkpoint root::
 
 Every stage is keyed by a **fingerprint**: a SHA-256 over the canonical
 JSON of ``(StudyConfig, WorldConfig, study name, stage name)`` plus an
-optional salt for non-config inputs (e.g. the fingerprint registry a
-Top-1M run inherits from Top-10K discovery).  A checkpoint is only reused
-when its fingerprint matches the requesting run exactly — change any
-methodology knob, world parameter, or seed and every stage re-executes.
+optional salt for non-config inputs: the store's (e.g. the fingerprint
+registry a Top-1M run inherits from Top-10K discovery) joined with the
+stage's own (``Stage.salt``, e.g. the suite's pool sizes).  A checkpoint
+is only reused when its fingerprint matches the requesting run exactly —
+change any methodology knob, world parameter, or seed and every stage
+re-executes.
 The engine settings in :data:`ENGINE_FIELDS` are left out: they change
 how probes are scheduled, never what they return, so a run resumed with
 a different ``workers``/``executor``/``merge``/``target_chunk_ms``
@@ -156,10 +158,11 @@ class ArtifactStore:
         """The study's checkpoint directory."""
         return self._dir
 
-    def fingerprint(self, stage: str) -> str:
+    def fingerprint(self, stage: Stage) -> str:
         """The checkpoint key of one stage under this run's configs."""
+        salt = "|".join(part for part in (self._salt, stage.salt) if part)
         return run_fingerprint(self._study_config, self._world_config,
-                               self._study, stage, salt=self._salt)
+                               self._study, stage.name, salt=salt)
 
     # ------------------------------------------------------------------ #
 
@@ -185,7 +188,7 @@ class ArtifactStore:
             return None
         if manifest.get("version") != FORMAT_VERSION:
             return None
-        if manifest.get("fingerprint") != self.fingerprint(stage.name):
+        if manifest.get("fingerprint") != self.fingerprint(stage):
             return None
         listed = {entry.get("name"): entry
                   for entry in manifest.get("artifacts", [])}
@@ -232,7 +235,7 @@ class ArtifactStore:
             "version": FORMAT_VERSION,
             "study": self._study,
             "stage": stage.name,
-            "fingerprint": self.fingerprint(stage.name),
+            "fingerprint": self.fingerprint(stage),
             "artifacts": entries,
             "stats": {"probes": probes, "seconds": round(seconds, 3)},
         })

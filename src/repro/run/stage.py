@@ -32,11 +32,18 @@ class ArtifactSpec:
 
 @dataclass(frozen=True)
 class Stage:
-    """One named study phase with declared output artifacts."""
+    """One named study phase with declared output artifacts.
+
+    ``salt`` names inputs only this stage reads that the study config
+    does not hold (the suite's pool sizes, say); the store folds it into
+    this stage's checkpoint fingerprint alone, so changing such an input
+    re-executes just the stages that read it.
+    """
 
     name: str
     outputs: Tuple[ArtifactSpec, ...]
     run: Callable[["RunContext"], Dict[str, object]]
+    salt: str = ""
 
     def output_names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.outputs)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import ExperimentSuite
 from repro.core.fingerprints import FingerprintRegistry
 from repro.core.pipeline import StudyConfig, run_top10k_study
 from repro.proxynet.luminati import LuminatiClient
@@ -48,3 +49,20 @@ def nano_top10k(nano_world):
 def tiny_top10k(tiny_world):
     """A full Top-10K study over the tiny world (read-only)."""
     return run_top10k_study(tiny_world)
+
+
+#: Suite parameters small enough for a tiny-world suite in seconds.
+SUITE_TEST_PARAMS = {"pool_pairs": 8, "pool_samples": 30,
+                     "cf_rule_zones": 15_000}
+
+
+@pytest.fixture(scope="session")
+def tiny_suite(tmp_path_factory):
+    """(report, checkpoint root) of one fresh, checkpointed suite run.
+
+    Runs on its own tiny world, so the report is what a fresh process
+    produces.  Tests that change the checkpoints work on a copy.
+    """
+    root = str(tmp_path_factory.mktemp("suite-ckpt"))
+    suite = ExperimentSuite(World(WorldConfig.tiny()), checkpoint_dir=root)
+    return suite.run(**SUITE_TEST_PARAMS), root

@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentReport,
-    ExperimentSuite,
-    PAPER_REFERENCE,
-)
-from repro.websim.world import World, WorldConfig
+from repro.analysis.experiments import ExperimentReport, PAPER_REFERENCE
 
 
 @pytest.fixture(scope="module")
-def report(tiny_world):
-    suite = ExperimentSuite(tiny_world)
-    return suite.run(pool_pairs=8, pool_samples=30, cf_rule_zones=15_000)
+def report(tiny_suite):
+    return tiny_suite[0]
 
 
 class TestSuiteRun:

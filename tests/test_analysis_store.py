@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import ExperimentReport
+from repro.analysis.experiments import ExperimentReport, suite_stages
 from repro.analysis.figures import FigureData
 from repro.analysis.store import load_report, save_report
 from repro.analysis.tables import TableData
+from tests.conftest import SUITE_TEST_PARAMS
 
 
 def _report():
@@ -86,9 +87,27 @@ class TestStageStats:
             {"stage": "initial-scan", "seconds": 1.5, "probes": 900,
              "cache_hit": False, "artifacts": 3, "records": 900},
         ]
+        report.stage_stats["suite"] = [
+            {"stage": "cloudflare-rules", "seconds": 0.01, "probes": 0,
+             "cache_hit": True, "artifacts": 3, "records": 0},
+        ]
         path = tmp_path / "report.json"
         save_report(report, path)
-        assert load_report(path).stage_stats == report.stage_stats
+        loaded = load_report(path)
+        assert loaded.stage_stats == report.stage_stats
+        assert list(loaded.stage_stats) == ["top10k", "suite"]
+
+    def test_suite_run_stage_stats_roundtrip(self, tiny_suite, tmp_path):
+        """A real suite's JSON shows every study's stages, suite included."""
+        report = tiny_suite[0]
+        path = tmp_path / "report.json"
+        save_report(report, path)
+        loaded = load_report(path)
+        assert list(loaded.stage_stats) == ["top10k", "top1m", "suite"]
+        assert [e["stage"] for e in loaded.stage_stats["suite"]] == \
+            [stage.name for stage in suite_stages(**SUITE_TEST_PARAMS)]
+        assert loaded.stage_stats == report.stage_stats
+        assert loaded.to_markdown() == report.to_markdown()
 
     def test_reports_without_stage_stats_load(self, tmp_path):
         """Files written before stage_stats existed must still load."""

@@ -17,6 +17,7 @@ import shutil
 
 import pytest
 
+from repro.analysis.experiments import ExperimentSuite, suite_stages
 from repro.core.pipeline import (
     StudyConfig,
     run_top10k_study,
@@ -24,12 +25,14 @@ from repro.core.pipeline import (
     top10k_stages,
     top1m_stages,
 )
+from repro.lumscan import engine as engine_module
 from repro.lumscan.records import ScanDataset, SegmentedScanDataset
 from repro.lumscan.serialize import dump_dataset, load_dataset
 from repro.lumscan.shards import append_segment
 from repro.proxynet.luminati import LuminatiClient
 from repro.run import ArtifactStore, encode_artifact
 from repro.websim.world import World, WorldConfig
+from tests.conftest import SUITE_TEST_PARAMS
 
 #: Stages assumed complete when the run "crashed" after the initial scan.
 _COMPLETED = ("safe-list", "country-ranking", "initial-scan")
@@ -267,3 +270,135 @@ class TestCheckpointInvalidation:
         result = run_top10k_study(world2, config=changed,
                                   checkpoint_dir=root, resume=True)
         assert not any(s.cache_hit for s in result.stage_stats)
+
+
+# --------------------------------------------------------------------- #
+# The ``suite`` study: the checkpointed phases outside Top-10K/Top-1M.
+
+_SUITE_STAGES = [stage.name
+                 for stage in suite_stages(**SUITE_TEST_PARAMS)]
+
+
+def _copy_checkpoints(root: str, tmp_path) -> str:
+    copy = str(tmp_path / "ckpt")
+    shutil.copytree(root, copy)
+    return copy
+
+
+def _drop_suite_manifests(root: str, *stages: str) -> None:
+    for stage in stages:
+        os.remove(os.path.join(root, "suite", f"{stage}.manifest.json"))
+
+
+def _resume_suite(root: str, config=None, **overrides):
+    """(report, CDN-identification HEAD fetches) of a resumed suite."""
+    world = World(WorldConfig.tiny())
+    suite = ExperimentSuite(world, study_config=config, checkpoint_dir=root,
+                            resume=True)
+    heads = []
+    fetch = world.fetch
+
+    def counting_fetch(request, *args, **kwargs):
+        if request.method == "HEAD":
+            heads.append(request.url)
+        return fetch(request, *args, **kwargs)
+
+    world.fetch = counting_fetch
+    report = suite.run(**{**SUITE_TEST_PARAMS, **overrides})
+    return report, len(heads)
+
+
+def _executed(report):
+    return [entry["stage"] for entry in report.stage_stats["suite"]
+            if not entry["cache_hit"]]
+
+
+class TestSuiteResume:
+    def test_full_resume_loads_every_suite_stage(self, tiny_suite):
+        fresh, root = tiny_suite
+        report, heads = _resume_suite(root)
+        assert report.to_markdown() == fresh.to_markdown()
+        assert [e["stage"] for e in report.stage_stats["suite"]] == \
+            _SUITE_STAGES
+        assert _executed(report) == []
+        assert all(e["probes"] == 0 for e in report.stage_stats["suite"])
+        assert heads == 0          # cdn-rates' identification is loaded
+
+    @pytest.mark.parametrize("stage", _SUITE_STAGES)
+    def test_one_stage_lost_reproduces_fresh_report(self, tiny_suite,
+                                                    tmp_path, stage):
+        fresh, root = tiny_suite
+        root = _copy_checkpoints(root, tmp_path)
+        _drop_suite_manifests(root, stage)
+        report, _ = _resume_suite(root)
+        assert _executed(report) == [stage]
+        assert report.to_markdown() == fresh.to_markdown()
+
+    def test_cf_rule_zones_reexecute_only_cloudflare_rules(self, tiny_suite,
+                                                          tmp_path):
+        root = _copy_checkpoints(tiny_suite[1], tmp_path)
+        report, _ = _resume_suite(root, cf_rule_zones=12_000)
+        assert _executed(report) == ["cloudflare-rules"]
+
+    def test_pool_sizes_reexecute_only_observation_pools(self, tiny_suite,
+                                                         tmp_path):
+        root = _copy_checkpoints(tiny_suite[1], tmp_path)
+        report, _ = _resume_suite(root, pool_samples=20)
+        assert _executed(report) == ["observation-pools"]
+
+    def test_include_vps_changes_no_stage(self, tiny_suite, tmp_path):
+        """The surveys run after the stages, so dropping VPS exploration
+        leaves every checkpoint valid."""
+        root = _copy_checkpoints(tiny_suite[1], tmp_path)
+        report, _ = _resume_suite(root, include_vps=False)
+        assert _executed(report) == []
+        assert not any(key.startswith("vps.") for key in report.findings)
+        assert "ooni.measurements" in report.findings
+
+    def test_suite_engine_takes_the_run_flags(self, tiny_suite, tmp_path,
+                                              monkeypatch):
+        """--merge, --target-chunk-ms and the spill dir reach the suite's
+        scans, and the spilled, pooled rescans match the fresh report."""
+        fresh, root = tiny_suite
+        root = _copy_checkpoints(root, tmp_path)
+        _drop_suite_manifests(root, "observation-pools")
+        made = []
+
+        def recording(cls):
+            class Recording(cls):
+                def __init__(self, *args, **kwargs):
+                    made.append((cls.__name__, kwargs))
+                    super().__init__(*args, **kwargs)
+            return Recording
+
+        for name in ("ShardExchange", "SpillDatasetBuilder",
+                     "ChunkAutotuner"):
+            monkeypatch.setattr(engine_module, name,
+                                recording(getattr(engine_module, name)))
+        config = StudyConfig(seed=WorldConfig.tiny().seed, workers=2,
+                             executor="process", merge="spill",
+                             target_chunk_ms=123)
+        report, _ = _resume_suite(root, config=config)
+
+        assert _executed(report) == ["observation-pools"]
+        suite_dir = os.path.join(root, "suite")
+        built = {name: [kwargs for made_name, kwargs in made
+                        if made_name == name]
+                 for name in ("ShardExchange", "SpillDatasetBuilder",
+                              "ChunkAutotuner")}
+        # One of each per process-pool scan: the pools and the timeouts.
+        assert len(built["ShardExchange"]) >= 2
+        assert all(kw == {"spill_dir": suite_dir}
+                   for kw in built["ShardExchange"])
+        assert len(built["SpillDatasetBuilder"]) == \
+            len(built["ShardExchange"])
+        assert all(kw == {"directory": suite_dir}
+                   for kw in built["SpillDatasetBuilder"])
+        assert all(kw["target_seconds"] == pytest.approx(0.123)
+                   for kw in built["ChunkAutotuner"])
+        spawned = {e["stage"]: e["workers_spawned"]
+                   for e in report.stage_stats["suite"]}
+        assert spawned["observation-pools"] > 0
+        assert not [name for name in os.listdir(suite_dir)
+                    if name.startswith("lshd-")]
+        assert report.to_markdown() == fresh.to_markdown()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -178,6 +179,21 @@ class TestArtifactStore:
             _STAGE, {"initial": _dataset(), "notes": []})
         other = _store(tmp_path, study_config={"seed": 2})
         assert other.manifest(_STAGE) is None
+
+    def test_stage_salt_keys_only_its_stage(self, tmp_path):
+        """A stage's own salt changes its checkpoint key alone; an empty
+        one leaves the key what it was before stages had salts."""
+        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 10},
+                              salt="registry")
+        assert store.fingerprint(_STAGE) == run_fingerprint(
+            {"seed": 1}, {"n": 10}, "study", "scan", salt="registry")
+        salted = dataclasses.replace(_STAGE, salt='{"zones":5}')
+        resalted = dataclasses.replace(_STAGE, salt='{"zones":6}')
+        keys = {store.fingerprint(s) for s in (_STAGE, salted, resalted)}
+        assert len(keys) == 3
+        store.save_stage(salted, {"initial": _dataset(), "notes": []})
+        assert store.manifest(salted) is not None
+        assert store.manifest(resalted) is None
 
     def test_missing_artifact_file_invalidates(self, tmp_path):
         store = _store(tmp_path)
