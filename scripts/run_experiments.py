@@ -80,11 +80,15 @@ def main() -> int:
     for study, entries in sorted(report.stage_stats.items()):
         for entry in entries:
             spawn = ""
-            if entry.get("workers_spawned"):
+            if entry.get("workers_spawned") or \
+                    entry.get("worker_page_lengths") or \
+                    entry.get("freeze_failures"):
                 spawn = (f" workers={entry['workers_spawned']}"
                          f" spawn={entry['worker_spawn_seconds']:.2f}s"
                          f" world={entry['world_build_seconds']:.2f}s"
-                         f" pack_loads={entry['worker_pack_loads']}")
+                         f" pack_loads={entry['worker_pack_loads']}"
+                         f" page_lengths={entry['worker_page_lengths']}"
+                         f" freeze_failures={entry['freeze_failures']}")
             print(f"  stage {study}/{entry['stage']}: "
                   f"{entry['seconds']:.2f}s probes={entry['probes']} "
                   f"{'checkpoint-hit' if entry['cache_hit'] else 'executed'}"

@@ -203,10 +203,14 @@ class ExperimentSuite:
         # The timeout scan and the surveys re-run on every resume: the
         # benchmark's resumed-suite workload (perfbench ``suite-resume``)
         # is defined as checkpoint loads plus exactly this live probing.
-        logger.info("suite: starting timeout study")
-        live = _suite_timeouts(suite)
-        logger.info("suite: starting surveys")
-        live.update(_suite_surveys(suite, vps=include_vps, ooni=include_ooni))
+        # run_study closed the engine; the timeout scan reopens its pool,
+        # which the with block closes again.
+        with suite.scanner:
+            logger.info("suite: starting timeout study")
+            live = _suite_timeouts(suite)
+            logger.info("suite: starting surveys")
+            live.update(_suite_surveys(suite, vps=include_vps,
+                                       ooni=include_ooni))
         logger.info("suite: done")
         return self._assemble({**suite.artifacts, **live}, suite.stats)
 

@@ -141,19 +141,21 @@ def run_study(name: str, stages: Sequence[Stage], world: World,
     store under ``<checkpoint_dir>/<name>`` (none without a checkpoint
     dir), the engine from ``cfg``'s run flags spilling into that store,
     and ``luminati`` both as ``extras["luminati"]`` and as the stage
-    probe counter.  ``ctx.scanner`` is the engine, for scans after the
-    stages.
+    probe counter.  The engine's worker pool serves every stage and is
+    closed when the stages finish (or fail).  ``ctx.scanner`` is the
+    engine, for scans after the stages; a process scan there opens a new
+    pool, which the caller closes with ``ctx.scanner.close()``.
     """
     store = None
     if checkpoint_dir is not None:
         store = ArtifactStore(checkpoint_dir, name, cfg, world.config,
                               salt=salt, dataset_format=checkpoint_format)
-    ctx = RunContext(world=world, config=cfg,
-                     scanner=_build_engine(scanner, cfg, store),
-                     extras={"luminati": luminati, **(extras or {})},
-                     probe_counter=lambda: luminati.request_count)
-    return StudyRunner(name, list(stages), store=store,
-                       resume=resume).run(ctx)
+    with _build_engine(scanner, cfg, store) as engine:
+        ctx = RunContext(world=world, config=cfg, scanner=engine,
+                         extras={"luminati": luminati, **(extras or {})},
+                         probe_counter=lambda: luminati.request_count)
+        return StudyRunner(name, list(stages), store=store,
+                           resume=resume).run(ctx)
 
 
 # ===================================================================== #

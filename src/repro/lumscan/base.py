@@ -10,7 +10,9 @@ protocol rather than either concrete class — the former stringly-typed
 from __future__ import annotations
 
 from typing import (
+    Dict,
     Iterable,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -45,7 +47,9 @@ class SpawnableScanner(Protocol):
     A spawnable scanner can describe itself as a picklable spec that a
     worker process rebuilds into a bit-identical replica, and can fold the
     replicas' traffic stats back into its own counters so request/fetch
-    totals stay accurate across process boundaries.
+    totals stay accurate across process boundaries.  It also trades
+    base-page lengths with its replicas, so a length one worker computed
+    reaches the chunks the others run next.
     :class:`~repro.lumscan.scanner.Lumscan` satisfies this.
     """
 
@@ -74,4 +78,16 @@ class SpawnableScanner(Protocol):
         spawn-time/world-build-time accounting to accumulate for
         ``worker_init_stats()`` consumers (stage stats, benchmarks).
         """
+        ...
+
+    def known_page_lengths(self, domains: Iterable[str]) -> Dict[str, int]:
+        """The base-page lengths already known for ``domains``."""
+        ...
+
+    def learn_page_lengths(self, lengths: Mapping[str, int]) -> None:
+        """Memoize base-page lengths another replica computed."""
+        ...
+
+    def take_computed_page_lengths(self) -> Dict[str, int]:
+        """The base-page lengths computed here since the last call."""
         ...

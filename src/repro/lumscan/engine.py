@@ -25,9 +25,17 @@ never blocks — a thread pool is GIL-bound and buys little — so
 each worker process builds the scanner once from a picklable
 :class:`~repro.lumscan.scanner.ScannerSpec` — mapping the world the
 parent froze into a worldpack, or rebuilding it from the spec when
-freezing failed (a logged warning; the bytes are identical) — and runs
-chunks carved from the canonical task order.  Four mechanisms keep the
-process pool's merge path off the critical path:
+freezing failed (a logged warning and a counted ``freeze_failures``;
+the bytes are identical) — and runs chunks carved from the canonical
+task order.  The pool and its pack live as long as the engine: the
+first process scan opens them, every later ``scan``/``resample``
+reuses the same warm workers, and :meth:`ScanEngine.close` (or leaving
+its ``with`` block) shuts the pool and releases the pack.  Base-page
+lengths travel through the parent: each chunk result carries the
+lengths its worker computed, and each new chunk carries the known
+lengths of its domains, so a study computes each length about once.
+Four mechanisms keep the process pool's merge path off the critical
+path:
 
 * **Columnar shard exchange**: workers serialize chunk results into
   flat binary segments (:mod:`repro.lumscan.shards` — shared-memory
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -65,7 +74,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.lumscan.engine")
 
@@ -116,13 +125,16 @@ class WorkerBuildInfo:
 
 @dataclass(frozen=True)
 class WorkerInitStats:
-    """Accumulated worker-initialization costs for one scanner.
+    """Accumulated worker-pool costs for one scanner.
 
     ``spawn_seconds`` sums each worker's whole initializer (world plus
     client/scanner wiring); ``build_seconds`` the world portion alone.
     ``pack_loads`` counts workers that mapped a frozen worldpack instead
-    of rebuilding; ``rss_peak_bytes`` is the largest post-init worker
-    RSS observed (0 where the platform offers no reading).
+    of rebuilding; ``freeze_failures`` counts pools whose world could
+    not be frozen, so every worker rebuilt it.  ``page_lengths`` counts
+    the base-page lengths workers had to compute.  ``rss_peak_bytes`` is
+    the largest post-init worker RSS observed (0 where the platform
+    offers no reading).
     """
 
     spawned: int = 0
@@ -130,6 +142,20 @@ class WorkerInitStats:
     build_seconds: float = 0.0
     pack_loads: int = 0
     rss_peak_bytes: int = 0
+    freeze_failures: int = 0
+    page_lengths: int = 0
+
+    def plus(self, other: "WorkerInitStats") -> "WorkerInitStats":
+        """Field-wise sums, except ``rss_peak_bytes`` which takes the max."""
+        return WorkerInitStats(
+            spawned=self.spawned + other.spawned,
+            spawn_seconds=self.spawn_seconds + other.spawn_seconds,
+            build_seconds=self.build_seconds + other.build_seconds,
+            pack_loads=self.pack_loads + other.pack_loads,
+            rss_peak_bytes=max(self.rss_peak_bytes, other.rss_peak_bytes),
+            freeze_failures=self.freeze_failures + other.freeze_failures,
+            page_lengths=self.page_lengths + other.page_lengths,
+        )
 
 
 @dataclass(frozen=True)
@@ -296,18 +322,37 @@ class ChunkAutotuner:
 # traffic counts it last reported, so every chunk returns exact deltas.
 _WORKER_SCANNER = None
 _WORKER_COUNTS = (0, 0)
-_WORKER_EXCHANGE: Optional[ExchangeSpec] = None
 _WORKER_CLOCK: Clock = SYSTEM_CLOCK
 # One-shot init-cost record: the first chunk a worker completes carries
 # it back to the parent (then it is cleared, so a worker reports its
 # spawn cost exactly once however many chunks it runs).
 _WORKER_INIT_INFO: Optional[dict] = None
 
+#: Closes the one live process pool in this process (see _open_pool).
+_LIVE_POOL: Optional[weakref.finalize] = None
 
-def _process_worker_init(spec, exchange_spec: ExchangeSpec,
-                         clock: Clock) -> None:
-    global _WORKER_SCANNER, _WORKER_COUNTS, _WORKER_EXCHANGE, _WORKER_CLOCK
-    global _WORKER_INIT_INFO
+
+class ChunkResult(NamedTuple):
+    """What a worker returns for one chunk.
+
+    The rows stay in the segment ``handle`` names.  ``init_info`` is the
+    worker's one-time spawn-cost record (None on every chunk after its
+    first); ``lengths`` maps each base-page length the worker computed
+    during the chunk to its domain.
+    """
+
+    seq: int
+    handle: ShardHandle
+    requests: int
+    fetches: int
+    tasks: int
+    elapsed: float
+    init_info: Optional[dict]
+    lengths: Dict[str, int]
+
+
+def _process_worker_init(spec, clock: Clock) -> None:
+    global _WORKER_SCANNER, _WORKER_COUNTS, _WORKER_CLOCK, _WORKER_INIT_INFO
     stopwatch = clock.stopwatch()
     build_timed = getattr(spec, "build_timed", None)
     if build_timed is not None:
@@ -318,7 +363,6 @@ def _process_worker_init(spec, exchange_spec: ExchangeSpec,
                                      build_seconds=stopwatch.elapsed())
     _WORKER_SCANNER = scanner
     _WORKER_COUNTS = scanner.worker_counts()
-    _WORKER_EXCHANGE = exchange_spec
     _WORKER_CLOCK = clock
     _WORKER_INIT_INFO = {
         "spawn_seconds": stopwatch.elapsed(),
@@ -331,17 +375,18 @@ def _process_worker_init(spec, exchange_spec: ExchangeSpec,
                  _WORKER_INIT_INFO["spawn_seconds"])
 
 
-def _process_run_chunk(seq: int, chunk: List[ProbeTask]):
-    """Run one chunk in a worker.
+def _process_run_chunk(seq: int, chunk: List[ProbeTask],
+                       exchange: ExchangeSpec,
+                       lengths: Dict[str, int]) -> ChunkResult:
+    """Run one chunk in a worker, writing its rows to ``exchange``.
 
-    Returns ``(seq, handle, request_delta, fetch_delta, tasks, elapsed,
-    init_info)`` where ``handle`` is the :class:`ShardHandle` of the
-    chunk's segment (the rows stay in the segment) and ``init_info`` is
-    this worker's one-time spawn-cost record (None on every chunk after
-    the first).
+    ``lengths`` holds the base-page lengths the parent already knows for
+    the chunk's domains; the worker memoizes them first, so it computes
+    only lengths no replica has reported yet.
     """
     global _WORKER_COUNTS, _WORKER_INIT_INFO
     scanner = _WORKER_SCANNER
+    scanner.learn_page_lengths(lengths)
     stopwatch = _WORKER_CLOCK.stopwatch()
     data = ScanDataset()
     run = scanner.run_task
@@ -351,10 +396,20 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask]):
     prev_requests, prev_fetches = _WORKER_COUNTS
     _WORKER_COUNTS = (requests, fetches)
     elapsed = stopwatch.elapsed()
-    handle = write_shard(data.export_columns(), _WORKER_EXCHANGE, seq)
+    handle = write_shard(data.export_columns(), exchange, seq)
     init_info, _WORKER_INIT_INFO = _WORKER_INIT_INFO, None
-    return (seq, handle, requests - prev_requests,
-            fetches - prev_fetches, len(chunk), elapsed, init_info)
+    return ChunkResult(seq, handle, requests - prev_requests,
+                       fetches - prev_fetches, len(chunk), elapsed,
+                       init_info, scanner.take_computed_page_lengths())
+
+
+def _shutdown_pool(pool: ProcessPoolExecutor, pack) -> None:
+    """Stop a pool's workers, then release the world pack they mapped."""
+    try:
+        pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        if pack is not None:
+            pack.release()
 
 
 class ScanEngine:
@@ -370,6 +425,13 @@ class ScanEngine:
     the builder but is not mutated), with records identical to the
     in-memory merge.  Runs that take the inline shortcut (``workers=1``
     or a single task) still merge in memory.
+
+    With ``executor="process"`` the engine owns one worker pool and one
+    frozen world pack, opened by the first process scan and reused by
+    every later one.  Use the engine as a context manager, or call
+    :meth:`close`; a failed scan closes it too, and an engine that is
+    collected unclosed releases both through a finalizer.  The next
+    process scan after a close opens a fresh pool.
     """
 
     def __init__(self, scanner, workers: int = 1,
@@ -402,6 +464,25 @@ class ScanEngine:
         self._spill_dir = spill_dir
         self._target_chunk_seconds = target_chunk_seconds
         self._clock = clock if clock is not None else SYSTEM_CLOCK
+        self._pool: Optional[ProcessPoolExecutor] = None
+        # Shuts self._pool and releases its pack; dead once either is gone.
+        self._pool_closer: Optional[weakref.finalize] = None
+
+    def __enter__(self) -> "ScanEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool and release the frozen world pack.
+
+        Idempotent, and a no-op for engines that never opened a pool.
+        """
+        if self._pool_closer is not None:
+            self._pool_closer()
+        self._pool = None
+        self._pool_closer = None
 
     @property
     def workers(self) -> int:
@@ -472,26 +553,56 @@ class ScanEngine:
         run = self._scanner.run_task
         return [(task, run(task)) for task in chunk]
 
-    def _execute_processes(self, tasks: List[ProbeTask],
-                           data: ScanDataset) -> ScanDataset:
-        scanner = self._scanner
-        spawn = getattr(scanner, "spawn_spec", None)
+    def _open_pool(self) -> Tuple[ProcessPoolExecutor, int]:
+        """The engine's live pool, opened on first use.
+
+        Returns the pool and the freeze failures opening it counted (0
+        when the pool was already live).  Opening one closes any other
+        engine's live pool first: under the fork start method a pool
+        forks all its workers at the first submit, and a fork beside
+        another pool's manager thread is unsafe.
+        """
+        global _LIVE_POOL
+        if self._pool_closer is not None and self._pool_closer.alive:
+            return self._pool, 0
+        spawn = getattr(self._scanner, "spawn_spec", None)
         if spawn is None:
             raise TypeError(
                 f"executor='process' needs a spawnable scanner "
                 f"(spawn_spec/worker_counts/absorb_worker_counts); "
-                f"{type(scanner).__name__} has no spawn_spec")
+                f"{type(self._scanner).__name__} has no spawn_spec")
+        if _LIVE_POOL is not None:
+            _LIVE_POOL()
         spec = spawn()
-        pack = self._freeze_world_pack()
-        if pack is not None:
-            spec = replace(spec, world_source=pack.handle)
+        pack, freeze_failures = self._freeze_world_pack()
+        try:
+            if pack is not None:
+                spec = replace(spec, world_source=pack.handle)
+            pool = ProcessPoolExecutor(max_workers=self._workers,
+                                       initializer=_process_worker_init,
+                                       initargs=(spec, self._clock))
+        except BaseException:
+            if pack is not None:
+                pack.release()
+            raise
+        self._pool = pool
+        self._pool_closer = _LIVE_POOL = weakref.finalize(
+            self, _shutdown_pool, pool, pack)
+        logger.debug("engine: opened a %d-worker process pool (world=%s)",
+                     self._workers, "pack" if pack is not None else "rebuild")
+        return pool, freeze_failures
+
+    def _execute_processes(self, tasks: List[ProbeTask],
+                           data: ScanDataset) -> ScanDataset:
+        scanner = self._scanner
+        pool, freeze_failures = self._open_pool()
         tuner = ChunkAutotuner(initial=self._chunk_size,
                                target_seconds=self._target_chunk_seconds)
         buffer = ChunkReorderBuffer()
         pending: Dict[object, int] = {}   # future -> chunk sequence number
         merger: Optional[SpillDatasetBuilder] = None
         requests = fetches = 0
-        spawned = pack_loads = 0
+        spawned = pack_loads = page_lengths = 0
         spawn_seconds = build_seconds = 0.0
         rss_peak = 0
         cursor = 0
@@ -500,10 +611,9 @@ class ScanEngine:
         try:
             exchange_spec = exchange.open().spec()
             logger.debug("engine: %d tasks over %d process workers "
-                         "(exchange=%s, merge=%s, autotune=%s, world=%s)",
+                         "(exchange=%s, merge=%s, autotune=%s)",
                          len(tasks), self._workers, exchange.mode,
-                         self._merge, tuner.enabled,
-                         "pack" if pack is not None else "rebuild")
+                         self._merge, tuner.enabled)
             if self._merge == "spill":
                 # The builder owns its own directory under spill_dir —
                 # never the exchange session dir, which is removed
@@ -512,58 +622,64 @@ class ScanEngine:
                 if len(data):
                     merger.extend_columns(data.export_columns())
             sink = data if merger is None else merger
-            with ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    initializer=_process_worker_init,
-                    initargs=(spec, exchange_spec, self._clock)) as pool:
 
-                def submit_next() -> bool:
-                    nonlocal cursor, seq
-                    if cursor >= len(tasks):
-                        return False
-                    chunk = tasks[cursor:cursor + tuner.chunk_size()]
-                    pending[pool.submit(_process_run_chunk, seq, chunk)] = seq
-                    cursor += len(chunk)
-                    seq += 1
-                    return True
+            def submit_next() -> bool:
+                nonlocal cursor, seq
+                if cursor >= len(tasks):
+                    return False
+                chunk = tasks[cursor:cursor + tuner.chunk_size()]
+                known = scanner.known_page_lengths(
+                    dict.fromkeys(task.domain for task in chunk))
+                pending[pool.submit(_process_run_chunk, seq, chunk,
+                                    exchange_spec, known)] = seq
+                cursor += len(chunk)
+                seq += 1
+                return True
 
-                # Keep a bounded window of outstanding chunks: workers stay
-                # saturated, the parent never holds more than
-                # workers * PIPELINE_DEPTH unmerged results.
-                for _ in range(self._workers * PIPELINE_DEPTH):
-                    if not submit_next():
-                        break
-                # Stream-merge as chunks complete (any completion order);
-                # the reorder buffer restores sequence order, and
-                # extend_columns interns code tables in first-seen row
-                # order, so the merged dataset is byte-identical to a
-                # serial scan.
-                while pending:
-                    done, _ = wait(set(pending),
-                                   return_when=FIRST_COMPLETED)
-                    for future in done:
-                        pending.pop(future)
-                        (chunk_seq, handle, request_delta, fetch_delta,
-                         n_tasks, elapsed, init_info) = future.result()
-                        if init_info is not None:
-                            spawned += 1
-                            spawn_seconds += init_info["spawn_seconds"]
-                            build_seconds += init_info["build_seconds"]
-                            rss_peak = max(rss_peak, init_info["rss_bytes"])
-                            if init_info["source"] == "pack":
-                                pack_loads += 1
-                        tuner.record(n_tasks, elapsed)
-                        buffer.push(chunk_seq,
-                                    (handle, request_delta, fetch_delta))
-                        submit_next()
-                    for handle, request_delta, fetch_delta in \
-                            buffer.pop_ready():
-                        self._merge_shard(sink, handle)
-                        requests += request_delta
-                        fetches += fetch_delta
+            # Keep a bounded window of outstanding chunks: workers stay
+            # saturated, the parent never holds more than
+            # workers * PIPELINE_DEPTH unmerged results.
+            for _ in range(self._workers * PIPELINE_DEPTH):
+                if not submit_next():
+                    break
+            # Stream-merge as chunks complete (any completion order); the
+            # reorder buffer restores sequence order, and extend_columns
+            # interns code tables in first-seen row order, so the merged
+            # dataset is byte-identical to a serial scan.
+            while pending:
+                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+                for future in done:
+                    pending.pop(future)
+                    result = future.result()
+                    info = result.init_info
+                    if info is not None:
+                        spawned += 1
+                        spawn_seconds += info["spawn_seconds"]
+                        build_seconds += info["build_seconds"]
+                        rss_peak = max(rss_peak, info["rss_bytes"])
+                        if info["source"] == "pack":
+                            pack_loads += 1
+                    # Fold the worker's lengths in before the next submit,
+                    # so that chunk already carries them.
+                    scanner.learn_page_lengths(result.lengths)
+                    page_lengths += len(result.lengths)
+                    tuner.record(result.tasks, result.elapsed)
+                    buffer.push(result.seq, result)
+                    submit_next()
+                for result in buffer.pop_ready():
+                    self._merge_shard(sink, result.handle)
+                    requests += result.requests
+                    fetches += result.fetches
             if merger is not None:
                 data = merger.finalize()
                 merger = None
+        except BaseException:
+            # A failed scan ends the pool: a crashed worker leaves it
+            # broken, and either way its pack must not outlive the error.
+            # Shutting down first also settles every in-flight future,
+            # so the cleanup below sees each shard that was written.
+            self.close()
+            raise
         finally:
             # Error path: nothing below may leak a segment.  Unmerged
             # buffered shards, plus shards from futures that completed
@@ -572,8 +688,8 @@ class ScanEngine:
             # are chained with nested finally blocks so a failure inside
             # one cleanup cannot skip the ones after it.
             try:
-                for handle, _, _ in buffer.drain():
-                    release_shard(handle)
+                for result in buffer.drain():
+                    release_shard(result.handle)
                 for future in pending:
                     if future.cancel():
                         continue
@@ -581,48 +697,42 @@ class ScanEngine:
                         result = future.result()
                     except Exception:
                         continue
-                    release_shard(result[1])
+                    release_shard(result.handle)
             finally:
                 try:
                     if merger is not None:
                         merger.abort()
                 finally:
-                    try:
-                        exchange.close()
-                    finally:
-                        if pack is not None:
-                            # The parent owns the pack's backing
-                            # storage: release it on every path —
-                            # including worker-crash-during-init — so no
-                            # shm block or spill file outlives the pool.
-                            pack.release()
+                    exchange.close()
         scanner.absorb_worker_counts(
             requests, fetches,
             token=f"engine-batch-{next(_ABSORB_BATCH_IDS)}",
             init_stats=WorkerInitStats(
                 spawned=spawned, spawn_seconds=spawn_seconds,
                 build_seconds=build_seconds, pack_loads=pack_loads,
-                rss_peak_bytes=rss_peak))
+                rss_peak_bytes=rss_peak, freeze_failures=freeze_failures,
+                page_lengths=page_lengths))
         return data
 
-    def _freeze_world_pack(self):
+    def _freeze_world_pack(self) -> Tuple[object, int]:
         """Freeze the scanner's world for the pool.
 
-        Returns the parent-owned pack (released in the execute
-        ``finally``) or None when the scanner cannot freeze its world or
-        freezing failed — the workers then fall back to the spec
-        rebuild, which is bit-identical, and the failure is logged as a
-        warning (the rebuild costs every worker a full world build).
+        Returns ``(pack, failures)``.  The pool's closer releases the
+        pack.  The pack is None when the scanner cannot freeze its world
+        or freezing failed; the workers then fall back to the spec
+        rebuild, which is bit-identical.  A failure is logged as a
+        warning and counted (``failures`` = 1), because the rebuild
+        costs every worker a full world build.
         """
         freeze = getattr(self._scanner, "freeze_world_pack", None)
         if freeze is None:
-            return None
+            return None, 0
         try:
-            return freeze(directory=self._spill_dir)
+            return freeze(directory=self._spill_dir), 0
         except OSError:
             logger.warning("world freeze failed; workers will rebuild",
                            exc_info=True)
-            return None
+            return None, 1
 
     @staticmethod
     def _merge_shard(sink, handle: ShardHandle) -> None:

@@ -28,7 +28,7 @@ import logging
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.lumscan")
 
@@ -206,15 +206,17 @@ class Lumscan:
         (``executor`` picks threads or processes); the output is identical
         to ``workers=1`` regardless of count or executor.
         """
-        return ScanEngine(self, workers=workers, executor=executor).scan(
-            urls, countries, samples=samples, epoch=epoch, dataset=dataset)
+        with ScanEngine(self, workers=workers, executor=executor) as engine:
+            return engine.scan(urls, countries, samples=samples, epoch=epoch,
+                               dataset=dataset)
 
     def resample(self, pairs: Iterable, samples: int, epoch: int = 0,
                  dataset: Optional[ScanDataset] = None,
                  workers: int = 1, executor: str = "thread") -> ScanDataset:
         """Re-probe specific (domain, country) pairs ``samples`` times."""
-        return ScanEngine(self, workers=workers, executor=executor).resample(
-            pairs, samples, epoch=epoch, dataset=dataset)
+        with ScanEngine(self, workers=workers, executor=executor) as engine:
+            return engine.resample(pairs, samples, epoch=epoch,
+                                   dataset=dataset)
 
     # ------------------------------------------------------------------ #
     # Process-executor support
@@ -259,6 +261,18 @@ class Lumscan:
         """Accumulated worker spawn/world-build costs absorbed so far."""
         return self._worker_init_stats
 
+    def known_page_lengths(self, domains: Iterable[str]) -> Dict[str, int]:
+        """The base-page lengths this scanner's world already knows."""
+        return self._luminati.world.known_page_lengths(domains)
+
+    def learn_page_lengths(self, lengths: Mapping[str, int]) -> None:
+        """Memoize base-page lengths a worker replica computed."""
+        self._luminati.world.learn_page_lengths(lengths)
+
+    def take_computed_page_lengths(self) -> Dict[str, int]:
+        """The lengths this scanner's world computed since the last call."""
+        return self._luminati.world.take_computed_page_lengths()
+
     def absorb_worker_counts(self, requests: int, fetches: int,
                              token: Optional[str] = None,
                              init_stats: Optional[WorkerInitStats] = None
@@ -273,16 +287,8 @@ class Lumscan:
         takes the max).
         """
         self._luminati.absorb_worker_counts(requests, fetches, token=token)
-        if init_stats is not None and init_stats.spawned:
-            prior = self._worker_init_stats
-            self._worker_init_stats = WorkerInitStats(
-                spawned=prior.spawned + init_stats.spawned,
-                spawn_seconds=prior.spawn_seconds + init_stats.spawn_seconds,
-                build_seconds=prior.build_seconds + init_stats.build_seconds,
-                pack_loads=prior.pack_loads + init_stats.pack_loads,
-                rss_peak_bytes=max(prior.rss_peak_bytes,
-                                   init_stats.rss_peak_bytes),
-            )
+        if init_stats is not None:
+            self._worker_init_stats = self._worker_init_stats.plus(init_stats)
 
     # ------------------------------------------------------------------ #
 

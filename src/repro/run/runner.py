@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, Optional, Sequence
 
+from repro.lumscan.engine import WorkerInitStats
 from repro.lumscan.records import ScanDataset, SegmentedScanDataset
 from repro.run.artifacts import ArtifactStore
 from repro.run.stage import RunContext, Stage, StageStats
@@ -83,21 +84,31 @@ class StudyRunner:
                 records=sum(len(value) for value in outputs.values()
                             if isinstance(value, (ScanDataset,
                                                   SegmentedScanDataset))),
-                workers_spawned=init_after[0] - init_before[0],
-                worker_spawn_seconds=init_after[1] - init_before[1],
-                world_build_seconds=init_after[2] - init_before[2],
-                worker_pack_loads=init_after[3] - init_before[3],
+                workers_spawned=init_after.spawned - init_before.spawned,
+                worker_spawn_seconds=(init_after.spawn_seconds
+                                      - init_before.spawn_seconds),
+                world_build_seconds=(init_after.build_seconds
+                                     - init_before.build_seconds),
+                worker_pack_loads=(init_after.pack_loads
+                                   - init_before.pack_loads),
+                worker_page_lengths=(init_after.page_lengths
+                                     - init_before.page_lengths),
+                freeze_failures=(init_after.freeze_failures
+                                 - init_before.freeze_failures),
             )
             context.stats.append(stats)
-            if stats.workers_spawned:
+            if stats.workers_spawned or stats.worker_page_lengths \
+                    or stats.freeze_failures:
                 logger.info(
                     "%s/%s: %s in %.2fs (probes=%d, records=%d, "
-                    "workers=%d, spawn=%.2fs, world=%.2fs, pack_loads=%d)",
+                    "workers=%d, spawn=%.2fs, world=%.2fs, pack_loads=%d, "
+                    "page_lengths=%d, freeze_failures=%d)",
                     self._study, stage.name,
                     "checkpoint hit" if cache_hit else "executed",
                     seconds, probes, stats.records,
                     stats.workers_spawned, stats.worker_spawn_seconds,
-                    stats.world_build_seconds, stats.worker_pack_loads)
+                    stats.world_build_seconds, stats.worker_pack_loads,
+                    stats.worker_page_lengths, stats.freeze_failures)
             else:
                 logger.info(
                     "%s/%s: %s in %.2fs (probes=%d, records=%d)",
@@ -107,8 +118,8 @@ class StudyRunner:
         return context
 
     @staticmethod
-    def _worker_init_snapshot(context: RunContext):
-        """(spawned, spawn_s, build_s, pack_loads) totals so far, or zeros.
+    def _worker_init_snapshot(context: RunContext) -> WorkerInitStats:
+        """The scanner's worker-pool totals so far, or all zeros.
 
         Scanners without worker processes (plain :class:`Lumscan`, test
         doubles) simply lack ``worker_init_stats`` and report all-zero
@@ -116,10 +127,7 @@ class StudyRunner:
         """
         source = getattr(context.scanner, "worker_init_stats", None)
         stats = source() if source is not None else None
-        if stats is None:
-            return (0, 0.0, 0.0, 0)
-        return (stats.spawned, stats.spawn_seconds,
-                stats.build_seconds, stats.pack_loads)
+        return stats if stats is not None else WorkerInitStats()
 
     def stats_by_stage(self, context: RunContext) -> Dict[str, StageStats]:
         """The context's stats keyed by stage name (convenience)."""

@@ -63,6 +63,8 @@ class StageStats:
     worker_spawn_seconds: float = 0.0   # summed worker initializer time
     world_build_seconds: float = 0.0    # world rebuild/pack-load portion
     worker_pack_loads: int = 0   # workers that mapped a frozen worldpack
+    worker_page_lengths: int = 0   # base-page lengths workers computed
+    freeze_failures: int = 0     # pools whose world could not be frozen
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict form for logs and the experiment report."""
@@ -77,6 +79,8 @@ class StageStats:
             "worker_spawn_seconds": round(self.worker_spawn_seconds, 3),
             "world_build_seconds": round(self.world_build_seconds, 3),
             "worker_pack_loads": self.worker_pack_loads,
+            "worker_page_lengths": self.worker_page_lengths,
+            "freeze_failures": self.freeze_failures,
         }
 
 

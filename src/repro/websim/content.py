@@ -122,11 +122,16 @@ def generate_page(domain_name: str, category: str, seed: int = 0) -> str:
                 f"<span class=\"price\" data-amount=\"{amount:.2f}\">"
                 f"${amount:.2f}</span></div>\n"
             )
-    while sum(len(p) for p in parts) < target:
-        parts.append(f"<section>\n<h2>{_sentence(rng)}</h2>\n")
+    # A running total: re-summing every part after each section made the
+    # loop quadratic in page size.
+    size = sum(len(p) for p in parts)
+    while size < target:
+        section = [f"<section>\n<h2>{_sentence(rng)}</h2>\n"]
         for _ in range(rng.randint(1, 4)):
-            parts.append(f"<p>{_paragraph(rng)}</p>\n")
-        parts.append("</section>\n")
+            section.append(f"<p>{_paragraph(rng)}</p>\n")
+        section.append("</section>\n")
+        size += sum(len(p) for p in section)
+        parts.extend(section)
     parts.append(
         f"</main>\n<footer>\n<p>&copy; 2018 {title}. All rights reserved.</p>\n"
         "</footer>\n</body>\n</html>\n"

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.httpsim.messages import BodyPolicy, Headers, Request, Response
 from repro.httpsim.useragent import looks_like_browser
@@ -253,6 +253,9 @@ class World:
         # grants are add-only and commutative, so both tables satisfy the
         # MemoDict idempotent-write contract on worker paths.
         self._page_length_cache: MemoDict[str, int] = MemoDict()
+        # The subset this world computed itself and nobody collected yet:
+        # process-pool workers hand these to the parent after each chunk.
+        self._fresh_lengths: MemoDict[str, int] = MemoDict()
         self._clearances: MemoDict[str, set] = MemoDict()
         self._fetch_count = ShardedCounter()
         # Read-only views into a mapped worldpack: (sorted rank-1 index
@@ -511,7 +514,27 @@ class World:
                 length = page_length(domain.name, domain.category,
                                      seed=self.config.seed)
             self._page_length_cache[domain.name] = length
+            self._fresh_lengths[domain.name] = length
         return length
+
+    def known_page_lengths(self, names: Iterable[str]) -> Dict[str, int]:
+        """The memoized base-page lengths among the domains ``names``."""
+        cache = self._page_length_cache
+        return {name: cache[name] for name in names if name in cache}
+
+    def learn_page_lengths(self, lengths: Mapping[str, int]) -> None:
+        """Memoize base-page lengths another replica of this world computed.
+
+        Lengths are pure functions of (seed, domain), so a learned value
+        always equals the one this world would compute.
+        """
+        self._page_length_cache.update(lengths)
+
+    def take_computed_page_lengths(self) -> Dict[str, int]:
+        """The lengths this world computed since the last call."""
+        fresh = dict(self._fresh_lengths)
+        self._fresh_lengths.clear()
+        return fresh
 
     def _frozen_length(self, domain: Domain) -> Optional[int]:
         """The domain's base-page length from a mapped worldpack, if any.

@@ -85,7 +85,9 @@ class TestStageStats:
         report = _report()
         report.stage_stats["top10k"] = [
             {"stage": "initial-scan", "seconds": 1.5, "probes": 900,
-             "cache_hit": False, "artifacts": 3, "records": 900},
+             "cache_hit": False, "artifacts": 3, "records": 900,
+             "workers_spawned": 2, "worker_pack_loads": 1,
+             "worker_page_lengths": 148, "freeze_failures": 1},
         ]
         report.stage_stats["suite"] = [
             {"stage": "cloudflare-rules", "seconds": 0.01, "probes": 0,
@@ -96,6 +98,9 @@ class TestStageStats:
         loaded = load_report(path)
         assert loaded.stage_stats == report.stage_stats
         assert list(loaded.stage_stats) == ["top10k", "suite"]
+        scan = loaded.stage_stats["top10k"][0]
+        assert (scan["worker_page_lengths"], scan["freeze_failures"]) == \
+            (148, 1)
 
     def test_suite_run_stage_stats_roundtrip(self, tiny_suite, tmp_path):
         """A real suite's JSON shows every study's stages, suite included."""
@@ -107,6 +112,10 @@ class TestStageStats:
         assert [e["stage"] for e in loaded.stage_stats["suite"]] == \
             [stage.name for stage in suite_stages(**SUITE_TEST_PARAMS)]
         assert loaded.stage_stats == report.stage_stats
+        for entries in loaded.stage_stats.values():
+            for entry in entries:
+                assert entry["worker_page_lengths"] >= 0
+                assert entry["freeze_failures"] == 0
         assert loaded.to_markdown() == report.to_markdown()
 
     def test_reports_without_stage_stats_load(self, tmp_path):

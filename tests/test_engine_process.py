@@ -9,9 +9,13 @@ shard exchange adds two more: the merged bytes stay identical under any
 chunk completion order and either transport, and no shard segment
 outlives the scan — not even when a worker blows up mid-run.  The
 transport is picked by ``shm_available()``; tests force spill files by
-patching it to return False.
+patching it to return False.  The pool itself lives as long as the
+engine: consecutive scans reuse its workers, and closing the engine, a
+crash or a dropped engine leaves no worker, segment or session behind.
 """
 
+import gc
+import multiprocessing
 import os
 import pickle
 import time
@@ -26,6 +30,8 @@ from repro.lumscan.scanner import Lumscan, ScannerSpec
 from repro.lumscan.serialize import dump_dataset
 from repro.lumscan.shards import EXCHANGE_MODES, shm_available
 from repro.proxynet.luminati import LuminatiClient
+from repro.websim.content import page_length
+from repro.websim.world import World, WorldConfig
 
 
 def _rows(data):
@@ -179,7 +185,7 @@ def _encoded(data, tmp_path, name):
 _REAL_RUN_CHUNK = engine_mod._process_run_chunk
 
 
-def _inverted_run_chunk(seq, chunk):
+def _inverted_run_chunk(seq, chunk, exchange, lengths):
     """Chunk runner that forces completion in reverse sequence order.
 
     Early chunks sleep longest, so within the engine's in-flight window
@@ -189,15 +195,15 @@ def _inverted_run_chunk(seq, chunk):
     reference, so the patch applies inside workers too.
     """
     time.sleep(max(0, 8 - seq) * 0.05)
-    return _REAL_RUN_CHUNK(seq, chunk)
+    return _REAL_RUN_CHUNK(seq, chunk, exchange, lengths)
 
 
-def _exploding_run_chunk(seq, chunk):
+def _exploding_run_chunk(seq, chunk, exchange, lengths):
     """Chunk runner that fails on the third chunk, after shards exist."""
     if seq == 2:
         raise RuntimeError("chunk 2 exploded")
     time.sleep(0.02 * seq)
-    return _REAL_RUN_CHUNK(seq, chunk)
+    return _REAL_RUN_CHUNK(seq, chunk, exchange, lengths)
 
 
 def _transports():
@@ -406,7 +412,7 @@ class TestAbsorptionTokens:
         engine.scan(urls, ["IR"], samples=1)
 
 
-def _exploding_worker_init(spec):
+def _exploding_worker_init(spec, clock):
     """Initializer that dies before the worker ever builds a scanner."""
     raise RuntimeError("worker init exploded")
 
@@ -414,11 +420,12 @@ def _exploding_worker_init(spec):
 class TestWorldpackInitCleanup:
     """Crash-during-init must not leak the frozen worldpack's storage.
 
-    The engine freezes one worldpack per process scan and hands its
-    handle to every worker initializer.  If an initializer dies, the
-    pool breaks before any chunk completes — the parent still owns the
-    pack and must unlink its shared-memory segment on the way out, the
-    same contract the shard-exchange session tests enforce above.
+    The engine freezes one worldpack per worker pool — the pool and the
+    pack live until ``close()`` — and hands its handle to every worker
+    initializer.  If an initializer dies, the pool breaks before any
+    chunk completes — the parent still owns the pack and must unlink its
+    shared-memory segment on the way out, the same contract the
+    shard-exchange session tests enforce above.
     """
 
     @pytest.mark.skipif(not shm_available(),
@@ -447,4 +454,193 @@ class TestWorldpackInitCleanup:
                             workers=2, chunk_size=8, executor="process",
                             target_chunk_seconds=None)
         engine.scan(urls, ["US", "IR"], samples=2)
+        engine.close()
         assert set(os.listdir("/dev/shm")) - before == set()
+
+
+# --------------------------------------------------------------------- #
+# Pool lifecycle: one warm pool per engine
+
+def _dying_run_chunk(seq, chunk, exchange, lengths):
+    """Chunk runner whose second chunk kills its worker outright.
+
+    The other chunks sleep first, so the pool tears its survivors down
+    before any of them writes a shard.
+    """
+    if seq == 1:
+        os._exit(3)
+    time.sleep(0.5)
+    return _REAL_RUN_CHUNK(seq, chunk, exchange, lengths)
+
+
+def _new_segments(before):
+    return set(os.listdir("/dev/shm")) - before
+
+
+def _session_dirs(root):
+    return [name for _, dirs, _ in os.walk(root) for name in dirs
+            if name.startswith("lshd-")]
+
+
+def _child_pids():
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+_needs_shm = pytest.mark.skipif(not shm_available(),
+                                reason="POSIX shared memory unavailable")
+
+
+class TestPoolLifecycle:
+    @pytest.fixture(scope="class")
+    def serial(self, nano_world):
+        client = LuminatiClient(nano_world)
+        urls = _clean_urls(nano_world, 14)
+        countries = client.countries()[:4]
+        pairs = [(url.split("//")[1].rstrip("/"), country)
+                 for country in countries[:2] for url in urls[:5]]
+        scanner = Lumscan(client, seed=11)
+        return (urls, countries, pairs,
+                scanner.scan(urls, countries, samples=2),
+                scanner.resample(pairs, samples=3, epoch=1),
+                scanner.scan(urls, countries[::-1], samples=1, epoch=2))
+
+    def _engine(self, world, **kwargs):
+        options = dict(workers=2, chunk_size=8, executor="process",
+                       target_chunk_seconds=None)
+        options.update(kwargs)
+        return ScanEngine(Lumscan(LuminatiClient(world), seed=11), **options)
+
+    def test_consecutive_scans_share_one_pool(self, nano_world, serial):
+        urls, countries, pairs, scan, resample, rescan = serial
+        with self._engine(nano_world) as engine:
+            assert _rows(engine.scan(urls, countries, samples=2)) == \
+                _rows(scan)
+            pids = _child_pids()
+            assert len(pids) == engine.workers
+            assert _rows(engine.resample(pairs, samples=3, epoch=1)) == \
+                _rows(resample)
+            assert _child_pids() == pids
+            assert _rows(engine.scan(urls, countries[::-1], samples=1,
+                                     epoch=2)) == _rows(rescan)
+            assert _child_pids() == pids
+            assert engine.worker_init_stats().spawned <= engine.workers
+        assert _child_pids() == []
+
+    def test_warm_pool_computes_each_length_once(self, nano_world, serial):
+        # A fresh world: the shared one already knows every length, and
+        # its pack would hand them all to the workers.
+        urls, countries = serial[0], serial[1]
+        with self._engine(World(WorldConfig.nano())) as engine:
+            engine.scan(urls, countries, samples=2)
+            first = engine.worker_init_stats().page_lengths
+            engine.scan(urls, countries, samples=2, epoch=3)
+            again = engine.worker_init_stats().page_lengths
+        assert first > 0
+        assert again == first
+
+    def test_parent_learns_worker_lengths(self, nano_world, serial):
+        urls, countries = serial[0], serial[1]
+        world = World(WorldConfig.nano())
+        with self._engine(world) as engine:
+            engine.scan(urls, countries, samples=2)
+            computed = engine.worker_init_stats().page_lengths
+        names = [url.split("//")[1].rstrip("/") for url in urls]
+        learned = world.known_page_lengths(names)
+        # Two workers may both compute a length before either reports it.
+        assert 0 < len(learned) <= computed
+        for name, length in learned.items():
+            domain = world.population.get(name)
+            assert length == page_length(name, domain.category,
+                                         world.config.seed)
+
+    def test_opening_a_pool_closes_the_other_live_one(self, nano_world,
+                                                      serial):
+        urls, countries = serial[0], serial[1]
+        with self._engine(nano_world) as first, \
+                self._engine(nano_world) as second:
+            first.scan(urls, countries[:1], samples=1)
+            first_pids = _child_pids()
+            second.scan(urls, countries[:1], samples=1)
+            second_pids = _child_pids()
+            assert len(second_pids) == second.workers
+            assert set(first_pids).isdisjoint(second_pids)
+            # The first engine reopens on its next scan.
+            first.scan(urls, countries[:1], samples=1)
+            assert len(_child_pids()) == first.workers
+
+    @_needs_shm
+    def test_close_releases_pack_and_sessions(self, nano_world, serial,
+                                              tmp_path):
+        urls, countries = serial[0], serial[1]
+        before = set(os.listdir("/dev/shm"))
+        engine = self._engine(nano_world, spill_dir=str(tmp_path))
+        engine.scan(urls, countries, samples=1)
+        assert _new_segments(before)       # the pack lives with the pool
+        engine.close()
+        engine.close()                     # idempotent
+        assert _new_segments(before) == set()
+        assert _session_dirs(tmp_path) == []
+        assert _child_pids() == []
+
+    @_needs_shm
+    def test_worker_crash_discards_pool_then_recovers(
+            self, nano_world, serial, tmp_path, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        urls, countries, _, scan, _, _ = serial
+        before = set(os.listdir("/dev/shm"))
+        engine = self._engine(nano_world, spill_dir=str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "_process_run_chunk", _dying_run_chunk)
+            with pytest.raises(BrokenProcessPool):
+                engine.scan(urls, countries, samples=2)
+        assert _new_segments(before) == set()
+        assert _session_dirs(tmp_path) == []
+        assert _child_pids() == []
+        # The next scan opens a fresh pool and still matches serial.
+        with engine:
+            assert _rows(engine.scan(urls, countries, samples=2)) == \
+                _rows(scan)
+            assert len(_child_pids()) == engine.workers
+        assert _new_segments(before) == set()
+
+    @_needs_shm
+    def test_initializer_crash_leaves_nothing(self, nano_world, serial,
+                                              tmp_path, monkeypatch):
+        urls, countries = serial[0], serial[1]
+        before = set(os.listdir("/dev/shm"))
+        monkeypatch.setattr(engine_mod, "_process_worker_init",
+                            _exploding_worker_init)
+        engine = self._engine(nano_world, spill_dir=str(tmp_path))
+        with pytest.raises(Exception):
+            engine.scan(urls, countries, samples=1)
+        assert _new_segments(before) == set()
+        assert _session_dirs(tmp_path) == []
+        assert _child_pids() == []
+
+    @_needs_shm
+    def test_dropped_engine_releases_pack_when_collected(self, nano_world,
+                                                         serial):
+        urls, countries = serial[0], serial[1]
+        before = set(os.listdir("/dev/shm"))
+        engine = self._engine(nano_world)
+        engine.scan(urls, countries, samples=1)
+        assert _new_segments(before)
+        del engine
+        gc.collect()
+        assert _new_segments(before) == set()
+        assert _child_pids() == []
+
+    @_needs_shm
+    def test_process_study_leaves_no_children_or_segments(self):
+        from repro.core.pipeline import StudyConfig, run_top10k_study
+
+        before = set(os.listdir("/dev/shm"))
+        result = run_top10k_study(World(WorldConfig.nano()),
+                                  config=StudyConfig(workers=2,
+                                                     executor="process"))
+        assert result.confirmed
+        assert _child_pids() == []
+        assert _new_segments(before) == set()
+        # One pool served every scan stage of the study.
+        assert sum(s.workers_spawned for s in result.stage_stats) <= 2

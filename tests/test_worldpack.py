@@ -199,7 +199,7 @@ class TestProbeEquivalence:
 _REAL_RUN_CHUNK = engine_mod._process_run_chunk
 
 
-def _slow_run_chunk(seq, chunk):
+def _slow_run_chunk(seq, chunk, exchange, lengths):
     """Chunk runner slow enough that every pool worker gets a chunk.
 
     Fork-started workers inherit the monkeypatched module state, and the
@@ -207,7 +207,7 @@ def _slow_run_chunk(seq, chunk):
     workers too.
     """
     time.sleep(0.05)
-    return _REAL_RUN_CHUNK(seq, chunk)
+    return _REAL_RUN_CHUNK(seq, chunk, exchange, lengths)
 
 
 def _no_room(self, mode="auto", directory=None):
@@ -264,6 +264,7 @@ class TestEngineByteIdentity:
         stats = engine.worker_init_stats()
         assert stats.spawned == workers
         assert stats.pack_loads == 0
+        assert stats.freeze_failures == 1
         assert "world freeze failed" in caplog.text
 
     def test_init_stats_accumulate(self, built_world):
@@ -424,7 +425,8 @@ class TestStageStats:
                    for s in scan_stages)
         entry = scan_stages[0].as_dict()
         for key in ("workers_spawned", "worker_spawn_seconds",
-                    "world_build_seconds", "worker_pack_loads"):
+                    "world_build_seconds", "worker_pack_loads",
+                    "worker_page_lengths", "freeze_failures"):
             assert key in entry
 
 
