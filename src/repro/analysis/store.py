@@ -14,6 +14,7 @@ from typing import Union
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.figures import FigureData
 from repro.analysis.tables import TableData
+from repro.util.envelope import atomic_write
 
 _FORMAT_VERSION = 1
 
@@ -42,18 +43,8 @@ def save_report(report: ExperimentReport, path: Union[str, os.PathLike]) -> None
     }
     # Write-to-temp + rename: a crash mid-dump can never truncate an
     # existing report, and readers only ever see complete files.
-    target = os.fspath(path)
-    tmp = f"{target}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=1).encode("utf-8"))
 
 
 def load_report(path: Union[str, os.PathLike]) -> ExperimentReport:

@@ -239,38 +239,66 @@ def _print_segment_header(path: str, header: dict) -> None:
         print(f"  {name:10s}      offset={offset:<10d} bytes={nbytes}")
 
 
+def _print_worldpack_header(path: str, header: dict) -> None:
+    import os
+
+    print(f"worldpack:   {path}")
+    print(f"version:     {header.get('version')}")
+    print(f"domains:     {header.get('size')}")
+    print(f"seed:        {header.get('seed')}")
+    print(f"file bytes:  {os.stat(path).st_size}")
+    print(f"fingerprint: {header.get('fingerprint')}")
+    print("sections:")
+    for section in header.get("sections", []):
+        name = section["name"]
+        if section.get("kind") == "array":
+            print(f"  {name:18s} {section['dtype']:4s} "
+                  f"offset={section['offset']:<10d} "
+                  f"bytes={section['nbytes']:<10d} rows={section['count']}")
+        else:
+            print(f"  {name:18s} json offset={section['offset']:<10d} "
+                  f"bytes={section['nbytes']}")
+
+
+def _print_manifest(path: str) -> None:
+    from repro.lumscan.shards import read_manifest
+
+    manifest = read_manifest(path)
+    print(f"manifest:    {path}")
+    print(f"rows:        {manifest.rows}")
+    print(f"segments:    {len(manifest.entries)}")
+    print(f"fingerprint: {manifest.fingerprint}")
+    for index, entry in enumerate(manifest.entries):
+        print(f"  [{index}] {entry.file}  rows={entry.rows}  "
+              f"fingerprint={entry.fingerprint}")
+
+
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     from repro.lumscan.serialize import sniff_format
-    from repro.lumscan.shards import read_manifest, read_segment_header
+    from repro.util.envelope import read_header
 
     path = args.path
     try:
         fmt = sniff_format(path)
+        if fmt == "lshm":
+            _print_manifest(path)
+        elif fmt in ("lshd", "lshw"):
+            _, header = read_header(path)
+            if fmt == "lshd":
+                _print_segment_header(path, header)
+            else:
+                _print_worldpack_header(path, header)
+        else:
+            raise SystemExit(
+                f"{path}: not an LSHD segment, LSHM manifest or LSHW "
+                f"worldpack (looks like {fmt}; legacy JSONL checkpoints "
+                f"are loadable but carry no envelope header)")
     except OSError as exc:
         raise SystemExit(f"{path}: {exc}")
-    if fmt == "lshd":
-        try:
-            header = read_segment_header(path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{path}: {exc}")
-        _print_segment_header(path, header)
-        return 0
-    if fmt == "lshm":
-        try:
-            manifest = read_manifest(path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{path}: {exc}")
-        print(f"manifest:    {path}")
-        print(f"rows:        {manifest.rows}")
-        print(f"segments:    {len(manifest.entries)}")
-        print(f"fingerprint: {manifest.fingerprint}")
-        for index, entry in enumerate(manifest.entries):
-            print(f"  [{index}] {entry.file}  rows={entry.rows}  "
-                  f"fingerprint={entry.fingerprint}")
-        return 0
-    raise SystemExit(f"{path}: not an LSHD segment or LSHM manifest "
-                     f"(looks like {fmt}; legacy JSONL checkpoints are "
-                     f"loadable but carry no columnar header)")
+    except ValueError as exc:
+        # Envelope errors already name the file.
+        raise SystemExit(str(exc))
+    return 0
 
 
 def _cmd_store_append(args: argparse.Namespace) -> int:
@@ -322,35 +350,6 @@ def _cmd_world_freeze(args: argparse.Namespace) -> int:
     print(f"file bytes:  {handle.nbytes}")
     print(f"fingerprint: {handle.fingerprint}")
     print(f"frozen in {elapsed:.1f}s")
-    return 0
-
-
-def _cmd_world_inspect(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.websim.worldpack import read_worldpack_header
-
-    path = args.path
-    try:
-        header = read_worldpack_header(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{path}: {exc}")
-    print(f"worldpack:   {path}")
-    print(f"version:     {header.get('version')}")
-    print(f"domains:     {header.get('size')}")
-    print(f"seed:        {header.get('seed')}")
-    print(f"file bytes:  {os.stat(path).st_size}")
-    print(f"fingerprint: {header.get('fingerprint')}")
-    print("sections:")
-    for section in header.get("sections", []):
-        name = section["name"]
-        if section.get("kind") == "array":
-            print(f"  {name:18s} {section['dtype']:4s} "
-                  f"offset={section['offset']:<10d} "
-                  f"bytes={section['nbytes']:<10d} rows={section['count']}")
-        else:
-            print(f"  {name:18s} json offset={section['offset']:<10d} "
-                  f"bytes={section['nbytes']}")
     return 0
 
 
@@ -426,11 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="inspect and maintain on-disk dataset artifacts")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     inspect = store_sub.add_parser(
-        "inspect", help="print an LSHD segment's header or an LSHM "
-                        "manifest's segment list without mapping column "
-                        "buffers")
-    inspect.add_argument("path", help="path to an .lshd segment or .lshm "
-                                      "manifest file")
+        "inspect", help="print the header of an LSHD segment, LSHM "
+                        "manifest or LSHW worldpack without mapping its "
+                        "payload")
+    inspect.add_argument("path", help="path to an .lshd segment, .lshm "
+                                      "manifest or .lshw worldpack")
     inspect.set_defaults(func=_cmd_store_inspect)
     append = store_sub.add_parser(
         "append", help="append a dataset file to an .lshm manifest as one "
@@ -446,18 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     compact.set_defaults(func=_cmd_store_compact)
 
     world = sub.add_parser(
-        "world", help="freeze and inspect immutable world snapshots")
+        "world", help="freeze immutable world snapshots")
     world_sub = world.add_subparsers(dest="world_command", required=True)
     freeze = world_sub.add_parser(
         "freeze", help="build the world once and write it as an LSHW "
                        "worldpack file that workers can map zero-copy")
     freeze.add_argument("path", help="destination .lshw worldpack file")
     freeze.set_defaults(func=_cmd_world_freeze)
-    winspect = world_sub.add_parser(
-        "inspect", help="print an LSHW worldpack's header without mapping "
-                        "its section buffers")
-    winspect.add_argument("path", help="path to an .lshw worldpack file")
-    winspect.set_defaults(func=_cmd_world_inspect)
 
     lint = sub.add_parser(
         "lint", help="run the determinism/concurrency-purity linter",

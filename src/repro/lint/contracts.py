@@ -14,7 +14,7 @@ no built-in knowledge of any codec.  Three contract kinds exist:
 
 The built-in :data:`DEFAULT_CONTRACTS` registry seeds the analysis, and
 every codec additionally *registers itself*: a module-level
-``LINT_RESOURCE_CONTRACT = {...}`` literal (see ``lumscan/shards.py``)
+``LINT_RESOURCE_CONTRACT = {...}`` literal (see ``util/envelope.py``)
 is parsed out of each analyzed module and merged into the active
 registry, so a new codec brings its own contract along instead of
 patching the linter.
@@ -75,19 +75,30 @@ class AtomicContract:
 #: ``LINT_RESOURCE_CONTRACT`` (merged at analysis time) so the contract
 #: lives next to the code it constrains.
 DEFAULT_CONTRACTS: Tuple[object, ...] = (
+    # --- util.envelope: the one mapping, handle and atomic writer -- #
+    ResourceContract(
+        name="envelope-mapping", codec="envelope",
+        acquire=("SegmentMapping", "open_shard"),
+        release_methods=("close",),
+        release_funcs=("release",)),
+    BufferContract(
+        name="envelope-mapping", codec="envelope",
+        acquire=("SegmentMapping", "open_shard"),
+        close_methods=("close",),
+        view_methods=("array",),
+        view_attrs=("buffer",),
+        view_funcs=("decode_shard",)),
+    AtomicContract(
+        codec="envelope",
+        suffixes=(".lshd", ".lshm", ".lshw", "manifest.json"),
+        writers=("atomic_write", "publish", "write_segment_file",
+                 "write_manifest", "store_segment", "adopt_segment",
+                 "append_segment", "compact_manifest", "dump_dataset_lshd",
+                 "dump_dataset_manifest", "write_worldpack_file")),
     # --- lumscan.shards -------------------------------------------- #
     ResourceContract(
         name="shard-exchange", codec="shards",
         acquire=("ShardExchange",),
-        release_methods=("close",)),
-    ResourceContract(
-        name="shard-reader", codec="shards",
-        acquire=("ShardReader", "open_shard"),
-        release_methods=("close",),
-        release_funcs=("release_shard",)),
-    ResourceContract(
-        name="segment-mapping", codec="shards",
-        acquire=("SegmentMapping",),
         release_methods=("close",)),
     ResourceContract(
         name="spill-builder", codec="shards",
@@ -97,13 +108,8 @@ DEFAULT_CONTRACTS: Tuple[object, ...] = (
     ResourceContract(
         name="worldpack", codec="worldpack",
         acquire=("freeze_world", "WorldPack"),
-        release_methods=("release",),
-        release_funcs=("release_worldpack",)),
-    ResourceContract(
-        name="worldpack-reader", codec="worldpack",
-        acquire=("WorldPackReader",),
-        release_methods=("close",)),
-    # --- stdlib primitives the codecs sit on ----------------------- #
+        release_methods=("release",)),
+    # --- stdlib primitives the envelope sits on -------------------- #
     ResourceContract(
         name="shared-memory", codec="stdlib",
         acquire=("shared_memory.SharedMemory", "SharedMemory"),
@@ -112,29 +118,7 @@ DEFAULT_CONTRACTS: Tuple[object, ...] = (
         name="mmap", codec="stdlib",
         acquire=("mmap.mmap",),
         release_methods=("close",)),
-    # --- mapped-buffer view contracts ------------------------------ #
-    BufferContract(
-        name="segment-mapping", codec="shards",
-        acquire=("SegmentMapping",),
-        close_methods=("close",),
-        view_attrs=("buffer",),
-        view_funcs=("decode_shard",)),
-    BufferContract(
-        name="worldpack-reader", codec="worldpack",
-        acquire=("WorldPackReader",),
-        close_methods=("close",),
-        view_methods=("array",)),
-    # --- atomic persistence ---------------------------------------- #
-    AtomicContract(
-        codec="shards",
-        suffixes=(".lshd", ".lshm", "manifest.json"),
-        writers=("write_segment_file", "write_manifest", "store_segment",
-                 "adopt_segment", "append_segment", "compact_manifest",
-                 "dump_dataset_lshd", "dump_dataset_manifest")),
-    AtomicContract(
-        codec="worldpack",
-        suffixes=(".lshw",),
-        writers=("write_worldpack_file", "write_worldpack_shm")),
+    # --- other atomic persistence ---------------------------------- #
     AtomicContract(
         codec="store",
         suffixes=(".manifest.json",),

@@ -398,7 +398,7 @@ class _FunctionAnalysis:
                     self._method_call(receiver, method, facts, state, line)
                     continue
                 # untracked receiver: fall through — this may be a
-                # module-qualified release (shards.release_shard(x)).
+                # module-qualified release (envelope.release(x)).
             elif (isinstance(func, ast.Attribute)
                     and _is_self_target(func.value)):
                 # self.registry.append(handle): parent-owned handoff

@@ -171,13 +171,13 @@ RULES: Tuple[Rule, ...] = (
         ),
         example=(
             "def merge(spec, payloads):\n"
-            "    exchange = ShardExchange(mode=spec.mode).open()\n"
+            "    exchange = ShardExchange(spec.spill_dir).open()\n"
             "    merge_all(exchange, payloads)  # <- may raise\n"
             "    exchange.close()               # <- skipped on raise"
         ),
         fix=(
             "Move the release into a finally block:\n"
-            "    exchange = ShardExchange(mode=spec.mode).open()\n"
+            "    exchange = ShardExchange(spec.spill_dir).open()\n"
             "    try:\n"
             "        merge_all(exchange, payloads)\n"
             "    finally:\n"
@@ -191,8 +191,8 @@ RULES: Tuple[Rule, ...] = (
         severity=SEVERITY_ERROR,
         summary="mapped-buffer view escapes before close()",
         rationale=(
-            "Arrays decoded from a SegmentMapping or WorldPackReader "
-            "are zero-copy views over the mmap: storing one on self, "
+            "Arrays decoded from a SegmentMapping (any envelope: LSHD, "
+            "LSHW) are zero-copy views over the mmap: storing one on self, "
             "in a global, in a closure, or returning it while the "
             "mapping is closed in the same function leaves a dangling "
             "view (or pins the mapping so close() reports failure — "
@@ -203,7 +203,7 @@ RULES: Tuple[Rule, ...] = (
         example=(
             "def load(path):\n"
             "    mapping = SegmentMapping(path)\n"
-            "    cols = decode_shard(mapping.buffer)\n"
+            "    cols = decode_shard(mapping)\n"
             "    mapping.close()      # <- views in cols now dangle\n"
             "    return cols"
         ),
@@ -230,12 +230,13 @@ RULES: Tuple[Rule, ...] = (
         example=(
             "def save(columns, stem):\n"
             "    with open(f\"{stem}.lshd\", \"wb\") as out:  # <- torn\n"
-            "        out.write(encode_shard(columns)[0])      #    on crash"
+            "        out.write(encode_shard(columns).to_bytes())  # on crash"
         ),
         fix=(
             "Call the codec's atomic writer (write_segment_file, "
             "write_manifest, write_worldpack_file, _atomic_write_json, "
-            "...) or follow the idiom yourself: write to "
+            "...), write through repro.util.envelope.atomic_write, or "
+            "follow the idiom yourself: write to "
             "f\"{path}.tmp.{os.getpid()}\" and os.replace(tmp, path), "
             "removing the temp on BaseException."
         ),
@@ -316,7 +317,7 @@ SERIALIZATION_SINKS = frozenset({
     "encode_shard", "write_shard", "decode_shard",
     "write_segment_file", "dump_dataset_lshd",
     "write_manifest", "dump_dataset_manifest",
-    "encode_worldpack", "write_worldpack_file", "write_worldpack_shm",
+    "encode_worldpack", "write_worldpack_file", "publish",
 })
 
 #: Functions whose own body *is* a serializer (context even without a
@@ -326,7 +327,7 @@ SERIALIZATION_FUNCTIONS = frozenset({
     "encode_shard", "write_shard", "decode_shard",
     "write_segment_file", "dump_dataset_lshd",
     "write_manifest", "dump_dataset_manifest",
-    "encode_worldpack", "write_worldpack_file", "write_worldpack_shm",
+    "encode_worldpack", "write_worldpack_file", "publish",
 })
 
 #: Entry points of the scan-engine worker surface.  Reachability for the

@@ -38,10 +38,11 @@ Four mechanisms keep the process pool's merge path off the critical
 path:
 
 * **Columnar shard exchange**: workers serialize chunk results into
-  flat binary segments (:mod:`repro.lumscan.shards` — shared-memory
-  blocks, or mmap-able spill files where shared memory is unavailable)
-  and return only a tiny handle; the parent maps each segment and
-  bulk-extends with zero row decode.
+  LSHD envelopes (:mod:`repro.lumscan.shards` on
+  :mod:`repro.util.envelope` — shared-memory blocks, or mmap-able spill
+  files where shared memory is unavailable) and return only a tiny
+  handle; the parent maps each segment and bulk-extends with zero row
+  decode.
 * **Streaming merge**: chunk results are consumed *as they complete*
   (``FIRST_COMPLETED`` waits plus a :class:`ChunkReorderBuffer` that
   restores chunk-sequence order), so the parent never barriers on the
@@ -82,13 +83,13 @@ from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.lumscan.shards import (
     ExchangeSpec,
     ShardExchange,
-    ShardHandle,
     SpillDatasetBuilder,
+    decode_shard,
     open_shard,
-    release_shard,
     write_shard,
 )
 from repro.util.clock import SYSTEM_CLOCK, Clock
+from repro.util.envelope import Handle, release
 from repro.util.memory import rss_bytes
 
 #: Tasks per work unit handed to the pool.  Small enough that the pool
@@ -342,7 +343,7 @@ class ChunkResult(NamedTuple):
     """
 
     seq: int
-    handle: ShardHandle
+    handle: Handle
     requests: int
     fetches: int
     tasks: int
@@ -612,7 +613,7 @@ class ScanEngine:
             exchange_spec = exchange.open().spec()
             logger.debug("engine: %d tasks over %d process workers "
                          "(exchange=%s, merge=%s, autotune=%s)",
-                         len(tasks), self._workers, exchange.mode,
+                         len(tasks), self._workers, exchange.kind,
                          self._merge, tuner.enabled)
             if self._merge == "spill":
                 # The builder owns its own directory under spill_dir —
@@ -689,7 +690,7 @@ class ScanEngine:
             # one cleanup cannot skip the ones after it.
             try:
                 for result in buffer.drain():
-                    release_shard(result.handle)
+                    release(result.handle)
                 for future in pending:
                     if future.cancel():
                         continue
@@ -697,7 +698,7 @@ class ScanEngine:
                         result = future.result()
                     except Exception:
                         continue
-                    release_shard(result.handle)
+                    release(result.handle)
             finally:
                 try:
                     if merger is not None:
@@ -735,7 +736,7 @@ class ScanEngine:
             return None, 1
 
     @staticmethod
-    def _merge_shard(sink, handle: ShardHandle) -> None:
+    def _merge_shard(sink, handle: Handle) -> None:
         """Fold one chunk's shard into the merge sink, then release it.
 
         ``sink`` is the parent :class:`ScanDataset` (memory merge) or a
@@ -743,7 +744,7 @@ class ScanEngine:
         bundles through the same ``extend_columns`` contract.
         """
         try:
-            with open_shard(handle) as reader:
-                sink.extend_columns(reader.columns)
+            with open_shard(handle) as mapping:
+                sink.extend_columns(decode_shard(mapping))
         finally:
-            release_shard(handle)
+            release(handle)

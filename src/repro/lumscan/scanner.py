@@ -45,9 +45,10 @@ from repro.lumscan.records import BODY_KEEP_THRESHOLD, ScanDataset
 from repro.netsim.errors import NoExitAvailable
 from repro.proxynet.luminati import ExitNode, LuminatiClient, ProbeResult
 from repro.util.clock import SYSTEM_CLOCK, Clock
+from repro.util.envelope import Handle
 from repro.util.rng import derive_rng
 from repro.websim.world import WorldConfig
-from repro.websim.worldpack import WorldPack, WorldPackHandle, freeze_world
+from repro.websim.worldpack import WorldPack, freeze_world
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class ScannerSpec:
     config: LumscanConfig
     header_items: Tuple[Tuple[str, str], ...]
     body_policy: Optional[BodyPolicy]
-    world_source: Optional[WorldPackHandle] = None
+    world_source: Optional[Handle] = None
 
     def build(self) -> "Lumscan":
         """Construct the scanner replica (called once per worker process)."""
@@ -222,7 +223,7 @@ class Lumscan:
     # Process-executor support
 
     def spawn_spec(self,
-                   world_source: Optional[WorldPackHandle] = None
+                   world_source: Optional[Handle] = None
                    ) -> ScannerSpec:
         """The picklable recipe a worker process rebuilds this scanner from.
 
@@ -242,15 +243,14 @@ class Lumscan:
             world_source=world_source,
         )
 
-    def freeze_world_pack(self, mode: str = "auto",
+    def freeze_world_pack(self,
                           directory: Optional[str] = None) -> WorldPack:
         """Freeze this scanner's world for zero-copy worker mapping.
 
         The caller owns the returned pack and must ``release()`` it once
         the pool is done (the engine does this in its ``finally``).
         """
-        return freeze_world(self._luminati.world, mode=mode,
-                            directory=directory)
+        return freeze_world(self._luminati.world, directory=directory)
 
     def worker_counts(self) -> Tuple[int, int]:
         """(requests, fetches) served so far — delta source for workers."""

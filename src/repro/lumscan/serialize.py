@@ -2,7 +2,8 @@
 
 Scans are expensive (millions of probes), so batch runs save raw results
 and analyses reload them.  Three formats are supported, dispatched by
-magic bytes (never by file extension):
+magic bytes (never by file extension; the magic table lives in
+:mod:`repro.util.envelope`):
 
 * **LSHD columnar segments** (:func:`dump_dataset_lshd`) — the default
   checkpoint format: the dataset's raw column buffers plus canonical
@@ -23,9 +24,10 @@ magic bytes (never by file extension):
   compressed, with ``mtime=0`` so identical datasets produce identical
   bytes.
 
-Both writers share the crash-safety contract: data goes to a temporary
-file in the target directory and is atomically :func:`os.replace`\\ d
-into place, so an interrupted run can never leave a truncated dataset
+Every writer shares the crash-safety contract of
+:func:`repro.util.envelope.atomic_write`: data goes to a temporary file
+in the target directory and is atomically :func:`os.replace`\\ d into
+place, so an interrupted run can never leave a truncated dataset
 behind.
 """
 
@@ -47,18 +49,18 @@ from repro.lumscan.records import (
     ShardColumns,
 )
 from repro.lumscan.shards import (
-    MAGIC as _LSHD_MAGIC,
-    MANIFEST_MAGIC as _LSHM_MAGIC,
     SegmentEntry,
-    SegmentMapping,
     decode_shard,
     manifest_stem,
+    open_segment,
     read_manifest,
     segment_file_name,
     store_segment,
     write_manifest,
     write_segment_file,
 )
+from repro.util.envelope import MAGIC_LSHD, SegmentMapping, atomic_write, \
+    sniff
 
 _FIELDS = ("domain", "country", "status", "length", "body", "error",
            "interfered")
@@ -86,34 +88,26 @@ def _is_gzip(path: PathLike) -> bool:
 def sniff_format(path: PathLike) -> str:
     """Detect a dataset file's on-disk format from its magic bytes.
 
-    Returns ``"lshd"``, ``"lshm"``, ``"jsonl.gz"``, or ``"jsonl"``.  The
-    extension is never trusted, so renamed or legacy checkpoints load
-    correctly.
+    Returns an envelope format (``"lshd"``, ``"lshm"`` or ``"lshw"``),
+    ``"jsonl.gz"``, or ``"jsonl"``.  The extension is never trusted, so
+    renamed or legacy checkpoints load correctly.
     """
+    fmt = sniff(path)
+    if fmt is not None:
+        return fmt
     with open(path, "rb") as handle:
-        magic = handle.read(len(_LSHD_MAGIC))
-    if magic == _LSHD_MAGIC:
-        return "lshd"
-    if magic == _LSHM_MAGIC:
-        return "lshm"
-    if magic[: len(_GZIP_MAGIC)] == _GZIP_MAGIC:
-        return "jsonl.gz"
-    return "jsonl"
+        magic = handle.read(len(_GZIP_MAGIC))
+    return "jsonl.gz" if magic == _GZIP_MAGIC else "jsonl"
 
 
 @contextmanager
 def _atomic_text_writer(path: PathLike) -> Iterator[io.TextIOBase]:
     """A text handle whose content reaches ``path`` only on clean exit.
 
-    Data goes to ``<path>.tmp.<pid>`` first; on success the temp file is
-    atomically renamed over the target (same-directory ``os.replace``).
-    On error the temp file is removed and the target is untouched.
+    The text layer over :func:`~repro.util.envelope.atomic_write`.
     """
-    target = os.fspath(path)
-    tmp = f"{target}.tmp.{os.getpid()}"
-    raw = open(tmp, "wb")
-    try:
-        if _is_gzip(target):
+    with atomic_write(path) as raw:
+        if _is_gzip(path):
             # mtime=0 keeps the byte stream a pure function of the content.
             gz = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
             handle = io.TextIOWrapper(gz, encoding="utf-8", newline="\n")
@@ -123,14 +117,6 @@ def _atomic_text_writer(path: PathLike) -> Iterator[io.TextIOBase]:
             yield handle
         finally:
             handle.close()   # closes the gzip member, then the raw file
-        os.replace(tmp, target)
-    except BaseException:
-        raw.close()
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _open_text(path: PathLike, compressed: bool) -> io.TextIOBase:
@@ -210,11 +196,15 @@ def dump_dataset_manifest(dataset: DatasetReader, path: PathLike) -> int:
     return len(dataset)
 
 
-def _load_segment(path: PathLike, mmap_columns: bool) -> ScanDataset:
-    """Open an LSHD segment as a dataset (mapped or materialized)."""
-    mapping = SegmentMapping(path)
+def _load_segment(mapping: SegmentMapping,
+                  mmap_columns: bool) -> ScanDataset:
+    """A mapped LSHD segment as a dataset (mapped or materialized).
+
+    Consumes ``mapping``: a mapped dataset owns it, and materializing
+    closes it.
+    """
     try:
-        columns = decode_shard(mapping.buffer)
+        columns = decode_shard(mapping)
         if mmap_columns:
             return ScanDataset.from_columns(columns, source=mapping)
         materialized = ShardColumns(
@@ -240,18 +230,19 @@ def _load_segment(path: PathLike, mmap_columns: bool) -> ScanDataset:
 def _load_manifest(path: PathLike, mmap_columns: bool) -> DatasetReader:
     """Open an ``.lshm`` manifest as one logical dataset.
 
-    Each segment opens exactly as :func:`_load_segment` would (mapped,
-    zero-copy) and the parts are presented as one
+    Each segment's header must match its manifest entry
+    (:func:`~repro.lumscan.shards.open_segment`); each then opens exactly
+    as :func:`_load_segment` would (mapped, zero-copy) and the parts are
+    presented as one
     :class:`SegmentedScanDataset` carrying the manifest's per-segment
     fingerprints, so re-checkpointing can reuse the segment files.
     ``mmap=False`` materializes everything into one flat dataset.
     """
     manifest = read_manifest(path)
-    base = os.path.dirname(os.path.abspath(os.fspath(path)))
     parts = []
     try:
         for entry in manifest.entries:
-            parts.append(_load_segment(os.path.join(base, entry.file),
+            parts.append(_load_segment(open_segment(path, entry),
                                        mmap_columns=mmap_columns))
     except BaseException:
         for part in parts:
@@ -273,13 +264,17 @@ def load_dataset(path: PathLike, mmap: bool = True) -> DatasetReader:
     copies the columns into ordinary growable buffers and releases the
     mappings immediately); gzip and plain JSONL — including checkpoints
     written before the columnar format existed — parse row by row as
-    before.
+    before.  An LSHW worldpack is rejected with a ``ValueError``.
     """
     fmt = sniff_format(path)
     if fmt == "lshd":
-        return _load_segment(path, mmap_columns=mmap)
+        return _load_segment(SegmentMapping(path, MAGIC_LSHD),
+                             mmap_columns=mmap)
     if fmt == "lshm":
         return _load_manifest(path, mmap_columns=mmap)
+    if fmt == "lshw":
+        raise ValueError(f"{path}: an LSHW worldpack, not a dataset "
+                         f"(inspect it with repro-geoblock store inspect)")
     dataset = ScanDataset()
     with _open_text(path, compressed=(fmt == "jsonl.gz")) as handle:
         for line_number, line in enumerate(handle, start=1):

@@ -1,79 +1,80 @@
-"""Columnar shard exchange: zero-copy worker→parent result transport.
+"""LSHD: the columnar scan-row schema on the binary envelope.
 
-The process executor's original return path pickled whole
-:class:`~repro.lumscan.records.ScanDataset` objects back to the parent —
-per-row serialization cost in the worker *and* the parent, paid on the
-merge path that every probe funnels through.  This module replaces it
-with flat binary **shard segments**: a worker serializes its trimmed
-int-coded columns (raw numpy buffers plus JSON code tables) into a
-`multiprocessing.shared_memory` block or an mmap-able spill file, and
-returns only a tiny picklable :class:`ShardHandle`.  The parent maps the
-segment, rebuilds :class:`~repro.lumscan.records.ShardColumns` views
-directly over the mapped bytes (``np.frombuffer`` — no row decode, no
-copy), bulk-extends its dataset, and releases the segment.
+Two jobs share this schema.  The process executor's workers serialize
+their trimmed int-coded chunk columns into an LSHD envelope (a shared
+memory block, or a spill file where shared memory is unavailable) and
+return only a tiny picklable :class:`~repro.util.envelope.Handle`.  The
+parent maps the envelope, rebuilds
+:class:`~repro.lumscan.records.ShardColumns` views directly over the
+mapped bytes (``np.frombuffer``, no row decode, no copy), bulk-extends
+its dataset and releases the envelope.  Checkpoints use the same bytes:
+:func:`write_segment_file` persists a whole dataset as one
+fingerprinted segment, :class:`SpillDatasetBuilder` merges worker
+shards straight into an on-disk segment, and LSHM manifests list
+segments that together form one logical dataset.
 
-Segment layout (format ``LSHD`` v1)::
+The frame, transport, mapping and atomic writes belong to
+:mod:`repro.util.envelope`.  The LSHD header carries two tables, each
+entry ``[name, ..., offset, nbytes]`` with offsets relative to the
+payload base:
 
-    offset 0   magic  b"LSHD"
-    offset 4   u32 LE header length H
-    offset 8   header: canonical JSON (sorted keys, no whitespace)
-    ...        zero padding to a 16-byte boundary  -> payload base B
-    B + off    payload sections at the offsets the header records
-
-The header carries two tables, each entry ``[name, ..., offset, nbytes]``
-with offsets relative to ``B``:
-
-* ``columns`` — the five fixed-dtype row columns (``dcodes`` ``<i4``,
+* ``columns``: the five fixed-dtype row columns (``dcodes`` ``<i4``,
   ``ccodes`` ``<i4``, ``statuses`` ``<i2``, ``lengths`` ``<i8``,
-  ``ecodes`` ``<i2``), stored as raw little-endian buffers, each padded
-  to 16-byte alignment so the mapped views are aligned.
-* ``json`` — the string-bearing sections (domain/country/error code
+  ``ecodes`` ``<i2``) as raw little-endian buffers;
+* ``json``: the string-bearing sections (domain/country/error code
   tables, retained bodies as ``[row, body]`` pairs, interfered row
-  indices), stored as canonical JSON.
+  indices) as compact JSON with ``ensure_ascii=False``.
+
+Checkpoint segments add a ``fingerprint``: the fold of the sections'
+digests.  Worker shards skip that hashing cost.  The payload size
+includes the last section's padding.
 
 **Ordering guarantees.**  Code tables are written in first-seen row
 order (their in-memory order), bodies are written sorted by row index,
-and interfered indices are written sorted — every byte of a segment is a
-pure function of the chunk's rows, so identical chunks produce identical
-segments and the ``repro.lint`` iter-order rule can treat the writer as
-a serialization sink.  Merging segments in chunk-sequence order through
+and interfered indices are written sorted, so every byte of a segment
+is a pure function of the chunk's rows and the ``repro.lint``
+iter-order rule can treat the writer as a serialization sink.  Merging
+segments in chunk-sequence order through
 :meth:`ScanDataset.extend_columns` therefore reproduces the serial
 dataset bit-for-bit.
 
-Lifetime is owned by the parent: workers ``close()`` (and unregister
-from their resource tracker) immediately after writing, and the parent
-unlinks each segment after merging it — or, on error paths, via
-:func:`release_shard` / the :class:`ShardExchange` session context.
-
-Beyond the worker exchange, the same format is the repo's **checkpoint
-and analytics substrate**: :func:`write_segment_file` persists a whole
-dataset as one fingerprinted segment (atomic rename, bit-deterministic),
-:class:`SegmentMapping` + :meth:`ScanDataset.from_columns` open it back
-as a zero-copy mapped dataset, and :class:`SpillDatasetBuilder` merges
-worker shards straight into an on-disk segment so a merged result never
-needs to fit in parent RAM.
+Lifetime is owned by the parent: a worker disowns each block right
+after writing it, and the parent releases each shard after merging it,
+or on error paths through the :class:`ShardExchange` session.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.lumscan.records import NO_ERROR, ScanDataset, ShardColumns
-
-MAGIC = b"LSHD"
-FORMAT_VERSION = 1
-
-#: Section alignment: mapped column views start on 16-byte boundaries.
-ALIGNMENT = 16
+from repro.util.envelope import (
+    FINGERPRINT_BYTES,
+    KIND_FILE,
+    MAGIC_LSHD,
+    MAGIC_LSHM,
+    Envelope,
+    Handle,
+    SegmentMapping,
+    atomic_write,
+    digest,
+    disown,
+    fold,
+    frame,
+    pad,
+    place,
+    publish,
+    read_header,
+    transport,
+)
 
 #: Canonical row-column order and on-disk dtypes (little-endian).
 COLUMN_DTYPES: Tuple[Tuple[str, str], ...] = (
@@ -89,306 +90,131 @@ JSON_SECTIONS: Tuple[str, ...] = (
     "domains", "countries", "errors", "bodies", "interfered",
 )
 
-#: Transport kinds a segment can live in.
-KIND_SHM = "shm"
-KIND_FILE = "file"
-
-#: Valid ``ShardExchange(mode=...)`` values ("auto" resolves at open).
-EXCHANGE_MODES = ("auto", KIND_SHM, KIND_FILE)
-
-#: Resource-lifetime contract enforced by ``repro.lint`` (flow-sensitive
-#: acquire/release pairing, buffer-escape, and atomic-write rules).  A
-#: pure literal: the linter parses it with ``ast.literal_eval`` and
-#: merges it into its contract registry — keep it in sync with the
-#: classes below when the codec surface changes.
+#: Resource-lifetime contract enforced by ``repro.lint``.  A pure
+#: literal merged into the linter's contract registry; the mappings and
+#: writers live in :mod:`repro.util.envelope`'s contract.
 LINT_RESOURCE_CONTRACT = {
     "codec": "shards",
     "resources": [
         {"name": "shard-exchange",
          "acquire": ["ShardExchange"],
          "release_methods": ["close"]},
-        {"name": "shard-reader",
-         "acquire": ["ShardReader", "open_shard"],
-         "release_methods": ["close"],
-         "release_funcs": ["release_shard"]},
-        {"name": "segment-mapping",
-         "acquire": ["SegmentMapping"],
-         "release_methods": ["close"]},
         {"name": "spill-builder",
          "acquire": ["SpillDatasetBuilder"],
          "release_methods": ["finalize", "abort", "_cleanup"]},
     ],
-    "buffers": [
-        {"name": "segment-mapping",
-         "acquire": ["SegmentMapping"],
-         "close_methods": ["close"],
-         "view_attrs": ["buffer"],
-         "view_funcs": ["decode_shard"]},
-    ],
-    "atomic": {
-        "suffixes": [".lshd", ".lshm", "manifest.json"],
-        "writers": ["write_segment_file", "write_manifest",
-                    "store_segment", "adopt_segment", "append_segment",
-                    "compact_manifest"],
-    },
 }
-
-
-@dataclass(frozen=True)
-class ShardHandle:
-    """Lightweight picklable reference to one written shard segment.
-
-    This is everything a worker sends back through the pool: the parent
-    re-opens the segment by ``ref`` (a shared-memory block name or a
-    spill-file path) and never receives the rows themselves.
-    """
-
-    kind: str      # KIND_SHM or KIND_FILE
-    ref: str       # shm block name, or absolute spill-file path
-    nbytes: int    # total segment size
 
 
 @dataclass(frozen=True)
 class ExchangeSpec:
     """Picklable recipe telling worker processes where to write shards."""
 
-    mode: str          # KIND_SHM or KIND_FILE (already resolved, not "auto")
+    kind: str          # KIND_SHM or KIND_FILE
     directory: str     # spill session directory (empty for shared memory)
 
 
-def shm_available() -> bool:
-    """True when POSIX shared memory can actually be allocated here."""
-    try:
-        from multiprocessing import shared_memory
-        block = shared_memory.SharedMemory(create=True, size=ALIGNMENT)
-    except (ImportError, OSError):
-        return False
-    block.close()
-    block.unlink()
-    return True
+def _json_sections(domains, countries, errors, bodies: Dict[int, str],
+                   interfered) -> List[bytes]:
+    """The JSON section blobs, in ``JSON_SECTIONS`` order."""
+    values = (
+        list(domains),
+        list(countries),
+        list(errors),
+        [[int(row), body] for row, body in sorted(bodies.items())],
+        sorted(int(row) for row in interfered),
+    )
+    return [json.dumps(value, ensure_ascii=False,
+                       separators=(",", ":")).encode("utf-8")
+            for value in values]
 
 
-def _pad(n: int) -> int:
-    return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
-
-
-#: Digest width of the optional segment fingerprint (blake2b, hex).
-FINGERPRINT_BYTES = 16
-
-
-def _combine_digests(digests: List[bytes]) -> str:
-    """Fold per-section digests into the segment fingerprint.
-
-    The fingerprint hashes the sections' *digests* (in payload order)
-    rather than the raw bytes so the sequential writer and the streaming
-    :class:`SpillDatasetBuilder` — which only ever sees one chunk of a
-    column at a time — arrive at the same value.
-    """
-    outer = hashlib.blake2b(digest_size=FINGERPRINT_BYTES)
-    for digest in digests:
-        outer.update(digest)
-    return outer.hexdigest()
+def _header(n: int, column_sizes: Sequence[int],
+            json_blobs: Sequence[bytes],
+            digests: Optional[List[bytes]]) -> Tuple[dict, List[int], int]:
+    """The LSHD header for these sections, their offsets, and the padded
+    payload size."""
+    offsets, end = place(list(column_sizes) + [len(b) for b in json_blobs])
+    k = len(COLUMN_DTYPES)
+    header = {
+        "n": int(n),
+        "columns": [[name, dtype, offset, size]
+                    for (name, dtype), offset, size
+                    in zip(COLUMN_DTYPES, offsets, column_sizes)],
+        "json": [[name, offset, len(blob)]
+                 for name, offset, blob
+                 in zip(JSON_SECTIONS, offsets[k:], json_blobs)],
+    }
+    if digests is not None:
+        header["fingerprint"] = fold(digests)
+    return header, offsets, pad(end)
 
 
 def encode_shard(columns: ShardColumns,
-                 fingerprint: bool = False
-                 ) -> Tuple[bytes, List[Tuple[int, bytes]], int]:
-    """Serialize a column bundle to ``(header, payload, payload_nbytes)``.
+                 fingerprint: bool = False) -> Envelope:
+    """Serialize a column bundle into an LSHD envelope.
 
-    ``payload`` is a list of ``(relative_offset, bytes)`` sections; the
-    caller places them at ``payload_base(header) + offset``.  Every byte
-    is a deterministic function of the rows: code tables keep first-seen
-    order, bodies are sorted by row index, interfered indices sorted.
-
-    ``fingerprint=True`` adds a payload digest to the header (checkpoint
-    segments carry one; hot-path worker shards skip the hashing cost).
-    Readers ignore unknown header keys, so both flavors decode the same.
+    Every byte is a deterministic function of the rows.
+    ``fingerprint=True`` adds the payload fingerprint to the header
+    (checkpoint segments carry one; hot-path worker shards skip the
+    hashing).  Both flavors decode the same.
     """
-    payload: List[Tuple[int, bytes]] = []
-    column_meta = []
-    offset = 0
-    arrays = {
-        "dcodes": columns.dcodes,
-        "ccodes": columns.ccodes,
-        "statuses": columns.statuses,
-        "lengths": columns.lengths,
-        "ecodes": columns.ecodes,
-    }
-    for name, dtype in COLUMN_DTYPES:
-        blob = np.ascontiguousarray(
-            arrays[name][: columns.n], dtype=np.dtype(dtype)).tobytes()
-        column_meta.append([name, dtype, offset, len(blob)])
-        payload.append((offset, blob))
-        offset += _pad(len(blob))
-    sections = {
-        "domains": list(columns.domain_names),
-        "countries": list(columns.country_names),
-        "errors": list(columns.error_names),
-        "bodies": [[int(row), body]
-                   for row, body in sorted(columns.bodies.items())],
-        "interfered": sorted(int(row) for row in columns.interfered),
-    }
-    json_meta = []
-    for name in JSON_SECTIONS:
-        blob = json.dumps(sections[name], ensure_ascii=False,
-                          separators=(",", ":")).encode("utf-8")
-        json_meta.append([name, offset, len(blob)])
-        payload.append((offset, blob))
-        offset += _pad(len(blob))
-    header = {
-        "version": FORMAT_VERSION,
-        "n": int(columns.n),
-        "columns": column_meta,
-        "json": json_meta,
-    }
-    if fingerprint:
-        header["fingerprint"] = _combine_digests(
-            [hashlib.blake2b(blob, digest_size=FINGERPRINT_BYTES).digest()
-             for _, blob in payload])
-    header_bytes = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-    return header_bytes, payload, offset
-
-
-def payload_base(header_bytes: bytes) -> int:
-    """Absolute offset of the payload area for a given header."""
-    return _pad(len(MAGIC) + 4 + len(header_bytes))
-
-
-def _write_segment(buffer, header_bytes: bytes,
-                   payload: List[Tuple[int, bytes]]) -> None:
-    base = payload_base(header_bytes)
-    view = memoryview(buffer)
-    view[0:4] = MAGIC
-    view[4:8] = len(header_bytes).to_bytes(4, "little")
-    view[8:8 + len(header_bytes)] = header_bytes
-    for offset, blob in payload:
-        view[base + offset: base + offset + len(blob)] = blob
-
-
-def _unregister_shm(name: str) -> None:
-    # The creating process hands segment lifetime to the parent; without
-    # this its resource tracker would unlink (or warn about) blocks the
-    # parent still owns.
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister("/" + name.lstrip("/"), "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations across OSes
-        pass
+    arrays = (columns.dcodes, columns.ccodes, columns.statuses,
+              columns.lengths, columns.ecodes)
+    blobs = [np.ascontiguousarray(array[:columns.n],
+                                  dtype=np.dtype(dtype)).tobytes()
+             for array, (_, dtype) in zip(arrays, COLUMN_DTYPES)]
+    json_blobs = _json_sections(columns.domain_names, columns.country_names,
+                                columns.error_names, columns.bodies,
+                                columns.interfered)
+    sections = blobs + json_blobs
+    digests = [digest(blob) for blob in sections] if fingerprint else None
+    header, offsets, payload_nbytes = _header(
+        columns.n, [len(b) for b in blobs], json_blobs, digests)
+    return Envelope(MAGIC_LSHD, header, list(zip(offsets, sections)),
+                    payload_nbytes)
 
 
 def write_shard(columns: ShardColumns, spec: ExchangeSpec,
-                seq: int) -> ShardHandle:
-    """Serialize ``columns`` into a new segment; returns its handle.
+                seq: int) -> Handle:
+    """Publish a worker's chunk rows for the parent; returns the handle.
 
-    Spill files are written via temp-then-rename, so a crashed worker
-    can never leave a segment that reads as complete but is truncated.
+    The parent owns the shard from here on, so the worker disowns a
+    shared-memory block right away.
     """
-    header_bytes, payload, payload_nbytes = encode_shard(columns)
-    total = payload_base(header_bytes) + payload_nbytes
-    if spec.mode == KIND_SHM:
-        from multiprocessing import shared_memory
-        block = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        try:
-            _write_segment(block.buf, header_bytes, payload)
-        except BaseException:
-            block.close()
-            block.unlink()
-            raise
-        name = block.name
-        block.close()
-        _unregister_shm(name)
-        return ShardHandle(kind=KIND_SHM, ref=name, nbytes=total)
-    path = os.path.join(spec.directory, f"shard-{os.getpid()}-{seq:08d}.seg")
-    buffer = bytearray(total)
-    _write_segment(buffer, header_bytes, payload)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(buffer)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return ShardHandle(kind=KIND_FILE, ref=path, nbytes=total)
+    path = None
+    if spec.kind == KIND_FILE:
+        path = os.path.join(spec.directory,
+                            f"shard-{os.getpid()}-{seq:08d}.seg")
+    handle = publish(encode_shard(columns), spec.kind, path)
+    disown(handle)
+    return handle
 
 
-def write_segment_file(columns: ShardColumns, path: str,
-                       fingerprint: bool = True) -> int:
-    """Write ``columns`` as one complete LSHD segment file at ``path``.
+def write_segment_file(columns: ShardColumns, path: str) -> int:
+    """Write ``columns`` as one fingerprinted LSHD segment file at ``path``.
 
-    The checkpoint-side writer: identical byte layout to the
-    worker-exchange shards, plus a header fingerprint so a segment's
-    integrity is checkable without decoding the payload.  The write is
-    atomic (temp + ``os.replace``) and the bytes are a pure function of
+    The checkpoint-side writer: the worker shard's byte layout plus a
+    header fingerprint, so a segment's integrity is checkable without
+    decoding the payload.  Atomic, and the bytes are a pure function of
     the rows.  Returns the segment size in bytes.
     """
-    header_bytes, payload, payload_nbytes = encode_shard(
-        columns, fingerprint=fingerprint)
-    total = payload_base(header_bytes) + payload_nbytes
-    buffer = bytearray(total)
-    _write_segment(buffer, header_bytes, payload)
-    target = os.fspath(path)
-    tmp = f"{target}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(buffer)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return total
+    return publish(encode_shard(columns, fingerprint=True), KIND_FILE,
+                   path).nbytes
 
 
-def read_segment_header(path) -> Dict[str, object]:
-    """Read a segment file's header without mapping or decoding the payload.
+def decode_shard(mapping: SegmentMapping) -> ShardColumns:
+    """Rebuild :class:`ShardColumns` views directly over a mapped segment.
 
-    Powers ``repro-geoblock store inspect``: only the magic and the
-    header JSON are read, so a million-row checkpoint inspects in
-    O(header) regardless of payload size.
+    The arrays alias the mapping (zero-copy) and stay valid only while
+    it is open.
     """
-    name = os.fspath(path)
-    with open(name, "rb") as handle:
-        if handle.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{name}: not an LSHD segment (bad magic)")
-        header_len = int.from_bytes(handle.read(4), "little")
-        blob = handle.read(header_len)
-    if len(blob) != header_len:
-        raise ValueError(f"{name}: truncated segment header")
-    return json.loads(blob.decode("utf-8"))
-
-
-def decode_shard(buffer) -> ShardColumns:
-    """Rebuild :class:`ShardColumns` views directly over segment bytes.
-
-    The returned arrays alias ``buffer`` (zero-copy); they stay valid
-    only while the mapping is open.  :class:`ShardReader` owns that
-    lifetime.
-    """
-    view = memoryview(buffer)
-    if bytes(view[0:4]) != MAGIC:
-        raise ValueError("not a shard segment (bad magic)")
-    header_len = int.from_bytes(view[4:8], "little")
-    header = json.loads(bytes(view[8:8 + header_len]).decode("utf-8"))
-    if header["version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported shard format v{header['version']}")
-    base = _pad(len(MAGIC) + 4 + header_len)
-    arrays = {}
-    for name, dtype, offset, nbytes in header["columns"]:
-        dt = np.dtype(dtype)
-        arrays[name] = np.frombuffer(view, dtype=dt,
-                                     count=nbytes // dt.itemsize,
-                                     offset=base + offset)
-    sections = {}
-    for name, offset, nbytes in header["json"]:
-        sections[name] = json.loads(
-            bytes(view[base + offset: base + offset + nbytes]).decode("utf-8"))
+    header = mapping.header
+    arrays = {name: mapping.array(offset, dtype,
+                                  nbytes // np.dtype(dtype).itemsize)
+              for name, dtype, offset, nbytes in header["columns"]}
+    sections = {name: json.loads(mapping.section(offset, nbytes))
+                for name, offset, nbytes in header["json"]}
     return ShardColumns(
         n=int(header["n"]),
         dcodes=arrays["dcodes"],
@@ -404,109 +230,31 @@ def decode_shard(buffer) -> ShardColumns:
     )
 
 
-class ShardReader:
-    """Zero-copy view over one segment; ``close()`` releases the mapping.
-
-    Usable as a context manager yielding the reader itself (read
-    ``reader.columns`` inside the block and do not keep references to it
-    past the block — the views alias the mapping, and a live reference
-    would make the unmap fail).  Closing only unmaps — removing the
-    segment itself is :func:`release_shard`'s job, so a reader can be
-    retried.
-    """
-
-    def __init__(self, handle: ShardHandle) -> None:
-        self._handle = handle
-        self._shm = None
-        self._mmap: Optional[mmap.mmap] = None
-        self._file = None
-        if handle.kind == KIND_SHM:
-            from multiprocessing import shared_memory
-            self._shm = shared_memory.SharedMemory(name=handle.ref)
-            buffer = self._shm.buf
-        else:
-            self._file = open(handle.ref, "rb")
-            self._mmap = mmap.mmap(self._file.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            buffer = self._mmap
-        self.columns: Optional[ShardColumns] = decode_shard(buffer)
-
-    def __enter__(self) -> "ShardReader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Drop the column views and release the underlying mapping."""
-        self.columns = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
-
-
-def open_shard(handle: ShardHandle) -> ShardReader:
-    """Map a segment for reading (context manager over its columns)."""
-    return ShardReader(handle)
-
-
-def release_shard(handle: ShardHandle) -> None:
-    """Remove a segment without reading it (idempotent; error-path safe)."""
-    if handle.kind == KIND_SHM:
-        from multiprocessing import shared_memory
-        try:
-            block = shared_memory.SharedMemory(name=handle.ref)
-        except FileNotFoundError:
-            return
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - unlink race
-            pass
-        return
-    try:
-        os.remove(handle.ref)
-    except FileNotFoundError:
-        pass
-
-
-def resolve_mode(mode: str) -> str:
-    """Resolve an exchange mode ("auto" prefers shared memory)."""
-    if mode not in EXCHANGE_MODES:
-        raise ValueError(f"exchange mode must be one of {EXCHANGE_MODES}, "
-                         f"got {mode!r}")
-    if mode == "auto":
-        return KIND_SHM if shm_available() else KIND_FILE
-    return mode
+def open_shard(handle: Handle) -> SegmentMapping:
+    """Map a worker's shard for reading (a context manager)."""
+    return SegmentMapping(handle, MAGIC_LSHD)
 
 
 class ShardExchange:
     """Parent-side transport session for one engine execution.
 
-    Owns the spill session directory (file mode) and guarantees that
-    closing the session removes every segment the session directory
-    still holds — the engine's error paths lean on this so a mid-scan
-    exception cannot orphan spill files under the checkpoint dir.
-    Shared-memory segments have no directory; the engine releases those
-    per handle.  Usable as a context manager.
+    The transport is whatever :func:`~repro.util.envelope.transport`
+    observes.  For files the session owns a spill directory, and
+    closing the session removes every segment it still holds, so a
+    mid-scan exception cannot orphan spill files under the checkpoint
+    dir.  Shared-memory segments have no directory; the engine releases
+    those per handle.  Usable as a context manager.
     """
 
-    def __init__(self, mode: str = "auto",
-                 spill_dir: Optional[str] = None) -> None:
-        self._mode = resolve_mode(mode)
+    def __init__(self, spill_dir: Optional[str] = None) -> None:
+        self._kind = transport()
         self._spill_parent = spill_dir
         self._dir: Optional[str] = None
 
     @property
-    def mode(self) -> str:
-        """Resolved transport kind (KIND_SHM or KIND_FILE)."""
-        return self._mode
+    def kind(self) -> str:
+        """The session's transport (KIND_SHM or KIND_FILE)."""
+        return self._kind
 
     @property
     def directory(self) -> Optional[str]:
@@ -515,7 +263,7 @@ class ShardExchange:
 
     def open(self) -> "ShardExchange":
         """Create the session spill directory (no-op for shared memory)."""
-        if self._mode == KIND_FILE and self._dir is None:
+        if self._kind == KIND_FILE and self._dir is None:
             base = self._spill_parent or tempfile.gettempdir()
             os.makedirs(base, exist_ok=True)
             self._dir = tempfile.mkdtemp(prefix="lshd-", dir=base)
@@ -523,9 +271,9 @@ class ShardExchange:
 
     def spec(self) -> ExchangeSpec:
         """The picklable worker-side recipe for this session."""
-        if self._mode == KIND_FILE and self._dir is None:
+        if self._kind == KIND_FILE and self._dir is None:
             raise RuntimeError("exchange session is not open")
-        return ExchangeSpec(mode=self._mode, directory=self._dir or "")
+        return ExchangeSpec(kind=self._kind, directory=self._dir or "")
 
     def close(self) -> None:
         """End the session, removing the spill directory and its segments."""
@@ -538,62 +286,6 @@ class ShardExchange:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class SegmentMapping:
-    """Read-only mmap over a whole segment file (dataset-lifetime owner).
-
-    :class:`ShardReader` owns short merge-scoped mappings; this class
-    backs long-lived mapped datasets (checkpoint loads, spill-merge
-    results).  ``close()`` is best-effort: the file descriptor always
-    closes, but the mapping itself survives while numpy column views
-    still alias it — ``close()`` then returns False and the OS reclaims
-    the pages when the last view is garbage-collected.  A mapping over
-    an unlinked file stays valid (POSIX), so invalidating or replacing a
-    checkpoint under a live reader is safe.
-    """
-
-    def __init__(self, path) -> None:
-        self._path = os.fspath(path)
-        self._file = open(self._path, "rb")
-        try:
-            self._mmap: Optional[mmap.mmap] = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        except BaseException:
-            self._file.close()
-            raise
-
-    @property
-    def path(self) -> str:
-        """The mapped segment's path at open time."""
-        return self._path
-
-    @property
-    def closed(self) -> bool:
-        """True once ``close()`` released (or abandoned) the mapping."""
-        return self._mmap is None
-
-    @property
-    def buffer(self) -> mmap.mmap:
-        """The raw mapped segment bytes (valid until ``close()``)."""
-        if self._mmap is None:
-            raise ValueError(f"segment mapping over {self._path} is closed")
-        return self._mmap
-
-    def close(self) -> bool:
-        """Release the mapping; False when live views keep it pinned."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._mmap is not None:
-            mapped, self._mmap = self._mmap, None
-            try:
-                mapped.close()
-            except BufferError:
-                # Exported numpy views still alias the pages; dropping
-                # our reference hands reclamation to their collection.
-                return False
-        return True
 
 
 class SpillDatasetBuilder:
@@ -707,70 +399,33 @@ class SpillDatasetBuilder:
         if self._closed:
             raise ValueError("spill builder is finalized or aborted")
         self._closed = True
-        column_meta = []
-        digests = []
-        offset = 0
-        for name, dtype in COLUMN_DTYPES:
+        columns = []
+        for name, _ in COLUMN_DTYPES:
             self._files[name].close()
-            nbytes = os.path.getsize(os.path.join(self._dir, f"{name}.col"))
-            column_meta.append([name, dtype, offset, nbytes])
-            digests.append(self._digests[name].digest())
-            offset += _pad(nbytes)
-        sections = {
-            "domains": list(self._domain_names),
-            "countries": list(self._country_names),
-            "errors": list(self._error_names),
-            "bodies": [[int(row), body]
-                       for row, body in sorted(self._bodies.items())],
-            "interfered": sorted(int(row) for row in self._interfered),
-        }
-        json_meta = []
-        json_blobs = []
-        for name in JSON_SECTIONS:
-            blob = json.dumps(sections[name], ensure_ascii=False,
-                              separators=(",", ":")).encode("utf-8")
-            json_meta.append([name, offset, len(blob)])
-            json_blobs.append(blob)
-            digests.append(hashlib.blake2b(
-                blob, digest_size=FINGERPRINT_BYTES).digest())
-            offset += _pad(len(blob))
-        header = {
-            "version": FORMAT_VERSION,
-            "n": int(self._n),
-            "columns": column_meta,
-            "json": json_meta,
-            "fingerprint": _combine_digests(digests),
-        }
-        header_bytes = json.dumps(header, sort_keys=True,
-                                  separators=(",", ":")).encode("utf-8")
-        base = payload_base(header_bytes)
+            columns.append(os.path.join(self._dir, f"{name}.col"))
+        sizes = [os.path.getsize(column) for column in columns]
+        json_blobs = _json_sections(self._domain_names, self._country_names,
+                                    self._error_names, self._bodies,
+                                    self._interfered)
+        digests = [self._digests[name].digest() for name, _ in COLUMN_DTYPES]
+        header, _, _ = _header(self._n, sizes, json_blobs,
+                               digests + [digest(b) for b in json_blobs])
         target = os.fspath(path) if path is not None else \
             os.path.join(self._dir, "merged.seg")
-        tmp = f"{target}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "wb") as out:
-                out.write(MAGIC)
-                out.write(len(header_bytes).to_bytes(4, "little"))
-                out.write(header_bytes)
-                out.write(b"\x00" * (base - len(MAGIC) - 4
-                                     - len(header_bytes)))
-                for name, _, _, nbytes in column_meta:
-                    with open(os.path.join(self._dir, f"{name}.col"),
-                              "rb") as col:
+            with atomic_write(target) as out:
+                out.write(frame(MAGIC_LSHD, header))
+                for column, size in zip(columns, sizes):
+                    with open(column, "rb") as col:
                         shutil.copyfileobj(col, out, 1 << 20)
-                    out.write(b"\x00" * (_pad(nbytes) - nbytes))
-                for (name, _, nbytes), blob in zip(json_meta, json_blobs):
+                    out.write(bytes(pad(size) - size))
+                for blob in json_blobs:
                     out.write(blob)
-                    out.write(b"\x00" * (_pad(nbytes) - nbytes))
-            os.replace(tmp, target)
+                    out.write(bytes(pad(len(blob)) - len(blob)))
         except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
             self._cleanup()
             raise
-        mapping = SegmentMapping(target)
+        mapping = SegmentMapping(target, MAGIC_LSHD)
         try:
             if path is None:
                 # POSIX: the mapped pages outlive the directory entry, so
@@ -778,11 +433,11 @@ class SpillDatasetBuilder:
                 # dataset.
                 os.remove(target)
             self._cleanup()
-            columns = decode_shard(mapping.buffer)
+            merged = decode_shard(mapping)
         except BaseException:
             mapping.close()
             raise
-        return ScanDataset.from_columns(columns, source=mapping)
+        return ScanDataset.from_columns(merged, source=mapping)
 
     def abort(self) -> None:
         """Discard everything without writing a segment (error paths)."""
@@ -800,10 +455,7 @@ class SpillDatasetBuilder:
 
 
 # --------------------------------------------------------------------- #
-# Manifests: multi-segment logical datasets (format LSHM v1)
-
-MANIFEST_MAGIC = b"LSHM"
-MANIFEST_VERSION = 1
+# Manifests: multi-segment logical datasets (LSHM)
 
 #: Canonical manifest file suffix (sniffing is by magic, never suffix).
 MANIFEST_SUFFIX = ".lshm"
@@ -853,62 +505,37 @@ class Manifest:
 
 
 def manifest_fingerprint(entries) -> str:
-    """Fold per-segment fingerprints into the manifest fingerprint.
+    """Fold the segment fingerprints, in manifest order.
 
-    Mirrors :func:`_combine_digests`: the outer hash runs over the
-    segments' digest bytes in manifest order, so the value changes iff a
-    segment's content, count, or order changes.
+    The value changes iff a segment's content, count, or order changes.
     """
-    outer = hashlib.blake2b(digest_size=FINGERPRINT_BYTES)
-    for entry in entries:
-        outer.update(bytes.fromhex(entry.fingerprint))
-    return outer.hexdigest()
+    return fold(bytes.fromhex(entry.fingerprint) for entry in entries)
 
 
 def write_manifest(path, entries) -> Manifest:
     """Write an ``.lshm`` manifest atomically; returns the manifest.
 
-    Layout: ``b"LSHM"`` followed by canonical JSON (sorted keys, no
-    whitespace) — every byte a pure function of the entry list, so the
-    writer is a ``repro.lint`` serialization sink.  Entry order is
-    preserved (it *is* the logical row order).
+    Layout: ``b"LSHM"`` followed by canonical JSON — every byte a pure
+    function of the entry list, so the writer is a ``repro.lint``
+    serialization sink.  Entry order is preserved (it *is* the logical
+    row order).
     """
     entries = tuple(entries)
     doc = {
-        "version": MANIFEST_VERSION,
         "fingerprint": manifest_fingerprint(entries),
         "rows": sum(entry.rows for entry in entries),
         "segments": [[entry.file, int(entry.rows), entry.fingerprint]
                      for entry in entries],
     }
-    blob = MANIFEST_MAGIC + json.dumps(
-        doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    target = os.fspath(path)
-    tmp = f"{target}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return Manifest(path=target, entries=entries)
+    with atomic_write(path) as out:
+        out.write(frame(MAGIC_LSHM, doc))
+    return Manifest(path=os.fspath(path), entries=entries)
 
 
 def read_manifest(path) -> Manifest:
     """Read and validate an ``.lshm`` manifest."""
     name = os.fspath(path)
-    with open(name, "rb") as handle:
-        blob = handle.read()
-    if blob[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
-        raise ValueError(f"{name}: not an LSHM manifest (bad magic)")
-    doc = json.loads(blob[len(MANIFEST_MAGIC):].decode("utf-8"))
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"{name}: unsupported manifest version "
-                         f"{doc.get('version')!r}")
+    _, doc = read_header(name, MAGIC_LSHM)
     entries = tuple(SegmentEntry(file=file, rows=int(rows), fingerprint=fp)
                     for file, rows, fp in doc["segments"])
     recorded = doc.get("fingerprint")
@@ -920,6 +547,27 @@ def read_manifest(path) -> Manifest:
                          f"(recorded {doc.get('rows')!r}, "
                          f"entries sum to {total})")
     return Manifest(path=name, entries=entries)
+
+
+def open_segment(manifest_path, entry: SegmentEntry) -> SegmentMapping:
+    """Map one manifest segment whose header matches its entry.
+
+    Only the header is compared (row count and fingerprint), so a
+    segment file swapped or replaced under the manifest is rejected
+    without hashing its payload.
+    """
+    base = os.path.dirname(os.path.abspath(os.fspath(manifest_path)))
+    path = os.path.join(base, entry.file)
+    mapping = SegmentMapping(path, MAGIC_LSHD, fingerprint=entry.fingerprint)
+    try:
+        rows = mapping.header.get("n")
+        if rows != entry.rows:
+            raise ValueError(f"{path}: segment holds {rows!r} rows, its "
+                             f"manifest entry records {entry.rows}")
+    except BaseException:
+        mapping.close()
+        raise
+    return mapping
 
 
 def segment_file_name(stem: str, fingerprint: str) -> str:
@@ -937,29 +585,18 @@ def manifest_stem(manifest_path: str) -> str:
 def store_segment(columns: ShardColumns, manifest_path) -> SegmentEntry:
     """Write ``columns`` as a content-addressed segment beside a manifest.
 
-    The segment is written to a temp name, its fingerprint read back
-    from the header, and the file renamed to
-    ``<stem>.seg-<fingerprint>.lshd`` — so identical row sets land on
-    the identical file (idempotent re-writes) and the entry records
-    exactly what the header says.  The manifest itself is not touched.
+    The segment lands at ``<stem>.seg-<fingerprint>.lshd``, so identical
+    row sets land on the identical file (idempotent re-writes) and the
+    entry records exactly what the header says.  The manifest itself is
+    not touched.
     """
     target = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(target))
-    tmp = os.path.join(base, f".{manifest_stem(target)}.seg.{os.getpid()}.tmp")
-    write_segment_file(columns, tmp, fingerprint=True)
-    try:
-        header = read_segment_header(tmp)
-        name = segment_file_name(manifest_stem(target),
-                                 str(header["fingerprint"]))
-        os.replace(tmp, os.path.join(base, name))
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return SegmentEntry(file=name, rows=int(header["n"]),
-                        fingerprint=str(header["fingerprint"]))
+    segment = encode_shard(columns, fingerprint=True)
+    name = segment_file_name(manifest_stem(target), segment.fingerprint)
+    publish(segment, KIND_FILE,
+            os.path.join(os.path.dirname(os.path.abspath(target)), name))
+    return SegmentEntry(file=name, rows=int(columns.n),
+                        fingerprint=segment.fingerprint)
 
 
 def adopt_segment(manifest_path, segment_path) -> Manifest:
@@ -973,11 +610,11 @@ def adopt_segment(manifest_path, segment_path) -> Manifest:
     """
     target = os.fspath(manifest_path)
     base = os.path.dirname(os.path.abspath(target))
-    header = read_segment_header(segment_path)
+    _, header = read_header(segment_path, MAGIC_LSHD)
     fingerprint = header.get("fingerprint")
     if not fingerprint:
         raise ValueError(f"{os.fspath(segment_path)}: segment carries no "
-                         f"fingerprint; re-write it with fingerprint=True")
+                         f"fingerprint; write it with write_segment_file")
     name = segment_file_name(manifest_stem(target), str(fingerprint))
     final = os.path.join(base, name)
     if os.path.abspath(os.fspath(segment_path)) != os.path.abspath(final):
@@ -1018,23 +655,20 @@ def compact_manifest(manifest_path,
     target = os.fspath(manifest_path)
     base = os.path.dirname(os.path.abspath(target))
     manifest = read_manifest(target)
-    tmp = os.path.join(base, f".{manifest_stem(target)}.compact."
-                             f"{os.getpid()}.tmp")
     builder = SpillDatasetBuilder(spill_dir or base)
     try:
         for entry in manifest.entries:
-            mapping = SegmentMapping(os.path.join(base, entry.file))
-            try:
-                builder.extend_columns(decode_shard(mapping.buffer))
-            finally:
-                mapping.close()
+            with open_segment(target, entry) as mapping:
+                builder.extend_columns(decode_shard(mapping))
+        tmp = os.path.join(base, f".{manifest_stem(target)}.compact."
+                                 f"{os.getpid()}.tmp")
         merged = builder.finalize(path=tmp)
     except BaseException:
         builder.abort()
         raise
     merged.close()
     try:
-        header = read_segment_header(tmp)
+        _, header = read_header(tmp, MAGIC_LSHD)
         name = segment_file_name(manifest_stem(target),
                                  str(header["fingerprint"]))
         os.replace(tmp, os.path.join(base, name))

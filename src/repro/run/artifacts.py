@@ -51,6 +51,7 @@ from repro.lumscan.serialize import (
 from repro.lumscan.shards import read_manifest
 from repro.run.codecs import decode_artifact, encode_artifact
 from repro.run.stage import KIND_DATASET, KIND_JSON, Stage
+from repro.util.envelope import atomic_write
 
 #: Version of the on-disk checkpoint format (manifest + JSON envelopes).
 FORMAT_VERSION = 1
@@ -113,17 +114,9 @@ def run_fingerprint(study_config: object, world_config: object,
 
 
 def _atomic_write_json(path: str, payload: object) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload,
+                                separators=(",", ":")).encode("utf-8"))
 
 
 class ArtifactStore:

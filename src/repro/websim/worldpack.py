@@ -4,10 +4,10 @@ Every process-pool worker used to rebuild its own ``World`` from a
 :class:`~repro.lumscan.scanner.ScannerSpec` — N workers paid N× the
 domain-population/policy/DNS build and held N× the world's RSS.  The
 worldpack freezes everything a built world will never mutate into a
-single **LSHW** binary segment (the LSHD idiom of
-:mod:`repro.lumscan.shards`: magic + canonical-JSON header + aligned
-payload sections + a content fingerprint), built once in the parent and
-mapped read-only by every worker:
+single **LSHW** envelope (:mod:`repro.util.envelope`: magic +
+canonical-JSON header + aligned payload sections + a content
+fingerprint), built once in the parent and mapped read-only by every
+worker:
 
 * **Array sections** (per-domain attribute codes, flag bitfield, cached
   base-page lengths) come back as zero-copy ``numpy`` views over the
@@ -24,72 +24,55 @@ initialized on load, so probe outcomes are bit-identical to a worker
 that rebuilt its world from the spec (the equivalence suite in
 ``tests/test_worldpack.py`` holds both paths to the same bytes).
 
-Transports mirror the shard exchange: ``shm`` (zero-copy across the
-pool; the parent owns the unlink) and ``file`` (mmap-able, also the
-persistent form behind ``repro-geoblock world freeze``).  A worker that
-cannot map the pack falls back to the spec rebuild — the pack is an
-optimization, never a correctness dependency.
+The envelope picks the transport: shared memory (zero-copy across the
+pool; the parent owns the unlink) wherever it works, else a file (also
+the persistent form behind ``repro-geoblock world freeze``).  A worker
+that cannot map the pack falls back to the spec rebuild — the pack is
+an optimization, never a correctness dependency.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import mmap
 import os
 import tempfile
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import fields as dataclass_fields
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.lumscan.shards import (
-    FINGERPRINT_BYTES,
-    _combine_digests,
-    _pad,
-    shm_available,
-)
 from repro.netsim.dns import DNSServer
 from repro.netsim.geoip import GeoIPDatabase
 from repro.netsim.ip import AddressAllocator, Netblock
 from repro.websim.domains import Domain, DomainPopulation
 from repro.websim.policies import Degradation, GeoPolicy, PolicyConfig
+from repro.util.envelope import (
+    KIND_FILE,
+    KIND_SHM,
+    MAGIC_LSHW,
+    Envelope,
+    Handle,
+    SegmentMapping,
+    canonical_json,
+    digest,
+    fold,
+    place,
+    publish,
+    release,
+    transport,
+)
 from repro.websim.world import World, WorldConfig
 
-MAGIC = b"LSHW"
-FORMAT_VERSION = 1
-
-#: Pack transport kinds (mirrors the shard exchange's surface).
-KIND_SHM = "shm"
-KIND_FILE = "file"
-
-#: Valid ``freeze_world(mode=...)`` values.
-FREEZE_MODES = ("auto", "shm", "file")
-
 #: Resource-lifetime contract enforced by ``repro.lint``.  A pure
-#: literal merged into the linter's contract registry; keep in sync with
-#: the pack/reader surface below.
+#: literal merged into the linter's contract registry; the mapping and
+#: writers live in :mod:`repro.util.envelope`'s contract.
 LINT_RESOURCE_CONTRACT = {
     "codec": "worldpack",
     "resources": [
         {"name": "worldpack",
          "acquire": ["freeze_world", "WorldPack"],
-         "release_methods": ["release"],
-         "release_funcs": ["release_worldpack"]},
-        {"name": "worldpack-reader",
-         "acquire": ["WorldPackReader"],
-         "release_methods": ["close"]},
+         "release_methods": ["release"]},
     ],
-    "buffers": [
-        {"name": "worldpack-reader",
-         "acquire": ["WorldPackReader"],
-         "close_methods": ["close"],
-         "view_methods": ["array"]},
-    ],
-    "atomic": {
-        "suffixes": [".lshw"],
-        "writers": ["write_worldpack_file", "write_worldpack_shm"],
-    },
 }
 
 #: Per-domain attribute columns: fixed little-endian dtypes, one code per
@@ -123,28 +106,6 @@ JSON_SECTIONS = (
 #: Canonical payload section order: arrays first (alignment-friendly),
 #: then the JSON blobs.
 SECTION_ORDER = tuple(ARRAY_DTYPES) + JSON_SECTIONS
-
-
-@dataclass(frozen=True)
-class WorldPackHandle:
-    """Picklable reference to a mapped-or-mappable worldpack.
-
-    ``kind`` selects the transport: ``"shm"`` with ``ref`` naming a
-    shared-memory block, or ``"file"`` with ``ref`` holding a path.
-    ``fingerprint`` is the pack's content hash — workers verify it on
-    open, so a stale or torn mapping falls back to the spec rebuild
-    instead of silently diverging.
-    """
-
-    kind: str
-    ref: str
-    nbytes: int
-    fingerprint: str
-
-
-def _canonical_json(value) -> bytes:
-    return json.dumps(value, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 def _policy_state(policy: GeoPolicy) -> dict:
@@ -231,14 +192,12 @@ class _StringTable:
         return code
 
 
-def encode_worldpack(world: World) -> Tuple[bytes, List[Tuple[int, bytes]],
-                                            int]:
-    """Encode a built world's immutable state into LSHW wire form.
+def encode_worldpack(world: World) -> Envelope:
+    """Encode a built world's immutable state into an LSHW envelope.
 
-    Returns ``(header_bytes, payload, payload_nbytes)`` where ``payload``
-    lists ``(relative_offset, blob)`` pairs in section order; offsets are
-    relative to the 16-byte-aligned payload base (shared writer shape
-    with :func:`repro.lumscan.shards.encode_shard`).
+    Array sections come first, then JSON sections in canonical
+    (sorted-key, ASCII) form.  The payload ends at the last section's
+    last byte.
     """
     size = len(world.population)
     tables = {name: _StringTable() for name in
@@ -312,226 +271,33 @@ def encode_worldpack(world: World) -> Tuple[bytes, List[Tuple[int, bytes]],
         "appengine": list(world._appengine_cidrs),
     }
 
-    offset = 0
-    payload: List[Tuple[int, bytes]] = []
+    blobs: List[bytes] = []
     sections: List[dict] = []
-    digests: List[bytes] = []
     for name in SECTION_ORDER:
         if name in ARRAY_DTYPES:
-            blob = np.ascontiguousarray(columns[name]).tobytes()
-            section = {"name": name, "kind": "array",
-                       "dtype": ARRAY_DTYPES[name],
-                       "count": int(columns[name].shape[0])}
+            blobs.append(np.ascontiguousarray(columns[name]).tobytes())
+            sections.append({"name": name, "kind": "array",
+                             "dtype": ARRAY_DTYPES[name],
+                             "count": int(columns[name].shape[0])})
         else:
-            blob = _canonical_json(json_values[name])
-            section = {"name": name, "kind": "json"}
-        offset = _pad(offset)
+            blobs.append(canonical_json(json_values[name]))
+            sections.append({"name": name, "kind": "json"})
+    offsets, end = place(len(blob) for blob in blobs)
+    for section, offset, blob in zip(sections, offsets, blobs):
         section["offset"] = offset
         section["nbytes"] = len(blob)
-        payload.append((offset, blob))
-        sections.append(section)
-        digests.append(hashlib.blake2b(
-            blob, digest_size=FINGERPRINT_BYTES).digest())
-        offset += len(blob)
-
     header = {
-        "version": FORMAT_VERSION,
         "size": size,
         "seed": world.config.seed,
-        "fingerprint": _combine_digests(digests),
+        "fingerprint": fold(digest(blob) for blob in blobs),
         "sections": sections,
     }
-    header_bytes = _canonical_json(header)
-    return header_bytes, payload, offset
+    return Envelope(MAGIC_LSHW, header, list(zip(offsets, blobs)), end)
 
 
-def payload_base(header_bytes: bytes) -> int:
-    """Absolute offset where a pack's payload begins."""
-    return _pad(len(MAGIC) + 4 + len(header_bytes))
-
-
-def _write_pack(buffer, header_bytes: bytes,
-                payload: List[Tuple[int, bytes]]) -> None:
-    view = memoryview(buffer)
-    view[:len(MAGIC)] = MAGIC
-    view[len(MAGIC):len(MAGIC) + 4] = len(header_bytes).to_bytes(4, "little")
-    view[len(MAGIC) + 4:len(MAGIC) + 4 + len(header_bytes)] = header_bytes
-    base = payload_base(header_bytes)
-    for offset, blob in payload:
-        view[base + offset:base + offset + len(blob)] = blob
-
-
-def write_worldpack_file(world: World, path: str) -> WorldPackHandle:
+def write_worldpack_file(world: World, path: str) -> Handle:
     """Freeze ``world`` into an LSHW file at ``path`` (atomic replace)."""
-    header_bytes, payload, payload_nbytes = encode_worldpack(world)
-    nbytes = payload_base(header_bytes) + payload_nbytes
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".lshw.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.truncate(nbytes)
-            with mmap.mmap(handle.fileno(), nbytes) as buffer:
-                _write_pack(buffer, header_bytes, payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except FileNotFoundError:
-            pass
-        raise
-    fingerprint = json.loads(header_bytes)["fingerprint"]
-    return WorldPackHandle(kind=KIND_FILE, ref=path, nbytes=nbytes,
-                           fingerprint=fingerprint)
-
-
-def write_worldpack_shm(world: World) -> WorldPackHandle:
-    """Freeze ``world`` into a shared-memory block.
-
-    The writing process owns the block and must unlink it via
-    :func:`release_worldpack` exactly once.  Its resource-tracker
-    registration is kept until then, so a parent killed before the
-    release still has the block unlinked by the tracker.
-    """
-    from multiprocessing import shared_memory
-
-    header_bytes, payload, payload_nbytes = encode_worldpack(world)
-    nbytes = payload_base(header_bytes) + payload_nbytes
-    block = shared_memory.SharedMemory(create=True, size=nbytes)
-    try:
-        _write_pack(block.buf, header_bytes, payload)
-    except BaseException:
-        block.close()
-        block.unlink()
-        raise
-    block.close()
-    fingerprint = json.loads(header_bytes)["fingerprint"]
-    return WorldPackHandle(kind=KIND_SHM, ref=block.name, nbytes=nbytes,
-                           fingerprint=fingerprint)
-
-
-def release_worldpack(handle: WorldPackHandle) -> None:
-    """Unlink a pack's backing storage (idempotent; owner-side only)."""
-    if handle.kind == KIND_SHM:
-        from multiprocessing import shared_memory
-
-        try:
-            block = shared_memory.SharedMemory(name=handle.ref)
-        except FileNotFoundError:
-            return
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - unlink race
-            pass
-    else:
-        try:
-            os.unlink(handle.ref)
-        except FileNotFoundError:
-            pass
-
-
-class WorldPackReader:
-    """Read-only mapping of one worldpack (context manager).
-
-    Both kinds map the segment read-only with ``mmap``.  A ``shm`` pack
-    is opened by name rather than through ``SharedMemory``: before
-    Python 3.13 every ``SharedMemory`` attach registers the block with
-    the resource tracker the pool shares with the parent, and a reader
-    cannot undo that without dropping the owner's registration.
-    Array sections are zero-copy ``numpy`` views into the mapping — the
-    reader must outlive every view it handed out, so callers consume
-    views before :meth:`close` (as :func:`load_world` does) or hold the
-    reader open for as long as they hold views.
-    """
-
-    def __init__(self, handle: WorldPackHandle) -> None:
-        self._handle = handle
-        self._mmap = None
-        if handle.kind == KIND_SHM:
-            import _posixshmem
-
-            fd = _posixshmem.shm_open("/" + handle.ref.lstrip("/"),
-                                      os.O_RDONLY, mode=0o600)
-        elif handle.kind == KIND_FILE:
-            fd = os.open(handle.ref, os.O_RDONLY)
-        else:
-            raise ValueError(f"unknown worldpack kind {handle.kind!r}")
-        try:
-            self._mmap = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        finally:
-            os.close(fd)
-        try:
-            self.header = self._read_header()
-        except BaseException:
-            self.close()
-            raise
-        self._sections = {section["name"]: section
-                          for section in self.header["sections"]}
-        self._base = payload_base(self._header_bytes)
-
-    def _read_header(self) -> dict:
-        # The named memoryview must be released before this method can
-        # raise: a failed init calls close(), and an exported view kept
-        # alive by the traceback frame would turn that into BufferError.
-        with memoryview(self._mmap) as view:
-            if bytes(view[:len(MAGIC)]) != MAGIC:
-                raise ValueError("not a worldpack (bad magic)")
-            header_len = int.from_bytes(
-                view[len(MAGIC):len(MAGIC) + 4], "little")
-            self._header_bytes = bytes(
-                view[len(MAGIC) + 4:len(MAGIC) + 4 + header_len])
-        header = json.loads(self._header_bytes)
-        if header["version"] != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported worldpack version {header['version']}")
-        if header["fingerprint"] != self._handle.fingerprint:
-            raise ValueError(
-                f"worldpack fingerprint mismatch: handle says "
-                f"{self._handle.fingerprint}, segment says "
-                f"{header['fingerprint']}")
-        return header
-
-    def array(self, name: str) -> np.ndarray:
-        """Zero-copy read-only view of one array section."""
-        section = self._sections[name]
-        start = self._base + section["offset"]
-        view = np.frombuffer(self._mmap, dtype=section["dtype"],
-                             count=section["count"], offset=start)
-        view.flags.writeable = False
-        return view
-
-    def json_bytes(self, name: str) -> bytes:
-        """Raw bytes of one JSON section (for deferred decoding)."""
-        section = self._sections[name]
-        start = self._base + section["offset"]
-        with memoryview(self._mmap) as view:
-            return bytes(view[start:start + section["nbytes"]])
-
-    def json(self, name: str):
-        """Decode one JSON section."""
-        return json.loads(self.json_bytes(name))
-
-    def close(self) -> None:
-        """Drop the mapping (views handed out must be dead first)."""
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-
-    def __enter__(self) -> "WorldPackReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_worldpack_header(path: str) -> dict:
-    """Header of an LSHW file (O(header), for ``world inspect``)."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path} is not a worldpack (bad magic)")
-        header_len = int.from_bytes(handle.read(4), "little")
-        return json.loads(handle.read(header_len))
+    return publish(encode_worldpack(world), KIND_FILE, path)
 
 
 class WorldPack:
@@ -544,11 +310,11 @@ class WorldPack:
     ``finally``).  Releasing twice is a no-op.
     """
 
-    def __init__(self, handle: WorldPackHandle) -> None:
-        self._handle: Optional[WorldPackHandle] = handle
+    def __init__(self, handle: Handle) -> None:
+        self._handle: Optional[Handle] = handle
 
     @property
-    def handle(self) -> WorldPackHandle:
+    def handle(self) -> Handle:
         if self._handle is None:
             raise ValueError("worldpack already released")
         return self._handle
@@ -560,7 +326,7 @@ class WorldPack:
     def release(self) -> None:
         """Unlink the backing storage (idempotent)."""
         if self._handle is not None:
-            release_worldpack(self._handle)
+            release(self._handle)
             self._handle = None
 
     def __enter__(self) -> "WorldPack":
@@ -570,31 +336,48 @@ class WorldPack:
         self.release()
 
 
-def freeze_world(world: World, mode: str = "auto",
+def freeze_world(world: World,
                  directory: Optional[str] = None) -> WorldPack:
     """Freeze a built world for the process pool; returns the owner.
 
-    ``mode="shm"`` forces shared memory, ``"file"`` a temp file under
-    ``directory`` (or the system temp dir), ``"auto"`` prefers shm and
-    falls back to a file when no shm is usable.
+    The pack goes to shared memory wherever it works, else to a temp
+    file under ``directory`` (or the system temp dir).  The owner keeps
+    the block's resource-tracker registration, so a killed parent's
+    pack is still unlinked.
     """
-    if mode not in FREEZE_MODES:
-        raise ValueError(
-            f"mode must be one of {FREEZE_MODES}, got {mode!r}")
-    if mode == "shm" or (mode == "auto" and shm_available()):
-        return WorldPack(write_worldpack_shm(world))
+    pack = encode_worldpack(world)
+    if transport() == KIND_SHM:
+        return WorldPack(publish(pack, KIND_SHM))
     fd, path = tempfile.mkstemp(suffix=".lshw", dir=directory,
                                 prefix="worldpack-")
     os.close(fd)
-    return WorldPack(write_worldpack_file(world, path))
+    try:
+        return WorldPack(publish(pack, KIND_FILE, path))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
-def _thaw(reader: WorldPackReader) -> World:
-    header = reader.header
-    config = _config_from_state(reader.json("config"))
-    names = reader.json("names")
-    strings = reader.json("strings")
-    size = header["size"]
+def _thaw(mapping: SegmentMapping) -> World:
+    sections = {section["name"]: section
+                for section in mapping.header["sections"]}
+
+    def raw(name: str) -> bytes:
+        section = sections[name]
+        return mapping.section(section["offset"], section["nbytes"])
+
+    def doc(name: str):
+        return json.loads(raw(name))
+
+    def array(name: str) -> np.ndarray:
+        section = sections[name]
+        return mapping.array(section["offset"], section["dtype"],
+                             section["count"])
+
+    config = _config_from_state(doc("config"))
+    names = doc("names")
+    strings = doc("strings")
+    size = mapping.header["size"]
 
     tlds = strings["tlds"]
     categories = strings["categories"]
@@ -604,17 +387,17 @@ def _thaw(reader: WorldPackReader) -> World:
     brands = strings["brands"]
 
     censorship = {name: tuple(censors)
-                  for name, censors in reader.json("censorship")}
+                  for name, censors in doc("censorship")}
     # Bulk-convert the mapped columns once: per-element numpy scalar
     # indexing inside a 60k-iteration loop would dominate the thaw.
-    tld_codes = reader.array("tld_codes").tolist()
-    category_codes = reader.array("category_codes").tolist()
-    provider_codes = reader.array("provider_codes").tolist()
-    secondary_codes = reader.array("secondary_codes").tolist()
-    origin_codes = reader.array("origin_codes").tolist()
-    cf_tier_codes = reader.array("cf_tier_codes").tolist()
-    brand_codes = reader.array("brand_codes").tolist()
-    flags = reader.array("flags").tolist()
+    tld_codes = array("tld_codes").tolist()
+    category_codes = array("category_codes").tolist()
+    provider_codes = array("provider_codes").tolist()
+    secondary_codes = array("secondary_codes").tolist()
+    origin_codes = array("origin_codes").tolist()
+    cf_tier_codes = array("cf_tier_codes").tolist()
+    brand_codes = array("brand_codes").tolist()
+    flags = array("flags").tolist()
 
     domains: List[Domain] = []
     for idx in range(size):
@@ -644,18 +427,18 @@ def _thaw(reader: WorldPackReader) -> World:
     population = DomainPopulation(domains)
 
     policies = {name: _policy_from_state(state)
-                for name, state in reader.json("policies")}
+                for name, state in doc("policies")}
     degradations = {
         name: Degradation(
             remove_account_countries=frozenset(state["remove_account"]),
             price_multipliers=dict(state["price_multipliers"]))
-        for name, state in reader.json("degradations")}
+        for name, state in doc("degradations")}
 
-    allocator_state = reader.json("allocator")
+    allocator_state = doc("allocator")
     allocator = AddressAllocator.from_plan(
         config.seed, allocator_state["next"], allocator_state["owners"])
 
-    geoip_state = reader.json("geoip")
+    geoip_state = doc("geoip")
     geoip = GeoIPDatabase(seed=config.seed,
                           error_rate=config.geoip_error_rate)
     for cidr, owner, country, region in geoip_state["entries"]:
@@ -664,10 +447,10 @@ def _thaw(reader: WorldPackReader) -> World:
     if geoip.countries() != geoip_state["countries"]:
         raise ValueError("worldpack GeoIP country order does not round-trip")
 
-    # The closure captures the section bytes, not the reader: the mapping
+    # The closure captures the section bytes, not the mapping, which
     # is closed before load_world returns, and the replay can still run
     # after the parent has released the pack's backing storage.
-    dns_blob = reader.json_bytes("dns")
+    dns_blob = raw("dns")
 
     def load_dns() -> DNSServer:
         # Deferred until first access: probe-serving never touches DNS
@@ -683,9 +466,9 @@ def _thaw(reader: WorldPackReader) -> World:
     # Cached page lengths are the one array pair the world consults for
     # its whole lifetime; they are copied out (they only hold the
     # parent's memoized lengths, not all pages) so nothing the thawed
-    # world owns can dangle into the mapping after the reader closes.
-    length_index = reader.array("length_index").copy()
-    length_values = reader.array("length_values").copy()
+    # world owns can dangle into the mapping after it closes.
+    length_index = array("length_index").copy()
+    length_values = array("length_values").copy()
     length_index.setflags(write=False)
     length_values.setflags(write=False)
 
@@ -698,26 +481,24 @@ def _thaw(reader: WorldPackReader) -> World:
         allocator=allocator,
         geoip=geoip,
         dns=load_dns,
-        appengine_cidrs=list(reader.json("appengine")),
+        appengine_cidrs=list(doc("appengine")),
         frozen_lengths=(length_index, length_values),
     )
     world.source = "pack"
     return world
 
 
-def load_world(handle: WorldPackHandle) -> World:
+def load_world(handle: Handle) -> World:
     """Map a pack and thaw it into a fully usable :class:`World`.
 
     The mapping lives only for the duration of the thaw: sections are
     read straight out of the pack (array sections as zero-copy views),
-    and everything the world keeps is owned by the world, so the reader
+    and everything the world keeps is owned by the world, so the mapping
     is closed before returning and nothing can dangle into the buffer —
     the parent may release the pack while loaded worlds live on.
     Mutable runtime state is freshly initialized, so the result behaves
     bit-identically to ``World(config)``.
     """
-    reader = WorldPackReader(handle)
-    try:
-        return _thaw(reader)
-    finally:
-        reader.close()
+    with SegmentMapping(handle, MAGIC_LSHW,
+                        fingerprint=handle.fingerprint) as mapping:
+        return _thaw(mapping)

@@ -8,8 +8,8 @@ scanner's request/fetch counters account for all worker traffic.  The
 shard exchange adds two more: the merged bytes stay identical under any
 chunk completion order and either transport, and no shard segment
 outlives the scan — not even when a worker blows up mid-run.  The
-transport is picked by ``shm_available()``; tests force spill files by
-patching it to return False.  The pool itself lives as long as the
+transport is picked by the envelope's ``shm_available()``; tests force
+spill files by patching it to return False.  The pool itself lives as long as the
 engine: consecutive scans reuse its workers, and closing the engine, a
 crash or a dropped engine leaves no worker, segment or session behind.
 """
@@ -23,13 +23,13 @@ import time
 import pytest
 
 import repro.lumscan.engine as engine_mod
-import repro.lumscan.shards as shards_mod
 from repro.lumscan.engine import EXECUTORS, ScanEngine, scan_tasks
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.scanner import Lumscan, ScannerSpec
 from repro.lumscan.serialize import dump_dataset
-from repro.lumscan.shards import EXCHANGE_MODES, shm_available
 from repro.proxynet.luminati import LuminatiClient
+from repro.util import envelope
+from repro.util.envelope import shm_available
 from repro.websim.content import page_length
 from repro.websim.world import World, WorldConfig
 
@@ -212,13 +212,10 @@ def _transports():
 
 def _force_file_transport(monkeypatch):
     """Make the engine's shard exchange resolve to spill files."""
-    monkeypatch.setattr(shards_mod, "shm_available", lambda: False)
+    monkeypatch.setattr(envelope, "shm_available", lambda: False)
 
 
 class TestShardExchange:
-    def test_exchanges_tuple(self):
-        assert EXCHANGE_MODES == ("auto", "shm", "file")
-
     @pytest.fixture(scope="class")
     def serial(self, nano_world):
         client = LuminatiClient(nano_world)

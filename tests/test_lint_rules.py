@@ -770,12 +770,13 @@ def test_resource_leak_clean_with_handoff_directive():
 
 def test_resource_leak_flags_module_release_func_on_one_path_only():
     findings = run_lint("""
-        from repro.lumscan.shards import open_shard, release_shard
+        from repro.lumscan.shards import open_shard
+        from repro.util.envelope import release
 
         def f(handle, flag):
             reader = open_shard(handle)
             if flag:
-                release_shard(reader)
+                release(reader)
     """)
     assert rule_ids(findings) == ["resource-leak"]
 
@@ -833,10 +834,11 @@ def test_release_guard_clean_when_release_in_finally():
 
 def test_release_guard_clean_for_close_and_reraise_handler():
     findings = run_lint("""
-        from repro.lumscan.shards import SegmentMapping, decode_shard
+        from repro.lumscan.shards import decode_shard
+        from repro.util.envelope import SegmentMapping
 
         def f(path):
-            mapping = SegmentMapping(path)
+            mapping = SegmentMapping(path, b"LSHD")
             try:
                 columns = decode_shard(mapping.buffer)
                 rows = list(columns)
@@ -867,15 +869,15 @@ def test_release_guard_clean_when_release_call_itself_raises():
 
 def test_buffer_escape_flags_view_stored_to_self():
     findings = run_lint("""
-        from repro.websim.worldpack import WorldPackReader
+        from repro.util.envelope import SegmentMapping
 
         class Cache:
             def load(self, path):
-                reader = WorldPackReader(path)
+                mapping = SegmentMapping(path, b"LSHW")
                 try:
-                    self._codes = reader.array("codes")
+                    self._codes = mapping.array(0, "<i2", 8)
                 finally:
-                    reader.close()
+                    mapping.close()
     """)
     assert rule_ids(findings) == ["buffer-escape"]
     assert "self._codes" in findings[0].message
@@ -885,11 +887,11 @@ def test_buffer_escape_flags_view_stored_to_self():
 
 def test_buffer_escape_flags_intermediate_variable_escape():
     findings = run_lint("""
-        from repro.lumscan.shards import SegmentMapping
+        from repro.util.envelope import SegmentMapping
 
         class Cache:
             def load(self, path):
-                mapping = SegmentMapping(path)
+                mapping = SegmentMapping(path, b"LSHD")
                 try:
                     raw = mapping.buffer
                     self._raw = raw
@@ -901,26 +903,26 @@ def test_buffer_escape_flags_intermediate_variable_escape():
 
 def test_buffer_escape_clean_when_view_is_copied():
     findings = run_lint("""
-        from repro.websim.worldpack import WorldPackReader
+        from repro.util.envelope import SegmentMapping
 
         class Cache:
             def load(self, path):
-                reader = WorldPackReader(path)
+                mapping = SegmentMapping(path, b"LSHW")
                 try:
-                    self._codes = bytes(reader.array("codes"))
+                    self._codes = bytes(mapping.array(0, "<i2", 8))
                 finally:
-                    reader.close()
+                    mapping.close()
     """)
     assert rule_ids(findings) == []
 
 
 def test_buffer_escape_clean_when_buffer_travels_with_view():
     findings = run_lint("""
-        from repro.websim.worldpack import WorldPackReader
+        from repro.util.envelope import SegmentMapping
 
         def f(path):
-            reader = WorldPackReader(path)
-            return reader, reader.array("codes")
+            mapping = SegmentMapping(path, b"LSHW")
+            return mapping, mapping.array(0, "<i2", 8)
     """)
     assert rule_ids(findings) == []
 

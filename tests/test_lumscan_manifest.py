@@ -33,16 +33,18 @@ from repro.lumscan.serialize import (
     sniff_format,
 )
 from repro.lumscan.shards import (
+    ExchangeSpec,
     SegmentEntry,
     adopt_segment,
     append_segment,
     compact_manifest,
     manifest_fingerprint,
     read_manifest,
-    read_segment_header,
     write_manifest,
     write_segment_file,
+    write_shard,
 )
+from repro.util.envelope import KIND_FILE, MAGIC_LSHD, read_header
 
 
 def _dataset(offset: int = 0, n: int = 12) -> ScanDataset:
@@ -80,7 +82,7 @@ class TestManifestCodec:
         assert manifest.rows == 24
         assert sniff_format(man) == "lshm"
         for entry in manifest.entries:
-            header = read_segment_header(str(tmp_path / entry.file))
+            _, header = read_header(str(tmp_path / entry.file), MAGIC_LSHD)
             assert header["fingerprint"] == entry.fingerprint
             assert header["n"] == entry.rows
 
@@ -153,8 +155,7 @@ class TestAppendAndAdopt:
     def test_adopt_renames_finalized_segment(self, tmp_path):
         man = str(tmp_path / "data.lshm")
         loose = str(tmp_path / "loose.lshd")
-        write_segment_file(_dataset(0).export_columns(), loose,
-                           fingerprint=True)
+        write_segment_file(_dataset(0).export_columns(), loose)
         manifest = adopt_segment(man, loose)
         assert not os.path.exists(loose)
         assert len(manifest.entries) == 1
@@ -164,11 +165,54 @@ class TestAppendAndAdopt:
         loaded.close()
 
     def test_adopt_rejects_unfingerprinted_segment(self, tmp_path):
-        loose = str(tmp_path / "loose.lshd")
-        write_segment_file(_dataset(0).export_columns(), loose,
-                           fingerprint=False)
+        # Worker shards skip the fingerprint; one cannot join a manifest.
+        loose = write_shard(_dataset(0).export_columns(),
+                            ExchangeSpec(KIND_FILE, str(tmp_path)), 0).ref
         with pytest.raises(ValueError, match="no.*fingerprint"):
             adopt_segment(str(tmp_path / "data.lshm"), loose)
+
+
+class TestSegmentHeaderCheck:
+    """A segment must match its manifest entry before it is loaded."""
+
+    @staticmethod
+    def _swapped(tmp_path):
+        man = str(tmp_path / "data.lshm")
+        good = ScanDataset()
+        good.append("a.example", "US", 200, 10, None)
+        good.append("b.example", "US", 200, 20, None)
+        evil = ScanDataset()
+        evil.append("evil.com", "US", 200, 30, None)
+        append_segment(man, good.export_columns())
+        append_segment(man, evil.export_columns())
+        first, second = read_manifest(man).entries
+        (tmp_path / first.file).write_bytes(
+            (tmp_path / second.file).read_bytes())
+        return man, str(tmp_path / first.file)
+
+    def test_swapped_segment_fails_to_load(self, tmp_path):
+        man, victim = self._swapped(tmp_path)
+        with pytest.raises(ValueError, match="fingerprint mismatch") as info:
+            load_dataset(man)
+        assert victim in str(info.value)
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
+            load_dataset(man, mmap=False)
+
+    def test_swapped_segment_fails_to_compact(self, tmp_path):
+        man, victim = self._swapped(tmp_path)
+        with pytest.raises(ValueError, match=victim):
+            compact_manifest(man)
+        assert [p for p in os.listdir(tmp_path) if ".tmp" in p] == []
+
+    def test_row_count_edit_fails_to_load(self, tmp_path):
+        man = str(tmp_path / "data.lshm")
+        append_segment(man, _dataset(0).export_columns())
+        entry = read_manifest(man).entries[0]
+        write_manifest(man, (SegmentEntry(entry.file, entry.rows + 1,
+                                          entry.fingerprint),))
+        with pytest.raises(ValueError, match="rows") as info:
+            load_dataset(man)
+        assert entry.file in str(info.value)
 
 
 class TestCompaction:

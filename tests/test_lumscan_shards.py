@@ -15,22 +15,24 @@ import pytest
 from repro.lumscan.engine import ChunkAutotuner, ChunkReorderBuffer
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
-    KIND_FILE,
-    KIND_SHM,
     ExchangeSpec,
-    SegmentMapping,
     ShardExchange,
     SpillDatasetBuilder,
     decode_shard,
     encode_shard,
     open_shard,
-    payload_base,
-    read_segment_header,
-    release_shard,
-    resolve_mode,
-    shm_available,
     write_segment_file,
     write_shard,
+)
+from repro.util import envelope
+from repro.util.envelope import (
+    KIND_FILE,
+    KIND_SHM,
+    MAGIC_LSHD,
+    SegmentMapping,
+    read_header,
+    release,
+    shm_available,
 )
 
 needs_shm = pytest.mark.skipif(not shm_available(),
@@ -52,17 +54,21 @@ def _rows(data):
     return [data.row(i) for i in range(len(data))]
 
 
-def _roundtrip(tmp_path, mode):
+def _roundtrip(tmp_path, kind):
     source = _sample_dataset()
-    spec = ExchangeSpec(mode=mode, directory=str(tmp_path))
+    spec = ExchangeSpec(kind=kind, directory=str(tmp_path))
     handle = write_shard(source.export_columns(), spec, seq=0)
     merged = ScanDataset()
     try:
-        with open_shard(handle) as reader:
-            merged.extend_columns(reader.columns)
+        with open_shard(handle) as mapping:
+            merged.extend_columns(decode_shard(mapping))
     finally:
-        release_shard(handle)
+        release(handle)
     return source, merged
+
+
+def _header(path):
+    return read_header(path, MAGIC_LSHD)[1]
 
 
 class TestSegmentRoundTrip:
@@ -82,26 +88,26 @@ class TestSegmentRoundTrip:
         merged.append("zeta.example", "JP", 200, 10, "first")
         merged.append("alpha.example", "US", 0, 0, None, error="dns-nxdomain")
         source = _sample_dataset()
-        spec = ExchangeSpec(mode=KIND_FILE, directory=str(tmp_path))
+        spec = ExchangeSpec(kind=KIND_FILE, directory=str(tmp_path))
         handle = write_shard(source.export_columns(), spec, seq=0)
         try:
-            with open_shard(handle) as reader:
-                merged.extend_columns(reader.columns)
+            with open_shard(handle) as mapping:
+                merged.extend_columns(decode_shard(mapping))
         finally:
-            release_shard(handle)
+            release(handle)
         assert _rows(merged)[2:] == _rows(source)
         assert merged.row(0).domain == "zeta.example"
         assert merged.row(1).error == "dns-nxdomain"
 
     def test_empty_dataset_roundtrips(self, tmp_path):
-        spec = ExchangeSpec(mode=KIND_FILE, directory=str(tmp_path))
+        spec = ExchangeSpec(kind=KIND_FILE, directory=str(tmp_path))
         handle = write_shard(ScanDataset().export_columns(), spec, seq=0)
         merged = ScanDataset()
         try:
-            with open_shard(handle) as reader:
-                merged.extend_columns(reader.columns)
+            with open_shard(handle) as mapping:
+                merged.extend_columns(decode_shard(mapping))
         finally:
-            release_shard(handle)
+            release(handle)
         assert len(merged) == 0
 
 
@@ -109,10 +115,10 @@ class TestSegmentDeterminism:
     def test_identical_rows_identical_bytes(self, tmp_path):
         # Segment bytes are a pure function of the rows: two datasets
         # built the same way must serialize to identical segments.
-        a, _, na = encode_shard(_sample_dataset().export_columns())
-        b, _, nb = encode_shard(_sample_dataset().export_columns())
-        assert a == b and na == nb
-        spec = ExchangeSpec(mode=KIND_FILE, directory=str(tmp_path))
+        a = encode_shard(_sample_dataset().export_columns())
+        b = encode_shard(_sample_dataset().export_columns())
+        assert a.to_bytes() == b.to_bytes() and a.nbytes == b.nbytes
+        spec = ExchangeSpec(kind=KIND_FILE, directory=str(tmp_path))
         first = write_shard(_sample_dataset().export_columns(), spec, seq=0)
         second = write_shard(_sample_dataset().export_columns(), spec, seq=1)
         try:
@@ -121,47 +127,52 @@ class TestSegmentDeterminism:
             with open(second.ref, "rb") as fh:
                 blob_b = fh.read()
         finally:
-            release_shard(first)
-            release_shard(second)
+            release(first)
+            release(second)
         assert blob_a == blob_b
 
     def test_payload_sections_are_aligned(self):
-        header, payload, _ = encode_shard(_sample_dataset().export_columns())
-        base = payload_base(header)
+        segment = encode_shard(_sample_dataset().export_columns())
+        base = len(segment.prefix)
         assert base % 16 == 0
-        for offset, _blob in payload:
+        for offset, _blob in segment.payload:
             assert (base + offset) % 16 == 0
 
 
 class TestHandleLifecycle:
     def test_release_removes_spill_file_and_is_idempotent(self, tmp_path):
-        spec = ExchangeSpec(mode=KIND_FILE, directory=str(tmp_path))
+        spec = ExchangeSpec(kind=KIND_FILE, directory=str(tmp_path))
         handle = write_shard(_sample_dataset().export_columns(), spec, seq=3)
         assert os.path.exists(handle.ref)
-        release_shard(handle)
+        release(handle)
         assert not os.path.exists(handle.ref)
-        release_shard(handle)  # second release must be a no-op
+        release(handle)  # second release must be a no-op
 
     @needs_shm
     def test_release_unlinks_shm_and_is_idempotent(self):
-        spec = ExchangeSpec(mode=KIND_SHM, directory="")
+        spec = ExchangeSpec(kind=KIND_SHM, directory="")
         handle = write_shard(_sample_dataset().export_columns(), spec, seq=0)
-        release_shard(handle)
+        release(handle)
         with pytest.raises(FileNotFoundError):
             open_shard(handle)
-        release_shard(handle)  # idempotent
+        release(handle)  # idempotent
 
     def test_no_temp_residue_after_write(self, tmp_path):
-        spec = ExchangeSpec(mode=KIND_FILE, directory=str(tmp_path))
+        spec = ExchangeSpec(kind=KIND_FILE, directory=str(tmp_path))
         handle = write_shard(_sample_dataset().export_columns(), spec, seq=0)
         names = sorted(os.listdir(tmp_path))
-        release_shard(handle)
+        release(handle)
         assert names == [os.path.basename(handle.ref)]
 
 
+def _force_file_transport(monkeypatch):
+    monkeypatch.setattr(envelope, "shm_available", lambda: False)
+
+
 class TestShardExchange:
-    def test_file_session_directory_lifecycle(self, tmp_path):
-        exchange = ShardExchange("file", spill_dir=str(tmp_path))
+    def test_file_session_directory_lifecycle(self, tmp_path, monkeypatch):
+        _force_file_transport(monkeypatch)
+        exchange = ShardExchange(spill_dir=str(tmp_path))
         with exchange:
             session = exchange.directory
             assert session is not None and os.path.isdir(session)
@@ -173,15 +184,16 @@ class TestShardExchange:
         # still inside it — the engine's error paths rely on this.
         assert not os.path.exists(session)
 
-    def test_spec_before_open_raises(self):
+    def test_spec_before_open_raises(self, monkeypatch):
+        _force_file_transport(monkeypatch)
         with pytest.raises(RuntimeError):
-            ShardExchange("file").spec()
+            ShardExchange().spec()
 
-    def test_auto_resolves_to_concrete_kind(self):
-        assert resolve_mode("auto") in (KIND_SHM, KIND_FILE)
-        assert resolve_mode("file") == KIND_FILE
-        with pytest.raises(ValueError):
-            resolve_mode("pigeon")
+    def test_kind_follows_shm_availability(self, monkeypatch):
+        expected = KIND_SHM if shm_available() else KIND_FILE
+        assert ShardExchange().kind == expected
+        _force_file_transport(monkeypatch)
+        assert ShardExchange().kind == KIND_FILE
 
 
 class TestSegmentFile:
@@ -190,10 +202,10 @@ class TestSegmentFile:
         target = str(tmp_path / "data.lshd")
         total = write_segment_file(source.export_columns(), target)
         assert total == os.path.getsize(target)
-        mapping = SegmentMapping(target)
+        mapping = SegmentMapping(target, MAGIC_LSHD)
         try:
             merged = ScanDataset()
-            merged.extend_columns(decode_shard(mapping.buffer))
+            merged.extend_columns(decode_shard(mapping))
         finally:
             assert mapping.close()
         assert _rows(merged) == _rows(source)
@@ -207,8 +219,8 @@ class TestSegmentFile:
         with open(b, "rb") as fh:
             blob_b = fh.read()
         assert blob_a == blob_b
-        header = read_segment_header(a)
-        assert header["fingerprint"] == read_segment_header(b)["fingerprint"]
+        header = _header(a)
+        assert header["fingerprint"] == _header(b)["fingerprint"]
         assert len(header["fingerprint"]) == 32  # blake2b-128 hex
 
     def test_no_temp_residue(self, tmp_path):
@@ -220,7 +232,7 @@ class TestSegmentFile:
         source = _sample_dataset()
         target = str(tmp_path / "data.lshd")
         write_segment_file(source.export_columns(), target)
-        header = read_segment_header(target)
+        header = _header(target)
         assert header["n"] == len(source)
         assert [name for name, _, _, _ in header["columns"]] \
             == ["dcodes", "ccodes", "statuses", "lengths", "ecodes"]
@@ -231,7 +243,7 @@ class TestSegmentFile:
         bogus = tmp_path / "bogus.lshd"
         bogus.write_bytes(b"not a segment at all")
         with pytest.raises(ValueError):
-            read_segment_header(str(bogus))
+            _header(str(bogus))
 
     def test_truncated_header_rejected(self, tmp_path):
         target = str(tmp_path / "data.lshd")
@@ -241,14 +253,14 @@ class TestSegmentFile:
         short = tmp_path / "short.lshd"
         short.write_bytes(blob[:10])
         with pytest.raises(ValueError):
-            read_segment_header(str(short))
+            _header(str(short))
 
 
 class TestSegmentMapping:
     def test_close_without_views_succeeds(self, tmp_path):
         target = str(tmp_path / "data.lshd")
         write_segment_file(_sample_dataset().export_columns(), target)
-        mapping = SegmentMapping(target)
+        mapping = SegmentMapping(target, MAGIC_LSHD)
         assert not mapping.closed
         assert mapping.close() is True
         assert mapping.closed
@@ -258,8 +270,8 @@ class TestSegmentMapping:
     def test_close_with_live_view_reports_false(self, tmp_path):
         target = str(tmp_path / "data.lshd")
         write_segment_file(_sample_dataset().export_columns(), target)
-        mapping = SegmentMapping(target)
-        columns = decode_shard(mapping.buffer)
+        mapping = SegmentMapping(target, MAGIC_LSHD)
+        columns = decode_shard(mapping)
         view = columns.dcodes
         assert mapping.close() is False   # view pins the mapping
         assert int(view[0]) == 0          # ...and stays readable
@@ -269,7 +281,7 @@ class TestSegmentMapping:
     def test_close_is_idempotent(self, tmp_path):
         target = str(tmp_path / "data.lshd")
         write_segment_file(_sample_dataset().export_columns(), target)
-        mapping = SegmentMapping(target)
+        mapping = SegmentMapping(target, MAGIC_LSHD)
         assert mapping.close() is True
         assert mapping.close() is True
 

@@ -37,15 +37,14 @@ import repro.lumscan.engine as engine_mod
 from repro.lumscan.engine import ScanEngine, scan_tasks
 from repro.lumscan.scanner import Lumscan
 from repro.lumscan.serialize import dump_dataset
-from repro.lumscan.shards import shm_available
 from repro.proxynet.luminati import LuminatiClient
+from repro.util import envelope
+from repro.util.envelope import KIND_FILE, KIND_SHM, MAGIC_LSHW, \
+    read_header, shm_available
 from repro.websim.world import World, WorldConfig
 from repro.websim.worldpack import (
-    FREEZE_MODES,
-    WorldPackReader,
     freeze_world,
     load_world,
-    read_worldpack_header,
     write_worldpack_file,
 )
 
@@ -210,7 +209,7 @@ def _slow_run_chunk(seq, chunk, exchange, lengths):
     return _REAL_RUN_CHUNK(seq, chunk, exchange, lengths)
 
 
-def _no_room(self, mode="auto", directory=None):
+def _no_room(self, directory=None):
     raise OSError(errno.ENOSPC, "no space left for the worldpack")
 
 
@@ -304,18 +303,22 @@ class TestFallbackAndRelease:
         handle = write_worldpack_file(built_world, path)
         forged = dataclasses.replace(handle, fingerprint="0" * 32)
         with pytest.raises(ValueError, match="fingerprint"):
-            WorldPackReader(forged)
+            load_world(forged)
 
-    def test_unknown_freeze_mode_rejected(self, built_world):
-        assert FREEZE_MODES == ("auto", "shm", "file")
-        with pytest.raises(ValueError, match="mode"):
-            freeze_world(built_world, mode="tape")
+
+_needs_shm = pytest.mark.skipif(not shm_available(),
+                                reason="POSIX shared memory unavailable")
+
+
+def _force_file_transport(monkeypatch):
+    monkeypatch.setattr(envelope, "shm_available", lambda: False)
 
 
 class TestFileTransport:
-    def test_file_pack_loads_identically(self, built_world, tmp_path):
-        frozen = freeze_world(built_world, mode="file",
-                              directory=str(tmp_path))
+    def test_file_pack_loads_identically(self, built_world, tmp_path,
+                                         monkeypatch):
+        _force_file_transport(monkeypatch)
+        frozen = freeze_world(built_world, directory=str(tmp_path))
         try:
             loaded = load_world(frozen.handle)
             assert list(loaded.population) == list(built_world.population)
@@ -323,19 +326,20 @@ class TestFileTransport:
         finally:
             frozen.release()
 
-    def test_release_unlinks_file(self, built_world, tmp_path):
-        frozen = freeze_world(built_world, mode="file",
-                              directory=str(tmp_path))
+    def test_release_unlinks_file(self, built_world, tmp_path, monkeypatch):
+        _force_file_transport(monkeypatch)
+        frozen = freeze_world(built_world, directory=str(tmp_path))
+        assert frozen.handle.kind == KIND_FILE
         path = frozen.handle.ref
         assert os.path.exists(path)
         frozen.release()
         assert not os.path.exists(path)
 
-    @pytest.mark.skipif(not shm_available(),
-                        reason="POSIX shared memory unavailable")
+    @_needs_shm
     def test_shm_release_unlinks_segment(self, built_world):
         before = set(os.listdir("/dev/shm"))
-        frozen = freeze_world(built_world, mode="shm")
+        frozen = freeze_world(built_world)
+        assert frozen.handle.kind == KIND_SHM
         assert set(os.listdir("/dev/shm")) - before != set()
         frozen.release()
         assert set(os.listdir("/dev/shm")) - before == set()
@@ -344,7 +348,7 @@ class TestFileTransport:
                                                 tmp_path):
         path = str(tmp_path / "world.lshw")
         handle = write_worldpack_file(built_world, path)
-        header = read_worldpack_header(path)
+        _, header = read_header(path, MAGIC_LSHW)
         assert header["fingerprint"] == handle.fingerprint
         assert header["size"] == len(built_world.population)
         names = [section["name"] for section in header["sections"]]
@@ -369,19 +373,20 @@ _KILLED_OWNER = """
 import os, signal, sys
 from repro.websim.world import World, WorldConfig
 from repro.websim.worldpack import freeze_world
-pack = freeze_world(World(WorldConfig.nano()), mode="shm")
+pack = freeze_world(World(WorldConfig.nano()))
+assert pack.handle.kind == "shm"
 print(pack.handle.ref, flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
-@pytest.mark.skipif(not shm_available(),
-                    reason="POSIX shared memory unavailable")
+@_needs_shm
 class TestShmTracker:
     """Only the owner of a shm pack ever talks to the resource tracker."""
 
     def test_worker_attach_leaves_tracker_alone(self, built_world):
-        frozen = freeze_world(built_world, mode="shm")
+        frozen = freeze_world(built_world)
+        assert frozen.handle.kind == KIND_SHM
         try:
             with ProcessPoolExecutor(
                     max_workers=1,
@@ -431,6 +436,8 @@ class TestStageStats:
 
 
 class TestCLI:
+    # ``world inspect`` folded into ``store inspect``, which reads every
+    # envelope kind through one header reader.
     def test_world_freeze_and_inspect(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -438,8 +445,9 @@ class TestCLI:
         assert main(["--scale", "nano", "world", "freeze", path]) == 0
         out = capsys.readouterr().out
         assert "fingerprint:" in out
-        assert main(["world", "inspect", path]) == 0
+        assert main(["store", "inspect", path]) == 0
         out = capsys.readouterr().out
+        assert f"worldpack:   {path}" in out
         assert "sections:" in out
         assert "tld_codes" in out
 
@@ -448,5 +456,16 @@ class TestCLI:
 
         bogus = tmp_path / "not-a-pack"
         bogus.write_bytes(b"nope")
+        with pytest.raises(SystemExit, match="LSHW worldpack"):
+            main(["store", "inspect", str(bogus)])
         with pytest.raises(SystemExit):
             main(["world", "inspect", str(bogus)])
+
+    def test_load_dataset_rejects_pack(self, tmp_path):
+        from repro.lumscan.serialize import load_dataset, sniff_format
+
+        path = str(tmp_path / "nano.lshw")
+        write_worldpack_file(World(WorldConfig.nano()), path)
+        assert sniff_format(path) == "lshw"
+        with pytest.raises(ValueError, match="LSHW worldpack"):
+            load_dataset(path)
