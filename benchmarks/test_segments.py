@@ -9,8 +9,9 @@ added two ways:
 * **Append** (:func:`repro.lumscan.shards.append_segment`) — writes one
   10k-row segment and atomically replaces the (tiny) manifest.  Prior
   segments are never opened for writing.
-* **Full rewrite** (:func:`dump_dataset_lshd`) — the pre-manifest
-  behavior: re-serialize all 130k merged rows into a fresh segment.
+* **Full rewrite** (:func:`repro.lumscan.shards.write_segment_file`) —
+  the pre-manifest behavior: re-serialize all 130k merged rows into a
+  fresh segment.
 
 Append must come in at least 5x faster.  Compaction is also timed (not
 gated) and its output asserted byte-identical to the sequential writer —
@@ -26,8 +27,9 @@ from pathlib import Path
 import pytest
 
 from bench_util import best_of, write_trajectory
-from repro.lumscan.serialize import dump_dataset_lshd, load_dataset
-from repro.lumscan.shards import append_segment, compact_manifest, read_manifest
+from repro.lumscan.serialize import load_dataset
+from repro.lumscan.shards import append_segment, compact_manifest, \
+    read_manifest, write_segment_file
 
 from test_columnar import _synthetic_dataset
 
@@ -69,7 +71,8 @@ def test_append_speedup_over_full_rewrite(corpus, tmp_path):
     manifests = iter([fresh_manifest(f"bench{i}") for i in range(3)])
     append_s = best_of(lambda: append_segment(next(manifests), new_columns))
     rewrite_s = best_of(
-        lambda: dump_dataset_lshd(merged, str(tmp_path / "rewrite.lshd")))
+        lambda: write_segment_file(merged.export_columns(),
+                                   str(tmp_path / "rewrite.lshd")))
 
     speedup = rewrite_s / append_s
     print(f"\nsegment append ({BASE_ROWS:,}+{NEW_ROWS:,} rows): "
@@ -99,7 +102,8 @@ def test_compaction_byte_identity_and_timing(corpus, tmp_path):
 
     sequential = str(tmp_path / "sequential.lshd")
     sequential_s = best_of(
-        lambda: dump_dataset_lshd(merged, sequential), repeat=1)
+        lambda: write_segment_file(merged.export_columns(), sequential),
+        repeat=1)
     segment = Path(compacted.segment_paths()[0])
     assert segment.read_bytes() == Path(sequential).read_bytes()
 

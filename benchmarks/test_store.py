@@ -9,7 +9,7 @@ through both codecs and read back:
   zero-copy — O(columns + code tables), independent of row count — and
   must come back at least 5x faster than parsing the gzip-JSONL form of
   the same records.
-* **Save**: ``dump_dataset_lshd`` streams raw buffers; the comparison
+* **Save**: ``write_segment_file`` streams raw buffers; the comparison
   against the JSONL writer is recorded for the trajectory (the win here
   is expected but not gated — the load path is the contract).
 
@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from bench_util import best_of as _time, write_trajectory
-from repro.lumscan.serialize import dump_dataset, dump_dataset_lshd, load_dataset
+from repro.lumscan.serialize import dump_dataset, load_dataset
+from repro.lumscan.shards import write_segment_file
 
 from test_columnar import _synthetic_dataset
 
@@ -42,8 +43,9 @@ def checkpoints(tmp_path_factory):
     jsonl_path = str(root / "scan.jsonl.gz")
     lshd_path = str(root / "scan.lshd")
     jsonl_save_s = _time(lambda: dump_dataset(dataset, jsonl_path), repeat=1)
-    lshd_save_s = _time(lambda: dump_dataset_lshd(dataset, lshd_path),
-                        repeat=1)
+    lshd_save_s = _time(
+        lambda: write_segment_file(dataset.export_columns(), lshd_path),
+        repeat=1)
     return dataset, jsonl_path, lshd_path, jsonl_save_s, lshd_save_s
 
 

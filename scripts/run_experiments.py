@@ -9,10 +9,11 @@ Usage: python scripts/run_experiments.py [--scale paper|small|tiny]
            [--workers N] [--executor thread|process]
            [--merge memory|spill] [--target-chunk-ms N]
            [--checkpoint-dir DIR [--resume]]
-           [--checkpoint-format lshd|lshm]
            [--out PATH]
 
 The engine and checkpoint flags are those of ``repro-geoblock run``.
+Checkpoints are written one directory per study under DIR, each dataset
+as an ``.lshm`` manifest over content-addressed ``.lshd`` segments.
 """
 
 from __future__ import annotations

@@ -157,13 +157,11 @@ class ExperimentSuite:
     def __init__(self, world: World,
                  study_config: Optional[StudyConfig] = None,
                  checkpoint_dir: Optional[str] = None,
-                 resume: bool = False,
-                 checkpoint_format: str = "lshd") -> None:
+                 resume: bool = False) -> None:
         self.world = world
         self.config = study_config or StudyConfig(seed=world.config.seed)
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        self.checkpoint_format = checkpoint_format
         self.luminati = LuminatiClient(world)
         self.fortiguard = FortiGuardClient(world.population, world.taxonomy,
                                            seed=world.config.seed)
@@ -180,16 +178,14 @@ class ExperimentSuite:
         logger.info("suite: starting Top-10K study")
         self.top10k = result = run_top10k_study(
             self.world, self.luminati, self.config,
-            checkpoint_dir=self.checkpoint_dir, resume=self.resume,
-            checkpoint_format=self.checkpoint_format)
+            checkpoint_dir=self.checkpoint_dir, resume=self.resume)
         self.top1m = None
         if include_top1m:
             logger.info("suite: starting Top-1M study")
             self.top1m = run_top1m_study(
                 self.world, self.luminati, self.config,
                 registry=result.registry,
-                checkpoint_dir=self.checkpoint_dir, resume=self.resume,
-                checkpoint_format=self.checkpoint_format)
+                checkpoint_dir=self.checkpoint_dir, resume=self.resume)
         logger.info("suite: starting suite stages")
         suite = run_study(
             "suite", suite_stages(pool_pairs, pool_samples, cf_rule_zones,
@@ -198,8 +194,7 @@ class ExperimentSuite:
             self.world, self.config, self.luminati,
             Lumscan(self.luminati, seed=self.config.seed),
             extras={"fortiguard": self.fortiguard, "top10k": result},
-            checkpoint_dir=self.checkpoint_dir, resume=self.resume,
-            checkpoint_format=self.checkpoint_format)
+            checkpoint_dir=self.checkpoint_dir, resume=self.resume)
         # The timeout scan and the surveys re-run on every resume: the
         # benchmark's resumed-suite workload (perfbench ``suite-resume``)
         # is defined as checkpoint loads plus exactly this live probing.

@@ -17,7 +17,6 @@ from typing import Optional
 from repro.analysis.experiments import ExperimentSuite
 from repro.analysis.report import render_figure, render_table
 from repro.core.pipeline import StudyConfig, run_top10k_study
-from repro.run.artifacts import DATASET_FORMATS
 from repro.util.clock import Clock, SystemClock
 from repro.websim.world import World, WorldConfig
 
@@ -49,12 +48,6 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="skip stages whose checkpoints are complete "
                              "(requires --checkpoint-dir)")
-    parser.add_argument("--checkpoint-format", default="lshd",
-                        choices=DATASET_FORMATS,
-                        help="dataset codec for checkpoints; 'lshm' writes "
-                             "manifest-backed multi-segment datasets; loads "
-                             "sniff magic bytes, so legacy JSONL "
-                             "checkpoints still resume (default: lshd)")
     parser.add_argument("--workers", type=int, default=1,
                         help="scan-engine worker pool width; output is "
                              "identical for any count (default: 1)")
@@ -81,8 +74,7 @@ def suite_from_args(world: World, args: argparse.Namespace) -> ExperimentSuite:
                          target_chunk_ms=max(0, args.target_chunk_ms))
     return ExperimentSuite(world, study_config=config,
                            checkpoint_dir=args.checkpoint_dir,
-                           resume=args.resume,
-                           checkpoint_format=args.checkpoint_format)
+                           resume=args.resume)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -291,8 +283,8 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         else:
             raise SystemExit(
                 f"{path}: not an LSHD segment, LSHM manifest or LSHW "
-                f"worldpack (looks like {fmt}; legacy JSONL checkpoints "
-                f"are loadable but carry no envelope header)")
+                f"worldpack (looks like {fmt}; JSONL exports are "
+                f"loadable but carry no envelope header)")
     except OSError as exc:
         raise SystemExit(f"{path}: {exc}")
     except ValueError as exc:
@@ -307,12 +299,14 @@ def _cmd_store_append(args: argparse.Namespace) -> int:
 
     try:
         dataset = load_dataset(args.dataset)
+        try:
+            manifest = append_segment(args.manifest,
+                                      dataset.export_columns())
+        finally:
+            dataset.close()
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"{args.dataset}: {exc}")
-    try:
-        manifest = append_segment(args.manifest, dataset.export_columns())
-    finally:
-        dataset.close()
+        # Both name the file (OSError through its filename).
+        raise SystemExit(str(exc))
     entry = manifest.entries[-1]
     print(f"appended {entry.rows} rows as {entry.file}")
     print(f"manifest:    {args.manifest}")
@@ -327,9 +321,12 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 
     try:
         before = read_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
+        manifest = compact_manifest(args.manifest)
+    except OSError as exc:
         raise SystemExit(f"{args.manifest}: {exc}")
-    manifest = compact_manifest(args.manifest)
+    except ValueError as exc:
+        # Manifest and segment errors already name the file.
+        raise SystemExit(str(exc))
     entry = manifest.entries[0]
     print(f"compacted {len(before.entries)} segments -> {entry.file}")
     print(f"rows:        {manifest.rows}")

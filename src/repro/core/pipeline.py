@@ -134,7 +134,7 @@ def run_study(name: str, stages: Sequence[Stage], world: World,
               cfg: StudyConfig, luminati: LuminatiClient, scanner: Lumscan,
               extras: Optional[Mapping[str, object]] = None,
               checkpoint_dir: Optional[str] = None, resume: bool = False,
-              salt: str = "", checkpoint_format: str = "lshd") -> RunContext:
+              salt: str = "") -> RunContext:
     """Run one staged study and return its finished context.
 
     Every study wires its store, scan engine and context here: the
@@ -149,7 +149,7 @@ def run_study(name: str, stages: Sequence[Stage], world: World,
     store = None
     if checkpoint_dir is not None:
         store = ArtifactStore(checkpoint_dir, name, cfg, world.config,
-                              salt=salt, dataset_format=checkpoint_format)
+                              salt=salt)
     with _build_engine(scanner, cfg, store) as engine:
         ctx = RunContext(world=world, config=cfg, scanner=engine,
                          extras={"luminati": luminati, **(extras or {})},
@@ -378,17 +378,13 @@ def run_top10k_study(world: World,
                      lumscan_config: Optional[LumscanConfig] = None,
                      catalog: Optional[FingerprintRegistry] = None,
                      checkpoint_dir: Optional[str] = None,
-                     resume: bool = False,
-                     checkpoint_format: str = "lshd") -> Top10KResult:
+                     resume: bool = False) -> Top10KResult:
     """The full §4 methodology over the synthetic Top 10K.
 
     With ``checkpoint_dir`` set, every stage's artifacts are persisted
     there; with ``resume=True`` as well, stages whose checkpoints are
     complete (same configs, same stage fingerprint) are skipped and their
     artifacts loaded — producing bit-identical results to a fresh run.
-    ``checkpoint_format`` selects the dataset codec, ``"lshd"`` or
-    ``"lshm"`` (loads always sniff, so legacy JSONL checkpoints still
-    resume).
     """
     cfg = config or StudyConfig()
     lum = luminati or LuminatiClient(world)
@@ -396,8 +392,7 @@ def run_top10k_study(world: World,
     ctx = run_study("top10k", top10k_stages(), world, cfg, lum, scanner,
                     extras={"catalog": catalog},
                     checkpoint_dir=checkpoint_dir, resume=resume,
-                    salt=registry_salt(catalog),
-                    checkpoint_format=checkpoint_format)
+                    salt=registry_salt(catalog))
 
     return Top10KResult(
         countries=ctx.artifact("countries"),
@@ -625,8 +620,7 @@ def run_top1m_study(world: World,
                     config: Optional[StudyConfig] = None,
                     registry: Optional[FingerprintRegistry] = None,
                     checkpoint_dir: Optional[str] = None,
-                    resume: bool = False,
-                    checkpoint_format: str = "lshd") -> Top1MResult:
+                    resume: bool = False) -> Top1MResult:
     """The full §5 methodology over the synthetic Top 1M.
 
     Checkpointing works as in :func:`run_top10k_study`; the inherited
@@ -640,8 +634,7 @@ def run_top1m_study(world: World,
     ctx = run_study("top1m", top1m_stages(), world, cfg, lum, scanner,
                     extras={"registry": reg},
                     checkpoint_dir=checkpoint_dir, resume=resume,
-                    salt=registry_salt(reg),
-                    checkpoint_format=checkpoint_format)
+                    salt=registry_salt(reg))
 
     return Top1MResult(
         population=ctx.artifact("population"),

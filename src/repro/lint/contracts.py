@@ -93,7 +93,7 @@ DEFAULT_CONTRACTS: Tuple[object, ...] = (
         suffixes=(".lshd", ".lshm", ".lshw", "manifest.json"),
         writers=("atomic_write", "publish", "write_segment_file",
                  "write_manifest", "store_segment", "adopt_segment",
-                 "append_segment", "compact_manifest", "dump_dataset_lshd",
+                 "append_segment", "compact_manifest",
                  "dump_dataset_manifest", "write_worldpack_file")),
     # --- lumscan.shards -------------------------------------------- #
     ResourceContract(

@@ -315,7 +315,7 @@ SERIALIZATION_SINKS = frozenset({
     "encode_artifact", "dump_dataset", "save_report",
     "_atomic_write_json",
     "encode_shard", "write_shard", "decode_shard",
-    "write_segment_file", "dump_dataset_lshd",
+    "write_segment_file",
     "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "publish",
 })
@@ -325,7 +325,7 @@ SERIALIZATION_SINKS = frozenset({
 SERIALIZATION_FUNCTIONS = frozenset({
     "encode_artifact", "dump_dataset", "save_report",
     "encode_shard", "write_shard", "decode_shard",
-    "write_segment_file", "dump_dataset_lshd",
+    "write_segment_file",
     "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "publish",
 })

@@ -22,6 +22,8 @@ too.  Scalar reference implementations of every kernel are retained in
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import (
     Collection,
@@ -675,10 +677,11 @@ class SegmentedScanDataset:
                 dtype=np.int32, count=len(part._country_names)))
             for name in part._error_names:
                 ScanDataset._intern(self._error_code, self._error_names, name)
-        counts = np.array([len(part) for part in self._parts],
-                          dtype=np.int64)
-        self._starts = np.concatenate(([0], np.cumsum(counts)))
-        self._n = int(self._starts[-1])
+        # Part start offsets as a plain list: row access bisects it once
+        # per row, where a numpy search costs several times more.
+        self._starts: List[int] = [
+            0, *itertools.accumulate(len(part) for part in self._parts)]
+        self._n = self._starts[-1]
         self._closed = False
         # Whole-column materializations, built lazily and kept (the
         # analysis layer calls the same accessor repeatedly).
@@ -711,7 +714,7 @@ class SegmentedScanDataset:
         self._closed = True
         self._n = 0
         self._cache = {}
-        self._starts = np.zeros(1, dtype=np.int64)
+        self._starts = [0]
         released = True
         for part in self._parts:
             released = part.close() and released
@@ -724,15 +727,15 @@ class SegmentedScanDataset:
     def _locate(self, index: int) -> Tuple[ScanDataset, int]:
         if not 0 <= index < self._n:
             raise IndexError(f"row index {index} out of range")
-        pi = int(np.searchsorted(self._starts, index, side="right")) - 1
-        return self._parts[pi], index - int(self._starts[pi])
+        pi = bisect.bisect_right(self._starts, index) - 1
+        return self._parts[pi], index - self._starts[pi]
 
     def materialize(self) -> ScanDataset:
         """Merge every segment into one flat in-memory dataset.
 
         Bit-equivalent to having scanned the same rows into a single
-        dataset (same interning order); used by re-serialization paths
-        and ``load_dataset(mmap=False)``.
+        dataset (same interning order), held in ordinary growable
+        buffers that no longer depend on the segment mappings.
         """
         self._check_open()
         merged = ScanDataset()
@@ -857,7 +860,7 @@ class SegmentedScanDataset:
             if len(part) == 0:
                 continue
             yield ColumnChunk(
-                offset=int(self._starts[pi]),
+                offset=self._starts[pi],
                 n=len(part),
                 dcodes=self._dmaps[pi][part.domain_code_array()],
                 ccodes=self._cmaps[pi][part.country_code_array()],
@@ -878,7 +881,7 @@ class SegmentedScanDataset:
         self._check_open()
         pending: Optional[Tuple[str, str, int, int]] = None
         for pi, part in enumerate(self._parts):
-            offset = int(self._starts[pi])
+            offset = self._starts[pi]
             for domain, country, start, stop in part.iter_runs():
                 gstart, gstop = offset + start, offset + stop
                 if pending is not None and pending[0] == domain \

@@ -1,28 +1,28 @@
-"""On-disk persistence for scan datasets: LSHD segments and JSONL.
+"""On-disk persistence for scan datasets: LSHM checkpoints and JSONL.
 
 Scans are expensive (millions of probes), so batch runs save raw results
-and analyses reload them.  Three formats are supported, dispatched by
-magic bytes (never by file extension; the magic table lives in
+and analyses reload them.  :func:`load_dataset` tells formats apart by
+magic bytes, never by file extension (the magic table lives in
 :mod:`repro.util.envelope`):
 
-* **LSHD columnar segments** (:func:`dump_dataset_lshd`) — the default
-  checkpoint format: the dataset's raw column buffers plus canonical
-  JSON code tables in one fingerprinted segment (see
-  :mod:`repro.lumscan.shards`).  :func:`load_dataset` maps a segment
-  back as zero-copy column views, so loading is O(columns) instead of
-  O(rows).
-* **LSHM manifests** (:func:`dump_dataset_manifest`) — a canonical-JSON
-  list of LSHD segments read back as one logical
-  :class:`SegmentedScanDataset`; history is appended as new segments
-  (see :func:`repro.lumscan.shards.append_segment`) rather than
-  rewritten, and compaction merges segments byte-identically to the
-  sequential writer.
+* **LSHM manifests** (:func:`dump_dataset_manifest`) — the checkpoint
+  format: a canonical-JSON list of content-addressed LSHD segments (see
+  :mod:`repro.lumscan.shards`) read back as one logical
+  :class:`SegmentedScanDataset` of zero-copy mapped column views, so
+  loading is O(columns) instead of O(rows).  History is appended as new
+  segments (see :func:`repro.lumscan.shards.append_segment`) rather
+  than rewritten, and compaction merges segments byte-identically to
+  the sequential writer.
+* **LSHD segments** — one segment on its own
+  (:func:`repro.lumscan.shards.write_segment_file`) loads as a mapped
+  :class:`ScanDataset`; checkpoints written before every checkpoint
+  became a manifest hold these.
 * **JSONL** (:func:`dump_dataset`) — one JSON object per record:
-  append-friendly, diff-able, and stream-parsable; kept as the export /
-  interchange format and for checkpoints written before the columnar
-  format existed.  Paths ending in ``.gz`` are transparently
-  compressed, with ``mtime=0`` so identical datasets produce identical
-  bytes.
+  diff-able and stream-parsable, kept as the export / interchange
+  format and as the row-by-row baseline the store benchmark compares
+  against; no checkpoint is written in it.  Paths ending in ``.gz`` are
+  transparently compressed, with ``mtime=0`` so identical datasets
+  produce identical bytes.
 
 Every writer shares the crash-safety contract of
 :func:`repro.util.envelope.atomic_write`: data goes to a temporary file
@@ -40,13 +40,10 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Union
 
-import numpy as np
-
 from repro.lumscan.records import (
     DatasetReader,
     ScanDataset,
     SegmentedScanDataset,
-    ShardColumns,
 )
 from repro.lumscan.shards import (
     SegmentEntry,
@@ -57,7 +54,6 @@ from repro.lumscan.shards import (
     segment_file_name,
     store_segment,
     write_manifest,
-    write_segment_file,
 )
 from repro.util.envelope import MAGIC_LSHD, SegmentMapping, atomic_write, \
     sniff
@@ -152,18 +148,6 @@ def dump_dataset(dataset: DatasetReader, path: PathLike) -> int:
     return count
 
 
-def dump_dataset_lshd(dataset: DatasetReader, path: PathLike) -> int:
-    """Write a dataset as one LSHD columnar segment.
-
-    The checkpoint-side writer: atomic (temp + ``os.replace``),
-    fingerprinted, and bit-deterministic — the bytes are a pure function
-    of the records.  :func:`load_dataset` maps the result back as
-    zero-copy column views.  Returns the number of records written.
-    """
-    write_segment_file(dataset.export_columns(), os.fspath(path))
-    return len(dataset)
-
-
 def dump_dataset_manifest(dataset: DatasetReader, path: PathLike) -> int:
     """Write a dataset as an ``.lshm`` manifest of LSHD segments.
 
@@ -172,7 +156,9 @@ def dump_dataset_manifest(dataset: DatasetReader, path: PathLike) -> int:
     manifest (under its content-addressed name) are **reused without a
     byte of rewrite** — re-checkpointing a logical dataset that grew by
     one rescan segment costs O(new rows).  Flat datasets (and parts
-    without a known fingerprint) are written as fresh segments.
+    without a known fingerprint) are written as fresh segments, and
+    segments a manifest previously at ``path`` listed that the new one
+    does not are unlinked (:func:`~repro.lumscan.shards.write_manifest`).
     Returns the number of records covered.
     """
     target = os.fspath(path)
@@ -196,82 +182,54 @@ def dump_dataset_manifest(dataset: DatasetReader, path: PathLike) -> int:
     return len(dataset)
 
 
-def _load_segment(mapping: SegmentMapping,
-                  mmap_columns: bool) -> ScanDataset:
-    """A mapped LSHD segment as a dataset (mapped or materialized).
-
-    Consumes ``mapping``: a mapped dataset owns it, and materializing
-    closes it.
-    """
+def _load_segment(mapping: SegmentMapping) -> ScanDataset:
+    """A mapped LSHD segment as a zero-copy dataset that owns ``mapping``."""
     try:
-        columns = decode_shard(mapping)
-        if mmap_columns:
-            return ScanDataset.from_columns(columns, source=mapping)
-        materialized = ShardColumns(
-            n=columns.n,
-            dcodes=np.array(columns.dcodes),
-            ccodes=np.array(columns.ccodes),
-            statuses=np.array(columns.statuses),
-            lengths=np.array(columns.lengths),
-            ecodes=np.array(columns.ecodes),
-            domain_names=list(columns.domain_names),
-            country_names=list(columns.country_names),
-            error_names=list(columns.error_names),
-            bodies=dict(columns.bodies),
-            interfered=list(columns.interfered),
-        )
+        return ScanDataset.from_columns(decode_shard(mapping),
+                                        source=mapping)
     except BaseException:
         mapping.close()
         raise
-    mapping.close()
-    return ScanDataset.from_columns(materialized)
 
 
-def _load_manifest(path: PathLike, mmap_columns: bool) -> DatasetReader:
+def _load_manifest(path: PathLike) -> SegmentedScanDataset:
     """Open an ``.lshm`` manifest as one logical dataset.
 
     Each segment's header must match its manifest entry
     (:func:`~repro.lumscan.shards.open_segment`); each then opens exactly
     as :func:`_load_segment` would (mapped, zero-copy) and the parts are
-    presented as one
-    :class:`SegmentedScanDataset` carrying the manifest's per-segment
-    fingerprints, so re-checkpointing can reuse the segment files.
-    ``mmap=False`` materializes everything into one flat dataset.
+    presented as one :class:`SegmentedScanDataset` carrying the
+    manifest's per-segment fingerprints, so re-checkpointing can reuse
+    the segment files.
     """
     manifest = read_manifest(path)
     parts = []
     try:
         for entry in manifest.entries:
-            parts.append(_load_segment(open_segment(path, entry),
-                                       mmap_columns=mmap_columns))
+            parts.append(_load_segment(open_segment(path, entry)))
     except BaseException:
         for part in parts:
             part.close()
         raise
-    logical = SegmentedScanDataset(
+    return SegmentedScanDataset(
         parts, fingerprints=[entry.fingerprint for entry in manifest.entries])
-    if mmap_columns:
-        return logical
-    return logical.materialize()
 
 
-def load_dataset(path: PathLike, mmap: bool = True) -> DatasetReader:
+def load_dataset(path: PathLike) -> DatasetReader:
     """Read a dataset in any supported on-disk format.
 
-    The format is sniffed from magic bytes: LSHD segments come back as
-    zero-copy mapped datasets and LSHM manifests as multi-segment
-    :class:`SegmentedScanDataset` logical datasets (``mmap=False``
-    copies the columns into ordinary growable buffers and releases the
-    mappings immediately); gzip and plain JSONL — including checkpoints
-    written before the columnar format existed — parse row by row as
-    before.  An LSHW worldpack is rejected with a ``ValueError``.
+    The format is sniffed from magic bytes: LSHM manifests come back as
+    multi-segment :class:`SegmentedScanDataset` logical datasets and
+    LSHD segments as zero-copy mapped datasets; ``materialize()`` (or a
+    pickle) copies the rows off the mappings.  Gzip and plain JSONL
+    parse row by row.  An LSHW worldpack is rejected with a
+    ``ValueError``.
     """
     fmt = sniff_format(path)
-    if fmt == "lshd":
-        return _load_segment(SegmentMapping(path, MAGIC_LSHD),
-                             mmap_columns=mmap)
     if fmt == "lshm":
-        return _load_manifest(path, mmap_columns=mmap)
+        return _load_manifest(path)
+    if fmt == "lshd":
+        return _load_segment(SegmentMapping(path, MAGIC_LSHD))
     if fmt == "lshw":
         raise ValueError(f"{path}: an LSHW worldpack, not a dataset "
                          f"(inspect it with repro-geoblock store inspect)")

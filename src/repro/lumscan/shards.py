@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -512,15 +513,38 @@ def manifest_fingerprint(entries) -> str:
     return fold(bytes.fromhex(entry.fingerprint) for entry in entries)
 
 
+def drop_segments(manifest: Manifest, keep=()) -> None:
+    """Unlink the manifest's segment files, except those named in ``keep``.
+
+    For a manifest that was just replaced or is being removed.  Entries
+    are bare names (:func:`read_manifest` checks), so only files beside
+    the manifest are touched.  Live mappings over an unlinked segment
+    stay readable (POSIX unlink semantics).
+    """
+    kept = set(keep)
+    for entry, path in zip(manifest.entries, manifest.segment_paths()):
+        if entry.file not in kept:
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
+
+
 def write_manifest(path, entries) -> Manifest:
     """Write an ``.lshm`` manifest atomically; returns the manifest.
 
     Layout: ``b"LSHM"`` followed by canonical JSON — every byte a pure
     function of the entry list, so the writer is a ``repro.lint``
     serialization sink.  Entry order is preserved (it *is* the logical
-    row order).
+    row order).  Once the new manifest is in place, the segments the
+    manifest it replaced listed and ``entries`` do not are unlinked
+    (:func:`drop_segments`), so rewriting a manifest orphans no segment.
     """
     entries = tuple(entries)
+    try:
+        previous: Optional[Manifest] = read_manifest(path)
+    except (OSError, ValueError):
+        previous = None
     doc = {
         "fingerprint": manifest_fingerprint(entries),
         "rows": sum(entry.rows for entry in entries),
@@ -529,15 +553,49 @@ def write_manifest(path, entries) -> Manifest:
     }
     with atomic_write(path) as out:
         out.write(frame(MAGIC_LSHM, doc))
+    if previous is not None:
+        drop_segments(previous, keep=[entry.file for entry in entries])
     return Manifest(path=os.fspath(path), entries=entries)
 
 
+def is_bare_file_name(name) -> bool:
+    """True for a plain file name: no directory part, not ``.``/``..``.
+
+    Everything a manifest names may be unlinked on its behalf, so names
+    must stay beside it.
+    """
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name and "\0" not in name)
+
+
+def _segment_entry(name: str, raw) -> SegmentEntry:
+    """One ``[file, rows, fingerprint]`` manifest entry, validated."""
+    valid = isinstance(raw, list) and len(raw) == 3
+    if valid:
+        file, rows, fingerprint = raw
+        valid = (is_bare_file_name(file) and type(rows) is int and rows >= 0
+                 and isinstance(fingerprint, str)
+                 and re.fullmatch("[0-9a-f]{32}", fingerprint) is not None)
+    if not valid:
+        raise ValueError(f"{name}: manifest entry {raw!r} is not "
+                         f"[file beside the manifest, rows, fingerprint]")
+    return SegmentEntry(file=file, rows=rows, fingerprint=fingerprint)
+
+
 def read_manifest(path) -> Manifest:
-    """Read and validate an ``.lshm`` manifest."""
+    """Read and validate an ``.lshm`` manifest.
+
+    Every entry must name a bare file beside the manifest, with a
+    non-negative int row count and a 32-hex fingerprint; anything else
+    raises a ``ValueError`` naming the file, as does a fingerprint or
+    row total that disagrees with the entries.
+    """
     name = os.fspath(path)
     _, doc = read_header(name, MAGIC_LSHM)
-    entries = tuple(SegmentEntry(file=file, rows=int(rows), fingerprint=fp)
-                    for file, rows, fp in doc["segments"])
+    segments = doc.get("segments")
+    if not isinstance(segments, list):
+        raise ValueError(f"{name}: manifest has no segment list")
+    entries = tuple(_segment_entry(name, raw) for raw in segments)
     recorded = doc.get("fingerprint")
     if recorded != manifest_fingerprint(entries):
         raise ValueError(f"{name}: manifest fingerprint mismatch")
@@ -680,11 +738,4 @@ def compact_manifest(manifest_path,
         raise
     entry = SegmentEntry(file=name, rows=int(header["n"]),
                          fingerprint=str(header["fingerprint"]))
-    compacted = write_manifest(target, (entry,))
-    for old in manifest.entries:
-        if old.file != name:
-            try:
-                os.remove(os.path.join(base, old.file))
-            except FileNotFoundError:
-                pass
-    return compacted
+    return write_manifest(target, (entry,))

@@ -4,14 +4,14 @@ Layout under the checkpoint root::
 
     <root>/<study>/<stage>.manifest.json        stage completion record
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
-    <root>/<study>/<stage>.<artifact>.lshd      scan datasets (columnar
-                                                segments, mmap-loaded)
-    <root>/<study>/<stage>.<artifact>.lshm      manifest-backed datasets:
-                                                a canonical-JSON list of
-                                                content-addressed segment
-                                                files beside it — rescans
-                                                append a segment instead
-                                                of rewriting history
+    <root>/<study>/<stage>.<artifact>.lshm      scan datasets: an LSHM
+                                                manifest over mmap-loaded
+                                                LSHD segments beside it,
+                                                ``<stage>.<artifact>.seg-<fp>.lshd``
+
+Loads sniff magic bytes, so a checkpoint whose datasets are single
+``.lshd`` segments (written before every checkpoint became a manifest)
+still resumes.
 
 Every stage is keyed by a **fingerprint**: a SHA-256 over the canonical
 JSON of ``(StudyConfig, WorldConfig, study name, stage name)`` plus an
@@ -29,8 +29,11 @@ reuses every stage.
 Crash safety is ordering + atomicity: artifact files are written first
 (each atomically, via temp + ``os.replace``), the manifest last.  A stage
 is *complete* only when a manifest with a matching fingerprint exists and
-every artifact file it lists is present — an interrupted run can never
-leave a checkpoint that loads as complete but is truncated.
+every artifact file and segment it reaches is present — an interrupted
+run can never leave a checkpoint that loads as complete but is
+truncated.  Files and segments a stage's new manifest no longer reaches
+are removed once it is in place; readers mapping them keep their pages
+(POSIX unlink semantics).
 """
 
 from __future__ import annotations
@@ -39,31 +42,18 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Set
 
-from repro.lumscan.records import DatasetReader, ScanDataset, \
-    SegmentedScanDataset
-from repro.lumscan.serialize import (
-    dump_dataset_lshd,
-    dump_dataset_manifest,
-    load_dataset,
-)
-from repro.lumscan.shards import read_manifest
+from repro.lumscan.records import ScanDataset, SegmentedScanDataset
+from repro.lumscan.serialize import dump_dataset_manifest, load_dataset
+from repro.lumscan.shards import drop_segments, is_bare_file_name, \
+    read_manifest
 from repro.run.codecs import decode_artifact, encode_artifact
-from repro.run.stage import KIND_DATASET, KIND_JSON, Stage
+from repro.run.stage import KIND_DATASET, Stage
 from repro.util.envelope import atomic_write
 
 #: Version of the on-disk checkpoint format (manifest + JSON envelopes).
 FORMAT_VERSION = 1
-
-#: Dataset codecs a store can write (suffix doubles as the format name).
-#: Loading always sniffs magic bytes, so checkpoints in any format —
-#: including pre-columnar ``.jsonl.gz`` ones — stay loadable.
-DATASET_FORMATS = ("lshd", "lshm")
-
-#: Suffixes of dataset checkpoints older stores wrote; still loadable,
-#: and still removed by ``invalidate(remove_artifacts=True)``.
-LEGACY_DATASET_SUFFIXES = ("jsonl.gz", "jsonl")
 
 #: ``StudyConfig`` fields that choose how the scan engine runs probes,
 #: never what the probes return (output is byte-identical for any of
@@ -123,28 +113,20 @@ class ArtifactStore:
     """Checkpoint directory for one study run.
 
     ``salt`` folds non-config stage inputs into every fingerprint (pass a
-    digest of e.g. an inherited registry); ``dataset_format`` selects the
-    dataset codec — ``"lshd"`` (the default) writes mmap-loadable
-    columnar segments, ``"lshm"`` writes manifest-backed multi-segment
-    datasets keyed by manifest fingerprint (a re-checkpoint of a logical
-    dataset that grew by one rescan segment reuses the existing segment
-    files and costs O(new rows)).  Loads sniff the actual bytes, so a
-    store also reads legacy gzip-JSONL checkpoints.
+    digest of e.g. an inherited registry).  Each dataset artifact is an
+    ``.lshm`` manifest over content-addressed LSHD segments, recorded in
+    the stage manifest by its manifest fingerprint; a re-checkpoint of a
+    logical dataset that grew by one rescan segment reuses the existing
+    segment files and costs O(new rows).
     """
 
     def __init__(self, root: str, study: str, study_config: object,
-                 world_config: object, salt: str = "",
-                 dataset_format: str = "lshd") -> None:
-        if dataset_format not in DATASET_FORMATS:
-            raise ValueError(
-                f"dataset_format must be one of {DATASET_FORMATS}, "
-                f"got {dataset_format!r}")
+                 world_config: object, salt: str = "") -> None:
         self._dir = os.path.join(os.fspath(root), study)
         self._study = study
         self._study_config = study_config
         self._world_config = world_config
         self._salt = salt
-        self._dataset_format = dataset_format
 
     @property
     def directory(self) -> str:
@@ -163,15 +145,32 @@ class ArtifactStore:
         return os.path.join(self._dir, f"{stage}.manifest.json")
 
     def _artifact_file(self, stage: str, name: str, kind: str) -> str:
-        suffix = self._dataset_format if kind == KIND_DATASET else "json"
+        suffix = "lshm" if kind == KIND_DATASET else "json"
         return f"{stage}.{name}.{suffix}"
+
+    def _dataset_complete(self, entry: Dict[str, object]) -> bool:
+        """Whether a dataset artifact is the ``.lshm`` the stage recorded
+        and every segment it lists exists.  An entry without a manifest
+        fingerprint is a single-segment ``.lshd`` checkpoint, written
+        before every checkpoint became a manifest."""
+        path = os.path.join(self._dir, entry["file"])
+        recorded = entry.get("manifest_fingerprint")
+        if recorded is None:
+            return os.path.exists(path)
+        try:
+            manifest = read_manifest(path)
+        except (OSError, ValueError):
+            return False
+        return manifest.fingerprint == recorded and all(
+            os.path.exists(segment) for segment in manifest.segment_paths())
 
     def manifest(self, stage: Stage) -> Optional[Dict[str, object]]:
         """The stage's manifest when its checkpoint is complete and valid.
 
         Returns None when the manifest is missing, unreadable, written by
         a different format version, fingerprint-mismatched (stale configs),
-        missing a declared artifact, or missing an artifact file.
+        missing a declared artifact, or missing an artifact file or one
+        of a dataset manifest's segments.
         """
         path = self._manifest_path(stage.name)
         try:
@@ -189,16 +188,51 @@ class ArtifactStore:
             entry = listed.get(spec.name)
             if entry is None or entry.get("kind") != spec.kind:
                 return None
-            if not os.path.exists(os.path.join(self._dir, entry["file"])):
+            if not is_bare_file_name(entry.get("file")):
+                return None
+            if spec.kind == KIND_DATASET:
+                if not self._dataset_complete(entry):
+                    return None
+            elif not os.path.exists(os.path.join(self._dir, entry["file"])):
                 return None
         return manifest
+
+    def _listed_files(self, stage: str) -> Set[str]:
+        """The artifact files a stage manifest on disk lists, whatever
+        its fingerprint (bare names only; empty when there is none)."""
+        try:
+            with open(self._manifest_path(stage), "r",
+                      encoding="utf-8") as handle:
+                artifacts = json.load(handle).get("artifacts", [])
+            return {entry["file"] for entry in artifacts
+                    if is_bare_file_name(entry.get("file"))}
+        except (OSError, ValueError, AttributeError, TypeError):
+            return set()
+
+    def _remove_files(self, files: Iterable[str]) -> None:
+        """Unlink artifact files; an ``.lshm`` takes its segments along."""
+        for name in sorted(files):
+            path = os.path.join(self._dir, name)
+            try:
+                drop_segments(read_manifest(path))
+            except (OSError, ValueError):
+                pass   # not a manifest, or already gone
+            try:
+                os.remove(path)
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------ #
 
     def save_stage(self, stage: Stage, artifacts: Dict[str, object],
                    probes: int = 0, seconds: float = 0.0) -> None:
-        """Checkpoint one executed stage (artifacts first, manifest last)."""
+        """Checkpoint one executed stage (artifacts first, manifest last).
+
+        Files the stage's previous manifest listed and this one does not
+        are removed once the new manifest is in place.
+        """
         os.makedirs(self._dir, exist_ok=True)
+        superseded = self._listed_files(stage.name)
         entries = []
         for spec in stage.outputs:
             value = artifacts[spec.name]
@@ -211,12 +245,9 @@ class ArtifactStore:
                     raise TypeError(
                         f"stage {stage.name!r} artifact {spec.name!r} "
                         f"declared as dataset but is {type(value).__name__}")
-                if self._dataset_format == "lshd":
-                    entry["records"] = dump_dataset_lshd(value, path)
-                else:
-                    entry["records"] = dump_dataset_manifest(value, path)
-                    entry["manifest_fingerprint"] = \
-                        read_manifest(path).fingerprint
+                entry["records"] = dump_dataset_manifest(value, path)
+                entry["manifest_fingerprint"] = \
+                    read_manifest(path).fingerprint
             else:
                 _atomic_write_json(path, {
                     "version": FORMAT_VERSION,
@@ -232,6 +263,7 @@ class ArtifactStore:
             "artifacts": entries,
             "stats": {"probes": probes, "seconds": round(seconds, 3)},
         })
+        self._remove_files(superseded - {entry["file"] for entry in entries})
 
     def load_stage(self, stage: Stage,
                    manifest: Optional[Dict[str, object]] = None
@@ -264,48 +296,18 @@ class ArtifactStore:
                    remove_artifacts: bool = False) -> None:
         """Drop the manifests of the given stages (testing / forced rerun).
 
-        ``remove_artifacts=True`` also unlinks the stages' artifact
-        files, in any format a previous run may have written them; a
-        ``.lshm`` manifest takes its referenced segment files with it
-        (they are content-addressed per artifact, never shared across
-        stages).  A reader holding a mapped dataset keeps reading its
-        now-unlinked segments — POSIX keeps the pages alive until the
-        mapping closes.
+        ``remove_artifacts=True`` also unlinks the artifact files each
+        stage manifest lists; a ``.lshm`` manifest takes its segment
+        files with it (they are content-addressed per artifact, never
+        shared across stages).  A reader holding a mapped dataset keeps
+        reading its now-unlinked segments — POSIX keeps the pages alive
+        until the mapping closes.
         """
         for stage in stages:
+            files = self._listed_files(stage.name)
             try:
                 os.remove(self._manifest_path(stage.name))
             except OSError:
                 pass
-            if not remove_artifacts:
-                continue
-            for spec in stage.outputs:
-                suffixes = DATASET_FORMATS + LEGACY_DATASET_SUFFIXES \
-                    if spec.kind == KIND_DATASET else ("json",)
-                for suffix in suffixes:
-                    path = os.path.join(
-                        self._dir, f"{stage.name}.{spec.name}.{suffix}")
-                    if suffix == "lshm":
-                        self._remove_manifest_artifact(path)
-                        continue
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass
-
-    @staticmethod
-    def _remove_manifest_artifact(path: str) -> None:
-        """Unlink a ``.lshm`` artifact and every segment it references."""
-        try:
-            manifest = read_manifest(path)
-        except (OSError, ValueError):
-            return
-        for segment in manifest.segment_paths():
-            try:
-                os.remove(segment)
-            except OSError:
-                pass
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+            if remove_artifacts:
+                self._remove_files(files)

@@ -98,8 +98,7 @@ LINT_RESOURCE_CONTRACT = {
         "writers": ["atomic_write", "publish", "write_segment_file",
                     "write_manifest", "store_segment", "adopt_segment",
                     "append_segment", "compact_manifest",
-                    "dump_dataset_lshd", "dump_dataset_manifest",
-                    "write_worldpack_file"],
+                    "dump_dataset_manifest", "write_worldpack_file"],
     },
 }
 
@@ -218,7 +217,7 @@ def _header_length(head: bytes, magic: bytes, name: str) -> int:
 def _decode_header(raw: bytes, magic: bytes, name: str) -> dict:
     try:
         header = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{name}: unreadable envelope header "
                          f"({exc})") from None
     found = header.get("version") if isinstance(header, dict) else None

@@ -51,6 +51,23 @@ def tiny_top10k(tiny_world):
     return run_top10k_study(tiny_world)
 
 
+def unreferenced_segments(root) -> list:
+    """``*.seg-*.lshd`` files under ``root`` that no ``.lshm`` lists."""
+    import os
+
+    from repro.lumscan.shards import read_manifest
+
+    found, listed = set(), set()
+    for directory, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(directory, name)
+            if ".seg-" in name and name.endswith(".lshd"):
+                found.add(path)
+            elif name.endswith(".lshm"):
+                listed.update(read_manifest(path).segment_paths())
+    return sorted(found - listed)
+
+
 #: Suite parameters small enough for a tiny-world suite in seconds.
 SUITE_TEST_PARAMS = {"pool_pairs": 8, "pool_samples": 30,
                      "cf_rule_zones": 15_000}

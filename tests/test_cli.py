@@ -35,14 +35,15 @@ class TestParser:
     def test_run_storage_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.merge == "memory"
-        assert args.checkpoint_format == "lshd"
+        assert not hasattr(args, "checkpoint_format")
 
     def test_merge_choice_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--merge", "tape"])
 
     def test_checkpoint_format_validated(self):
-        for fmt in ("csv", "jsonl.gz", "jsonl"):
+        # Every checkpoint is an LSHM manifest: the flag is gone.
+        for fmt in ("lshd", "lshm", "csv", "jsonl.gz", "jsonl"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["run", "--checkpoint-format", fmt])
@@ -55,11 +56,6 @@ class TestParser:
     def test_store_inspect_requires_path(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "inspect"])
-
-    def test_checkpoint_format_accepts_lshm(self):
-        args = build_parser().parse_args(
-            ["run", "--checkpoint-format", "lshm"])
-        assert args.checkpoint_format == "lshm"
 
     def test_store_append_requires_both_paths(self):
         with pytest.raises(SystemExit):
@@ -99,13 +95,13 @@ class TestCommands:
 class TestStoreInspect:
     def _segment(self, tmp_path):
         from repro.lumscan.records import ScanDataset
-        from repro.lumscan.serialize import dump_dataset_lshd
+        from repro.lumscan.shards import write_segment_file
 
         data = ScanDataset()
         data.append("a.com", "US", 200, 9_000, None)
         data.append("a.com", "IR", 403, 480, "<html>block</html>")
         path = str(tmp_path / "scan.lshd")
-        dump_dataset_lshd(data, path)
+        write_segment_file(data.export_columns(), path)
         return path
 
     def test_inspect_prints_header(self, tmp_path, capsys):
@@ -151,14 +147,14 @@ class TestStoreInspect:
 class TestStoreManifestCommands:
     def _segment(self, tmp_path, name="part.lshd"):
         from repro.lumscan.records import ScanDataset
-        from repro.lumscan.serialize import dump_dataset_lshd
+        from repro.lumscan.shards import write_segment_file
 
         data = ScanDataset()
         data.append("a.com", "US", 200, 9_000, None)
         data.append("a.com", "IR", 403, 480, "<html>block</html>")
         data.append("b.com", "SY", -1, 0, None, error="timeout")
         path = str(tmp_path / name)
-        dump_dataset_lshd(data, path)
+        write_segment_file(data.export_columns(), path)
         return path
 
     def test_append_creates_and_grows_manifest(self, tmp_path, capsys):
@@ -203,3 +199,26 @@ class TestStoreManifestCommands:
     def test_compact_rejects_missing_manifest(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["store", "compact", str(tmp_path / "nope.lshm")])
+
+    @pytest.mark.parametrize("segments", [
+        None, 5, [["../../etc/passwd", 0, "0" * 32]], [["a.lshd", -1]],
+    ])
+    def test_malformed_manifest_is_one_clean_line(self, tmp_path, segments):
+        """``store inspect``, ``compact`` and ``append`` exit with one
+        line naming the file, never a traceback."""
+        from repro.lumscan.shards import manifest_fingerprint
+        from repro.util.envelope import MAGIC_LSHM, frame
+
+        doc = {"fingerprint": manifest_fingerprint(()), "rows": 0}
+        if segments is not None:
+            doc["segments"] = segments
+        path = tmp_path / "data.lshm"
+        path.write_bytes(frame(MAGIC_LSHM, doc))
+        segment = TestStoreManifestCommands()._segment(tmp_path)
+        for args in (["inspect", str(path)], ["compact", str(path)],
+                     ["append", str(path), segment]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["store", *args])
+            message = str(excinfo.value)
+            assert message.startswith(str(path))
+            assert "\n" not in message

@@ -27,7 +27,6 @@ from repro.lumscan.records import (
     SegmentedScanDataset,
 )
 from repro.lumscan.serialize import (
-    dump_dataset_lshd,
     dump_dataset_manifest,
     load_dataset,
     sniff_format,
@@ -44,7 +43,9 @@ from repro.lumscan.shards import (
     write_segment_file,
     write_shard,
 )
-from repro.util.envelope import KIND_FILE, MAGIC_LSHD, read_header
+from repro.util.envelope import KIND_FILE, MAGIC_LSHD, MAGIC_LSHM, frame, \
+    read_header
+from tests.conftest import unreferenced_segments
 
 
 def _dataset(offset: int = 0, n: int = 12) -> ScanDataset:
@@ -125,6 +126,76 @@ class TestManifestCodec:
             read_manifest(str(path))
 
 
+def _forge(path, segments, **doc):
+    """Write an LSHM manifest with arbitrary ``segments`` and, unless
+    given, the fingerprint and row total recomputed from them — what a
+    careful forger would do."""
+    try:
+        entries = [SegmentEntry(*raw) for raw in segments]
+        doc.setdefault("fingerprint", manifest_fingerprint(entries))
+        doc.setdefault("rows", sum(entry.rows for entry in entries))
+    except (TypeError, ValueError):
+        pass
+    if segments is not None:
+        doc["segments"] = segments
+    with open(path, "wb") as out:
+        out.write(frame(MAGIC_LSHM, doc))
+
+
+class TestManifestValidation:
+    """``read_manifest`` rejects what it cannot trust with a
+    ``ValueError`` naming the file: every entry path it returns stays in
+    the manifest's directory."""
+
+    @pytest.mark.parametrize("segments", [
+        None,                                       # no segment list
+        5,                                          # not a list
+        {"a.lshd": 3},
+        [["a.lshd", 3]],                            # short entry
+        ["a.lshd"],
+        [["../../etc/passwd", 0, "ab" * 16]],       # escapes the dir
+        [["/etc/passwd", 0, "ab" * 16]],
+        [["sub/a.lshd", 0, "ab" * 16]],
+        [["..", 0, "ab" * 16]],
+        [["", 0, "ab" * 16]],
+        [[7, 0, "ab" * 16]],
+        [["a.lshd", -1, "ab" * 16]],                # bad row counts
+        [["a.lshd", "3", "ab" * 16]],
+        [["a.lshd", 3.0, "ab" * 16]],
+        [["a.lshd", True, "ab" * 16]],
+        [["a.lshd", 3, "ab" * 15]],                 # bad fingerprints
+        [["a.lshd", 3, "zz" * 16]],
+        [["a.lshd", 3, "AB" * 16]],
+        [["a.lshd", 3, None]],
+    ])
+    def test_untrusted_entries_rejected(self, tmp_path, segments):
+        man = str(tmp_path / "data.lshm")
+        _forge(man, segments)
+        with pytest.raises(ValueError) as info:
+            read_manifest(man)
+        assert man in str(info.value)
+
+    def test_valid_forged_manifest_accepted(self, tmp_path):
+        # The forging helper itself produces readable manifests.
+        man = str(tmp_path / "data.lshm")
+        _forge(man, [["a.lshd", 3, "ab" * 16]])
+        assert read_manifest(man).segment_paths() == \
+            [str(tmp_path / "a.lshd")]
+
+    def test_compact_never_touches_files_outside(self, tmp_path):
+        inside = tmp_path / "ckpt"
+        inside.mkdir()
+        victim = tmp_path / "victim.lshd"
+        write_segment_file(_dataset(0).export_columns(), str(victim))
+        _, header = read_header(str(victim), MAGIC_LSHD)
+        man = str(inside / "data.lshm")
+        _forge(man, [["../victim.lshd", header["n"], header["fingerprint"]]])
+        with pytest.raises(ValueError, match=r"is not \[file beside"):
+            compact_manifest(man)
+        assert victim.exists()
+        assert os.listdir(inside) == ["data.lshm"]
+
+
 class TestAppendAndAdopt:
     def test_append_never_rewrites_prior_segments(self, tmp_path):
         man = str(tmp_path / "data.lshm")
@@ -195,8 +266,6 @@ class TestSegmentHeaderCheck:
         with pytest.raises(ValueError, match="fingerprint mismatch") as info:
             load_dataset(man)
         assert victim in str(info.value)
-        with pytest.raises(ValueError, match="fingerprint mismatch"):
-            load_dataset(man, mmap=False)
 
     def test_swapped_segment_fails_to_compact(self, tmp_path):
         man, victim = self._swapped(tmp_path)
@@ -224,7 +293,7 @@ class TestCompaction:
         manifest = compact_manifest(man)
         assert len(manifest.entries) == 1
         sequential = str(tmp_path / "sequential.lshd")
-        dump_dataset_lshd(_merged(*parts), sequential)
+        write_segment_file(_merged(*parts).export_columns(), sequential)
         compacted = tmp_path / manifest.entries[0].file
         assert compacted.read_bytes() == open(sequential, "rb").read()
 
@@ -341,14 +410,21 @@ class TestSerializeManifest:
         assert _rows(loaded) == _rows(flat)
         loaded.close()
 
-    def test_load_without_mmap_materializes(self, tmp_path):
+    def test_redump_unlinks_superseded_segments(self, tmp_path):
+        """Rewriting a manifest over other rows unlinks the segments only
+        the old manifest listed; a logical dataset mapped before keeps
+        reading them."""
         man = str(tmp_path / "data.lshm")
         append_segment(man, _dataset(0).export_columns())
         append_segment(man, _dataset(12).export_columns())
-        loaded = load_dataset(man, mmap=False)
-        assert isinstance(loaded, ScanDataset)
-        assert not loaded.is_mapped
-        assert _rows(loaded) == _rows(_merged(_dataset(0), _dataset(12)))
+        before = load_dataset(man)
+        old = read_manifest(man).segment_paths()
+        dump_dataset_manifest(_dataset(30), man)
+        assert not any(os.path.exists(path) for path in old)
+        assert unreferenced_segments(tmp_path) == []
+        assert _rows(before) == _rows(_merged(_dataset(0), _dataset(12)))
+        before.close()
+        assert _rows(load_dataset(man)) == _rows(_dataset(30))
 
     def test_redump_reuses_existing_segments(self, tmp_path):
         man = str(tmp_path / "data.lshm")

@@ -5,14 +5,14 @@ import os
 import pytest
 
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
-from repro.lumscan.serialize import (
-    dump_dataset,
-    dump_dataset_lshd,
-    load_dataset,
-    sniff_format,
-)
+from repro.lumscan.serialize import dump_dataset, load_dataset, sniff_format
+from repro.lumscan.shards import write_segment_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _dump_lshd(dataset, path):
+    write_segment_file(dataset.export_columns(), str(path))
 
 
 def _dataset():
@@ -138,7 +138,7 @@ class TestLSHD:
     def test_mapped_roundtrip_preserves_records(self, tmp_path):
         original = _dataset()
         path = tmp_path / "scan.lshd"
-        assert dump_dataset_lshd(original, path) == len(original)
+        _dump_lshd(original, path)
         loaded = load_dataset(path)
         try:
             assert loaded.is_mapped
@@ -147,26 +147,15 @@ class TestLSHD:
         finally:
             loaded.close()
 
-    def test_materialized_load_copies_and_releases(self, tmp_path):
-        path = tmp_path / "scan.lshd"
-        dump_dataset_lshd(_dataset(), path)
-        loaded = load_dataset(path, mmap=False)
-        assert not loaded.is_mapped
-        os.remove(path)  # no mapping holds the file
-        assert loaded.row(3) == _dataset().row(3)
-        # A materialized dataset stays growable like any other.
-        loaded.append("d.com", "DE", 200, 1, None)
-        assert len(loaded) == 5
-
     def test_lshd_bytes_are_deterministic(self, tmp_path):
         a, b = tmp_path / "a.lshd", tmp_path / "b.lshd"
-        dump_dataset_lshd(_dataset(), a)
-        dump_dataset_lshd(_dataset(), b)
+        _dump_lshd(_dataset(), a)
+        _dump_lshd(_dataset(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_lshd_dataset(self, tmp_path):
         path = tmp_path / "empty.lshd"
-        assert dump_dataset_lshd(ScanDataset(), path) == 0
+        _dump_lshd(ScanDataset(), path)
         data = load_dataset(path)
         try:
             assert len(data) == 0
@@ -180,7 +169,7 @@ class TestLSHD:
         for _ in range(2):
             original.append("run.example", "IR", 403, 50, "blocked")
         path = tmp_path / "runs.lshd"
-        dump_dataset_lshd(original, path)
+        _dump_lshd(original, path)
         loaded = load_dataset(path)
         try:
             runs = [(d, c, len(s)) for d, c, s in loaded.pairs()]
@@ -194,7 +183,7 @@ class TestSniffing:
     def test_sniffs_each_format(self, tmp_path):
         dump_dataset(_dataset(), tmp_path / "a")
         dump_dataset(_dataset(), tmp_path / "b.gz")
-        dump_dataset_lshd(_dataset(), tmp_path / "c")
+        _dump_lshd(_dataset(), tmp_path / "c")
         assert sniff_format(tmp_path / "a") == "jsonl"
         assert sniff_format(tmp_path / "b.gz") == "jsonl.gz"
         assert sniff_format(tmp_path / "c") == "lshd"
@@ -202,7 +191,7 @@ class TestSniffing:
     def test_extension_is_never_trusted(self, tmp_path):
         # An LSHD segment under a legacy extension still loads as LSHD.
         path = tmp_path / "scan.jsonl.gz"
-        dump_dataset_lshd(_dataset(), path)
+        _dump_lshd(_dataset(), path)
         loaded = load_dataset(path)
         try:
             assert loaded.is_mapped
@@ -211,9 +200,8 @@ class TestSniffing:
             loaded.close()
 
     def test_legacy_gzip_fixture_still_loads(self):
-        # Frozen bytes from the pre-columnar gzip-JSONL writer: the
-        # loader must keep reading checkpoints written before LSHD
-        # became the default format.
+        # Frozen bytes from the pre-columnar gzip-JSONL writer: JSONL
+        # stays the export codec, so its reader must keep reading them.
         path = os.path.join(FIXTURES, "legacy_scan.jsonl.gz")
         assert sniff_format(path) == "jsonl.gz"
         loaded = load_dataset(path)
@@ -226,7 +214,7 @@ class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
         dump_dataset(_dataset(), tmp_path / "scan.jsonl")
         dump_dataset(_dataset(), tmp_path / "scan.jsonl.gz")
-        dump_dataset_lshd(_dataset(), tmp_path / "scan.lshd")
+        _dump_lshd(_dataset(), tmp_path / "scan.lshd")
         leftovers = [p.name for p in tmp_path.iterdir()
                      if ".tmp." in p.name]
         assert leftovers == []

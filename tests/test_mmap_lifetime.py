@@ -14,6 +14,7 @@ iteration-order rules.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -22,9 +23,11 @@ import sys
 import pytest
 
 from repro.lumscan.records import ScanDataset
-from repro.lumscan.serialize import dump_dataset_lshd, load_dataset
+from repro.lumscan.serialize import load_dataset
+from repro.lumscan.shards import write_segment_file
 from repro.run.artifacts import ArtifactStore
 from repro.run.stage import ArtifactSpec, KIND_DATASET, Stage
+from tests.conftest import unreferenced_segments
 
 
 def _dataset() -> ScanDataset:
@@ -38,7 +41,7 @@ def _dataset() -> ScanDataset:
 
 def _mapped(tmp_path, name="scan.lshd") -> ScanDataset:
     path = tmp_path / name
-    dump_dataset_lshd(_dataset(), path)
+    write_segment_file(_dataset().export_columns(), str(path))
     return load_dataset(path)
 
 
@@ -78,7 +81,7 @@ class TestCloseSemantics:
         # Growing a mapped dataset must copy into ordinary buffers, not
         # write through to the file.
         path = tmp_path / "scan.lshd"
-        dump_dataset_lshd(_dataset(), path)
+        write_segment_file(_dataset().export_columns(), str(path))
         before = path.read_bytes()
         data = load_dataset(path)
         data.append("d.com", "DE", 200, 1, None)
@@ -101,25 +104,34 @@ _STAGE = Stage("scan", (ArtifactSpec("initial", KIND_DATASET),),
 class TestInvalidateWhileMapped:
     def test_unlinked_segment_stays_readable(self, tmp_path):
         # POSIX keeps the mapped pages alive after unlink, so a reader
-        # holding a checkpoint survives the store removing it.
+        # holding a single-segment .lshd checkpoint (the layout before
+        # every checkpoint became a manifest) survives the store
+        # removing the file its stage manifest lists.
         store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1})
         store.save_stage(_STAGE, {"initial": _dataset()})
+        study_dir = tmp_path / "study"
+        manifest_path = study_dir / "scan.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        store.invalidate([_STAGE], remove_artifacts=True)
+        write_segment_file(_dataset().export_columns(),
+                           str(study_dir / "scan.initial.lshd"))
+        manifest["artifacts"][0]["file"] = "scan.initial.lshd"
+        del manifest["artifacts"][0]["manifest_fingerprint"]
+        manifest_path.write_text(json.dumps(manifest))
         reader = store.load_stage(_STAGE)["initial"]
         assert reader.is_mapped
 
         store.invalidate([_STAGE], remove_artifacts=True)
-        assert not (tmp_path / "study" / "scan.initial.lshd").exists()
+        assert os.listdir(study_dir) == []
         assert [reader.row(i) for i in range(4)] \
             == [_dataset().row(i) for i in range(4)]
         assert reader.close() is True
 
     def test_unlinked_manifest_and_segments_stay_readable(self, tmp_path):
-        # The lshm variant of the contract above: invalidating a
-        # manifest-backed checkpoint removes the manifest *and* every
-        # segment it references, yet a reader holding the mapped
-        # logical dataset keeps reading all of them.
-        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1},
-                              dataset_format="lshm")
+        # Invalidating a manifest-backed checkpoint removes the
+        # manifest *and* every segment it references, yet a reader
+        # holding the mapped logical dataset keeps reading all of them.
+        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1})
         store.save_stage(_STAGE, {"initial": _dataset()})
         reader = store.load_stage(_STAGE)["initial"]
         assert reader.is_mapped
@@ -137,20 +149,30 @@ class TestInvalidateWhileMapped:
         assert reader.close() is True
 
     def test_rewrite_under_reader_does_not_corrupt_it(self, tmp_path):
-        # save_stage replaces the segment via atomic rename; a reader
-        # mapped to the old inode keeps seeing the old rows.
+        # Re-executing the stage under a changed config writes a segment
+        # under a new content-addressed name and unlinks the superseded
+        # one, so no segment is orphaned; a reader mapped to the old
+        # segment keeps seeing the old rows.
         store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1})
         store.save_stage(_STAGE, {"initial": _dataset()})
         reader = store.load_stage(_STAGE)["initial"]
+        study_dir = tmp_path / "study"
+        (old,) = study_dir.glob("scan.initial.seg-*.lshd")
 
         bigger = _dataset()
         bigger.append("d.com", "DE", 200, 1, None)
-        store.save_stage(_STAGE, {"initial": bigger})
+        changed = ArtifactStore(str(tmp_path), "study", {"seed": 2}, {"n": 1})
+        changed.save_stage(_STAGE, {"initial": bigger})
+        assert not old.exists()
+        assert len(list(study_dir.glob("scan.initial.seg-*.lshd"))) == 1
+        assert unreferenced_segments(study_dir) == []
+        assert store.manifest(_STAGE) is None
 
         assert len(reader) == 4
-        assert reader.row(0) == _dataset().row(0)
+        assert [reader.row(i) for i in range(4)] \
+            == [_dataset().row(i) for i in range(4)]
         reader.close()
-        fresh = store.load_stage(_STAGE)["initial"]
+        fresh = changed.load_stage(_STAGE)["initial"]
         assert len(fresh) == 5
         fresh.close()
 
@@ -159,7 +181,7 @@ _DUMP_SCRIPT = r"""
 import sys
 
 from repro.lumscan.records import ScanDataset
-from repro.lumscan.serialize import dump_dataset_lshd
+from repro.lumscan.shards import write_segment_file
 
 data = ScanDataset()
 for domain, country, status, length, body, error, interfered in [
@@ -171,7 +193,7 @@ for domain, country, status, length, body, error, interfered in [
 ]:
     data.append(domain, country, status, length, body,
                 error=error, interfered=interfered)
-dump_dataset_lshd(data, sys.argv[1])
+write_segment_file(data.export_columns(), sys.argv[1])
 sys.stdout.buffer.write(open(sys.argv[1], "rb").read())
 """
 

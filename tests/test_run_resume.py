@@ -28,11 +28,12 @@ from repro.core.pipeline import (
 from repro.lumscan import engine as engine_module
 from repro.lumscan.records import ScanDataset, SegmentedScanDataset
 from repro.lumscan.serialize import dump_dataset, load_dataset
-from repro.lumscan.shards import append_segment
+from repro.lumscan.shards import append_segment, drop_segments, \
+    read_manifest
 from repro.proxynet.luminati import LuminatiClient
 from repro.run import ArtifactStore, encode_artifact
 from repro.websim.world import World, WorldConfig
-from tests.conftest import SUITE_TEST_PARAMS
+from tests.conftest import SUITE_TEST_PARAMS, unreferenced_segments
 
 #: Stages assumed complete when the run "crashed" after the initial scan.
 _COMPLETED = ("safe-list", "country-ranking", "initial-scan")
@@ -114,13 +115,15 @@ class TestTop10KResume:
 
 
 def _segment_checkpoint(path: str, k: int) -> None:
-    """Rewrite one LSHD dataset checkpoint as a ``k``-segment manifest.
+    """Rewrite one dataset checkpoint as a ``k``-segment manifest.
 
-    Loads sniff magic bytes, so the manifest can live at the recorded
-    ``.lshd`` file name — the stage manifest.json needs no patching.
+    The stage manifest records the dataset manifest's fingerprint, so
+    the rewritten manifest's fingerprint is patched in beside it.
     """
-    flat = load_dataset(path, mmap=False)
+    flat = load_dataset(path)
     rows = [flat.row(i) for i in range(len(flat))]
+    flat.close()
+    drop_segments(read_manifest(path))
     os.remove(path)
     bounds = [round(i * len(rows) / k) for i in range(k + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -130,6 +133,16 @@ def _segment_checkpoint(path: str, k: int) -> None:
                         sample.length, sample.body, error=sample.error,
                         interfered=sample.interfered)
         append_segment(path, part.export_columns())
+    stage = os.path.basename(path).split(".")[0]
+    stage_manifest = os.path.join(os.path.dirname(path),
+                                  f"{stage}.manifest.json")
+    with open(stage_manifest) as handle:
+        record = json.load(handle)
+    for entry in record["artifacts"]:
+        if entry["file"] == os.path.basename(path):
+            entry["manifest_fingerprint"] = read_manifest(path).fingerprint
+    with open(stage_manifest, "w") as handle:
+        json.dump(record, handle)
 
 
 class TestSegmentedResume:
@@ -156,7 +169,7 @@ class TestSegmentedResume:
         ckpt = str(tmp_path / "ckpt")
         shutil.copytree(root, ckpt)
         dataset_path = os.path.join(ckpt, "top10k",
-                                    "initial-scan.initial.lshd")
+                                    "initial-scan.initial.lshm")
         _segment_checkpoint(dataset_path, k)
         reloaded = load_dataset(dataset_path)
         assert isinstance(reloaded, SegmentedScanDataset)
@@ -257,6 +270,30 @@ class TestCheckpointInvalidation:
         assert all(s.cache_hit for s in resumed.stage_stats)
         assert _result_digest(resumed, tmp_path, "resumed") == \
             _result_digest(fresh, tmp_path, "fresh")
+
+    def test_config_change_leaves_no_orphaned_segments(self, tmp_path):
+        """Re-executing into the same directory under a changed config
+        replaces each dataset's segments by new content-addressed ones
+        and unlinks the old; a reader mapped before keeps its rows."""
+        root = str(tmp_path / "ckpt")
+        world = World(WorldConfig.nano())
+        fresh = run_top10k_study(world, config=StudyConfig(),
+                                 checkpoint_dir=root)
+        path = os.path.join(root, "top10k", "initial-scan.initial.lshm")
+        reader = load_dataset(path)
+        before = read_manifest(path).segment_paths()
+        expected = tmp_path / "expected.jsonl"
+        dump_dataset(fresh.initial, expected)
+
+        changed = StudyConfig(seed=StudyConfig().seed + 1)
+        run_top10k_study(World(WorldConfig.nano()), config=changed,
+                         checkpoint_dir=root)
+        assert not any(os.path.exists(p) for p in before)
+        assert unreferenced_segments(root) == []
+        seen = tmp_path / "seen.jsonl"
+        dump_dataset(reader, seen)
+        assert seen.read_bytes() == expected.read_bytes()
+        reader.close()
 
     def test_config_change_invalidates_everything(self, tmp_path):
         """Changing a methodology knob must force full re-execution."""

@@ -14,8 +14,10 @@ from repro.core.fingerprints import Fingerprint, FingerprintRegistry
 from repro.core.identify import CDNPopulation
 from repro.core.lengths import Outlier
 from repro.core.resample import ConfirmedBlock
-from repro.lumscan.records import Sample, ScanDataset
-from repro.lumscan.serialize import dump_dataset
+from repro.lumscan.records import Sample, ScanDataset, SegmentedScanDataset
+from repro.lumscan.serialize import dump_dataset_manifest, sniff_format
+from repro.lumscan.shards import SegmentEntry, manifest_fingerprint, \
+    read_manifest, write_segment_file
 from repro.run import (
     KIND_DATASET,
     ArtifactSpec,
@@ -27,6 +29,8 @@ from repro.run import (
     encode_artifact,
     run_fingerprint,
 )
+from repro.util.envelope import MAGIC_LSHM, frame
+from tests.conftest import unreferenced_segments
 
 
 def _roundtrip(value):
@@ -196,9 +200,48 @@ class TestArtifactStore:
         assert store.manifest(resalted) is None
 
     def test_missing_artifact_file_invalidates(self, tmp_path):
+        """Completeness covers the dataset manifest and every segment it
+        lists: losing either makes the stage incomplete."""
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
-        (tmp_path / "study" / "scan.initial.lshd").unlink()
+        study = tmp_path / "study"
+        (segment,) = study.glob("scan.initial.seg-*.lshd")
+        segment.unlink()
+        assert store.manifest(_STAGE) is None
+
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        assert store.manifest(_STAGE) is not None
+        (study / "scan.initial.lshm").unlink()
+        assert store.manifest(_STAGE) is None
+
+    def test_missing_segment_reexecutes_stage(self, tmp_path):
+        """A resumed run re-executes a stage whose segment is gone
+        instead of failing to load it."""
+        calls = []
+
+        def run(ctx):
+            calls.append("scan")
+            return {"initial": _dataset(), "notes": ["n1"]}
+
+        stage = dataclasses.replace(_STAGE, run=run)
+        store = _store(tmp_path)
+        StudyRunner("study", [stage], store=store).run(_context())
+        for segment in (tmp_path / "study").glob("*.seg-*.lshd"):
+            segment.unlink()
+        ctx = _context()
+        StudyRunner("study", [stage], store=store, resume=True).run(ctx)
+        assert calls == ["scan", "scan"]
+        assert [s.cache_hit for s in ctx.stats] == [False]
+        assert store.manifest(stage) is not None
+
+    def test_replaced_dataset_manifest_invalidates(self, tmp_path):
+        """An ``.lshm`` other than the one the stage recorded (here a
+        valid manifest over different rows) is not this checkpoint."""
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        other = _dataset()
+        other.append("z.com", "DE", 200, 1, None)
+        dump_dataset_manifest(other, tmp_path / "study" / "scan.initial.lshm")
         assert store.manifest(_STAGE) is None
 
     def test_invalidate_drops_manifest_only(self, tmp_path):
@@ -207,55 +250,124 @@ class TestArtifactStore:
         store.invalidate([_STAGE])
         assert store.manifest(_STAGE) is None
         # Artifact files survive — only completion is revoked.
-        assert (tmp_path / "study" / "scan.initial.lshd").exists()
+        study = tmp_path / "study"
+        assert (study / "scan.initial.lshm").exists()
+        assert len(list(study.glob("scan.initial.seg-*.lshd"))) == 1
 
     def test_invalidate_can_remove_artifacts(self, tmp_path):
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         store.invalidate([_STAGE], remove_artifacts=True)
         assert store.manifest(_STAGE) is None
-        assert not (tmp_path / "study" / "scan.initial.lshd").exists()
-        assert not (tmp_path / "study" / "scan.notes.json").exists()
+        # The manifest, the dataset manifest, its segment and the JSON
+        # artifact are all gone.
+        assert sorted(p.name for p in (tmp_path / "study").iterdir()) == []
 
-    def test_default_format_is_mmapped_lshd(self, tmp_path):
+    def test_dataset_checkpoint_is_mapped_manifest(self, tmp_path):
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        study = tmp_path / "study"
+        assert sniff_format(study / "scan.initial.lshm") == "lshm"
+        entry = store.manifest(_STAGE)["artifacts"][0]
+        assert entry["file"] == "scan.initial.lshm"
+        assert entry["manifest_fingerprint"] == \
+            read_manifest(study / "scan.initial.lshm").fingerprint
         loaded = store.load_stage(_STAGE)["initial"]
-        assert loaded.is_mapped
+        assert isinstance(loaded, SegmentedScanDataset)
+        assert loaded.is_mapped and len(loaded.parts) == 1
         assert [loaded.row(i) for i in range(3)] \
             == [_dataset().row(i) for i in range(3)]
+        loaded.close()
 
-    def test_cross_format_resume(self, tmp_path):
-        # Legacy checkpoints stored datasets as gzip-JSONL; the manifest
-        # records the actual filename and loads sniff bytes, so they
-        # still resume.
-        store = _store(tmp_path)
-        store.save_stage(_STAGE, {"initial": _dataset(), "notes": ["n1"]})
+    @staticmethod
+    def _single_segment_checkpoint(tmp_path):
+        """Rewrite the saved stage as checkpoints were written before
+        every checkpoint became a manifest: one ``.lshd`` segment named
+        by the stage manifest, no manifest fingerprint."""
+        _store(tmp_path).save_stage(
+            _STAGE, {"initial": _dataset(), "notes": ["n1"]})
         study = tmp_path / "study"
-        (study / "scan.initial.lshd").unlink()
-        dump_dataset(_dataset(), study / "scan.initial.jsonl.gz")
         manifest_path = study / "scan.manifest.json"
         manifest = json.loads(manifest_path.read_text())
+        for path in study.glob("scan.initial.*"):
+            path.unlink()
+        write_segment_file(_dataset().export_columns(),
+                           str(study / "scan.initial.lshd"))
         for entry in manifest["artifacts"]:
             if entry["name"] == "initial":
-                entry["file"] = "scan.initial.jsonl.gz"
+                entry["file"] = "scan.initial.lshd"
+                del entry["manifest_fingerprint"]
         manifest_path.write_text(json.dumps(manifest))
+        return study
 
+    def test_cross_format_resume(self, tmp_path):
+        # Loads sniff magic bytes and the format is not part of the
+        # fingerprint, so a single-segment .lshd checkpoint still
+        # resumes, and invalidation removes the file its manifest lists.
+        study = self._single_segment_checkpoint(tmp_path)
         resumed = _store(tmp_path)
         assert resumed.manifest(_STAGE) is not None
         loaded = resumed.load_stage(_STAGE)["initial"]
-        assert not loaded.is_mapped
+        assert isinstance(loaded, ScanDataset) and loaded.is_mapped
         assert loaded.row(2) == _dataset().row(2)
+        loaded.close()
 
         resumed.invalidate([_STAGE], remove_artifacts=True)
-        assert not (study / "scan.initial.jsonl.gz").exists()
+        assert sorted(p.name for p in study.iterdir()) == []
+
+    def test_resave_replaces_single_segment_checkpoint(self, tmp_path):
+        """Saving the stage again supersedes the ``.lshd`` file: the new
+        manifest no longer lists it, so it is removed."""
+        study = self._single_segment_checkpoint(tmp_path)
+        _store(tmp_path, study_config={"seed": 2}).save_stage(
+            _STAGE, {"initial": _dataset(), "notes": ["n1"]})
+        assert not (study / "scan.initial.lshd").exists()
+        assert (study / "scan.initial.lshm").exists()
+        assert unreferenced_segments(study) == []
 
     def test_bad_dataset_format_rejected(self, tmp_path):
-        # JSONL is load-only: stores write nothing but lshd/lshm.
-        for fmt in ("csv", "jsonl.gz", "jsonl"):
-            with pytest.raises(ValueError):
+        # One checkpoint format: the store takes no format option at all.
+        for fmt in ("lshd", "lshm", "csv", "jsonl.gz", "jsonl"):
+            with pytest.raises(TypeError):
                 ArtifactStore(str(tmp_path), "study", {}, {},
                               dataset_format=fmt)
+
+    def test_stage_manifest_cannot_name_files_outside(self, tmp_path):
+        """A stage manifest entry that is not a bare file name makes the
+        stage incomplete, and invalidation never follows it."""
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        outside = tmp_path / "outside.json"
+        outside.write_text("[]")
+        manifest_path = tmp_path / "study" / "scan.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["artifacts"]:
+            if entry["name"] == "notes":
+                entry["file"] = "../outside.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.manifest(_STAGE) is None
+        store.invalidate([_STAGE], remove_artifacts=True)
+        assert outside.exists()
+
+    def test_invalidate_never_follows_a_forged_dataset_manifest(
+            self, tmp_path):
+        """A dataset ``.lshm`` listing a segment outside the directory is
+        rejected whole: its own file goes, the outside file stays."""
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        outside = tmp_path / "outside.lshd"
+        write_segment_file(_dataset().export_columns(), str(outside))
+        forged = (SegmentEntry("../outside.lshd", 3, "ab" * 16),)
+        doc = {"fingerprint": manifest_fingerprint(forged), "rows": 3,
+               "segments": [["../outside.lshd", 3, "ab" * 16]]}
+        study = tmp_path / "study"
+        (study / "scan.initial.lshm").write_bytes(frame(MAGIC_LSHM, doc))
+        assert store.manifest(_STAGE) is None
+        store.invalidate([_STAGE], remove_artifacts=True)
+        assert outside.exists()
+        # Only the segment the forged manifest displaced is left.
+        assert [p.name for p in study.iterdir()] == \
+            [p.name for p in study.glob("scan.initial.seg-*.lshd")]
 
     def test_dataset_type_enforced(self, tmp_path):
         with pytest.raises(TypeError):
