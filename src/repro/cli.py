@@ -293,47 +293,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_append(args: argparse.Namespace) -> int:
-    from repro.lumscan.serialize import load_dataset
-    from repro.lumscan.shards import append_segment
-
-    try:
-        dataset = load_dataset(args.dataset)
-        try:
-            manifest = append_segment(args.manifest,
-                                      dataset.export_columns())
-        finally:
-            dataset.close()
-    except (OSError, ValueError) as exc:
-        # Both name the file (OSError through its filename).
-        raise SystemExit(str(exc))
-    entry = manifest.entries[-1]
-    print(f"appended {entry.rows} rows as {entry.file}")
-    print(f"manifest:    {args.manifest}")
-    print(f"rows:        {manifest.rows}")
-    print(f"segments:    {len(manifest.entries)}")
-    print(f"fingerprint: {manifest.fingerprint}")
-    return 0
-
-
-def _cmd_store_compact(args: argparse.Namespace) -> int:
-    from repro.lumscan.shards import compact_manifest, read_manifest
-
-    try:
-        before = read_manifest(args.manifest)
-        manifest = compact_manifest(args.manifest)
-    except OSError as exc:
-        raise SystemExit(f"{args.manifest}: {exc}")
-    except ValueError as exc:
-        # Manifest and segment errors already name the file.
-        raise SystemExit(str(exc))
-    entry = manifest.entries[0]
-    print(f"compacted {len(before.entries)} segments -> {entry.file}")
-    print(f"rows:        {manifest.rows}")
-    print(f"fingerprint: {manifest.fingerprint}")
-    return 0
-
-
 def _cmd_world_freeze(args: argparse.Namespace) -> int:
     from repro.websim.worldpack import write_worldpack_file
 
@@ -419,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     stability.set_defaults(func=_cmd_stability)
 
     store = sub.add_parser(
-        "store", help="inspect and maintain on-disk dataset artifacts")
+        "store", help="inspect on-disk dataset artifacts")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     inspect = store_sub.add_parser(
         "inspect", help="print the header of an LSHD segment, LSHM "
@@ -428,18 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("path", help="path to an .lshd segment, .lshm "
                                       "manifest or .lshw worldpack")
     inspect.set_defaults(func=_cmd_store_inspect)
-    append = store_sub.add_parser(
-        "append", help="append a dataset file to an .lshm manifest as one "
-                       "new segment (creates the manifest if missing)")
-    append.add_argument("manifest", help="path to the .lshm manifest")
-    append.add_argument("dataset", help="dataset file to append (any "
-                                        "supported format)")
-    append.set_defaults(func=_cmd_store_append)
-    compact = store_sub.add_parser(
-        "compact", help="merge an .lshm manifest's segments into one, "
-                        "byte-identical to a sequential rewrite")
-    compact.add_argument("manifest", help="path to the .lshm manifest")
-    compact.set_defaults(func=_cmd_store_compact)
 
     world = sub.add_parser(
         "world", help="freeze immutable world snapshots")

@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.classify import Verdict, classify_body
 from repro.core.fingerprints import FingerprintRegistry
-from repro.lumscan.records import DatasetReader, NO_RESPONSE
+from repro.lumscan.records import NO_RESPONSE, ScanDataset
 
 CONSISTENT_RATE = 0.80
 
@@ -68,7 +68,7 @@ class DomainConsistency:
                 and not self.blocked_everywhere)
 
 
-def domain_consistency(dataset: DatasetReader,
+def domain_consistency(dataset: ScanDataset,
                        registry: Optional[FingerprintRegistry] = None,
                        page_types: Optional[Tuple[str, ...]] = None
                        ) -> Dict[str, DomainConsistency]:

@@ -21,7 +21,7 @@ from repro.core.classify import classify_sample
 from repro.core.fingerprints import FingerprintRegistry, PAGE_DISPLAY_NAMES
 from repro.core.lengths import extract_outliers
 from repro.core.resample import ConfirmedBlock
-from repro.lumscan.records import DatasetReader
+from repro.lumscan.records import ScanDataset
 from repro.websim.world import World
 
 
@@ -40,7 +40,7 @@ class RecallRow:
         return self.recalled / self.actual if self.actual else 1.0
 
 
-def recall_by_fingerprint(dataset: DatasetReader,
+def recall_by_fingerprint(dataset: ScanDataset,
                           representatives: Mapping[str, int],
                           cutoff: float = 0.30,
                           raw_cutoff: Optional[int] = None,

@@ -59,7 +59,7 @@ from repro.datasets.citizenlab import CitizenLabList
 from repro.datasets.fortiguard import FortiGuardClient
 from repro.lumscan.base import Scanner
 from repro.lumscan.engine import ScanEngine
-from repro.lumscan.records import DatasetReader, ScanDataset
+from repro.lumscan.records import ScanDataset
 from repro.lumscan.scanner import Lumscan, LumscanConfig
 from repro.proxynet.luminati import LuminatiClient
 from repro.proxynet.vps import VPSFleet
@@ -168,14 +168,14 @@ class Top10KResult:
 
     countries: List[str]
     safe_domains: List[str]
-    initial: DatasetReader
+    initial: ScanDataset
     top_blocking_countries: List[str]
     representatives: Dict[str, int]
     outliers: List[Outlier]
     clusters: List[DiscoveredCluster]
     registry: FingerprintRegistry
     candidates: Dict[Tuple[str, str], str]
-    resampled: DatasetReader
+    resampled: ScanDataset
     confirmed: List[ConfirmedBlock]
     other_page_counts: Counter = field(default_factory=Counter)
     luminati_refused_domains: List[str] = field(default_factory=list)
@@ -294,7 +294,7 @@ def _t10k_outliers(ctx: RunContext) -> Dict[str, object]:
     instead of filtering materialized samples afterwards.
     """
     cfg: StudyConfig = ctx.config
-    initial: DatasetReader = ctx.artifact("initial")
+    initial: ScanDataset = ctx.artifact("initial")
     reference = ctx.artifact("top_blocking_countries")[: cfg.top_k_countries]
     representatives = representative_lengths(initial, reference)
     outliers = extract_outliers(initial, representatives,
@@ -306,7 +306,7 @@ def _t10k_outliers(ctx: RunContext) -> Dict[str, object]:
 def _t10k_discovery(ctx: RunContext) -> Dict[str, object]:
     """§4.1.2–4.1.3: cluster candidate bodies and extract signatures."""
     cfg: StudyConfig = ctx.config
-    initial: DatasetReader = ctx.artifact("initial")
+    initial: ScanDataset = ctx.artifact("initial")
     outliers: List[Outlier] = ctx.artifact("outliers")
     catalog: Optional[FingerprintRegistry] = ctx.extras.get("catalog")
     bodies = [o.sample.body for o in outliers if o.sample.body is not None]
@@ -413,7 +413,7 @@ def run_top10k_study(world: World,
     )
 
 
-def _background_bodies(dataset: DatasetReader, limit: int = 200) -> List[str]:
+def _background_bodies(dataset: ScanDataset, limit: int = 200) -> List[str]:
     """Ordinary-page bodies used as background for signature extraction.
 
     Candidate rows (200-status with a retained body) are selected with
@@ -424,7 +424,7 @@ def _background_bodies(dataset: DatasetReader, limit: int = 200) -> List[str]:
     return [dataset.body(index) for index in candidates[:limit].tolist()]
 
 
-def _classified_body_rows(dataset: DatasetReader, registry: FingerprintRegistry):
+def _classified_body_rows(dataset: ScanDataset, registry: FingerprintRegistry):
     """(row index, verdict) for every row with a retained body.
 
     Failed / body-less rows classify to error/ok — no page type — so the
@@ -442,7 +442,7 @@ def _classified_body_rows(dataset: DatasetReader, registry: FingerprintRegistry)
         yield index, verdict
 
 
-def _count_non_explicit_pages(dataset: DatasetReader,
+def _count_non_explicit_pages(dataset: ScanDataset,
                               registry: FingerprintRegistry) -> Counter:
     """Counts of captchas/challenges/ambiguous pages (§4.2.2's 200,417)."""
     counts: Counter = Counter()
@@ -464,10 +464,10 @@ class Top1MResult:
     safe_customers: List[str]
     sampled_domains: List[str]
     countries: List[str]
-    initial: DatasetReader
-    resampled_explicit: DatasetReader
+    initial: ScanDataset
+    resampled_explicit: ScanDataset
     confirmed: List[ConfirmedBlock]
-    resampled_nonexplicit: DatasetReader
+    resampled_nonexplicit: ScanDataset
     consistency: Dict[str, DomainConsistency]
     nonexplicit_flagged: Dict[str, List[str]]  # provider -> flagged domains
     stage_stats: List[StageStats] = field(default_factory=list)
@@ -551,7 +551,7 @@ def _t1m_explicit_confirm(ctx: RunContext) -> Dict[str, object]:
     """§5.2.1: resample and confirm explicit geoblockers."""
     cfg: StudyConfig = ctx.config
     registry: FingerprintRegistry = ctx.extras["registry"]
-    initial: DatasetReader = ctx.artifact("initial")
+    initial: ScanDataset = ctx.artifact("initial")
     explicit_candidates = find_candidate_pairs(initial, registry,
                                                explicit_only=True)
     resampled_explicit = ctx.scanner.resample(sorted(explicit_candidates),
@@ -571,7 +571,7 @@ def _t1m_nonexplicit_confirm(ctx: RunContext) -> Dict[str, object]:
     """
     cfg: StudyConfig = ctx.config
     registry: FingerprintRegistry = ctx.extras["registry"]
-    initial: DatasetReader = ctx.artifact("initial")
+    initial: ScanDataset = ctx.artifact("initial")
     countries = ctx.artifact("countries")
     flagged: Dict[str, List[str]] = {p: [] for p in _NONEXPLICIT_PROVIDERS}
     flagged_domains: Set[str] = set()

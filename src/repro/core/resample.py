@@ -20,7 +20,7 @@ from repro.core.classify import (
     classify_samples,
 )
 from repro.core.fingerprints import FingerprintRegistry, PAGE_PROVIDER
-from repro.lumscan.records import DatasetReader, NO_RESPONSE, Sample
+from repro.lumscan.records import NO_RESPONSE, Sample, ScanDataset
 
 DEFAULT_AGREEMENT_THRESHOLD = 0.80
 CONFIRM_SAMPLES = 20
@@ -38,7 +38,7 @@ class ConfirmedBlock:
     total_samples: int
 
 
-def _run_verdicts(dataset: DatasetReader, start: int, stop: int,
+def _run_verdicts(dataset: ScanDataset, start: int, stop: int,
                   registry: FingerprintRegistry,
                   memo: Dict[str, Verdict]):
     """Verdicts with a page type within one run, straight off the columns.
@@ -63,7 +63,7 @@ def _run_verdicts(dataset: DatasetReader, start: int, stop: int,
             yield verdict
 
 
-def find_candidate_pairs(dataset: DatasetReader,
+def find_candidate_pairs(dataset: ScanDataset,
                          registry: Optional[FingerprintRegistry] = None,
                          explicit_only: bool = True
                          ) -> Dict[Tuple[str, str], str]:
@@ -86,7 +86,7 @@ def find_candidate_pairs(dataset: DatasetReader,
     return candidates
 
 
-def block_rates(dataset: DatasetReader,
+def block_rates(dataset: ScanDataset,
                 registry: Optional[FingerprintRegistry] = None,
                 explicit_only: bool = True
                 ) -> Dict[Tuple[str, str], Tuple[int, int, Optional[str]]]:
@@ -113,7 +113,7 @@ def block_rates(dataset: DatasetReader,
     return rates
 
 
-def confirm_blocks(initial: DatasetReader, resampled: DatasetReader,
+def confirm_blocks(initial: ScanDataset, resampled: ScanDataset,
                    registry: Optional[FingerprintRegistry] = None,
                    threshold: float = DEFAULT_AGREEMENT_THRESHOLD,
                    explicit_only: bool = True) -> List[ConfirmedBlock]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lumscan.records import DatasetReader, NO_RESPONSE
+from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.lumscan.base import Scanner
 
 #: Countries whose censors are known to cause timeouts/resets; timeout
@@ -53,7 +53,7 @@ class ConfirmedTimeoutBlock:
     ambiguous_censorship: bool  # country censors; attribution uncertain
 
 
-def find_timeout_candidates(dataset: DatasetReader,
+def find_timeout_candidates(dataset: ScanDataset,
                             min_responsive_countries: int = 5
                             ) -> List[TimeoutCandidate]:
     """Pairs with 100% failures for domains alive elsewhere.
@@ -158,7 +158,7 @@ class TimeoutStudyResult:
         return [c for c in self.confirmed if not c.ambiguous_censorship]
 
 
-def run_timeout_study(scanner: Scanner, dataset: DatasetReader,
+def run_timeout_study(scanner: Scanner, dataset: ScanDataset,
                       min_responsive_countries: int = 5,
                       confirm_samples: int = 20,
                       screen_samples: int = 10,

@@ -6,17 +6,15 @@ magic bytes, never by file extension (the magic table lives in
 :mod:`repro.util.envelope`):
 
 * **LSHM manifests** (:func:`dump_dataset_manifest`) — the checkpoint
-  format: a canonical-JSON list of content-addressed LSHD segments (see
-  :mod:`repro.lumscan.shards`) read back as one logical
-  :class:`SegmentedScanDataset` of zero-copy mapped column views, so
-  loading is O(columns) instead of O(rows).  History is appended as new
-  segments (see :func:`repro.lumscan.shards.append_segment`) rather
-  than rewritten, and compaction merges segments byte-identically to
-  the sequential writer.
+  format: a canonical-JSON entry naming one content-addressed LSHD
+  segment (see :mod:`repro.lumscan.shards`) read back as a
+  :class:`ScanDataset` of zero-copy mapped column views, so loading is
+  O(columns) instead of O(rows).  A manifest listing any other number of
+  segments is rejected.
 * **LSHD segments** — one segment on its own
-  (:func:`repro.lumscan.shards.write_segment_file`) loads as a mapped
-  :class:`ScanDataset`; checkpoints written before every checkpoint
-  became a manifest hold these.
+  (:func:`repro.lumscan.shards.write_segment_file`) loads the same way;
+  checkpoints written before every checkpoint became a manifest hold
+  these.
 * **JSONL** (:func:`dump_dataset`) — one JSON object per record:
   diff-able and stream-parsable, kept as the export / interchange
   format and as the row-by-row baseline the store benchmark compares
@@ -40,18 +38,11 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Union
 
-from repro.lumscan.records import (
-    DatasetReader,
-    ScanDataset,
-    SegmentedScanDataset,
-)
+from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
-    SegmentEntry,
     decode_shard,
-    manifest_stem,
     open_segment,
     read_manifest,
-    segment_file_name,
     store_segment,
     write_manifest,
 )
@@ -122,7 +113,7 @@ def _open_text(path: PathLike, compressed: bool) -> io.TextIOBase:
     return open(path, "r", encoding="utf-8")
 
 
-def dump_dataset(dataset: DatasetReader, path: PathLike) -> int:
+def dump_dataset(dataset: ScanDataset, path: PathLike) -> int:
     """Write a dataset as JSONL; returns the number of records written.
 
     The write is atomic (temp file + ``os.replace``) and transparently
@@ -148,37 +139,16 @@ def dump_dataset(dataset: DatasetReader, path: PathLike) -> int:
     return count
 
 
-def dump_dataset_manifest(dataset: DatasetReader, path: PathLike) -> int:
-    """Write a dataset as an ``.lshm`` manifest of LSHD segments.
+def dump_dataset_manifest(dataset: ScanDataset, path: PathLike) -> int:
+    """Write a dataset as an ``.lshm`` manifest over one LSHD segment.
 
-    A :class:`SegmentedScanDataset` keeps its physical segmentation:
-    parts whose fingerprinted segment file already exists beside the
-    manifest (under its content-addressed name) are **reused without a
-    byte of rewrite** — re-checkpointing a logical dataset that grew by
-    one rescan segment costs O(new rows).  Flat datasets (and parts
-    without a known fingerprint) are written as fresh segments, and
-    segments a manifest previously at ``path`` listed that the new one
-    does not are unlinked (:func:`~repro.lumscan.shards.write_manifest`).
-    Returns the number of records covered.
+    The segment is content-addressed beside the manifest
+    (:func:`~repro.lumscan.shards.store_segment`), and segments a
+    manifest previously at ``path`` listed are unlinked unless the new
+    one names them (:func:`~repro.lumscan.shards.write_manifest`).
+    Returns the number of records written.
     """
-    target = os.fspath(path)
-    base = os.path.dirname(os.path.abspath(target))
-    if isinstance(dataset, SegmentedScanDataset):
-        parts = dataset.parts
-        fingerprints = dataset.part_fingerprints
-    else:
-        parts = (dataset,)
-        fingerprints = (None,)
-    entries = []
-    for part, fingerprint in zip(parts, fingerprints):
-        if fingerprint is not None:
-            name = segment_file_name(manifest_stem(target), fingerprint)
-            if os.path.exists(os.path.join(base, name)):
-                entries.append(SegmentEntry(file=name, rows=len(part),
-                                            fingerprint=fingerprint))
-                continue
-        entries.append(store_segment(part.export_columns(), target))
-    write_manifest(target, entries)
+    write_manifest(path, [store_segment(dataset.export_columns(), path)])
     return len(dataset)
 
 
@@ -192,38 +162,28 @@ def _load_segment(mapping: SegmentMapping) -> ScanDataset:
         raise
 
 
-def _load_manifest(path: PathLike) -> SegmentedScanDataset:
-    """Open an ``.lshm`` manifest as one logical dataset.
+def _load_manifest(path: PathLike) -> ScanDataset:
+    """Open a one-segment ``.lshm`` manifest as a mapped dataset.
 
-    Each segment's header must match its manifest entry
-    (:func:`~repro.lumscan.shards.open_segment`); each then opens exactly
-    as :func:`_load_segment` would (mapped, zero-copy) and the parts are
-    presented as one :class:`SegmentedScanDataset` carrying the
-    manifest's per-segment fingerprints, so re-checkpointing can reuse
-    the segment files.
+    The segment's header must match its manifest entry
+    (:func:`~repro.lumscan.shards.open_segment`); it then opens exactly
+    as :func:`_load_segment` would (mapped, zero-copy).
     """
-    manifest = read_manifest(path)
-    parts = []
-    try:
-        for entry in manifest.entries:
-            parts.append(_load_segment(open_segment(path, entry)))
-    except BaseException:
-        for part in parts:
-            part.close()
-        raise
-    return SegmentedScanDataset(
-        parts, fingerprints=[entry.fingerprint for entry in manifest.entries])
+    entries = read_manifest(path).entries
+    if len(entries) != 1:
+        raise ValueError(f"{os.fspath(path)}: manifest lists "
+                         f"{len(entries)} segments; a dataset checkpoint "
+                         f"has exactly one")
+    return _load_segment(open_segment(path, entries[0]))
 
 
-def load_dataset(path: PathLike) -> DatasetReader:
+def load_dataset(path: PathLike) -> ScanDataset:
     """Read a dataset in any supported on-disk format.
 
-    The format is sniffed from magic bytes: LSHM manifests come back as
-    multi-segment :class:`SegmentedScanDataset` logical datasets and
-    LSHD segments as zero-copy mapped datasets; ``materialize()`` (or a
-    pickle) copies the rows off the mappings.  Gzip and plain JSONL
-    parse row by row.  An LSHW worldpack is rejected with a
-    ``ValueError``.
+    The format is sniffed from magic bytes: one-segment LSHM manifests
+    and LSHD segments come back as zero-copy mapped datasets (a pickle
+    copies the rows off the mapping).  Gzip and plain JSONL parse row
+    by row.  An LSHW worldpack is rejected with a ``ValueError``.
     """
     fmt = sniff_format(path)
     if fmt == "lshm":

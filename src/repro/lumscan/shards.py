@@ -10,8 +10,8 @@ mapped bytes (``np.frombuffer``, no row decode, no copy), bulk-extends
 its dataset and releases the envelope.  Checkpoints use the same bytes:
 :func:`write_segment_file` persists a whole dataset as one
 fingerprinted segment, :class:`SpillDatasetBuilder` merges worker
-shards straight into an on-disk segment, and LSHM manifests list
-segments that together form one logical dataset.
+shards straight into an on-disk segment, and an LSHM manifest names
+the content-addressed segment a checkpoint loads.
 
 The frame, transport, mapping and atomic writes belong to
 :mod:`repro.util.envelope`.  The LSHD header carries two tables, each
@@ -456,7 +456,7 @@ class SpillDatasetBuilder:
 
 
 # --------------------------------------------------------------------- #
-# Manifests: multi-segment logical datasets (LSHM)
+# Manifests: content-addressed segment lists (LSHM)
 
 #: Canonical manifest file suffix (sniffing is by magic, never suffix).
 MANIFEST_SUFFIX = ".lshm"
@@ -464,7 +464,7 @@ MANIFEST_SUFFIX = ".lshm"
 
 @dataclass(frozen=True)
 class SegmentEntry:
-    """One segment of a manifest-backed logical dataset.
+    """One segment a manifest lists.
 
     ``file`` is the segment's name relative to the manifest's directory,
     so a checkpoint directory can be moved or copied wholesale.
@@ -479,11 +479,12 @@ class SegmentEntry:
 class Manifest:
     """A decoded ``.lshm`` manifest: an ordered list of segment entries.
 
-    Segment order is load order — appending a rescan adds an entry at
-    the end, so the logical row order is history order.  The manifest
-    fingerprint is a pure function of the entry fingerprints (in order),
-    which makes it a content key for the whole logical dataset without
-    rehashing any payload bytes.
+    The codec is general over entry lists; a dataset checkpoint lists
+    exactly one segment (:func:`repro.lumscan.serialize.load_dataset`
+    rejects any other count).  The manifest fingerprint is a pure
+    function of the entry fingerprints (in order), which makes it a
+    content key for the listed rows without rehashing any payload
+    bytes.
     """
 
     path: str
@@ -491,7 +492,7 @@ class Manifest:
 
     @property
     def rows(self) -> int:
-        """Total logical row count across all segments."""
+        """Total row count across all segments."""
         return sum(entry.rows for entry in self.entries)
 
     @property
@@ -535,8 +536,8 @@ def write_manifest(path, entries) -> Manifest:
 
     Layout: ``b"LSHM"`` followed by canonical JSON — every byte a pure
     function of the entry list, so the writer is a ``repro.lint``
-    serialization sink.  Entry order is preserved (it *is* the logical
-    row order).  Once the new manifest is in place, the segments the
+    serialization sink.  Entry order is preserved (the manifest
+    fingerprint depends on it).  Once the new manifest is in place, the segments the
     manifest it replaced listed and ``entries`` do not are unlinked
     (:func:`drop_segments`), so rewriting a manifest orphans no segment.
     """
@@ -655,87 +656,3 @@ def store_segment(columns: ShardColumns, manifest_path) -> SegmentEntry:
             os.path.join(os.path.dirname(os.path.abspath(target)), name))
     return SegmentEntry(file=name, rows=int(columns.n),
                         fingerprint=segment.fingerprint)
-
-
-def adopt_segment(manifest_path, segment_path) -> Manifest:
-    """Move an existing segment file under a manifest and append it.
-
-    The spill-merge counterpart of :func:`append_segment`: the segment
-    was already finalized on disk (e.g. by :class:`SpillDatasetBuilder`),
-    so it is renamed into its content-addressed name — never re-written —
-    and the manifest gains one entry.  Cost is O(header + rename),
-    independent of segment size.
-    """
-    target = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(target))
-    _, header = read_header(segment_path, MAGIC_LSHD)
-    fingerprint = header.get("fingerprint")
-    if not fingerprint:
-        raise ValueError(f"{os.fspath(segment_path)}: segment carries no "
-                         f"fingerprint; write it with write_segment_file")
-    name = segment_file_name(manifest_stem(target), str(fingerprint))
-    final = os.path.join(base, name)
-    if os.path.abspath(os.fspath(segment_path)) != os.path.abspath(final):
-        os.replace(segment_path, final)
-    entry = SegmentEntry(file=name, rows=int(header["n"]),
-                         fingerprint=str(fingerprint))
-    entries = read_manifest(target).entries if os.path.exists(target) else ()
-    return write_manifest(target, entries + (entry,))
-
-
-def append_segment(manifest_path, columns: ShardColumns) -> Manifest:
-    """Append ``columns`` as one new segment of a manifest.
-
-    Creates the manifest when it does not exist.  Cost is O(new rows):
-    prior segments are never read or rewritten — only the (tiny)
-    manifest file is replaced, atomically, after the new segment is
-    fully on disk.  A crash between the two leaves an unreferenced
-    segment file and a still-valid manifest.
-    """
-    target = os.fspath(manifest_path)
-    entry = store_segment(columns, target)
-    entries = read_manifest(target).entries if os.path.exists(target) else ()
-    return write_manifest(target, entries + (entry,))
-
-
-def compact_manifest(manifest_path,
-                     spill_dir: Optional[str] = None) -> Manifest:
-    """Merge all of a manifest's segments into one.
-
-    Streams every segment through :class:`SpillDatasetBuilder` in
-    manifest order — identical first-seen interning to an in-memory
-    merge, so the compacted segment is **byte-identical** to writing the
-    merged rows with the sequential :func:`write_segment_file` — then
-    rewrites the manifest to the single new entry and unlinks the old
-    segment files.  Live mappings over the old segments stay readable
-    (POSIX unlink semantics).
-    """
-    target = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(target))
-    manifest = read_manifest(target)
-    builder = SpillDatasetBuilder(spill_dir or base)
-    try:
-        for entry in manifest.entries:
-            with open_segment(target, entry) as mapping:
-                builder.extend_columns(decode_shard(mapping))
-        tmp = os.path.join(base, f".{manifest_stem(target)}.compact."
-                                 f"{os.getpid()}.tmp")
-        merged = builder.finalize(path=tmp)
-    except BaseException:
-        builder.abort()
-        raise
-    merged.close()
-    try:
-        _, header = read_header(tmp, MAGIC_LSHD)
-        name = segment_file_name(manifest_stem(target),
-                                 str(header["fingerprint"]))
-        os.replace(tmp, os.path.join(base, name))
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    entry = SegmentEntry(file=name, rows=int(header["n"]),
-                         fingerprint=str(header["fingerprint"]))
-    return write_manifest(target, (entry,))

@@ -5,8 +5,9 @@ Layout under the checkpoint root::
     <root>/<study>/<stage>.manifest.json        stage completion record
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
     <root>/<study>/<stage>.<artifact>.lshm      scan datasets: an LSHM
-                                                manifest over mmap-loaded
-                                                LSHD segments beside it,
+                                                manifest naming the one
+                                                mmap-loaded LSHD segment
+                                                beside it,
                                                 ``<stage>.<artifact>.seg-<fp>.lshd``
 
 Loads sniff magic bytes, so a checkpoint whose datasets are single
@@ -31,9 +32,10 @@ Crash safety is ordering + atomicity: artifact files are written first
 is *complete* only when a manifest with a matching fingerprint exists and
 every artifact file and segment it reaches is present — an interrupted
 run can never leave a checkpoint that loads as complete but is
-truncated.  Files and segments a stage's new manifest no longer reaches
-are removed once it is in place; readers mapping them keep their pages
-(POSIX unlink semantics).
+truncated.  A dataset's ``.lshm`` must also list exactly one segment;
+any other count re-executes the stage.  Files and segments a stage's
+new manifest no longer reaches are removed once it is in place; readers
+mapping them keep their pages (POSIX unlink semantics).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import json
 import os
 from typing import Dict, Iterable, Optional, Sequence, Set
 
-from repro.lumscan.records import ScanDataset, SegmentedScanDataset
+from repro.lumscan.records import ScanDataset
 from repro.lumscan.serialize import dump_dataset_manifest, load_dataset
 from repro.lumscan.shards import drop_segments, is_bare_file_name, \
     read_manifest
@@ -114,10 +116,8 @@ class ArtifactStore:
 
     ``salt`` folds non-config stage inputs into every fingerprint (pass a
     digest of e.g. an inherited registry).  Each dataset artifact is an
-    ``.lshm`` manifest over content-addressed LSHD segments, recorded in
-    the stage manifest by its manifest fingerprint; a re-checkpoint of a
-    logical dataset that grew by one rescan segment reuses the existing
-    segment files and costs O(new rows).
+    ``.lshm`` manifest over one content-addressed LSHD segment, recorded
+    in the stage manifest by its manifest fingerprint.
     """
 
     def __init__(self, root: str, study: str, study_config: object,
@@ -149,10 +149,10 @@ class ArtifactStore:
         return f"{stage}.{name}.{suffix}"
 
     def _dataset_complete(self, entry: Dict[str, object]) -> bool:
-        """Whether a dataset artifact is the ``.lshm`` the stage recorded
-        and every segment it lists exists.  An entry without a manifest
-        fingerprint is a single-segment ``.lshd`` checkpoint, written
-        before every checkpoint became a manifest."""
+        """Whether a dataset artifact is the ``.lshm`` the stage recorded,
+        lists exactly one segment, and that segment exists.  An entry
+        without a manifest fingerprint is a single-segment ``.lshd``
+        checkpoint, written before every checkpoint became a manifest."""
         path = os.path.join(self._dir, entry["file"])
         recorded = entry.get("manifest_fingerprint")
         if recorded is None:
@@ -161,16 +161,17 @@ class ArtifactStore:
             manifest = read_manifest(path)
         except (OSError, ValueError):
             return False
-        return manifest.fingerprint == recorded and all(
-            os.path.exists(segment) for segment in manifest.segment_paths())
+        return (manifest.fingerprint == recorded
+                and len(manifest.entries) == 1
+                and os.path.exists(manifest.segment_paths()[0]))
 
     def manifest(self, stage: Stage) -> Optional[Dict[str, object]]:
         """The stage's manifest when its checkpoint is complete and valid.
 
         Returns None when the manifest is missing, unreadable, written by
         a different format version, fingerprint-mismatched (stale configs),
-        missing a declared artifact, or missing an artifact file or one
-        of a dataset manifest's segments.
+        missing a declared artifact or an artifact file, or when a
+        dataset manifest does not list exactly one present segment.
         """
         path = self._manifest_path(stage.name)
         try:
@@ -241,7 +242,7 @@ class ArtifactStore:
             entry: Dict[str, object] = {"name": spec.name, "kind": spec.kind,
                                         "file": filename}
             if spec.kind == KIND_DATASET:
-                if not isinstance(value, (ScanDataset, SegmentedScanDataset)):
+                if not isinstance(value, ScanDataset):
                     raise TypeError(
                         f"stage {stage.name!r} artifact {spec.name!r} "
                         f"declared as dataset but is {type(value).__name__}")

@@ -22,7 +22,7 @@ import logging
 from typing import Dict, Optional, Sequence
 
 from repro.lumscan.engine import WorkerInitStats
-from repro.lumscan.records import ScanDataset, SegmentedScanDataset
+from repro.lumscan.records import ScanDataset
 from repro.run.artifacts import ArtifactStore
 from repro.run.stage import RunContext, Stage, StageStats
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -82,8 +82,7 @@ class StudyRunner:
                 cache_hit=cache_hit,
                 artifacts=len(stage.outputs),
                 records=sum(len(value) for value in outputs.values()
-                            if isinstance(value, (ScanDataset,
-                                                  SegmentedScanDataset))),
+                            if isinstance(value, ScanDataset)),
                 workers_spawned=init_after.spawned - init_before.spawned,
                 worker_spawn_seconds=(init_after.spawn_seconds
                                       - init_before.spawn_seconds),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Artifact kinds understood by the store.
-KIND_DATASET = "dataset"     # DatasetReader -> LSHD/LSHM (or legacy JSONL)
+KIND_DATASET = "dataset"     # ScanDataset -> LSHM (or legacy LSHD/JSONL)
 KIND_JSON = "json"           # derived values -> versioned, tagged JSON
 
 

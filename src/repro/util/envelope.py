@@ -1,6 +1,6 @@
 """One binary envelope under LSHD segments, LSHM manifests and LSHW packs.
 
-Worker result shards and checkpoint segments (LSHD), multi-segment
+Worker result shards and checkpoint segments (LSHD), checkpoint
 manifests (LSHM) and frozen worldpacks (LSHW) share one frame::
 
     offset 0   magic: one of FORMATS
@@ -96,9 +96,8 @@ LINT_RESOURCE_CONTRACT = {
     "atomic": {
         "suffixes": [".lshd", ".lshm", ".lshw", "manifest.json"],
         "writers": ["atomic_write", "publish", "write_segment_file",
-                    "write_manifest", "store_segment", "adopt_segment",
-                    "append_segment", "compact_manifest",
-                    "dump_dataset_manifest", "write_worldpack_file"],
+                    "write_manifest", "store_segment", "dump_dataset_manifest",
+                    "write_worldpack_file"],
     },
 }
 

@@ -57,13 +57,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "inspect"])
 
-    def test_store_append_requires_both_paths(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["store", "append", "only.lshm"])
-
-    def test_store_compact_requires_manifest(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["store", "compact"])
+    def test_removed_store_commands_rejected(self):
+        for args in (["append", "data.lshm", "part.lshd"],
+                     ["compact", "data.lshm"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["store", *args])
 
 
 class TestCommands:
@@ -145,67 +143,29 @@ class TestStoreInspect:
 
 
 class TestStoreManifestCommands:
-    def _segment(self, tmp_path, name="part.lshd"):
+    def test_inspect_prints_manifest_summary(self, tmp_path, capsys):
         from repro.lumscan.records import ScanDataset
-        from repro.lumscan.shards import write_segment_file
+        from repro.lumscan.serialize import dump_dataset_manifest
 
         data = ScanDataset()
         data.append("a.com", "US", 200, 9_000, None)
         data.append("a.com", "IR", 403, 480, "<html>block</html>")
         data.append("b.com", "SY", -1, 0, None, error="timeout")
-        path = str(tmp_path / name)
-        write_segment_file(data.export_columns(), path)
-        return path
-
-    def test_append_creates_and_grows_manifest(self, tmp_path, capsys):
         manifest = str(tmp_path / "data.lshm")
-        segment = self._segment(tmp_path)
-        assert main(["store", "append", manifest, segment]) == 0
-        out = capsys.readouterr().out
-        assert "appended 3 rows" in out
-        assert "segments:    1" in out
-        assert main(["store", "append", manifest, segment]) == 0
-        out = capsys.readouterr().out
-        assert "rows:        6" in out
-        assert "segments:    2" in out
-
-    def test_inspect_prints_manifest_summary(self, tmp_path, capsys):
-        manifest = str(tmp_path / "data.lshm")
-        segment = self._segment(tmp_path)
-        main(["store", "append", manifest, segment])
-        capsys.readouterr()
+        dump_dataset_manifest(data, manifest)
         assert main(["store", "inspect", manifest]) == 0
         out = capsys.readouterr().out
         assert f"manifest:    {manifest}" in out
+        assert "rows:        3" in out
         assert "segments:    1" in out
         assert ".seg-" in out
-
-    def test_compact_merges_to_one_segment(self, tmp_path, capsys):
-        manifest = str(tmp_path / "data.lshm")
-        segment = self._segment(tmp_path)
-        main(["store", "append", manifest, segment])
-        main(["store", "append", manifest, segment])
-        capsys.readouterr()
-        assert main(["store", "compact", manifest]) == 0
-        out = capsys.readouterr().out
-        assert "compacted 2 segments" in out
-        assert "rows:        6" in out
-
-    def test_append_rejects_missing_dataset(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "append", str(tmp_path / "data.lshm"),
-                  str(tmp_path / "nope.lshd")])
-
-    def test_compact_rejects_missing_manifest(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "compact", str(tmp_path / "nope.lshm")])
 
     @pytest.mark.parametrize("segments", [
         None, 5, [["../../etc/passwd", 0, "0" * 32]], [["a.lshd", -1]],
     ])
     def test_malformed_manifest_is_one_clean_line(self, tmp_path, segments):
-        """``store inspect``, ``compact`` and ``append`` exit with one
-        line naming the file, never a traceback."""
+        """``store inspect`` exits with one line naming the file, never a
+        traceback."""
         from repro.lumscan.shards import manifest_fingerprint
         from repro.util.envelope import MAGIC_LSHM, frame
 
@@ -214,11 +174,8 @@ class TestStoreManifestCommands:
             doc["segments"] = segments
         path = tmp_path / "data.lshm"
         path.write_bytes(frame(MAGIC_LSHM, doc))
-        segment = TestStoreManifestCommands()._segment(tmp_path)
-        for args in (["inspect", str(path)], ["compact", str(path)],
-                     ["append", str(path), segment]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["store", *args])
-            message = str(excinfo.value)
-            assert message.startswith(str(path))
-            assert "\n" not in message
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", "inspect", str(path)])
+        message = str(excinfo.value)
+        assert message.startswith(str(path))
+        assert "\n" not in message

@@ -21,8 +21,9 @@ import pytest
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
     ExchangeSpec,
-    append_segment,
     read_manifest,
+    store_segment,
+    write_manifest,
     write_segment_file,
     write_shard,
 )
@@ -74,8 +75,8 @@ def test_worker_shard_bytes(tmp_path):
 
 def test_manifest_bytes(tmp_path):
     path = str(tmp_path / "rows.lshm")
-    append_segment(path, _rows(0).export_columns())
-    append_segment(path, _rows(1).export_columns())
+    write_manifest(path, [store_segment(_rows(0).export_columns(), path),
+                          store_segment(_rows(1).export_columns(), path)])
     assert _sha(path) == (
         "0d09863f935e7b9e317e4b5c9a68668ae3667f1788b12679437edd720c4b82dd")
     manifest = read_manifest(path)

@@ -14,7 +14,7 @@ from repro.core.fingerprints import Fingerprint, FingerprintRegistry
 from repro.core.identify import CDNPopulation
 from repro.core.lengths import Outlier
 from repro.core.resample import ConfirmedBlock
-from repro.lumscan.records import Sample, ScanDataset, SegmentedScanDataset
+from repro.lumscan.records import Sample, ScanDataset
 from repro.lumscan.serialize import dump_dataset_manifest, sniff_format
 from repro.lumscan.shards import SegmentEntry, manifest_fingerprint, \
     read_manifest, write_segment_file
@@ -273,8 +273,9 @@ class TestArtifactStore:
         assert entry["manifest_fingerprint"] == \
             read_manifest(study / "scan.initial.lshm").fingerprint
         loaded = store.load_stage(_STAGE)["initial"]
-        assert isinstance(loaded, SegmentedScanDataset)
-        assert loaded.is_mapped and len(loaded.parts) == 1
+        assert isinstance(loaded, ScanDataset)
+        assert loaded.is_mapped
+        assert len(read_manifest(study / "scan.initial.lshm").entries) == 1
         assert [loaded.row(i) for i in range(3)] \
             == [_dataset().row(i) for i in range(3)]
         loaded.close()
