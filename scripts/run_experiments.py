@@ -25,6 +25,7 @@ import sys
 from repro.analysis.experiments import PAPER_REFERENCE
 from repro.cli import add_run_flags, suite_from_args
 from repro.util.clock import SystemClock
+from repro.util.envelope import atomic_write
 from repro.websim.world import World, WorldConfig
 
 HEADER = """# EXPERIMENTS — paper vs. measured
@@ -100,8 +101,8 @@ def main() -> int:
                          size=len(world.population),
                          countries=len(world.registry), minutes=minutes)
     body += report.to_markdown() + "\n"
-    with open(args.out, "w") as handle:
-        handle.write(body)
+    with atomic_write(args.out) as handle:
+        handle.write(body.encode("utf-8"))
     print(f"wrote {args.out}", flush=True)
 
     if args.save_json:

@@ -12,6 +12,7 @@ import html
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.figures import FigureData
+from repro.util.envelope import atomic_write
 
 _PALETTE = ("#4269d0", "#efb118", "#ff725c", "#6cc5b0", "#3ca951",
             "#ff8ab7", "#a463f2", "#97bbf5", "#9c6b4e", "#9498a0")
@@ -113,6 +114,6 @@ def render_svg(figure: FigureData,
 
 
 def save_svg(figure: FigureData, path: str, **kwargs) -> None:
-    """Render a figure and write it to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(figure, **kwargs))
+    """Render a figure and write it to ``path`` (temp-then-rename)."""
+    with atomic_write(path) as handle:
+        handle.write(render_svg(figure, **kwargs).encode("utf-8"))

@@ -91,8 +91,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"report JSON written to {args.save_json}")
     text = report.to_markdown() if args.markdown else report.to_text()
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        from repro.util.envelope import atomic_write
+        with atomic_write(args.out) as handle:
+            handle.write((text + "\n").encode("utf-8"))
         print(f"report written to {args.out} ({elapsed:.1f}s)")
     else:
         print(text)

@@ -1,4 +1,4 @@
-"""repro.lint: static determinism, purity, and resource-lifetime analysis.
+"""repro.lint: static determinism, purity, and resource-ownership analysis.
 
 Every headline property of this repo — workers-invariant sharding,
 checkpoint/resume byte identity, RNG-replay fast lanes, process-vs-serial
@@ -13,14 +13,13 @@ review time by walking the AST of every module and flagging
 * concurrency-purity hazards (shared ``self`` mutation reachable from the
   scan-engine worker surface outside the sanctioned primitives, and
   ``*Spec`` dataclass fields that cannot be shipped to a process worker),
-* resource-lifetime hazards, checked flow-sensitively over a per-function
-  control-flow graph (:mod:`repro.lint.cfg`) by an abstract interpreter
-  (:mod:`repro.lint.dataflow`) against declarative acquire/release
-  contracts (:mod:`repro.lint.contracts`): handles leaked on a branch
-  (``resource-leak``), releases that are not exception-safe
-  (``release-guard``), mapped-buffer views escaping ``close()``
-  (``buffer-escape``), and checkpoint writes bypassing the atomic
-  temp-then-rename writers (``atomic-write``).
+* ownership hazards, checked syntactically: a segment mapping, shard
+  exchange, spill builder or worldpack acquired without an owner on
+  the spot (``resource-owner``), and checkpoint writes bypassing the
+  atomic temp-then-rename writers (``atomic-write``).  Whether owners
+  really release is checked at run time: :mod:`repro.util.envelope`
+  keeps a ledger of open mappings and published shm blocks, and the
+  test suite asserts it is unchanged after every test.
 
 The analyzer is stdlib-only (``ast`` + ``tokenize``).  See
 :mod:`repro.lint.rules` for the rule registry, ``docs/METHODOLOGY.md`` for
@@ -35,41 +34,20 @@ intentionally ordered iterations documented with::
 
     # lint: ordered(<reason>)
 
-and genuine ownership transfers (the callee owes the release) annotated —
-semantically, not as a suppression — with::
+and thread-confined classes declared with::
 
-    # lint: handoff(<reason>)
+    # lint: confined(<reason>)
 """
 
-from repro.lint.cfg import CFG, build_cfg
 from repro.lint.config import LintConfig
-from repro.lint.contracts import (
-    AtomicContract,
-    BufferContract,
-    ContractRegistry,
-    DEFAULT_CONTRACTS,
-    ResourceContract,
-    build_registry,
-)
-from repro.lint.dataflow import check_atomic_writes, check_resource_lifetimes
 from repro.lint.engine import analyze_paths, analyze_sources
 from repro.lint.report import Finding, render_json, render_text
 from repro.lint.rules import RULES, Rule
 
 __all__ = [
-    "AtomicContract",
-    "BufferContract",
-    "CFG",
-    "ContractRegistry",
-    "DEFAULT_CONTRACTS",
     "LintConfig",
-    "ResourceContract",
     "analyze_paths",
     "analyze_sources",
-    "build_cfg",
-    "build_registry",
-    "check_atomic_writes",
-    "check_resource_lifetimes",
     "Finding",
     "render_json",
     "render_text",

@@ -1,4 +1,4 @@
-"""Per-module AST checks for the determinism rules.
+"""Per-module AST checks for the determinism and ownership rules.
 
 Each check takes a :class:`~repro.lint.visitor.ModuleInfo` and yields raw
 :class:`~repro.lint.report.Finding`\\ s at the rule's default severity;
@@ -9,25 +9,31 @@ tier demotion, suppression matching, and baseline application happen in
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.lint.report import Finding
 from repro.lint.rules import (
+    ENVELOPE_FILES,
     FS_ENUM_CALLS,
     FS_ENUM_METHODS,
     GLOBAL_RANDOM_ALLOWED,
     GLOBAL_RANDOM_PREFIXES,
+    OPEN_CALLS,
     ORDER_FREE_CONSUMERS,
+    OWNED_CALLS,
     PICKLABLE_CONTAINERS,
     PICKLABLE_LEAVES,
+    PROTECTED_SUFFIXES,
     RAW_ENTROPY_CALLS,
     RAW_ENTROPY_PREFIXES,
+    RELEASE_CALLS,
     RULES_BY_ID,
     SANCTIONED_CLOCK_FILES,
     SERIALIZATION_FUNCTIONS,
     SERIALIZATION_SINKS,
     UNPICKLABLE_LEAVES,
     WALL_CLOCK_CALLS,
+    WRITE_METHODS,
 )
 from repro.lint.visitor import ModuleInfo, _annotation_head, parent_of
 
@@ -311,4 +317,159 @@ def check_spec_pickle(module: ModuleInfo,
                 module, item, "spec-pickle",
                 f"{info.name}.{item.target.id}: {problem} (specs are "
                 f"pickled into process workers)"))
+    return findings
+
+
+# --------------------------------------------------------------------- #
+# resource-owner
+
+def _call_name(node: ast.Call) -> Optional[str]:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _next_statement(statement: ast.AST) -> Optional[ast.AST]:
+    """The statement after ``statement`` in its block, if any."""
+    for _, block in ast.iter_fields(parent_of(statement)):
+        if isinstance(block, list):
+            for index, item in enumerate(block):
+                if item is statement:
+                    return block[index + 1] if index + 1 < len(block) \
+                        else None
+    return None
+
+
+def _releases(body: Sequence[ast.AST], name: str) -> bool:
+    """True when ``body`` closes, aborts or releases the local ``name``."""
+    for node in (sub for statement in body for sub in ast.walk(statement)):
+        if not (isinstance(node, ast.Call)
+                and _call_name(node) in RELEASE_CALLS):
+            continue
+        receiver = getattr(node.func, "value", None)
+        if isinstance(receiver, ast.Name) and receiver.id == name:
+            return True
+        if any(isinstance(arg, ast.Name) and arg.id == name
+               for arg in node.args):
+            return True
+    return False
+
+
+def _guarded(statement: ast.AST, name: str) -> bool:
+    """True when a try right after ``statement`` releases ``name`` in
+    its finally or ``except BaseException`` branch."""
+    following = _next_statement(statement)
+    if not isinstance(following, ast.Try):
+        return False
+    branches = [following.finalbody] + [
+        handler.body for handler in following.handlers
+        if isinstance(handler.type, ast.Name)
+        and handler.type.id == "BaseException"]
+    return any(_releases(body, name) for body in branches)
+
+
+def _has_owner(node: ast.Call) -> bool:
+    """True when the call's result goes straight to an owner."""
+    parent = parent_of(node)
+    if isinstance(parent, ast.keyword):
+        parent = parent_of(parent)
+        return isinstance(parent, ast.Call)
+    if isinstance(parent, ast.withitem):
+        return parent.context_expr is node
+    if isinstance(parent, ast.Return):
+        return True
+    if isinstance(parent, ast.Call):
+        return any(arg is node for arg in parent.args)
+    if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
+        target = parent.targets[0]
+    elif isinstance(parent, ast.AnnAssign):
+        target = parent.target
+    else:
+        return False
+    if (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        return True
+    return isinstance(target, ast.Name) and _guarded(parent, target.id)
+
+
+def check_resource_owner(module: ModuleInfo) -> List[Finding]:
+    """Every handle-acquiring call hands its result to an owner."""
+    if _normalized(module.path).endswith(ENVELOPE_FILES):
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _call_name(node)
+        if name in OWNED_CALLS and not _has_owner(node):
+            findings.append(_finding(
+                module, node, "resource-owner",
+                f"{name}(...) has no owner: use it as a with item, "
+                f"return it, store it on self, pass it straight to a "
+                f"call, or bind it and release it in the finally or "
+                f"except BaseException branch of the try that follows"))
+    return findings
+
+
+# --------------------------------------------------------------------- #
+# atomic-write
+
+def _path_text(node: ast.AST) -> Optional[str]:
+    """The literal text of a path expression, f-string holes as ``{}``.
+
+    ``a + b`` and ``a / b`` read as their right operand and a call such
+    as ``Path(...)`` or ``os.path.join(...)`` as its last argument.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(value.value if isinstance(value, ast.Constant)
+                       else "{}" for value in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                  (ast.Add, ast.Div)):
+        return _path_text(node.right)
+    if isinstance(node, ast.Call) and node.args:
+        return _path_text(node.args[-1])
+    return None
+
+
+def _write_mode(call: ast.Call) -> bool:
+    mode = call.args[1] if len(call.args) >= 2 else None
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    return (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            and any(flag in mode.value for flag in "wxa+"))
+
+
+def check_atomic_write(module: ModuleInfo) -> List[Finding]:
+    """Direct writes to checkpoint-suffixed path literals."""
+    if _normalized(module.path).endswith(ENVELOPE_FILES):
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if module.dotted_name(func) in OPEN_CALLS:
+            if not node.args or not _write_mode(node):
+                continue
+            target = node.args[0]
+        elif isinstance(func, ast.Attribute) and func.attr in WRITE_METHODS:
+            target = func.value
+        else:
+            continue
+        text = _path_text(target) or ""
+        suffix = next((suffix for suffix in PROTECTED_SUFFIXES
+                       if text.endswith(suffix)), None)
+        if suffix is not None:
+            findings.append(_finding(
+                module, node, "atomic-write",
+                f"direct write to a '{suffix}' path can leave a torn "
+                f"file; write through repro.util.envelope.atomic_write "
+                f"or a codec writer built on it"))
     return findings

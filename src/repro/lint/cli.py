@@ -109,11 +109,7 @@ def _explain(rule_id: str) -> Optional[str]:
                 "# lint: ordered(<reason>)         document a "
                 "deterministic iteration order\n"
                 "# lint: confined(<reason>)        declare a class "
-                "thread-confined\n"
-                "# lint: handoff(<reason>)         document an "
-                "ownership transfer (semantic,\n"
-                "                                  not a suppression: "
-                "the callee owes the release)"),
+                "thread-confined"),
     ]
     return "\n".join(sections)
 

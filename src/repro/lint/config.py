@@ -10,10 +10,9 @@ lint-visible (drift is reported) without being CI-blocking.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.lint.contracts import DEFAULT_CONTRACTS
 from repro.lint.rules import RULES, SEVERITY_ERROR, SEVERITY_WARN, WORKER_ROOTS
 
 #: Default analysis targets relative to the repo root, with their tiers.
@@ -65,12 +64,6 @@ class LintConfig:
     selected_rules: Tuple[str, ...] = tuple(r.rule_id for r in RULES)
     #: Reachability roots of the shared-mutation rule.
     worker_roots: Tuple[str, ...] = WORKER_ROOTS
-    #: Resource-lifetime contracts seeding the flow-sensitive rules.
-    #: Each codec additionally registers itself via a module-level
-    #: ``LINT_RESOURCE_CONTRACT`` literal, merged at analysis time.
-    contracts: Tuple[object, ...] = DEFAULT_CONTRACTS
-    #: Extra per-rule disables keyed by path fragment (reserved).
-    overrides: Dict[str, str] = field(default_factory=dict)
 
     def rule_enabled(self, rule_id: str) -> bool:
         """True when the rule participates in this run."""

@@ -25,14 +25,14 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.checks import (
+    check_atomic_write,
     check_clock_and_entropy,
     check_fs_order,
     check_iter_order,
+    check_resource_owner,
     check_spec_pickle,
 )
 from repro.lint.config import LintConfig
-from repro.lint.contracts import build_registry
-from repro.lint.dataflow import check_atomic_writes, check_resource_lifetimes
 from repro.lint.report import Baseline, Finding, sort_findings
 from repro.lint.rules import (
     LOCK_TYPES,
@@ -415,25 +415,12 @@ def analyze_sources(items: Sequence[Tuple[str, str, str]],
             findings.extend(check_iter_order(module))
         if config.rule_enabled("spec-pickle"):
             findings.extend(check_spec_pickle(module, project_classes))
+        if config.rule_enabled("resource-owner"):
+            findings.extend(check_resource_owner(module))
+        if config.rule_enabled("atomic-write"):
+            findings.extend(check_atomic_write(module))
     if config.rule_enabled("shared-mutation"):
         findings.extend(check_shared_mutation(modules, config.worker_roots))
-
-    # Flow-sensitive resource-lifetime families: merge the configured
-    # contracts with the ones each codec module declares, then run the
-    # CFG/dataflow pass per module.
-    lifetime_rules = ("resource-leak", "release-guard", "buffer-escape")
-    if any(config.rule_enabled(rule) for rule in lifetime_rules) \
-            or config.rule_enabled("atomic-write"):
-        registry = build_registry(config.contracts,
-                                  (module.tree for module in parsed))
-        for module in parsed:
-            if any(config.rule_enabled(rule) for rule in lifetime_rules):
-                findings.extend(
-                    finding
-                    for finding in check_resource_lifetimes(module, registry)
-                    if config.rule_enabled(finding.rule_id))
-            if config.rule_enabled("atomic-write"):
-                findings.extend(check_atomic_writes(module, registry))
 
     for finding in findings:
         module = module_by_path.get(finding.path)

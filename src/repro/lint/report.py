@@ -41,10 +41,6 @@ class Finding:
     suppressed: bool = False      # matched a # lint: allow(...) directive
     suppress_reason: str = ""
     baselined: bool = False       # grandfathered by the baseline file
-    #: Path trace of the flow-sensitive rules: ordered
-    #: ``{"line": int, "note": str}`` steps from the acquire site to
-    #: the leak/escape site.  Empty for the per-node rules.
-    trace: List[Dict[str, object]] = field(default_factory=list)
 
     def key(self) -> str:
         """The baseline identity of this finding."""
@@ -62,7 +58,6 @@ class Finding:
             "text": self.line_text,
             "suppressed": self.suppressed,
             "baselined": self.baselined,
-            "trace": list(self.trace),
         }
 
 
@@ -186,8 +181,6 @@ def render_text(findings: Sequence[Finding], verbose: bool = False) -> str:
                      f"{marker} [{finding.rule_id}] {finding.message}")
         if finding.line_text:
             lines.append(f"    {finding.line_text}")
-        for step in finding.trace:
-            lines.append(f"    trace: line {step['line']}: {step['note']}")
     counts = _summary_counts(findings)
     lines.append(
         f"lint: {counts['errors']} error(s), {counts['warnings']} "
@@ -196,10 +189,10 @@ def render_text(findings: Sequence[Finding], verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-#: lint-report.json schema version.  v2 adds per-finding ``trace``
-#: arrays (acquire-site -> leak-site paths) and the ``internal_error``
-#: payload written when the analyzer itself crashes.
-REPORT_VERSION = 2
+#: lint-report.json schema version.  v2 added the ``internal_error``
+#: payload written when the analyzer itself crashes; v3 drops the
+#: per-finding ``trace`` arrays.
+REPORT_VERSION = 3
 
 
 def render_json(findings: Sequence[Finding],

@@ -124,94 +124,43 @@ RULES: Tuple[Rule, ...] = (
         ),
     ),
     # ----------------------------------------------------------------- #
-    # Flow-sensitive resource-lifetime families (CFG + dataflow).
+    # Resource ownership: syntactic rules over the envelope's callers.
     Rule(
-        rule_id="resource-leak",
+        rule_id="resource-owner",
         severity=SEVERITY_ERROR,
-        summary="acquired handle not released on every path",
+        summary="mapping, shard session, spill builder or pack without "
+                "an owner",
         rationale=(
-            "Shard exchanges, worldpacks, spill builders, segment "
-            "mappings, shm blocks, and mmaps are acquired under a "
-            "contract (repro.lint.contracts): every path from the "
-            "acquisition to the function exit must release the handle "
-            "or transfer ownership (return it, store it on self, pass "
-            "it to a contract-listed handoff, or document the transfer "
-            "with # lint: handoff(<reason>)).  A branch or early "
-            "return that skips the release leaks the segment — and at "
-            "top-1M scale every worker multiplies the leak."
+            "Segment mappings, shard exchanges, spill builders and "
+            "worldpacks hold mmap pages, shm blocks or spill "
+            "directories until someone releases them.  Outside "
+            "repro.util.envelope every call that acquires one must "
+            "hand it to an owner on the spot: a with item, a return "
+            "operand, an assignment to self.<attr> (the object's "
+            "close() releases it), a direct argument of another call "
+            "(ExitStack.enter_context, a dataset that owns its "
+            "source), or a local binding whose next statement is a try "
+            "whose finally or except BaseException branch closes, "
+            "aborts or releases it.  At run time the envelope ledger, "
+            "checked after every test, catches what still leaks."
         ),
         example=(
             "def scan(handle):\n"
-            "    reader = open_shard(handle)\n"
-            "    if reader is None:   # impossible, but illustrative\n"
-            "        return None      # <- leak: exits without release\n"
+            "    reader = open_shard(handle)   # <- no owner\n"
             "    rows = count(reader)\n"
-            "    reader.close()\n"
+            "    reader.close()                # skipped if count raises\n"
             "    return rows"
         ),
         fix=(
-            "Use a with-block (with open_shard(handle) as reader: ...) "
-            "or release in a finally block so every path passes the "
-            "release.  For genuine ownership transfer, return the "
-            "handle, register it on self, or annotate the transfer "
-            "line with # lint: handoff(<who releases it>)."
-        ),
-    ),
-    Rule(
-        rule_id="release-guard",
-        severity=SEVERITY_ERROR,
-        summary="release runs only on the fall-through path",
-        rationale=(
-            "A release placed after raise-capable calls executes only "
-            "when nothing raised: a worker crash or decode error skips "
-            "it and the handle (and its shm segment or spill "
-            "directory) outlives the run.  The release must be "
-            "exception-safe: inside a finally block, a with-block, or "
-            "an except/BaseException cleanup that re-raises."
-        ),
-        example=(
-            "def merge(spec, payloads):\n"
-            "    exchange = ShardExchange(spec.spill_dir).open()\n"
-            "    merge_all(exchange, payloads)  # <- may raise\n"
-            "    exchange.close()               # <- skipped on raise"
-        ),
-        fix=(
-            "Move the release into a finally block:\n"
-            "    exchange = ShardExchange(spec.spill_dir).open()\n"
+            "Use a with-block (with open_shard(handle) as reader: ...), "
+            "or bind the handle and open a try right after it:\n"
+            "    reader = open_shard(handle)\n"
             "    try:\n"
-            "        merge_all(exchange, payloads)\n"
+            "        return count(reader)\n"
             "    finally:\n"
-            "        exchange.close()\n"
-            "or use the context-manager form (with ShardExchange(...) "
-            "as exchange)."
-        ),
-    ),
-    Rule(
-        rule_id="buffer-escape",
-        severity=SEVERITY_ERROR,
-        summary="mapped-buffer view escapes before close()",
-        rationale=(
-            "Arrays decoded from a SegmentMapping (any envelope: LSHD, "
-            "LSHW) are zero-copy views over the mmap: storing one on self, "
-            "in a global, in a closure, or returning it while the "
-            "mapping is closed in the same function leaves a dangling "
-            "view (or pins the mapping so close() reports failure — "
-            "the exact bug PR 7 fixed by hand).  Views must be copied "
-            "out (.copy()/bytes()) before the buffer closes, or the "
-            "mapping must travel with them."
-        ),
-        example=(
-            "def load(path):\n"
-            "    mapping = SegmentMapping(path)\n"
-            "    cols = decode_shard(mapping)\n"
-            "    mapping.close()      # <- views in cols now dangle\n"
-            "    return cols"
-        ),
-        fix=(
-            "Copy before the close (return {k: v.copy() for ...}) or "
-            "keep the mapping open and transfer it together with the "
-            "views (return mapping, cols) so the caller owns the "
-            "lifetime."
+            "        reader.close()\n"
+            "For a handle acquired only on one branch, enter it on a "
+            "contextlib.ExitStack."
         ),
     ),
     Rule(
@@ -220,12 +169,13 @@ RULES: Tuple[Rule, ...] = (
         summary="checkpoint write bypasses temp-then-rename",
         rationale=(
             "Checkpoint segments (.lshd), manifests (.lshm / "
-            "manifest.json), and worldpacks (.lshw) are only valid "
-            "when they appear atomically: a direct open(path, 'wb') "
-            "can be interrupted mid-write and leave a torn file that "
-            "resume then trusts.  All writes go through the "
-            "contract-listed atomic writers, which write a "
-            "'.tmp.<pid>' sibling and os.replace() it into place."
+            "manifest.json), worldpacks (.lshw) and JSONL datasets are "
+            "only valid when they appear atomically: a direct "
+            "open(path, 'wb') can be interrupted mid-write and leave a "
+            "torn file that resume then trusts.  A write-mode open() "
+            "or write_text()/write_bytes() whose path literal ends in "
+            "one of these suffixes is flagged outside "
+            "repro.util.envelope."
         ),
         example=(
             "def save(columns, stem):\n"
@@ -234,11 +184,9 @@ RULES: Tuple[Rule, ...] = (
         ),
         fix=(
             "Call the codec's atomic writer (write_segment_file, "
-            "write_manifest, write_worldpack_file, _atomic_write_json, "
-            "...), write through repro.util.envelope.atomic_write, or "
-            "follow the idiom yourself: write to "
-            "f\"{path}.tmp.{os.getpid()}\" and os.replace(tmp, path), "
-            "removing the temp on BaseException."
+            "write_manifest, write_worldpack_file, ...) or write "
+            "through repro.util.envelope.atomic_write, which writes a "
+            "'.tmp.<pid>' sibling and os.replace()s it into place."
         ),
     ),
 )
@@ -329,6 +277,29 @@ SERIALIZATION_FUNCTIONS = frozenset({
     "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "publish",
 })
+
+#: Calls that acquire a mapping, shm block, spill directory or pack that
+#: must be released: the resource-owner rule's subjects.
+OWNED_CALLS = frozenset({
+    "SegmentMapping", "open_shard", "ShardExchange",
+    "SpillDatasetBuilder", "freeze_world", "WorldPack",
+})
+
+#: Method or function names that close, abort or release a handle.
+RELEASE_CALLS = frozenset({"close", "abort", "release"})
+
+#: The one module that owns every mmap and shm call and writes protected
+#: files itself; both ownership rules skip it.
+ENVELOPE_FILES = ("repro/util/envelope.py",)
+
+#: Suffixes of files that may only appear by temp-then-rename.
+PROTECTED_SUFFIXES = (".lshd", ".lshm", ".lshw", "manifest.json",
+                      ".jsonl", ".jsonl.gz")
+
+#: Opening calls and path methods the atomic-write rule inspects.
+OPEN_CALLS = frozenset({"open", "io.open", "gzip.open", "bz2.open",
+                        "lzma.open"})
+WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 #: Entry points of the scan-engine worker surface.  Reachability for the
 #: shared-mutation rule starts here (dotted module paths, optionally

@@ -21,13 +21,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.lint.rules import LOCK_TYPES, SANCTIONED_MUTABLE_TYPES, THREAD_LOCAL_TYPES
 
 #: ``# lint: allow(rule-id: reason)`` / ``# lint: ordered(reason)`` /
-#: ``# lint: confined(reason)`` / ``# lint: handoff(reason)``
-#:
-#: ``handoff`` is a *semantic annotation*, not a suppression: it tells
-#: the resource-lifetime dataflow that the call on this line transfers
-#: ownership of the handle to the callee (which then owes the release).
+#: ``# lint: confined(reason)``
 _DIRECTIVE = re.compile(
-    r"#\s*lint:\s*(?P<kind>allow|ordered|confined|handoff)\s*"
+    r"#\s*lint:\s*(?P<kind>allow|ordered|confined)\s*"
     r"\(\s*(?P<body>[^)]*)\s*\)")
 
 
@@ -35,7 +31,7 @@ _DIRECTIVE = re.compile(
 class Directive:
     """One parsed lint comment directive."""
 
-    kind: str                     # "allow" | "ordered" | "confined" | "handoff"
+    kind: str                     # "allow" | "ordered" | "confined"
     line: int
     rule_id: Optional[str] = None  # allow() only
     reason: str = ""

@@ -68,6 +68,7 @@ from __future__ import annotations
 import itertools
 import logging
 import weakref
+from contextlib import ExitStack
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -601,94 +602,96 @@ class ScanEngine:
                                target_seconds=self._target_chunk_seconds)
         buffer = ChunkReorderBuffer()
         pending: Dict[object, int] = {}   # future -> chunk sequence number
-        merger: Optional[SpillDatasetBuilder] = None
         requests = fetches = 0
         spawned = pack_loads = page_lengths = 0
         spawn_seconds = build_seconds = 0.0
         rss_peak = 0
         cursor = 0
         seq = 0
-        exchange = ShardExchange(spill_dir=self._spill_dir)
-        try:
-            exchange_spec = exchange.open().spec()
-            logger.debug("engine: %d tasks over %d process workers "
-                         "(exchange=%s, merge=%s, autotune=%s)",
-                         len(tasks), self._workers, exchange.kind,
-                         self._merge, tuner.enabled)
-            if self._merge == "spill":
-                # The builder owns its own directory under spill_dir —
-                # never the exchange session dir, which is removed
-                # wholesale when the exchange closes.
-                merger = SpillDatasetBuilder(directory=self._spill_dir)
-                if len(data):
-                    merger.extend_columns(data.export_columns())
-            sink = data if merger is None else merger
-
-            def submit_next() -> bool:
-                nonlocal cursor, seq
-                if cursor >= len(tasks):
-                    return False
-                chunk = tasks[cursor:cursor + tuner.chunk_size()]
-                known = scanner.known_page_lengths(
-                    dict.fromkeys(task.domain for task in chunk))
-                pending[pool.submit(_process_run_chunk, seq, chunk,
-                                    exchange_spec, known)] = seq
-                cursor += len(chunk)
-                seq += 1
-                return True
-
-            # Keep a bounded window of outstanding chunks: workers stay
-            # saturated, the parent never holds more than
-            # workers * PIPELINE_DEPTH unmerged results.
-            for _ in range(self._workers * PIPELINE_DEPTH):
-                if not submit_next():
-                    break
-            # Stream-merge as chunks complete (any completion order); the
-            # reorder buffer restores sequence order, and extend_columns
-            # interns code tables in first-seen row order, so the merged
-            # dataset is byte-identical to a serial scan.
-            while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    pending.pop(future)
-                    result = future.result()
-                    info = result.init_info
-                    if info is not None:
-                        spawned += 1
-                        spawn_seconds += info["spawn_seconds"]
-                        build_seconds += info["build_seconds"]
-                        rss_peak = max(rss_peak, info["rss_bytes"])
-                        if info["source"] == "pack":
-                            pack_loads += 1
-                    # Fold the worker's lengths in before the next submit,
-                    # so that chunk already carries them.
-                    scanner.learn_page_lengths(result.lengths)
-                    page_lengths += len(result.lengths)
-                    tuner.record(result.tasks, result.elapsed)
-                    buffer.push(result.seq, result)
-                    submit_next()
-                for result in buffer.pop_ready():
-                    self._merge_shard(sink, result.handle)
-                    requests += result.requests
-                    fetches += result.fetches
-            if merger is not None:
-                data = merger.finalize()
-                merger = None
-        except BaseException:
-            # A failed scan ends the pool: a crashed worker leaves it
-            # broken, and either way its pack must not outlive the error.
-            # Shutting down first also settles every in-flight future,
-            # so the cleanup below sees each shard that was written.
-            self.close()
-            raise
-        finally:
-            # Error path: nothing below may leak a segment.  Unmerged
-            # buffered shards, plus shards from futures that completed
-            # after the failure, are released; closing the exchange then
-            # removes the spill session directory wholesale.  The steps
-            # are chained with nested finally blocks so a failure inside
-            # one cleanup cannot skip the ones after it.
+        # The stack owns the exchange session and the spill builder:
+        # leaving it aborts an unfinished builder, then closes the session.
+        with ExitStack() as owned:
             try:
+                exchange = owned.enter_context(
+                    ShardExchange(spill_dir=self._spill_dir))
+                exchange_spec = exchange.spec()
+                logger.debug("engine: %d tasks over %d process workers "
+                             "(exchange=%s, merge=%s, autotune=%s)",
+                             len(tasks), self._workers, exchange.kind,
+                             self._merge, tuner.enabled)
+                merger = None
+                if self._merge == "spill":
+                    # The builder owns its own directory under spill_dir —
+                    # never the exchange session dir, which is removed
+                    # wholesale when the exchange closes.
+                    merger = owned.enter_context(
+                        SpillDatasetBuilder(directory=self._spill_dir))
+                    if len(data):
+                        merger.extend_columns(data.export_columns())
+                sink = data if merger is None else merger
+
+                def submit_next() -> bool:
+                    nonlocal cursor, seq
+                    if cursor >= len(tasks):
+                        return False
+                    chunk = tasks[cursor:cursor + tuner.chunk_size()]
+                    known = scanner.known_page_lengths(
+                        dict.fromkeys(task.domain for task in chunk))
+                    pending[pool.submit(_process_run_chunk, seq, chunk,
+                                        exchange_spec, known)] = seq
+                    cursor += len(chunk)
+                    seq += 1
+                    return True
+
+                # Keep a bounded window of outstanding chunks: workers stay
+                # saturated, the parent never holds more than
+                # workers * PIPELINE_DEPTH unmerged results.
+                for _ in range(self._workers * PIPELINE_DEPTH):
+                    if not submit_next():
+                        break
+                # Stream-merge as chunks complete (any completion order); the
+                # reorder buffer restores sequence order, and extend_columns
+                # interns code tables in first-seen row order, so the merged
+                # dataset is byte-identical to a serial scan.
+                while pending:
+                    done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+                    for future in done:
+                        pending.pop(future)
+                        result = future.result()
+                        info = result.init_info
+                        if info is not None:
+                            spawned += 1
+                            spawn_seconds += info["spawn_seconds"]
+                            build_seconds += info["build_seconds"]
+                            rss_peak = max(rss_peak, info["rss_bytes"])
+                            if info["source"] == "pack":
+                                pack_loads += 1
+                        # Fold the worker's lengths in before the next submit,
+                        # so that chunk already carries them.
+                        scanner.learn_page_lengths(result.lengths)
+                        page_lengths += len(result.lengths)
+                        tuner.record(result.tasks, result.elapsed)
+                        buffer.push(result.seq, result)
+                        submit_next()
+                    for result in buffer.pop_ready():
+                        self._merge_shard(sink, result.handle)
+                        requests += result.requests
+                        fetches += result.fetches
+                if merger is not None:
+                    data = merger.finalize()
+            except BaseException:
+                # A failed scan ends the pool: a crashed worker leaves it
+                # broken, and either way its pack must not outlive the error.
+                # Shutting down first also settles every in-flight future,
+                # so the cleanup below sees each shard that was written.
+                self.close()
+                raise
+            finally:
+                # Error path: nothing below may leak a segment.  Unmerged
+                # buffered shards, plus shards from futures that completed
+                # after the failure, are released; leaving the stack then
+                # aborts an unfinished spill builder and closes the exchange,
+                # which removes the spill session directory wholesale.
                 for result in buffer.drain():
                     release(result.handle)
                 for future in pending:
@@ -699,12 +702,6 @@ class ScanEngine:
                     except Exception:
                         continue
                     release(result.handle)
-            finally:
-                try:
-                    if merger is not None:
-                        merger.abort()
-                finally:
-                    exchange.close()
         scanner.absorb_worker_counts(
             requests, fetches,
             token=f"engine-batch-{next(_ABSORB_BATCH_IDS)}",

@@ -40,7 +40,7 @@ from typing import Iterator, Union
 
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
-    decode_shard,
+    mapped_dataset,
     open_segment,
     read_manifest,
     store_segment,
@@ -55,17 +55,6 @@ _FIELDS = ("domain", "country", "status", "length", "body", "error",
 _GZIP_MAGIC = b"\x1f\x8b"
 
 PathLike = Union[str, os.PathLike]
-
-#: Resource-lifetime contract enforced by ``repro.lint``: report and
-#: dataset text formats may only be written through the atomic
-#: temp-then-rename writer below.
-LINT_RESOURCE_CONTRACT = {
-    "codec": "serialize",
-    "atomic": {
-        "suffixes": [".jsonl", ".jsonl.gz"],
-        "writers": ["_atomic_text_writer", "dump_dataset", "save_report"],
-    },
-}
 
 
 def _is_gzip(path: PathLike) -> bool:
@@ -152,29 +141,19 @@ def dump_dataset_manifest(dataset: ScanDataset, path: PathLike) -> int:
     return len(dataset)
 
 
-def _load_segment(mapping: SegmentMapping) -> ScanDataset:
-    """A mapped LSHD segment as a zero-copy dataset that owns ``mapping``."""
-    try:
-        return ScanDataset.from_columns(decode_shard(mapping),
-                                        source=mapping)
-    except BaseException:
-        mapping.close()
-        raise
-
-
 def _load_manifest(path: PathLike) -> ScanDataset:
     """Open a one-segment ``.lshm`` manifest as a mapped dataset.
 
     The segment's header must match its manifest entry
     (:func:`~repro.lumscan.shards.open_segment`); it then opens exactly
-    as :func:`_load_segment` would (mapped, zero-copy).
+    as a bare segment would (mapped, zero-copy).
     """
     entries = read_manifest(path).entries
     if len(entries) != 1:
         raise ValueError(f"{os.fspath(path)}: manifest lists "
                          f"{len(entries)} segments; a dataset checkpoint "
                          f"has exactly one")
-    return _load_segment(open_segment(path, entries[0]))
+    return mapped_dataset(open_segment(path, entries[0]))
 
 
 def load_dataset(path: PathLike) -> ScanDataset:
@@ -189,7 +168,7 @@ def load_dataset(path: PathLike) -> ScanDataset:
     if fmt == "lshm":
         return _load_manifest(path)
     if fmt == "lshd":
-        return _load_segment(SegmentMapping(path, MAGIC_LSHD))
+        return mapped_dataset(SegmentMapping(path, MAGIC_LSHD))
     if fmt == "lshw":
         raise ValueError(f"{path}: an LSHW worldpack, not a dataset "
                          f"(inspect it with repro-geoblock store inspect)")

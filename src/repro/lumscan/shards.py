@@ -91,22 +91,6 @@ JSON_SECTIONS: Tuple[str, ...] = (
     "domains", "countries", "errors", "bodies", "interfered",
 )
 
-#: Resource-lifetime contract enforced by ``repro.lint``.  A pure
-#: literal merged into the linter's contract registry; the mappings and
-#: writers live in :mod:`repro.util.envelope`'s contract.
-LINT_RESOURCE_CONTRACT = {
-    "codec": "shards",
-    "resources": [
-        {"name": "shard-exchange",
-         "acquire": ["ShardExchange"],
-         "release_methods": ["close"]},
-        {"name": "spill-builder",
-         "acquire": ["SpillDatasetBuilder"],
-         "release_methods": ["finalize", "abort", "_cleanup"]},
-    ],
-}
-
-
 @dataclass(frozen=True)
 class ExchangeSpec:
     """Picklable recipe telling worker processes where to write shards."""
@@ -236,6 +220,20 @@ def open_shard(handle: Handle) -> SegmentMapping:
     return SegmentMapping(handle, MAGIC_LSHD)
 
 
+def mapped_dataset(mapping: SegmentMapping) -> ScanDataset:
+    """A mapped LSHD segment as a zero-copy dataset that owns ``mapping``.
+
+    A segment that fails to decode closes the mapping before the error
+    propagates, so no error path leaves it open.
+    """
+    try:
+        return ScanDataset.from_columns(decode_shard(mapping),
+                                        source=mapping)
+    except BaseException:
+        mapping.close()
+        raise
+
+
 class ShardExchange:
     """Parent-side transport session for one engine execution.
 
@@ -302,7 +300,8 @@ class SpillDatasetBuilder:
     spill files into one fingerprinted segment and returns it as a
     zero-copy mapped :class:`~repro.lumscan.records.ScanDataset`.  Only
     the sparse side tables (retained bodies, interfered rows) are held
-    in memory — at paper scale a few percent of the rows.
+    in memory — at paper scale a few percent of the rows.  As a context
+    manager the builder aborts on exit unless it was finalized.
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
@@ -389,31 +388,31 @@ class SpillDatasetBuilder:
                                     for idx in cols.interfered)
         self._n = offset + m
 
-    def finalize(self, path: Optional[str] = None) -> ScanDataset:
+    def finalize(self) -> ScanDataset:
         """Write the final segment and return it as a mapped dataset.
 
-        ``path`` places the segment at a caller-owned location (where it
-        survives the returned dataset's ``close()``); by default the
-        segment is unlinked right after mapping, so its disk space is
-        reclaimed when the dataset and any outstanding views die.
+        The segment is unlinked with the builder's directory right after
+        mapping (POSIX: the mapped pages outlive the directory entry), so
+        its disk space is reclaimed when the dataset and any outstanding
+        views die.
         """
         if self._closed:
             raise ValueError("spill builder is finalized or aborted")
         self._closed = True
-        columns = []
-        for name, _ in COLUMN_DTYPES:
-            self._files[name].close()
-            columns.append(os.path.join(self._dir, f"{name}.col"))
-        sizes = [os.path.getsize(column) for column in columns]
-        json_blobs = _json_sections(self._domain_names, self._country_names,
-                                    self._error_names, self._bodies,
-                                    self._interfered)
-        digests = [self._digests[name].digest() for name, _ in COLUMN_DTYPES]
-        header, _, _ = _header(self._n, sizes, json_blobs,
-                               digests + [digest(b) for b in json_blobs])
-        target = os.fspath(path) if path is not None else \
-            os.path.join(self._dir, "merged.seg")
         try:
+            columns = []
+            for name, _ in COLUMN_DTYPES:
+                self._files[name].close()
+                columns.append(os.path.join(self._dir, f"{name}.col"))
+            sizes = [os.path.getsize(column) for column in columns]
+            json_blobs = _json_sections(
+                self._domain_names, self._country_names, self._error_names,
+                self._bodies, self._interfered)
+            digests = [self._digests[name].digest()
+                       for name, _ in COLUMN_DTYPES]
+            header, _, _ = _header(self._n, sizes, json_blobs,
+                                   digests + [digest(b) for b in json_blobs])
+            target = os.path.join(self._dir, "merged.seg")
             with atomic_write(target) as out:
                 out.write(frame(MAGIC_LSHD, header))
                 for column, size in zip(columns, sizes):
@@ -423,22 +422,9 @@ class SpillDatasetBuilder:
                 for blob in json_blobs:
                     out.write(blob)
                     out.write(bytes(pad(len(blob)) - len(blob)))
-        except BaseException:
+            return mapped_dataset(SegmentMapping(target, MAGIC_LSHD))
+        finally:
             self._cleanup()
-            raise
-        mapping = SegmentMapping(target, MAGIC_LSHD)
-        try:
-            if path is None:
-                # POSIX: the mapped pages outlive the directory entry, so
-                # the transient merge segment frees itself with the
-                # dataset.
-                os.remove(target)
-            self._cleanup()
-            merged = decode_shard(mapping)
-        except BaseException:
-            mapping.close()
-            raise
-        return ScanDataset.from_columns(merged, source=mapping)
 
     def abort(self) -> None:
         """Discard everything without writing a segment (error paths)."""
@@ -453,6 +439,12 @@ class SpillDatasetBuilder:
             if not handle.closed:
                 handle.close()
         shutil.rmtree(self._dir, ignore_errors=True)
+
+    def __enter__(self) -> "SpillDatasetBuilder":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.abort()
 
 
 # --------------------------------------------------------------------- #

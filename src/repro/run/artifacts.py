@@ -62,16 +62,6 @@ FORMAT_VERSION = 1
 #: them), so they stay out of the checkpoint fingerprint.
 ENGINE_FIELDS = ("workers", "executor", "merge", "target_chunk_ms")
 
-#: Resource-lifetime contract enforced by ``repro.lint``: the store
-#: manifest is only ever written through the atomic JSON writer below.
-LINT_RESOURCE_CONTRACT = {
-    "codec": "store",
-    "atomic": {
-        "suffixes": [".manifest.json"],
-        "writers": ["_atomic_write_json"],
-    },
-}
-
 
 def _jsonable_config(config: object) -> object:
     """A canonical JSON-safe view of a (possibly nested) config object."""

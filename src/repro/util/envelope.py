@@ -32,7 +32,10 @@ Ownership stays with the caller.  The process that publishes a shared
 memory block keeps its resource-tracker registration, so the tracker
 still unlinks the block if that process is killed; a worker handing a
 block to its parent drops the registration with :func:`disown`.
-Readers never register.
+Readers never register.  The module keeps a ledger of what this process
+holds (:func:`ledger`): the mappings it opened and not yet closed, and
+the shm blocks it published and not yet released or disowned.  The test
+suite checks after every test that the ledger is back where it started.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ import hashlib
 import json
 import mmap
 import os
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import BinaryIO, Dict, FrozenSet, Iterable, Iterator, List, \
+    Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -74,32 +78,12 @@ PREFIX_BYTES = 8
 KIND_SHM = "shm"
 KIND_FILE = "file"
 
-#: Resource-lifetime contract enforced by ``repro.lint``.  A pure
-#: literal merged into the linter's contract registry; keep it in sync
-#: with the mapping, handle and writer surface below.
-LINT_RESOURCE_CONTRACT = {
-    "codec": "envelope",
-    "resources": [
-        {"name": "envelope-mapping",
-         "acquire": ["SegmentMapping", "open_shard"],
-         "release_methods": ["close"],
-         "release_funcs": ["release"]},
-    ],
-    "buffers": [
-        {"name": "envelope-mapping",
-         "acquire": ["SegmentMapping", "open_shard"],
-         "close_methods": ["close"],
-         "view_methods": ["array"],
-         "view_attrs": ["buffer"],
-         "view_funcs": ["decode_shard"]},
-    ],
-    "atomic": {
-        "suffixes": [".lshd", ".lshm", ".lshw", "manifest.json"],
-        "writers": ["atomic_write", "publish", "write_segment_file",
-                    "write_manifest", "store_segment", "dump_dataset_manifest",
-                    "write_worldpack_file"],
-    },
-}
+#: The ledger: every :class:`SegmentMapping` this process opened (weakly
+#: held, so a collected mapping drops out) and the names of the shm
+#: blocks it published and has not released or disowned.  Read it with
+#: :func:`ledger`.
+_MAPPINGS: "weakref.WeakSet" = weakref.WeakSet()
+_PUBLISHED: Set[str] = set()
 
 
 def pad(n: int) -> int:
@@ -341,6 +325,7 @@ def publish(envelope: Envelope, kind: str,
             block.unlink()
             raise
         block.close()
+        _PUBLISHED.add(block.name)
         return Handle(KIND_SHM, block.name, envelope.nbytes,
                       envelope.fingerprint)
     with atomic_write(path) as out:
@@ -358,6 +343,7 @@ def disown(handle: Handle) -> None:
     """
     if handle.kind != KIND_SHM:
         return
+    _PUBLISHED.discard(handle.ref)
     try:
         from multiprocessing import resource_tracker
         resource_tracker.unregister("/" + handle.ref.lstrip("/"),
@@ -370,6 +356,7 @@ def release(handle: Handle) -> None:
     """Unlink a published envelope (idempotent; owner side only)."""
     if handle.kind == KIND_SHM:
         from multiprocessing import shared_memory
+        _PUBLISHED.discard(handle.ref)
         try:
             block = shared_memory.SharedMemory(name=handle.ref)
         except FileNotFoundError:
@@ -384,6 +371,13 @@ def release(handle: Handle) -> None:
         os.remove(handle.ref)
     except FileNotFoundError:
         pass
+
+
+def ledger() -> Tuple[Tuple["SegmentMapping", ...], FrozenSet[str]]:
+    """This process's open mappings and unreleased published shm blocks."""
+    return (tuple(mapping for mapping in list(_MAPPINGS)
+                  if not mapping.closed),
+            frozenset(_PUBLISHED))
 
 
 class SegmentMapping:
@@ -424,6 +418,7 @@ class SegmentMapping:
                 fd, 0, access=mmap.ACCESS_READ)
         finally:
             os.close(fd)
+        _MAPPINGS.add(self)
         try:
             self.header, self.base = parse_frame(self._mmap, magic, self.name)
             recorded = self.header.get("fingerprint")

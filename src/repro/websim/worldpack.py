@@ -63,18 +63,6 @@ from repro.util.envelope import (
 )
 from repro.websim.world import World, WorldConfig
 
-#: Resource-lifetime contract enforced by ``repro.lint``.  A pure
-#: literal merged into the linter's contract registry; the mapping and
-#: writers live in :mod:`repro.util.envelope`'s contract.
-LINT_RESOURCE_CONTRACT = {
-    "codec": "worldpack",
-    "resources": [
-        {"name": "worldpack",
-         "acquire": ["freeze_world", "WorldPack"],
-         "release_methods": ["release"]},
-    ],
-}
-
 #: Per-domain attribute columns: fixed little-endian dtypes, one code per
 #: rank (``-1`` encodes None for the optional attributes).
 ARRAY_DTYPES = {

@@ -6,13 +6,45 @@ session-scoped; tests must treat them as read-only.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.analysis.experiments import ExperimentSuite
 from repro.core.fingerprints import FingerprintRegistry
 from repro.core.pipeline import StudyConfig, run_top10k_study
 from repro.proxynet.luminati import LuminatiClient
+from repro.util.envelope import ledger
 from repro.websim.world import World, WorldConfig
+
+
+def _held_since(mappings, blocks):
+    """Mappings opened, and shm blocks published or released, since a
+    ledger snapshot."""
+    after, blocks_after = ledger()
+    opened = [mapping.name for mapping in after
+              if not any(mapping is old for old in mappings)]
+    return opened, blocks_after ^ blocks
+
+
+@pytest.fixture(autouse=True)
+def envelope_ledger():
+    """Every test leaves the envelope ledger as it found it.
+
+    After a collection pass, no mapping the test opened may still be
+    open, and the published shm blocks must be exactly those published
+    before it.  A mapping the collector reclaims counts as closed.  The
+    collection runs only when something is still held: a full pass
+    after every test would double the suite's run time.
+    """
+    mappings, blocks = ledger()
+    yield
+    if any(_held_since(mappings, blocks)):
+        gc.collect()
+    opened, changed = _held_since(mappings, blocks)
+    assert not opened, f"mappings left open: {opened}"
+    assert not changed, (f"shm blocks published or released and not "
+                         f"restored: {sorted(changed)}")
 
 
 @pytest.fixture(scope="session")

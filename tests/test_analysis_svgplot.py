@@ -65,6 +65,23 @@ class TestRenderSvg:
         save_svg(_figure(), str(path))
         assert path.read_text().startswith("<svg")
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        # The write is temp-then-rename: a render that fails once the
+        # temp file is open leaves the previous figure and no sibling.
+        import repro.analysis.svgplot as svgplot
+
+        path = tmp_path / "figure.svg"
+        path.write_text("<svg>old</svg>")
+
+        def fail(figure, **kwargs):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(svgplot, "render_svg", fail)
+        with pytest.raises(RuntimeError):
+            save_svg(_figure(), str(path))
+        assert path.read_text() == "<svg>old</svg>"
+        assert [p.name for p in tmp_path.iterdir()] == ["figure.svg"]
+
     def test_custom_size(self):
         svg = render_svg(_figure(), width=300, height=200)
         assert 'width="300"' in svg

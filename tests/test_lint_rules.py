@@ -586,6 +586,8 @@ def test_render_json_is_stable_and_timestamp_free():
     assert payload["summary"]["errors"] == 1
     assert payload["findings"][0]["rule"] == "wall-clock"
     assert "time" not in payload["summary"]
+    assert payload["version"] == 3
+    assert "trace" not in payload["findings"][0]
 
 
 def test_render_text_hides_suppressed_unless_verbose():
@@ -677,258 +679,179 @@ def test_repro_geoblock_lint_subcommand(capsys):
 
 
 # --------------------------------------------------------------------- #
-# resource-leak (flow-sensitive acquire/release pairing)
+# resource-owner and atomic-write (syntactic ownership)
 
-def test_resource_leak_flags_early_return_branch():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
+#: (rule, flagged source, clean source): one pair per form the rule
+#: accepts (resource-owner) or per path shape it reads (atomic-write).
+OWNERSHIP_CASES = [
+    pytest.param("resource-owner", """
+        from repro.util.envelope import SegmentMapping
 
-        def f(handle, flag):
-            reader = open_shard(handle)
-            if flag:
-                return None
-            reader.close()
-    """)
-    assert rule_ids(findings) == ["resource-leak"]
-    assert "open_shard" in findings[0].message
-    assert findings[0].trace, "path trace required"
-    assert findings[0].trace[0]["line"] == 5
+        def f(path, magic):
+            return SegmentMapping(path, magic).header
+    """, """
+        from repro.util.envelope import SegmentMapping
 
-
-def test_resource_leak_flags_loop_continue_rebinding():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-
-        def f(handles):
-            for handle in handles:
-                reader = open_shard(handle)
-                if reader.empty:
-                    continue
-                reader.close()
-    """)
-    assert rule_ids(findings) == ["resource-leak"]
-
-
-def test_resource_leak_clean_when_both_branches_release():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-
-        def f(handle, flag):
-            reader = open_shard(handle)
-            if flag:
-                reader.close()
-                return None
-            reader.close()
-            return 1
-    """)
-    assert rule_ids(findings) == []
-
-
-def test_resource_leak_clean_for_with_block():
-    findings = run_lint("""
-        from repro.lumscan.shards import ShardExchange
-
-        def f(spec):
-            with ShardExchange(spec) as exchange:
-                return exchange.spec()
-    """)
-    assert rule_ids(findings) == []
-
-
-def test_resource_leak_clean_on_return_handoff():
-    findings = run_lint("""
+        def f(path, magic):
+            with SegmentMapping(path, magic) as mapping:
+                return mapping.header
+    """, id="with-item"),
+    pytest.param("resource-owner", """
         from repro.lumscan.shards import open_shard
 
         def f(handle):
             reader = open_shard(handle)
             return reader
-    """)
-    assert rule_ids(findings) == []
-
-
-def test_resource_leak_clean_on_self_store_handoff():
-    findings = run_lint("""
+    """, """
         from repro.lumscan.shards import open_shard
 
-        class Pool:
-            def adopt(self, handle):
-                self._reader = open_shard(handle)
-    """)
-    assert rule_ids(findings) == []
+        def f(handle):
+            return open_shard(handle)
+    """, id="return-operand"),
+    pytest.param("resource-owner", """
+        from repro.lumscan.shards import ShardExchange
 
+        SESSIONS = {}
 
-def test_resource_leak_clean_with_handoff_directive():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
+        def f(key, spill_dir):
+            SESSIONS[key] = ShardExchange(spill_dir)
+    """, """
+        from repro.lumscan.shards import ShardExchange
 
-        def f(handle, consumer):
-            reader = open_shard(handle)
-            consumer.push(reader)  # lint: handoff(consumer owns it)
-    """)
-    assert rule_ids(findings) == []
+        class Engine:
+            def __init__(self, spill_dir):
+                self._exchange = ShardExchange(spill_dir)
 
-
-def test_resource_leak_flags_module_release_func_on_one_path_only():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-        from repro.util.envelope import release
-
-        def f(handle, flag):
-            reader = open_shard(handle)
-            if flag:
-                release(reader)
-    """)
-    assert rule_ids(findings) == ["resource-leak"]
-
-
-def test_resource_leak_respects_none_guard_correlation():
-    findings = run_lint("""
+            def close(self):
+                self._exchange.close()
+    """, id="self-attribute"),
+    pytest.param("resource-owner", """
         from repro.lumscan.shards import SpillDatasetBuilder
 
-        def f(spill, payload):
-            merger = None
-            if spill:
-                merger = SpillDatasetBuilder(directory=spill)
+        def f(spill, spill_dir):
+            merger = SpillDatasetBuilder(spill_dir) if spill else None
+            return merger
+    """, """
+        from contextlib import ExitStack
+
+        from repro.lumscan.shards import SpillDatasetBuilder
+
+        def f(spill, spill_dir):
+            with ExitStack() as owned:
+                merger = None
+                if spill:
+                    merger = owned.enter_context(
+                        SpillDatasetBuilder(spill_dir))
+                return merger is not None
+    """, id="call-argument"),
+    pytest.param("resource-owner", """
+        from repro.websim.worldpack import freeze_world
+
+        def f(world, run):
+            pack = freeze_world(world)
+            run(pack.handle)
             try:
-                if merger is not None:
-                    merger.extend_columns(payload)
+                run(pack.handle)
             finally:
-                if merger is not None:
-                    merger.abort()
-    """)
-    assert rule_ids(findings) == []
+                pack.release()
+    """, """
+        from repro.websim.worldpack import freeze_world
 
-
-# --------------------------------------------------------------------- #
-# release-guard (exception-safe cleanup)
-
-def test_release_guard_flags_fallthrough_only_release():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-
-        def f(handle):
-            reader = open_shard(handle)
-            data = reader.read()
-            reader.close()
-            return data
-    """)
-    assert rule_ids(findings) == ["release-guard"]
-    # Anchored at the unguarded release, with the full path trace.
-    assert findings[0].line == 7
-    assert [step["line"] for step in findings[0].trace] == [5, 6, 7]
-
-
-def test_release_guard_clean_when_release_in_finally():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-
-        def f(handle):
-            reader = open_shard(handle)
+        def f(world, run):
+            pack = freeze_world(world)
             try:
-                return reader.spec
+                run(pack.handle)
             finally:
-                reader.close()
-    """)
-    assert rule_ids(findings) == []
-
-
-def test_release_guard_clean_for_close_and_reraise_handler():
-    findings = run_lint("""
-        from repro.lumscan.shards import decode_shard
+                pack.release()
+    """, id="binding-try-finally"),
+    pytest.param("resource-owner", """
         from repro.util.envelope import SegmentMapping
 
-        def f(path):
-            mapping = SegmentMapping(path, b"LSHD")
+        def f(path, magic, check):
+            mapping = SegmentMapping(path, magic)
             try:
-                columns = decode_shard(mapping.buffer)
-                rows = list(columns)
+                check(mapping)
+            except Exception:
+                mapping.close()
+                raise
+            return mapping
+    """, """
+        from repro.util.envelope import SegmentMapping
+
+        def f(path, magic, check):
+            mapping = SegmentMapping(path, magic)
+            try:
+                check(mapping)
             except BaseException:
                 mapping.close()
                 raise
-            mapping.close()
-            return rows
-    """)
-    assert rule_ids(findings) == []
+            return mapping
+    """, id="binding-except-baseexception"),
+    pytest.param("atomic-write", """
+        with open("x.lshd", "wb") as out:
+            out.write(b"")
+    """, """
+        with open("x.lshd", "rb") as handle:
+            head = handle.read(4)
+    """, id="open-literal"),
+    pytest.param("atomic-write", """
+        import os
+
+        def f(root, stem, blob):
+            with open(os.path.join(root, f"{stem}.lshm"), "w") as out:
+                out.write(blob)
+    """, """
+        import os
+
+        def f(root, stem, blob):
+            path = os.path.join(root, f"{stem}.lshm.tmp.{os.getpid()}")
+            with open(path, "w") as out:
+                out.write(blob)
+    """, id="joined-f-string"),
+    pytest.param("atomic-write", """
+        from pathlib import Path
+
+        def f(root, text):
+            Path(root, "manifest.json").write_text(text)
+    """, """
+        from pathlib import Path
+
+        def f(root, text):
+            Path(root, "notes.md").write_text(text)
+    """, id="write-text"),
+    pytest.param("atomic-write", """
+        from pathlib import Path
+
+        def f(root, blob):
+            (Path(root) / "scan.jsonl.gz").write_bytes(blob)
+    """, """
+        from pathlib import Path
+
+        def f(root):
+            return (Path(root) / "scan.jsonl.gz").read_bytes()
+    """, id="write-bytes"),
+]
 
 
-def test_release_guard_clean_when_release_call_itself_raises():
-    # An exception *inside* close() is the callee's contract, not a
-    # missing guard around it.
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-
-        def f(handle):
-            reader = open_shard(handle)
-            reader.close()
-    """)
-    assert rule_ids(findings) == []
+@pytest.mark.parametrize("rule, flagged, clean", OWNERSHIP_CASES)
+def test_ownership_rules(rule, flagged, clean):
+    findings = run_lint(flagged)
+    assert rule_ids(findings) == [rule], render_text(findings)
+    assert rule_ids(run_lint(clean)) == []
 
 
-# --------------------------------------------------------------------- #
-# buffer-escape (views must not outlive close())
+def test_ownership_rules_skip_the_envelope_module():
+    source = """
+        def f(path, magic, blob):
+            mapping = SegmentMapping(path, magic)
+            with open("x.lshd", "wb") as out:
+                out.write(blob)
+            return mapping.header
+    """
+    assert sorted(rule_ids(run_lint(source))) == ["atomic-write",
+                                                  "resource-owner"]
+    assert run_lint(source, path="src/repro/util/envelope.py") == []
 
-def test_buffer_escape_flags_view_stored_to_self():
-    findings = run_lint("""
-        from repro.util.envelope import SegmentMapping
-
-        class Cache:
-            def load(self, path):
-                mapping = SegmentMapping(path, b"LSHW")
-                try:
-                    self._codes = mapping.array(0, "<i2", 8)
-                finally:
-                    mapping.close()
-    """)
-    assert rule_ids(findings) == ["buffer-escape"]
-    assert "self._codes" in findings[0].message
-    notes = [step["note"] for step in findings[0].trace]
-    assert any("closed" in note for note in notes)
-
-
-def test_buffer_escape_flags_intermediate_variable_escape():
-    findings = run_lint("""
-        from repro.util.envelope import SegmentMapping
-
-        class Cache:
-            def load(self, path):
-                mapping = SegmentMapping(path, b"LSHD")
-                try:
-                    raw = mapping.buffer
-                    self._raw = raw
-                finally:
-                    mapping.close()
-    """)
-    assert rule_ids(findings) == ["buffer-escape"]
-
-
-def test_buffer_escape_clean_when_view_is_copied():
-    findings = run_lint("""
-        from repro.util.envelope import SegmentMapping
-
-        class Cache:
-            def load(self, path):
-                mapping = SegmentMapping(path, b"LSHW")
-                try:
-                    self._codes = bytes(mapping.array(0, "<i2", 8))
-                finally:
-                    mapping.close()
-    """)
-    assert rule_ids(findings) == []
-
-
-def test_buffer_escape_clean_when_buffer_travels_with_view():
-    findings = run_lint("""
-        from repro.util.envelope import SegmentMapping
-
-        def f(path):
-            mapping = SegmentMapping(path, b"LSHW")
-            return mapping, mapping.array(0, "<i2", 8)
-    """)
-    assert rule_ids(findings) == []
-
-
-# --------------------------------------------------------------------- #
-# atomic-write (temp-then-rename discipline)
 
 def test_atomic_write_flags_direct_checkpoint_write():
     findings = run_lint("""
@@ -938,26 +861,6 @@ def test_atomic_write_flags_direct_checkpoint_write():
     """)
     assert rule_ids(findings) == ["atomic-write"]
     assert ".lshd" in findings[0].message
-
-
-def test_atomic_write_flags_write_text_on_manifest():
-    findings = run_lint("""
-        def f(root, text):
-            target = f"{root}/manifest.json"
-            target.write_text(text)
-    """)
-    assert rule_ids(findings) == ["atomic-write"]
-
-
-def test_atomic_write_flags_temp_never_renamed():
-    findings = run_lint("""
-        def f(stem, payload):
-            tmp = f"{stem}.lshd.tmp"
-            with open(tmp, "wb") as out:
-                out.write(payload)
-    """)
-    assert rule_ids(findings) == ["atomic-write"]
-    assert "never renamed" in findings[0].message
 
 
 def test_atomic_write_clean_for_temp_then_rename():
@@ -988,55 +891,18 @@ def test_atomic_write_clean_for_read_mode_and_unprotected_suffix():
 # --------------------------------------------------------------------- #
 # Contract registry: module self-registration
 
-def test_module_declared_contract_is_enforced():
-    findings = run_lint("""
-        LINT_RESOURCE_CONTRACT = {
-            "codec": "probe",
-            "resources": [
-                {"name": "probe-session",
-                 "acquire": ["open_probe"],
-                 "release_methods": ["shutdown"]},
-            ],
-        }
-
-        def f(target, flag):
-            session = open_probe(target)
-            if flag:
-                return None
-            session.shutdown()
-    """)
-    assert rule_ids(findings) == ["resource-leak"]
-    assert "probe-session" in findings[0].message
-
-
-def test_trace_round_trips_through_json():
-    findings = run_lint("""
-        from repro.lumscan.shards import open_shard
-
-        def f(handle, flag):
-            reader = open_shard(handle)
-            if flag:
-                return None
-            reader.close()
-    """)
-    payload = json.loads(render_json(findings))
-    assert payload["version"] == 2
-    traces = [f["trace"] for f in payload["findings"]]
-    assert traces and all(
-        {"line", "note"} <= set(step) for trace in traces for step in trace)
-
 
 # --------------------------------------------------------------------- #
 # CLI: --explain and internal-error reporting
 
 def test_cli_explain_prints_rationale_example_and_fix(capsys):
-    assert lint_main(["--explain", "resource-leak"]) == EXIT_CLEAN
+    assert lint_main(["--explain", "resource-owner"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    assert "resource-leak" in out
+    assert "resource-owner" in out
     assert "Why:" in out
     assert "Example finding:" in out
     assert "Sanctioned fix:" in out
-    assert "# lint: handoff" in out
+    assert "# lint: allow" in out
 
 
 def test_cli_explain_unknown_rule_is_usage_error(capsys):

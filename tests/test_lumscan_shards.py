@@ -306,13 +306,13 @@ class TestSpillDatasetBuilder:
         builder.extend_columns(shard_a.export_columns())
         builder.extend_columns(shard_b.export_columns())
         assert len(builder) == len(merged)
-        streamed = str(tmp_path / "streamed.lshd")
-        data = builder.finalize(streamed)
+        data = builder.finalize()
         try:
             with open(reference, "rb") as fh:
                 ref_blob = fh.read()
-            with open(streamed, "rb") as fh:
-                spill_blob = fh.read()
+            # The finished segment is unlinked once mapped; its bytes
+            # are the mapping the dataset owns.
+            spill_blob = data._source.buffer[:]
             assert spill_blob == ref_blob
             assert data.is_mapped
             assert _rows(data) == _rows(merged)
@@ -347,6 +347,20 @@ class TestSpillDatasetBuilder:
         builder.abort()
         assert not os.path.exists(spill)
         builder.abort()  # idempotent
+
+    def test_context_exit_aborts_unless_finalized(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with SpillDatasetBuilder(directory=str(tmp_path)) as builder:
+                builder.extend_columns(_sample_dataset().export_columns())
+                raise RuntimeError("scan failed")
+        assert os.listdir(tmp_path) == []
+        with SpillDatasetBuilder(directory=str(tmp_path)) as builder:
+            builder.extend_columns(_sample_dataset().export_columns())
+            data = builder.finalize()
+        try:
+            assert _rows(data) == _rows(_sample_dataset())
+        finally:
+            data.close()
 
 
 class TestChunkReorderBuffer:

@@ -22,11 +22,26 @@ import sys
 
 import pytest
 
+from repro.lumscan import shards
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.serialize import load_dataset
-from repro.lumscan.shards import write_segment_file
+from repro.lumscan.shards import (
+    SpillDatasetBuilder,
+    encode_shard,
+    write_segment_file,
+)
 from repro.run.artifacts import ArtifactStore
 from repro.run.stage import ArtifactSpec, KIND_DATASET, Stage
+from repro.util.envelope import (
+    KIND_SHM,
+    MAGIC_LSHD,
+    SegmentMapping,
+    disown,
+    ledger,
+    publish,
+    release,
+    shm_available,
+)
 from tests.conftest import unreferenced_segments
 
 
@@ -175,6 +190,75 @@ class TestInvalidateWhileMapped:
         fresh = changed.load_stage(_STAGE)["initial"]
         assert len(fresh) == 5
         fresh.close()
+
+
+class TestLedger:
+    def test_open_mapping_is_listed_until_closed(self, tmp_path):
+        path = tmp_path / "scan.lshd"
+        write_segment_file(_dataset().export_columns(), str(path))
+        with SegmentMapping(path, MAGIC_LSHD) as mapping:
+            assert mapping in ledger()[0]
+        assert mapping not in ledger()[0]
+
+    @pytest.mark.skipif(not shm_available(), reason="no POSIX shm")
+    def test_published_block_is_listed_until_released(self):
+        handle = publish(encode_shard(_dataset().export_columns()), KIND_SHM)
+        try:
+            assert handle.ref in ledger()[1]
+        finally:
+            release(handle)
+        assert handle.ref not in ledger()[1]
+
+    @pytest.mark.skipif(not shm_available(), reason="no POSIX shm")
+    def test_disowned_block_leaves_the_ledger(self):
+        handle = publish(encode_shard(_dataset().export_columns()), KIND_SHM)
+        try:
+            disown(handle)
+            assert handle.ref not in ledger()[1]
+        finally:
+            release(handle)
+
+
+class TestDecodeFailureClosesMapping:
+    """A segment that fails to decode leaves no mapping open.
+
+    Each check sits inside the ``except`` handler: there the traceback
+    still holds the failing frames, so a mapping the error path forgot
+    is alive and reads as open.  Once the handler exits, collection
+    closes it and the leak no longer shows.
+    """
+
+    @staticmethod
+    def _fail_decode(monkeypatch):
+        def fail(mapping):
+            raise ValueError("injected decode failure")
+
+        monkeypatch.setattr(shards, "decode_shard", fail)
+
+    def test_load_dataset(self, tmp_path, monkeypatch):
+        path = tmp_path / "scan.lshd"
+        write_segment_file(_dataset().export_columns(), str(path))
+        before = set(ledger()[0])
+        self._fail_decode(monkeypatch)
+        try:
+            load_dataset(path)
+        except ValueError:
+            assert set(ledger()[0]) == before
+        else:
+            pytest.fail("the injected decode failure did not propagate")
+
+    def test_spill_finalize(self, tmp_path, monkeypatch):
+        builder = SpillDatasetBuilder(directory=str(tmp_path))
+        builder.extend_columns(_dataset().export_columns())
+        before = set(ledger()[0])
+        self._fail_decode(monkeypatch)
+        try:
+            builder.finalize()
+        except ValueError:
+            assert set(ledger()[0]) == before
+        else:
+            pytest.fail("the injected decode failure did not propagate")
+        assert os.listdir(tmp_path) == []
 
 
 _DUMP_SCRIPT = r"""
