@@ -13,7 +13,7 @@ Usage: python scripts/run_experiments.py [--scale paper|small|tiny]
 
 The engine and checkpoint flags are those of ``repro-geoblock run``.
 Checkpoints are written one directory per study under DIR, each dataset
-as an ``.lshm`` manifest over content-addressed ``.lshd`` segments.
+as one ``.lshd`` segment named by its stage's ``.manifest.json``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ time series the paper shows.
 from __future__ import annotations
 
 import html
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.analysis.figures import FigureData
 from repro.util.envelope import atomic_write

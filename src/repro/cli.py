@@ -253,19 +253,6 @@ def _print_worldpack_header(path: str, header: dict) -> None:
                   f"bytes={section['nbytes']}")
 
 
-def _print_manifest(path: str) -> None:
-    from repro.lumscan.shards import read_manifest
-
-    manifest = read_manifest(path)
-    print(f"manifest:    {path}")
-    print(f"rows:        {manifest.rows}")
-    print(f"segments:    {len(manifest.entries)}")
-    print(f"fingerprint: {manifest.fingerprint}")
-    for index, entry in enumerate(manifest.entries):
-        print(f"  [{index}] {entry.file}  rows={entry.rows}  "
-              f"fingerprint={entry.fingerprint}")
-
-
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     from repro.lumscan.serialize import sniff_format
     from repro.util.envelope import read_header
@@ -273,19 +260,15 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     path = args.path
     try:
         fmt = sniff_format(path)
-        if fmt == "lshm":
-            _print_manifest(path)
-        elif fmt in ("lshd", "lshw"):
-            _, header = read_header(path)
-            if fmt == "lshd":
-                _print_segment_header(path, header)
-            else:
-                _print_worldpack_header(path, header)
+        if fmt == "lshd":
+            _print_segment_header(path, read_header(path)[1])
+        elif fmt == "lshw":
+            _print_worldpack_header(path, read_header(path)[1])
         else:
             raise SystemExit(
-                f"{path}: not an LSHD segment, LSHM manifest or LSHW "
-                f"worldpack (looks like {fmt}; JSONL exports are "
-                f"loadable but carry no envelope header)")
+                f"{path}: not an LSHD segment or LSHW worldpack (looks "
+                f"like {fmt}; JSONL exports are loadable but carry no "
+                f"envelope header)")
     except OSError as exc:
         raise SystemExit(f"{path}: {exc}")
     except ValueError as exc:
@@ -382,11 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="inspect on-disk dataset artifacts")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     inspect = store_sub.add_parser(
-        "inspect", help="print the header of an LSHD segment, LSHM "
-                        "manifest or LSHW worldpack without mapping its "
-                        "payload")
-    inspect.add_argument("path", help="path to an .lshd segment, .lshm "
-                                      "manifest or .lshw worldpack")
+        "inspect", help="print the header of an LSHD segment or LSHW "
+                        "worldpack without mapping its payload")
+    inspect.add_argument("path", help="path to an .lshd segment or .lshw "
+                                      "worldpack")
     inspect.set_defaults(func=_cmd_store_inspect)
 
     world = sub.add_parser(

@@ -114,12 +114,25 @@ def _explain(rule_id: str) -> Optional[str]:
     return "\n".join(sections)
 
 
+def _print(text: str) -> None:
+    """Print to stdout; a reader that closed the pipe early (``| head``)
+    is not an error, so the rest of the output is dropped quietly."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's final flush
+        # does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
-        print(_list_rules())
+        _print(_list_rules())
         return EXIT_CLEAN
     if args.explain is not None:
         text = _explain(args.explain)
@@ -128,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro.lint: unknown rule {args.explain!r} "
                   f"(known: {known})", file=sys.stderr)
             return EXIT_USAGE
-        print(text)
+        _print(text)
         return EXIT_CLEAN
 
     selected = None
@@ -183,7 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        _print(text)
     return exit_code(findings)
 
 

@@ -35,11 +35,9 @@ from repro.lint.checks import (
 from repro.lint.config import LintConfig
 from repro.lint.report import Baseline, Finding, sort_findings
 from repro.lint.rules import (
-    LOCK_TYPES,
     MUTATOR_METHODS,
     RULES_BY_ID,
     SANCTIONED_IMPL_FILES,
-    SANCTIONED_MUTABLE_TYPES,
     SEVERITY_WARN,
     THREAD_LOCAL_TYPES,
 )

@@ -168,8 +168,8 @@ RULES: Tuple[Rule, ...] = (
         severity=SEVERITY_ERROR,
         summary="checkpoint write bypasses temp-then-rename",
         rationale=(
-            "Checkpoint segments (.lshd), manifests (.lshm / "
-            "manifest.json), worldpacks (.lshw) and JSONL datasets are "
+            "Checkpoint segments (.lshd), stage manifests "
+            "(manifest.json), worldpacks (.lshw) and JSONL datasets are "
             "only valid when they appear atomically: a direct "
             "open(path, 'wb') can be interrupted mid-write and leave a "
             "torn file that resume then trusts.  A write-mode open() "
@@ -184,8 +184,8 @@ RULES: Tuple[Rule, ...] = (
         ),
         fix=(
             "Call the codec's atomic writer (write_segment_file, "
-            "write_manifest, write_worldpack_file, ...) or write "
-            "through repro.util.envelope.atomic_write, which writes a "
+            "write_worldpack_file, ...) or write through "
+            "repro.util.envelope.atomic_write, which writes a "
             "'.tmp.<pid>' sibling and os.replace()s it into place."
         ),
     ),
@@ -264,7 +264,6 @@ SERIALIZATION_SINKS = frozenset({
     "_atomic_write_json",
     "encode_shard", "write_shard", "decode_shard",
     "write_segment_file",
-    "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "publish",
 })
 
@@ -274,7 +273,6 @@ SERIALIZATION_FUNCTIONS = frozenset({
     "encode_artifact", "dump_dataset", "save_report",
     "encode_shard", "write_shard", "decode_shard",
     "write_segment_file",
-    "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "publish",
 })
 
@@ -293,7 +291,7 @@ RELEASE_CALLS = frozenset({"close", "abort", "release"})
 ENVELOPE_FILES = ("repro/util/envelope.py",)
 
 #: Suffixes of files that may only appear by temp-then-rename.
-PROTECTED_SUFFIXES = (".lshd", ".lshm", ".lshw", "manifest.json",
+PROTECTED_SUFFIXES = (".lshd", ".lshw", "manifest.json",
                       ".jsonl", ".jsonl.gz")
 
 #: Opening calls and path methods the atomic-write rule inspects.

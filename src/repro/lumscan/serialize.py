@@ -1,20 +1,16 @@
-"""On-disk persistence for scan datasets: LSHM checkpoints and JSONL.
+"""On-disk persistence for scan datasets: LSHD segments and JSONL.
 
 Scans are expensive (millions of probes), so batch runs save raw results
 and analyses reload them.  :func:`load_dataset` tells formats apart by
 magic bytes, never by file extension (the magic table lives in
 :mod:`repro.util.envelope`):
 
-* **LSHM manifests** (:func:`dump_dataset_manifest`) — the checkpoint
-  format: a canonical-JSON entry naming one content-addressed LSHD
-  segment (see :mod:`repro.lumscan.shards`) read back as a
-  :class:`ScanDataset` of zero-copy mapped column views, so loading is
-  O(columns) instead of O(rows).  A manifest listing any other number of
-  segments is rejected.
-* **LSHD segments** — one segment on its own
-  (:func:`repro.lumscan.shards.write_segment_file`) loads the same way;
-  checkpoints written before every checkpoint became a manifest hold
-  these.
+* **LSHD segments** (:func:`repro.lumscan.shards.write_segment_file`) —
+  the checkpoint format: one fingerprinted columnar segment (see
+  :mod:`repro.lumscan.shards`) read back as a :class:`ScanDataset` of
+  zero-copy mapped column views, so loading is O(columns) instead of
+  O(rows).  The stage manifest names it
+  (:mod:`repro.run.artifacts`).
 * **JSONL** (:func:`dump_dataset`) — one JSON object per record:
   diff-able and stream-parsable, kept as the export / interchange
   format and as the row-by-row baseline the store benchmark compares
@@ -39,13 +35,7 @@ from contextlib import contextmanager
 from typing import Iterator, Union
 
 from repro.lumscan.records import ScanDataset
-from repro.lumscan.shards import (
-    mapped_dataset,
-    open_segment,
-    read_manifest,
-    store_segment,
-    write_manifest,
-)
+from repro.lumscan.shards import mapped_dataset
 from repro.util.envelope import MAGIC_LSHD, SegmentMapping, atomic_write, \
     sniff
 
@@ -64,9 +54,9 @@ def _is_gzip(path: PathLike) -> bool:
 def sniff_format(path: PathLike) -> str:
     """Detect a dataset file's on-disk format from its magic bytes.
 
-    Returns an envelope format (``"lshd"``, ``"lshm"`` or ``"lshw"``),
+    Returns an envelope format (``"lshd"`` or ``"lshw"``),
     ``"jsonl.gz"``, or ``"jsonl"``.  The extension is never trusted, so
-    renamed or legacy checkpoints load correctly.
+    a renamed file loads correctly.
     """
     fmt = sniff(path)
     if fmt is not None:
@@ -128,45 +118,15 @@ def dump_dataset(dataset: ScanDataset, path: PathLike) -> int:
     return count
 
 
-def dump_dataset_manifest(dataset: ScanDataset, path: PathLike) -> int:
-    """Write a dataset as an ``.lshm`` manifest over one LSHD segment.
-
-    The segment is content-addressed beside the manifest
-    (:func:`~repro.lumscan.shards.store_segment`), and segments a
-    manifest previously at ``path`` listed are unlinked unless the new
-    one names them (:func:`~repro.lumscan.shards.write_manifest`).
-    Returns the number of records written.
-    """
-    write_manifest(path, [store_segment(dataset.export_columns(), path)])
-    return len(dataset)
-
-
-def _load_manifest(path: PathLike) -> ScanDataset:
-    """Open a one-segment ``.lshm`` manifest as a mapped dataset.
-
-    The segment's header must match its manifest entry
-    (:func:`~repro.lumscan.shards.open_segment`); it then opens exactly
-    as a bare segment would (mapped, zero-copy).
-    """
-    entries = read_manifest(path).entries
-    if len(entries) != 1:
-        raise ValueError(f"{os.fspath(path)}: manifest lists "
-                         f"{len(entries)} segments; a dataset checkpoint "
-                         f"has exactly one")
-    return mapped_dataset(open_segment(path, entries[0]))
-
-
 def load_dataset(path: PathLike) -> ScanDataset:
     """Read a dataset in any supported on-disk format.
 
-    The format is sniffed from magic bytes: one-segment LSHM manifests
-    and LSHD segments come back as zero-copy mapped datasets (a pickle
-    copies the rows off the mapping).  Gzip and plain JSONL parse row
-    by row.  An LSHW worldpack is rejected with a ``ValueError``.
+    The format is sniffed from magic bytes: an LSHD segment comes back
+    as a zero-copy mapped dataset (a pickle copies the rows off the
+    mapping).  Gzip and plain JSONL parse row by row.  An LSHW worldpack
+    is rejected with a ``ValueError``.
     """
     fmt = sniff_format(path)
-    if fmt == "lshm":
-        return _load_manifest(path)
     if fmt == "lshd":
         return mapped_dataset(SegmentMapping(path, MAGIC_LSHD))
     if fmt == "lshw":

@@ -9,9 +9,10 @@ parent maps the envelope, rebuilds
 mapped bytes (``np.frombuffer``, no row decode, no copy), bulk-extends
 its dataset and releases the envelope.  Checkpoints use the same bytes:
 :func:`write_segment_file` persists a whole dataset as one
-fingerprinted segment, :class:`SpillDatasetBuilder` merges worker
-shards straight into an on-disk segment, and an LSHM manifest names
-the content-addressed segment a checkpoint loads.
+fingerprinted segment, and :class:`SpillDatasetBuilder` merges worker
+shards straight into an on-disk segment.  A dataset checkpoint is one
+such segment, named by its stage manifest
+(:mod:`repro.run.artifacts`).
 
 The frame, transport, mapping and atomic writes belong to
 :mod:`repro.util.envelope`.  The LSHD header carries two tables, each
@@ -48,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -61,7 +61,6 @@ from repro.util.envelope import (
     FINGERPRINT_BYTES,
     KIND_FILE,
     MAGIC_LSHD,
-    MAGIC_LSHM,
     Envelope,
     Handle,
     SegmentMapping,
@@ -73,7 +72,6 @@ from repro.util.envelope import (
     pad,
     place,
     publish,
-    read_header,
     transport,
 )
 
@@ -445,206 +443,3 @@ class SpillDatasetBuilder:
 
     def __exit__(self, *exc_info) -> None:
         self.abort()
-
-
-# --------------------------------------------------------------------- #
-# Manifests: content-addressed segment lists (LSHM)
-
-#: Canonical manifest file suffix (sniffing is by magic, never suffix).
-MANIFEST_SUFFIX = ".lshm"
-
-
-@dataclass(frozen=True)
-class SegmentEntry:
-    """One segment a manifest lists.
-
-    ``file`` is the segment's name relative to the manifest's directory,
-    so a checkpoint directory can be moved or copied wholesale.
-    """
-
-    file: str          # segment filename, relative to the manifest
-    rows: int          # row count (the segment header's ``n``)
-    fingerprint: str   # the segment header's blake2b-128 fingerprint
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """A decoded ``.lshm`` manifest: an ordered list of segment entries.
-
-    The codec is general over entry lists; a dataset checkpoint lists
-    exactly one segment (:func:`repro.lumscan.serialize.load_dataset`
-    rejects any other count).  The manifest fingerprint is a pure
-    function of the entry fingerprints (in order), which makes it a
-    content key for the listed rows without rehashing any payload
-    bytes.
-    """
-
-    path: str
-    entries: Tuple[SegmentEntry, ...]
-
-    @property
-    def rows(self) -> int:
-        """Total row count across all segments."""
-        return sum(entry.rows for entry in self.entries)
-
-    @property
-    def fingerprint(self) -> str:
-        """Combined fingerprint over the entry fingerprints, in order."""
-        return manifest_fingerprint(self.entries)
-
-    def segment_paths(self) -> List[str]:
-        """Absolute segment paths, in manifest (load) order."""
-        base = os.path.dirname(os.path.abspath(self.path))
-        return [os.path.join(base, entry.file) for entry in self.entries]
-
-
-def manifest_fingerprint(entries) -> str:
-    """Fold the segment fingerprints, in manifest order.
-
-    The value changes iff a segment's content, count, or order changes.
-    """
-    return fold(bytes.fromhex(entry.fingerprint) for entry in entries)
-
-
-def drop_segments(manifest: Manifest, keep=()) -> None:
-    """Unlink the manifest's segment files, except those named in ``keep``.
-
-    For a manifest that was just replaced or is being removed.  Entries
-    are bare names (:func:`read_manifest` checks), so only files beside
-    the manifest are touched.  Live mappings over an unlinked segment
-    stay readable (POSIX unlink semantics).
-    """
-    kept = set(keep)
-    for entry, path in zip(manifest.entries, manifest.segment_paths()):
-        if entry.file not in kept:
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-
-
-def write_manifest(path, entries) -> Manifest:
-    """Write an ``.lshm`` manifest atomically; returns the manifest.
-
-    Layout: ``b"LSHM"`` followed by canonical JSON — every byte a pure
-    function of the entry list, so the writer is a ``repro.lint``
-    serialization sink.  Entry order is preserved (the manifest
-    fingerprint depends on it).  Once the new manifest is in place, the segments the
-    manifest it replaced listed and ``entries`` do not are unlinked
-    (:func:`drop_segments`), so rewriting a manifest orphans no segment.
-    """
-    entries = tuple(entries)
-    try:
-        previous: Optional[Manifest] = read_manifest(path)
-    except (OSError, ValueError):
-        previous = None
-    doc = {
-        "fingerprint": manifest_fingerprint(entries),
-        "rows": sum(entry.rows for entry in entries),
-        "segments": [[entry.file, int(entry.rows), entry.fingerprint]
-                     for entry in entries],
-    }
-    with atomic_write(path) as out:
-        out.write(frame(MAGIC_LSHM, doc))
-    if previous is not None:
-        drop_segments(previous, keep=[entry.file for entry in entries])
-    return Manifest(path=os.fspath(path), entries=entries)
-
-
-def is_bare_file_name(name) -> bool:
-    """True for a plain file name: no directory part, not ``.``/``..``.
-
-    Everything a manifest names may be unlinked on its behalf, so names
-    must stay beside it.
-    """
-    return (isinstance(name, str) and name not in ("", ".", "..")
-            and os.path.basename(name) == name and "\0" not in name)
-
-
-def _segment_entry(name: str, raw) -> SegmentEntry:
-    """One ``[file, rows, fingerprint]`` manifest entry, validated."""
-    valid = isinstance(raw, list) and len(raw) == 3
-    if valid:
-        file, rows, fingerprint = raw
-        valid = (is_bare_file_name(file) and type(rows) is int and rows >= 0
-                 and isinstance(fingerprint, str)
-                 and re.fullmatch("[0-9a-f]{32}", fingerprint) is not None)
-    if not valid:
-        raise ValueError(f"{name}: manifest entry {raw!r} is not "
-                         f"[file beside the manifest, rows, fingerprint]")
-    return SegmentEntry(file=file, rows=rows, fingerprint=fingerprint)
-
-
-def read_manifest(path) -> Manifest:
-    """Read and validate an ``.lshm`` manifest.
-
-    Every entry must name a bare file beside the manifest, with a
-    non-negative int row count and a 32-hex fingerprint; anything else
-    raises a ``ValueError`` naming the file, as does a fingerprint or
-    row total that disagrees with the entries.
-    """
-    name = os.fspath(path)
-    _, doc = read_header(name, MAGIC_LSHM)
-    segments = doc.get("segments")
-    if not isinstance(segments, list):
-        raise ValueError(f"{name}: manifest has no segment list")
-    entries = tuple(_segment_entry(name, raw) for raw in segments)
-    recorded = doc.get("fingerprint")
-    if recorded != manifest_fingerprint(entries):
-        raise ValueError(f"{name}: manifest fingerprint mismatch")
-    total = sum(entry.rows for entry in entries)
-    if doc.get("rows") != total:
-        raise ValueError(f"{name}: manifest row count mismatch "
-                         f"(recorded {doc.get('rows')!r}, "
-                         f"entries sum to {total})")
-    return Manifest(path=name, entries=entries)
-
-
-def open_segment(manifest_path, entry: SegmentEntry) -> SegmentMapping:
-    """Map one manifest segment whose header matches its entry.
-
-    Only the header is compared (row count and fingerprint), so a
-    segment file swapped or replaced under the manifest is rejected
-    without hashing its payload.
-    """
-    base = os.path.dirname(os.path.abspath(os.fspath(manifest_path)))
-    path = os.path.join(base, entry.file)
-    mapping = SegmentMapping(path, MAGIC_LSHD, fingerprint=entry.fingerprint)
-    try:
-        rows = mapping.header.get("n")
-        if rows != entry.rows:
-            raise ValueError(f"{path}: segment holds {rows!r} rows, its "
-                             f"manifest entry records {entry.rows}")
-    except BaseException:
-        mapping.close()
-        raise
-    return mapping
-
-
-def segment_file_name(stem: str, fingerprint: str) -> str:
-    """Content-addressed segment file name under a manifest stem."""
-    return f"{stem}.seg-{fingerprint}.lshd"
-
-
-def manifest_stem(manifest_path: str) -> str:
-    stem = os.path.basename(manifest_path)
-    if stem.endswith(MANIFEST_SUFFIX):
-        stem = stem[: -len(MANIFEST_SUFFIX)]
-    return stem
-
-
-def store_segment(columns: ShardColumns, manifest_path) -> SegmentEntry:
-    """Write ``columns`` as a content-addressed segment beside a manifest.
-
-    The segment lands at ``<stem>.seg-<fingerprint>.lshd``, so identical
-    row sets land on the identical file (idempotent re-writes) and the
-    entry records exactly what the header says.  The manifest itself is
-    not touched.
-    """
-    target = os.fspath(manifest_path)
-    segment = encode_shard(columns, fingerprint=True)
-    name = segment_file_name(manifest_stem(target), segment.fingerprint)
-    publish(segment, KIND_FILE,
-            os.path.join(os.path.dirname(os.path.abspath(target)), name))
-    return SegmentEntry(file=name, rows=int(columns.n),
-                        fingerprint=segment.fingerprint)

@@ -4,15 +4,11 @@ Layout under the checkpoint root::
 
     <root>/<study>/<stage>.manifest.json        stage completion record
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
-    <root>/<study>/<stage>.<artifact>.lshm      scan datasets: an LSHM
-                                                manifest naming the one
+    <root>/<study>/<stage>.<artifact>.lshd      scan datasets: one
                                                 mmap-loaded LSHD segment
-                                                beside it,
-                                                ``<stage>.<artifact>.seg-<fp>.lshd``
 
-Loads sniff magic bytes, so a checkpoint whose datasets are single
-``.lshd`` segments (written before every checkpoint became a manifest)
-still resumes.
+The stage manifest records each dataset's segment file, row count and
+header fingerprint, so a dataset checkpoint is exactly one file.
 
 Every stage is keyed by a **fingerprint**: a SHA-256 over the canonical
 JSON of ``(StudyConfig, WorldConfig, study name, stage name)`` plus an
@@ -30,12 +26,14 @@ reuses every stage.
 Crash safety is ordering + atomicity: artifact files are written first
 (each atomically, via temp + ``os.replace``), the manifest last.  A stage
 is *complete* only when a manifest with a matching fingerprint exists and
-every artifact file and segment it reaches is present — an interrupted
-run can never leave a checkpoint that loads as complete but is
-truncated.  A dataset's ``.lshm`` must also list exactly one segment;
-any other count re-executes the stage.  Files and segments a stage's
-new manifest no longer reaches are removed once it is in place; readers
-mapping them keep their pages (POSIX unlink semantics).
+every artifact file it lists is present — an interrupted run can never
+leave a checkpoint that loads as complete but is truncated.  A dataset
+segment must also carry the row count and header fingerprint its entry
+records (an O(header) read), so a swapped or half-replaced segment
+re-executes the stage.  Files a stage's new manifest no longer lists
+are removed once it is in place; readers mapping them keep their pages
+(POSIX unlink semantics).  A manifest of another format version is
+incomplete: its stage re-executes.
 """
 
 from __future__ import annotations
@@ -47,15 +45,14 @@ import os
 from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.lumscan.records import ScanDataset
-from repro.lumscan.serialize import dump_dataset_manifest, load_dataset
-from repro.lumscan.shards import drop_segments, is_bare_file_name, \
-    read_manifest
+from repro.lumscan.shards import encode_shard, mapped_dataset
 from repro.run.codecs import decode_artifact, encode_artifact
 from repro.run.stage import KIND_DATASET, Stage
-from repro.util.envelope import atomic_write
+from repro.util.envelope import KIND_FILE, MAGIC_LSHD, SegmentMapping, \
+    atomic_write, publish, read_header
 
 #: Version of the on-disk checkpoint format (manifest + JSON envelopes).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: ``StudyConfig`` fields that choose how the scan engine runs probes,
 #: never what the probes return (output is byte-identical for any of
@@ -95,6 +92,16 @@ def run_fingerprint(study_config: object, world_config: object,
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def is_bare_file_name(name) -> bool:
+    """True for a plain file name: no directory part, not ``.``/``..``.
+
+    Everything a stage manifest names may be read, mapped or unlinked
+    on its behalf, so names must stay in the study directory.
+    """
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name and "\0" not in name)
+
+
 def _atomic_write_json(path: str, payload: object) -> None:
     with atomic_write(path) as handle:
         handle.write(json.dumps(payload,
@@ -105,9 +112,9 @@ class ArtifactStore:
     """Checkpoint directory for one study run.
 
     ``salt`` folds non-config stage inputs into every fingerprint (pass a
-    digest of e.g. an inherited registry).  Each dataset artifact is an
-    ``.lshm`` manifest over one content-addressed LSHD segment, recorded
-    in the stage manifest by its manifest fingerprint.
+    digest of e.g. an inherited registry).  Each dataset artifact is one
+    LSHD segment, recorded in the stage manifest by its row count and
+    header fingerprint.
     """
 
     def __init__(self, root: str, study: str, study_config: object,
@@ -135,25 +142,37 @@ class ArtifactStore:
         return os.path.join(self._dir, f"{stage}.manifest.json")
 
     def _artifact_file(self, stage: str, name: str, kind: str) -> str:
-        suffix = "lshm" if kind == KIND_DATASET else "json"
+        suffix = "lshd" if kind == KIND_DATASET else "json"
         return f"{stage}.{name}.{suffix}"
 
     def _dataset_complete(self, entry: Dict[str, object]) -> bool:
-        """Whether a dataset artifact is the ``.lshm`` the stage recorded,
-        lists exactly one segment, and that segment exists.  An entry
-        without a manifest fingerprint is a single-segment ``.lshd``
-        checkpoint, written before every checkpoint became a manifest."""
-        path = os.path.join(self._dir, entry["file"])
-        recorded = entry.get("manifest_fingerprint")
-        if recorded is None:
-            return os.path.exists(path)
+        """Whether a dataset's segment header records the row count and
+        fingerprint its entry does (reads the header only)."""
+        records, fingerprint = entry.get("records"), entry.get("fingerprint")
+        if type(records) is not int or not isinstance(fingerprint, str):
+            return False
         try:
-            manifest = read_manifest(path)
+            _, header = read_header(os.path.join(self._dir, entry["file"]),
+                                    MAGIC_LSHD)
         except (OSError, ValueError):
             return False
-        return (manifest.fingerprint == recorded
-                and len(manifest.entries) == 1
-                and os.path.exists(manifest.segment_paths()[0]))
+        return header.get("fingerprint") == fingerprint \
+            and header.get("n") == records
+
+    @staticmethod
+    def _load_dataset(path: str, entry: Dict[str, object]) -> ScanDataset:
+        """Map a dataset's segment, checked against its entry."""
+        mapping = SegmentMapping(path, MAGIC_LSHD,
+                                 fingerprint=entry["fingerprint"])
+        try:
+            rows = mapping.header.get("n")
+            if rows != entry["records"]:
+                raise ValueError(f"{path}: segment holds {rows!r} rows, its "
+                                 f"stage manifest records {entry['records']}")
+        except BaseException:
+            mapping.close()
+            raise
+        return mapped_dataset(mapping)
 
     def manifest(self, stage: Stage) -> Optional[Dict[str, object]]:
         """The stage's manifest when its checkpoint is complete and valid.
@@ -161,7 +180,7 @@ class ArtifactStore:
         Returns None when the manifest is missing, unreadable, written by
         a different format version, fingerprint-mismatched (stale configs),
         missing a declared artifact or an artifact file, or when a
-        dataset manifest does not list exactly one present segment.
+        dataset segment's header disagrees with its entry.
         """
         path = self._manifest_path(stage.name)
         try:
@@ -190,26 +209,24 @@ class ArtifactStore:
 
     def _listed_files(self, stage: str) -> Set[str]:
         """The artifact files a stage manifest on disk lists, whatever
-        its fingerprint (bare names only; empty when there is none)."""
+        its fingerprint (empty when there is none).  Only bare names
+        count, and never a stage manifest: no artifact is one, so a
+        forged entry naming one cannot get it removed."""
         try:
             with open(self._manifest_path(stage), "r",
                       encoding="utf-8") as handle:
                 artifacts = json.load(handle).get("artifacts", [])
             return {entry["file"] for entry in artifacts
-                    if is_bare_file_name(entry.get("file"))}
+                    if is_bare_file_name(entry.get("file"))
+                    and not entry["file"].endswith(".manifest.json")}
         except (OSError, ValueError, AttributeError, TypeError):
             return set()
 
     def _remove_files(self, files: Iterable[str]) -> None:
-        """Unlink artifact files; an ``.lshm`` takes its segments along."""
+        """Unlink artifact files (bare names in the study directory)."""
         for name in sorted(files):
-            path = os.path.join(self._dir, name)
             try:
-                drop_segments(read_manifest(path))
-            except (OSError, ValueError):
-                pass   # not a manifest, or already gone
-            try:
-                os.remove(path)
+                os.remove(os.path.join(self._dir, name))
             except OSError:
                 pass
 
@@ -236,9 +253,11 @@ class ArtifactStore:
                     raise TypeError(
                         f"stage {stage.name!r} artifact {spec.name!r} "
                         f"declared as dataset but is {type(value).__name__}")
-                entry["records"] = dump_dataset_manifest(value, path)
-                entry["manifest_fingerprint"] = \
-                    read_manifest(path).fingerprint
+                segment = publish(encode_shard(value.export_columns(),
+                                               fingerprint=True),
+                                  KIND_FILE, path)
+                entry["records"] = len(value)
+                entry["fingerprint"] = segment.fingerprint
             else:
                 _atomic_write_json(path, {
                     "version": FORMAT_VERSION,
@@ -268,9 +287,10 @@ class ArtifactStore:
         listed = {entry["name"]: entry for entry in manifest["artifacts"]}
         artifacts: Dict[str, object] = {}
         for spec in stage.outputs:
-            path = os.path.join(self._dir, listed[spec.name]["file"])
+            entry = listed[spec.name]
+            path = os.path.join(self._dir, entry["file"])
             if spec.kind == KIND_DATASET:
-                artifacts[spec.name] = load_dataset(path)
+                artifacts[spec.name] = self._load_dataset(path, entry)
             else:
                 with open(path, "r", encoding="utf-8") as handle:
                     envelope = json.load(handle)
@@ -288,11 +308,9 @@ class ArtifactStore:
         """Drop the manifests of the given stages (testing / forced rerun).
 
         ``remove_artifacts=True`` also unlinks the artifact files each
-        stage manifest lists; a ``.lshm`` manifest takes its segment
-        files with it (they are content-addressed per artifact, never
-        shared across stages).  A reader holding a mapped dataset keeps
-        reading its now-unlinked segments — POSIX keeps the pages alive
-        until the mapping closes.
+        stage manifest lists (a dataset's segment among them).  A reader
+        holding a mapped dataset keeps reading its now-unlinked segment —
+        POSIX keeps the pages alive until the mapping closes.
         """
         for stage in stages:
             files = self._listed_files(stage.name)

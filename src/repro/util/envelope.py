@@ -1,16 +1,13 @@
-"""One binary envelope under LSHD segments, LSHM manifests and LSHW packs.
+"""One binary envelope under LSHD segments and LSHW packs.
 
-Worker result shards and checkpoint segments (LSHD), checkpoint
-manifests (LSHM) and frozen worldpacks (LSHW) share one frame::
+Worker result shards and checkpoint segments (LSHD) and frozen
+worldpacks (LSHW) share one frame::
 
     offset 0   magic: one of FORMATS
     offset 4   u32 LE header length H
     offset 8   header: canonical JSON (sorted keys, no whitespace)
     ...        zero padding to a 16-byte boundary  -> payload base B
     B + off    payload sections, each at the 16-aligned end of the last
-
-An LSHM manifest is the frame's degenerate case: ``b"LSHM"`` followed by
-canonical JSON, with no length prefix and no payload.
 
 This module owns the frame and everything around it: the magic table
 (:func:`sniff`), the frame write (:class:`Envelope`) and the
@@ -53,7 +50,6 @@ from typing import BinaryIO, Dict, FrozenSet, Iterable, Iterator, List, \
 import numpy as np
 
 MAGIC_LSHD = b"LSHD"
-MAGIC_LSHM = b"LSHM"
 MAGIC_LSHW = b"LSHW"
 
 #: The magic table: magic -> (format name, header version, noun).
@@ -61,7 +57,6 @@ MAGIC_LSHW = b"LSHW"
 #: change to one format bumps its version here.
 FORMATS: Dict[bytes, Tuple[str, int, str]] = {
     MAGIC_LSHD: ("lshd", 1, "LSHD segment"),
-    MAGIC_LSHM: ("lshm", 1, "LSHM manifest"),
     MAGIC_LSHW: ("lshw", 1, "LSHW worldpack"),
 }
 
@@ -110,10 +105,10 @@ def digest(blob) -> bytes:
 def fold(digests: Iterable[bytes]) -> str:
     """Fold digests, in order, into one hex fingerprint.
 
-    A segment's fingerprint folds its section digests and a manifest's
-    folds its segments' fingerprints.  Hashing digests rather than raw
-    bytes lets a streaming writer, which sees one chunk of a section at
-    a time, reach the same value as a writer holding every section.
+    A segment's fingerprint folds its section digests.  Hashing digests
+    rather than raw bytes lets a streaming writer, which sees one chunk
+    of a section at a time, reach the same value as a writer holding
+    every section.
     """
     outer = hashlib.blake2b(digest_size=FINGERPRINT_BYTES)
     for item in digests:
@@ -138,12 +133,9 @@ def place(sizes: Iterable[int]) -> Tuple[List[int], int]:
 def frame(magic: bytes, header: dict) -> bytes:
     """Magic, header length and header, zero-padded to the payload base.
 
-    The header gains the format's ``version``.  An LSHM frame is the
-    magic and the header alone: no length, no padding, no payload.
+    The header gains the format's ``version``.
     """
     blob = canonical_json(dict(header, version=version(magic)))
-    if magic == MAGIC_LSHM:
-        return magic + blob
     head = magic + len(blob).to_bytes(4, "little") + blob
     return head + bytes(pad(len(head)) - len(head))
 
@@ -185,7 +177,7 @@ class Envelope:
 
 def _noun(magic: Optional[bytes]) -> str:
     if magic is None:
-        return "an LSHD segment, LSHM manifest or LSHW worldpack"
+        return "an LSHD segment or LSHW worldpack"
     return f"an {FORMATS[magic][2]}"
 
 
@@ -232,8 +224,7 @@ def sniff(path) -> Optional[str]:
 def read_header(path, magic: Optional[bytes] = None) -> Tuple[str, dict]:
     """Format name and header of an envelope file; reads no payload.
 
-    ``magic`` restricts the accepted format; by default any of the three
-    is read.  Inspecting a million-row checkpoint costs O(header).
+    ``magic`` restricts the accepted format; by default either is read.  Inspecting a million-row checkpoint costs O(header).
     """
     name = os.fspath(path)
     with open(name, "rb") as handle:
@@ -241,13 +232,10 @@ def read_header(path, magic: Optional[bytes] = None) -> Tuple[str, dict]:
         found = magic if magic is not None else head[:len(MAGIC_LSHD)]
         if found not in FORMATS or head[:len(found)] != found:
             raise ValueError(f"{name}: not {_noun(magic)} (bad magic)")
-        if found == MAGIC_LSHM:
-            raw = head[len(found):] + handle.read()
-        else:
-            length = _header_length(head, found, name)
-            raw = handle.read(length)
-            if len(raw) != length:
-                raise ValueError(f"{name}: truncated envelope header")
+        length = _header_length(head, found, name)
+        raw = handle.read(length)
+        if len(raw) != length:
+            raise ValueError(f"{name}: truncated envelope header")
     return FORMATS[found][0], _decode_header(raw, found, name)
 
 

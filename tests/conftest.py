@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.experiments import ExperimentSuite
 from repro.core.fingerprints import FingerprintRegistry
-from repro.core.pipeline import StudyConfig, run_top10k_study
+from repro.core.pipeline import run_top10k_study
 from repro.proxynet.luminati import LuminatiClient
 from repro.util.envelope import ledger
 from repro.websim.world import World, WorldConfig
@@ -84,19 +84,28 @@ def tiny_top10k(tiny_world):
 
 
 def unreferenced_segments(root) -> list:
-    """``*.seg-*.lshd`` files under ``root`` that no ``.lshm`` lists."""
-    import os
+    """Files under ``root`` that no stage manifest accounts for.
 
-    from repro.lumscan.shards import read_manifest
+    A checkpoint directory holds JSON (stage manifests and derived
+    artifacts) and the ``.lshd`` segments some ``*.manifest.json`` names
+    as datasets.  Anything else is returned: an orphaned segment, or a
+    file of a format no checkpoint is written in.
+    """
+    import json
+    import os
 
     found, listed = set(), set()
     for directory, _, files in os.walk(root):
         for name in files:
             path = os.path.join(directory, name)
-            if ".seg-" in name and name.endswith(".lshd"):
+            if name.endswith(".manifest.json"):
+                with open(path, encoding="utf-8") as handle:
+                    artifacts = json.load(handle)["artifacts"]
+                listed.update(os.path.join(directory, entry["file"])
+                              for entry in artifacts
+                              if entry["kind"] == "dataset")
+            elif not name.endswith(".json"):
                 found.add(path)
-            elif name.endswith(".lshm"):
-                listed.update(read_manifest(path).segment_paths())
     return sorted(found - listed)
 
 

@@ -42,8 +42,8 @@ class TestParser:
             build_parser().parse_args(["run", "--merge", "tape"])
 
     def test_checkpoint_format_validated(self):
-        # Every checkpoint is an LSHM manifest: the flag is gone.
-        for fmt in ("lshd", "lshm", "csv", "jsonl.gz", "jsonl"):
+        # Every dataset checkpoint is one LSHD segment: the flag is gone.
+        for fmt in ("lshd", "csv", "jsonl.gz", "jsonl"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["run", "--checkpoint-format", fmt])
@@ -58,8 +58,8 @@ class TestParser:
             build_parser().parse_args(["store", "inspect"])
 
     def test_removed_store_commands_rejected(self):
-        for args in (["append", "data.lshm", "part.lshd"],
-                     ["compact", "data.lshm"]):
+        for args in (["append", "data.lshd", "part.lshd"],
+                     ["compact", "data.lshd"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["store", *args])
 
@@ -140,42 +140,3 @@ class TestStoreInspect:
     def test_inspect_rejects_missing_file(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["store", "inspect", str(tmp_path / "nope.lshd")])
-
-
-class TestStoreManifestCommands:
-    def test_inspect_prints_manifest_summary(self, tmp_path, capsys):
-        from repro.lumscan.records import ScanDataset
-        from repro.lumscan.serialize import dump_dataset_manifest
-
-        data = ScanDataset()
-        data.append("a.com", "US", 200, 9_000, None)
-        data.append("a.com", "IR", 403, 480, "<html>block</html>")
-        data.append("b.com", "SY", -1, 0, None, error="timeout")
-        manifest = str(tmp_path / "data.lshm")
-        dump_dataset_manifest(data, manifest)
-        assert main(["store", "inspect", manifest]) == 0
-        out = capsys.readouterr().out
-        assert f"manifest:    {manifest}" in out
-        assert "rows:        3" in out
-        assert "segments:    1" in out
-        assert ".seg-" in out
-
-    @pytest.mark.parametrize("segments", [
-        None, 5, [["../../etc/passwd", 0, "0" * 32]], [["a.lshd", -1]],
-    ])
-    def test_malformed_manifest_is_one_clean_line(self, tmp_path, segments):
-        """``store inspect`` exits with one line naming the file, never a
-        traceback."""
-        from repro.lumscan.shards import manifest_fingerprint
-        from repro.util.envelope import MAGIC_LSHM, frame
-
-        doc = {"fingerprint": manifest_fingerprint(()), "rows": 0}
-        if segments is not None:
-            doc["segments"] = segments
-        path = tmp_path / "data.lshm"
-        path.write_bytes(frame(MAGIC_LSHM, doc))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["store", "inspect", str(path)])
-        message = str(excinfo.value)
-        assert message.startswith(str(path))
-        assert "\n" not in message

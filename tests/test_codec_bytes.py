@@ -1,4 +1,4 @@
-"""Byte pins for the three binary formats: LSHD, LSHM and LSHW.
+"""Byte pins for the two binary formats: LSHD and LSHW.
 
 Checkpoints written by one version of the code must resume under the
 next, and shard and worldpack bytes are fingerprinted, so a refactor of
@@ -21,27 +21,26 @@ import pytest
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
     ExchangeSpec,
-    read_manifest,
-    store_segment,
-    write_manifest,
     write_segment_file,
     write_shard,
 )
+from repro.run.artifacts import ArtifactStore
+from repro.run.stage import KIND_DATASET, ArtifactSpec, Stage
 from repro.websim.world import World, WorldConfig
 from repro.websim.worldpack import write_worldpack_file
 
 
-def _rows(offset: int = 0) -> ScanDataset:
+def _rows() -> ScanDataset:
     data = ScanDataset()
-    data.append(f"alpha{offset}.example", "US", 200, 1234 + offset, None)
-    data.append(f"alpha{offset}.example", "IR", 403, 480,
+    data.append("alpha0.example", "US", 200, 1234, None)
+    data.append("alpha0.example", "IR", 403, 480,
                 "<html>Access denied · Доступ запрещён</html>")
     data.append("bücher.example", "DE", 0, 0, None, error="conn-timeout")
     data.append("bücher.example", "CN", 200, 9999, "正文",
                 interfered=True)
-    data.append(f"gamma{offset}.example", "SY", 0, 0, None,
+    data.append("gamma0.example", "SY", 0, 0, None,
                 error="proxy-5xx")
-    data.append(f"alpha{offset}.example", "US", 451, 77, None)
+    data.append("alpha0.example", "US", 451, 77, None)
     return data
 
 
@@ -63,6 +62,15 @@ def test_checkpoint_segment_bytes(tmp_path):
     assert _sha(path) == (
         "aa86cc64e13a911a19f9e74457d202d203de1f9bc28ce4551ed61a74c55d8b9e")
     assert _header(path)["fingerprint"] == "05922b8594d0a1ebde536045f854278e"
+    # A dataset checkpoint is that same segment, recorded by its stage.
+    stage = Stage("scan", (ArtifactSpec("rows", KIND_DATASET),),
+                  lambda ctx: {})
+    store = ArtifactStore(str(tmp_path), "study", {}, {})
+    store.save_stage(stage, {"rows": _rows()})
+    checkpoint = str(tmp_path / "study" / "scan.rows.lshd")
+    assert _sha(checkpoint) == _sha(path)
+    assert store.manifest(stage)["artifacts"][0]["fingerprint"] == \
+        _header(path)["fingerprint"]
 
 
 def test_worker_shard_bytes(tmp_path):
@@ -71,17 +79,6 @@ def test_worker_shard_bytes(tmp_path):
     assert _sha(handle.ref) == (
         "b9aacadeb3d9879448d4383f9a6e0a72315862df147bf75d8db70290af88205a")
     assert "fingerprint" not in _header(handle.ref)
-
-
-def test_manifest_bytes(tmp_path):
-    path = str(tmp_path / "rows.lshm")
-    write_manifest(path, [store_segment(_rows(0).export_columns(), path),
-                          store_segment(_rows(1).export_columns(), path)])
-    assert _sha(path) == (
-        "0d09863f935e7b9e317e4b5c9a68668ae3667f1788b12679437edd720c4b82dd")
-    manifest = read_manifest(path)
-    assert manifest.fingerprint == "b28d04ca3ed5749b72a95b53e383d19a"
-    assert [entry.rows for entry in manifest.entries] == [6, 6]
 
 
 @pytest.fixture(scope="module")

@@ -1,47 +1,53 @@
-"""Structural fuzzing of the envelope and manifest header readers.
+"""Structural fuzzing of the envelope header readers and stage manifests.
 
-``parse_frame`` (over a buffer), ``read_header`` (over a file) and
-``read_manifest`` are the code that interprets frame and manifest bytes
-from disk or shared memory.  Truncated at any length, with any single
-bit flipped, or with a forged header length, they may raise only
-``ValueError``, and a manifest they accept never names a segment outside
-its own directory (checkpoint cleanup unlinks what a manifest names).
+``parse_frame`` (over a buffer) and ``read_header`` (over a file) are
+the code that interprets frame bytes from disk or shared memory.
+Truncated at any length, with any single bit flipped, or with a forged
+header length, they may raise only ``ValueError``.  A stage manifest is
+the one file that names other checkpoint files, so its dataset entries
+are forged too: whatever ``file``, ``records`` and ``fingerprint`` they
+hold, :class:`ArtifactStore` re-executes the stage and never reads,
+maps or unlinks a path outside its study directory.
 """
 
 from __future__ import annotations
 
+import builtins
+import json
 import os
+import shutil
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.lumscan.records import ScanDataset
-from repro.lumscan.shards import (
-    SegmentEntry,
-    encode_shard,
-    manifest_fingerprint,
-    read_manifest,
-    write_manifest,
-)
+from repro.lumscan.shards import encode_shard, write_segment_file
+from repro.run import ArtifactSpec, ArtifactStore, RunContext, Stage, \
+    StudyRunner
+from repro.run.stage import KIND_DATASET
 from repro.util.envelope import (
     MAGIC_LSHD,
-    MAGIC_LSHM,
     MAGIC_LSHW,
     PREFIX_BYTES,
-    frame,
     parse_frame,
     read_header,
 )
 from repro.websim.worldpack import encode_worldpack
 
 
-def _segment() -> bytes:
+def _dataset() -> ScanDataset:
     data = ScanDataset()
     data.append("a.com", "US", 200, 9_000, None)
     data.append("a.com", "IR", 403, 480, "<html>block</html>")
     data.append("b.com", "SY", -1, 0, None, error="timeout")
     data.append("c.com", "US", 403, 50, "fw", interfered=True)
-    return bytes(encode_shard(data.export_columns(),
+    return data
+
+
+def _segment() -> bytes:
+    return bytes(encode_shard(_dataset().export_columns(),
                               fingerprint=True).to_bytes())
 
 
@@ -60,31 +66,11 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.fixture(scope="module")
-def manifest_bytes(scratch):
-    path = str(scratch / "valid.lshm")
-    write_manifest(path, (SegmentEntry("data.seg-a.lshd", 3, "ab" * 16),
-                          SegmentEntry("data.seg-b.lshd", 0, "cd" * 16)))
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
 def _write(directory, name: str, blob: bytes) -> str:
     path = os.path.join(str(directory), name)
     with open(path, "wb") as handle:
         handle.write(blob)
     return path
-
-
-def _read_manifest_safely(path: str) -> None:
-    """``read_manifest`` raises ValueError or stays in the directory."""
-    try:
-        manifest = read_manifest(path)
-    except ValueError:
-        return
-    base = os.path.dirname(os.path.abspath(path))
-    for segment in manifest.segment_paths():
-        assert os.path.dirname(segment) == base
 
 
 def _flip(blob: bytes, bit: int) -> bytes:
@@ -115,27 +101,18 @@ class TestTruncation:
                 assert parse_frame(cut, magic, "cut")[0] == whole
                 assert read_header(path)[1] == whole
 
-    def test_manifest_truncated_at_every_length(self, manifest_bytes,
-                                                scratch):
-        for length in range(len(manifest_bytes)):
-            path = _write(scratch, "cut.lshm", manifest_bytes[:length])
-            with pytest.raises(ValueError):
-                read_manifest(path)
-        path = _write(scratch, "whole.lshm", manifest_bytes)
-        assert len(read_manifest(path).entries) == 2
-
 
 class TestHostileHeaders:
     def test_deeply_nested_header_is_a_value_error(self, scratch):
         # json.loads raises RecursionError on deep nesting; the readers
         # report it as an unreadable header like any other.
         deep = b"[" * 100_000 + b"]" * 100_000
-        path = _write(scratch, "deep.lshm", MAGIC_LSHM + deep)
-        with pytest.raises(ValueError, match="unreadable"):
-            read_manifest(path)
         framed = MAGIC_LSHD + len(deep).to_bytes(4, "little") + deep
         with pytest.raises(ValueError, match="unreadable"):
             parse_frame(framed, MAGIC_LSHD, "deep")
+        path = _write(scratch, "deep.lshd", framed)
+        with pytest.raises(ValueError, match="unreadable"):
+            read_header(path)
 
 
 class TestBitFlips:
@@ -154,14 +131,6 @@ class TestBitFlips:
                 read()
             except ValueError:
                 pass
-
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_manifest_bit_flip(self, manifest_bytes, scratch, data):
-        bit = data.draw(st.integers(min_value=0,
-                                    max_value=len(manifest_bytes) * 8 - 1))
-        path = _write(scratch, "flip.lshm", _flip(manifest_bytes, bit))
-        _read_manifest_safely(path)
 
 
 class TestForgedLengths:
@@ -183,37 +152,107 @@ class TestForgedLengths:
             assert header == whole
 
 
+_STAGE = Stage("scan", (ArtifactSpec("initial", KIND_DATASET),
+                        ArtifactSpec("notes")),
+               lambda ctx: {"initial": _dataset(), "notes": ["n"]})
+
+#: What ``ArtifactStore`` writes for ``_STAGE``'s dataset: file, rows and
+#: header fingerprint of ``_dataset()``.
+_SEGMENT = ("scan.initial.lshd", 4,
+            encode_shard(_dataset().export_columns(),
+                         fingerprint=True).fingerprint)
+
 _NAMES = st.one_of(
-    st.sampled_from(["", ".", "..", "../x.lshd", "../../etc/passwd",
+    st.sampled_from(["", ".", "..", "../outside.lshd", "../../etc/passwd",
                      "/etc/passwd", "a/b.lshd", "a\\b.lshd", "x\x00y",
-                     "data.seg-0.lshd"]),
+                     "scan.initial.lshd", "scan.notes.json",
+                     "scan.manifest.json", "scan.initial.lshd.tmp.1"]),
     st.text(max_size=12))
-_FINGERPRINTS = st.one_of(
-    st.text(alphabet="0123456789abcdef", min_size=32, max_size=32),
-    st.text(max_size=34))
 _VALUES = st.one_of(st.none(), st.booleans(), st.integers(),
-                    st.floats(allow_nan=False), st.text(max_size=8))
+                    st.floats(allow_nan=False), st.text(max_size=8),
+                    st.lists(st.integers(), max_size=2))
+_RECORDS = st.one_of(st.sampled_from([0, 1, 3, 4, 5]), _VALUES)
+_FINGERPRINTS = st.one_of(
+    st.sampled_from([_SEGMENT[2], "0" * 32]),
+    st.text(alphabet="0123456789abcdef", min_size=32, max_size=32),
+    _VALUES)
+
+#: Calls through which the store reads, maps, writes or unlinks a path,
+#: with the number of leading path arguments each takes.
+_FS_CALLS = ((builtins, "open", 1), (os, "open", 1), (os, "remove", 1),
+             (os, "unlink", 1), (os, "replace", 2), (os, "rename", 2))
 
 
-class TestForgedManifests:
-    """A forger who recomputes the manifest fingerprint and row total
-    still cannot make ``read_manifest`` accept a path outside."""
+class _Paths:
+    """Records the path arguments of every :data:`_FS_CALLS` call."""
 
-    @given(raw=st.lists(
-        st.one_of(
-            st.tuples(_NAMES, st.one_of(st.integers(), _VALUES),
-                      _FINGERPRINTS).map(list),
-            st.lists(_VALUES, max_size=4),
-            _VALUES),
-        max_size=4))
-    @settings(max_examples=300, deadline=None)
-    def test_entries_stay_in_the_directory(self, scratch, raw):
-        doc = {"segments": raw}
-        try:
-            entries = [SegmentEntry(*entry) for entry in raw]
-            doc["fingerprint"] = manifest_fingerprint(entries)
-            doc["rows"] = sum(entry.rows for entry in entries)
-        except (TypeError, ValueError):
-            pass
-        path = _write(scratch, "forged.lshm", frame(MAGIC_LSHM, doc))
-        _read_manifest_safely(path)
+    def __init__(self) -> None:
+        self.seen = []
+
+    def patch(self, stack: ExitStack) -> None:
+        for owner, name, count in _FS_CALLS:
+            stack.enter_context(mock.patch.object(
+                owner, name,
+                side_effect=self._recorder(getattr(owner, name), count)))
+
+    def _recorder(self, real, count: int):
+        def call(*args, **kwargs):
+            self.seen.extend(os.fsdecode(arg) for arg in args[:count]
+                             if isinstance(arg, (str, bytes, os.PathLike)))
+            return real(*args, **kwargs)
+        return call
+
+    def outside(self, directory: str):
+        base = os.path.realpath(directory)
+        return [path for path in self.seen
+                if os.path.commonpath([os.path.realpath(path), base])
+                != base]
+
+
+class TestForgedStageManifests:
+    """A stage manifest whose dataset entry is forged — any ``file``,
+    ``records`` and ``fingerprint`` but the ones written — re-executes
+    its stage, and the store touches nothing outside its directory.
+    ``../outside.lshd`` is a valid segment whose fingerprint and row
+    count a forger may copy."""
+
+    @pytest.fixture(scope="class")
+    def layout(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("forged")
+        outside = root / "outside.lshd"
+        write_segment_file(_dataset().export_columns(), str(outside))
+        return root, outside.read_bytes()
+
+    @given(file=_NAMES, records=_RECORDS, fingerprint=_FINGERPRINTS)
+    @settings(max_examples=250, deadline=None)
+    def test_forged_dataset_entry_reexecutes(self, layout, file, records,
+                                             fingerprint):
+        assume((file, records, fingerprint) != _SEGMENT
+               or type(records) is not int)
+        root, outside_bytes = layout
+        study = root / "study"
+        shutil.rmtree(study, ignore_errors=True)
+        store = ArtifactStore(str(root), "study", {"seed": 1}, {"n": 1})
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": ["n"]})
+        manifest_path = study / "scan.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert tuple(manifest["artifacts"][0][key] for key in
+                     ("file", "records", "fingerprint")) == _SEGMENT
+        manifest["artifacts"][0].update(file=file, records=records,
+                                        fingerprint=fingerprint)
+        forged = json.dumps(manifest)
+
+        paths = _Paths()
+        with ExitStack() as stack:
+            paths.patch(stack)
+            manifest_path.write_text(forged)
+            assert store.manifest(_STAGE) is None
+            context = RunContext(world=None, config={}, extras={})
+            StudyRunner("study", [_STAGE], store=store,
+                        resume=True).run(context)
+            assert [s.cache_hit for s in context.stats] == [False]
+            assert store.manifest(_STAGE) is not None
+            manifest_path.write_text(forged)
+            store.invalidate([_STAGE], remove_artifacts=True)
+        assert paths.outside(str(study)) == []
+        assert (root / "outside.lshd").read_bytes() == outside_bytes

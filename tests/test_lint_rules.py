@@ -21,7 +21,7 @@ import pytest
 
 from repro.lint.cli import main as lint_main
 from repro.lint.config import LintConfig
-from repro.lint.engine import analyze_sources, module_name_for
+from repro.lint.engine import analyze_sources
 from repro.lint.report import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -238,26 +238,26 @@ def test_iter_order_clean_when_sorted_or_order_free():
 
 
 def test_iter_order_flags_unsorted_dict_feeding_manifest_writer():
-    # The manifest writer is a serialization sink: feeding it entries
-    # built from unordered dict iteration would make manifest bytes (and
-    # the manifest fingerprint) depend on dict history.
+    # The stage manifest writer is a serialization sink: feeding it
+    # entries built from unordered dict iteration would make manifest
+    # bytes depend on dict history.
     findings = run_lint("""
-        from repro.lumscan.shards import write_manifest
+        from repro.run.artifacts import _atomic_write_json
 
         def checkpoint(path, by_name):
             entries = [entry for name, entry in by_name.items()]
-            return write_manifest(path, entries)
+            return _atomic_write_json(path, {"artifacts": entries})
     """)
     assert rule_ids(findings) == ["iter-order"]
 
 
 def test_iter_order_clean_when_manifest_entries_are_ordered():
     findings = run_lint("""
-        from repro.lumscan.shards import write_manifest
+        from repro.run.artifacts import _atomic_write_json
 
         def checkpoint(path, by_name):
             entries = [entry for name, entry in sorted(by_name.items())]
-            return write_manifest(path, entries)
+            return _atomic_write_json(path, {"artifacts": entries})
     """)
     assert findings == []
 
@@ -678,6 +678,33 @@ def test_repro_geoblock_lint_subcommand(capsys):
     assert "wall-clock" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--list-rules"], EXIT_CLEAN),
+    (["--explain", "resource-owner"], EXIT_CLEAN),
+    (["--verbose"], EXIT_FINDINGS),
+    (["--format", "json"], EXIT_FINDINGS),
+], ids=["list-rules", "explain", "text-report", "json-report"])
+def test_cli_output_into_a_closed_pipe_is_quiet(tmp_path, args, code):
+    """A reader that closes its end early (``| head -1``) ends the
+    output quietly: no BrokenPipeError traceback, and the exit code the
+    findings call for."""
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text("import time\nSTAMP = time.time()\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # the reader is gone before anything is written
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.lint", str(fixture), *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == code, result.stderr
+    assert result.stderr == ""
+
+
 # --------------------------------------------------------------------- #
 # resource-owner and atomic-write (syntactic ownership)
 
@@ -798,14 +825,14 @@ OWNERSHIP_CASES = [
         import os
 
         def f(root, stem, blob):
-            with open(os.path.join(root, f"{stem}.lshm"), "w") as out:
+            with open(os.path.join(root, f"{stem}.lshd"), "wb") as out:
                 out.write(blob)
     """, """
         import os
 
         def f(root, stem, blob):
-            path = os.path.join(root, f"{stem}.lshm.tmp.{os.getpid()}")
-            with open(path, "w") as out:
+            path = os.path.join(root, f"{stem}.lshd.tmp.{os.getpid()}")
+            with open(path, "wb") as out:
                 out.write(blob)
     """, id="joined-f-string"),
     pytest.param("atomic-write", """

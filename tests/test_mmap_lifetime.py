@@ -119,67 +119,36 @@ _STAGE = Stage("scan", (ArtifactSpec("initial", KIND_DATASET),),
 class TestInvalidateWhileMapped:
     def test_unlinked_segment_stays_readable(self, tmp_path):
         # POSIX keeps the mapped pages alive after unlink, so a reader
-        # holding a single-segment .lshd checkpoint (the layout before
-        # every checkpoint became a manifest) survives the store
-        # removing the file its stage manifest lists.
+        # holding a dataset checkpoint survives the store removing the
+        # segment its stage manifest lists.
         store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1})
         store.save_stage(_STAGE, {"initial": _dataset()})
-        study_dir = tmp_path / "study"
-        manifest_path = study_dir / "scan.manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        store.invalidate([_STAGE], remove_artifacts=True)
-        write_segment_file(_dataset().export_columns(),
-                           str(study_dir / "scan.initial.lshd"))
-        manifest["artifacts"][0]["file"] = "scan.initial.lshd"
-        del manifest["artifacts"][0]["manifest_fingerprint"]
-        manifest_path.write_text(json.dumps(manifest))
         reader = store.load_stage(_STAGE)["initial"]
         assert reader.is_mapped
 
+        study_dir = tmp_path / "study"
         store.invalidate([_STAGE], remove_artifacts=True)
         assert os.listdir(study_dir) == []
         assert [reader.row(i) for i in range(4)] \
             == [_dataset().row(i) for i in range(4)]
         assert reader.close() is True
 
-    def test_unlinked_manifest_and_segments_stay_readable(self, tmp_path):
-        # Invalidating a manifest-backed checkpoint removes the
-        # manifest *and* every segment it references, yet a reader
-        # holding the mapped logical dataset keeps reading all of them.
-        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1})
-        store.save_stage(_STAGE, {"initial": _dataset()})
-        reader = store.load_stage(_STAGE)["initial"]
-        assert reader.is_mapped
-
-        study_dir = tmp_path / "study"
-        segments = [p for p in os.listdir(study_dir) if p.endswith(".lshd")]
-        assert segments
-
-        store.invalidate([_STAGE], remove_artifacts=True)
-        assert not (study_dir / "scan.initial.lshm").exists()
-        for segment in segments:
-            assert not (study_dir / segment).exists()
-        assert [reader.row(i) for i in range(4)] \
-            == [_dataset().row(i) for i in range(4)]
-        assert reader.close() is True
-
     def test_rewrite_under_reader_does_not_corrupt_it(self, tmp_path):
-        # Re-executing the stage under a changed config writes a segment
-        # under a new content-addressed name and unlinks the superseded
-        # one, so no segment is orphaned; a reader mapped to the old
-        # segment keeps seeing the old rows.
+        # Re-executing the stage under a changed config replaces the
+        # segment at its name (temp file, then rename), so no segment is
+        # orphaned; a reader mapped to the old segment keeps seeing the
+        # old rows.
         store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1})
         store.save_stage(_STAGE, {"initial": _dataset()})
         reader = store.load_stage(_STAGE)["initial"]
         study_dir = tmp_path / "study"
-        (old,) = study_dir.glob("scan.initial.seg-*.lshd")
 
         bigger = _dataset()
         bigger.append("d.com", "DE", 200, 1, None)
         changed = ArtifactStore(str(tmp_path), "study", {"seed": 2}, {"n": 1})
         changed.save_stage(_STAGE, {"initial": bigger})
-        assert not old.exists()
-        assert len(list(study_dir.glob("scan.initial.seg-*.lshd"))) == 1
+        assert sorted(os.listdir(study_dir)) == \
+            ["scan.initial.lshd", "scan.manifest.json"]
         assert unreferenced_segments(study_dir) == []
         assert store.manifest(_STAGE) is None
 

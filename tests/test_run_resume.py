@@ -28,10 +28,10 @@ from repro.core.pipeline import (
 from repro.lumscan import engine as engine_module
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.serialize import dump_dataset, load_dataset
-from repro.lumscan.shards import drop_segments, read_manifest, \
-    store_segment, write_manifest
+from repro.lumscan.shards import write_segment_file
 from repro.proxynet.luminati import LuminatiClient
 from repro.run import ArtifactStore, encode_artifact
+from repro.util.envelope import MAGIC_LSHD, read_header
 from repro.websim.world import World, WorldConfig
 from tests.conftest import SUITE_TEST_PARAMS, unreferenced_segments
 
@@ -114,77 +114,35 @@ class TestTop10KResume:
         assert [s.stage for s in resumed.stage_stats] == names
 
 
-def _segment_checkpoint(path: str, k: int) -> None:
-    """Rewrite one dataset checkpoint as a ``k``-segment manifest.
+class TestRebuiltSegmentResume:
+    """A dataset checkpoint rebuilt from its rows through the public
+    segment writer is the segment the store wrote: the stage manifest
+    still accepts it, and every kernel downstream of the initial scan
+    produces byte-identical study outputs over it."""
 
-    The stage manifest records the dataset manifest's fingerprint, so
-    the rewritten manifest's fingerprint is patched in beside it.
-    """
-    flat = load_dataset(path)
-    rows = [flat.row(i) for i in range(len(flat))]
-    flat.close()
-    drop_segments(read_manifest(path))
-    os.remove(path)
-    bounds = [round(i * len(rows) / k) for i in range(k + 1)]
-    entries = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = ScanDataset()
-        for sample in rows[lo:hi]:
-            part.append(sample.domain, sample.country, sample.status,
-                        sample.length, sample.body, error=sample.error,
-                        interfered=sample.interfered)
-        entries.append(store_segment(part.export_columns(), path))
-    write_manifest(path, entries)
-    stage = os.path.basename(path).split(".")[0]
-    stage_manifest = os.path.join(os.path.dirname(path),
-                                  f"{stage}.manifest.json")
-    with open(stage_manifest) as handle:
-        record = json.load(handle)
-    for entry in record["artifacts"]:
-        if entry["file"] == os.path.basename(path):
-            entry["manifest_fingerprint"] = read_manifest(path).fingerprint
-    with open(stage_manifest, "w") as handle:
-        json.dump(record, handle)
-
-
-class TestSegmentedResume:
-    """A dataset checkpoint rebuilt from its rows resumes bit-identically,
-    and one whose manifest lists more than one segment re-executes.
-
-    A checkpoint manifest names exactly one segment and loads as a
-    mapped :class:`ScanDataset`; every kernel downstream of the initial
-    scan must then produce byte-identical study outputs.
-    """
-
-    @pytest.fixture(scope="class")
-    def fresh_run(self, tmp_path_factory):
-        root = str(tmp_path_factory.mktemp("fresh-ckpt"))
+    def test_resume_over_rebuilt_segment_identical(self, tmp_path):
+        root = str(tmp_path / "ckpt")
         cfg = StudyConfig()
         world = World(WorldConfig.nano())
         fresh = run_top10k_study(world, LuminatiClient(world), cfg,
                                  checkpoint_dir=root)
-        return fresh, root, cfg, world.config
+        path = os.path.join(root, "top10k", "initial-scan.initial.lshd")
+        loaded = load_dataset(path)
+        rebuilt = ScanDataset()
+        for sample in loaded:
+            rebuilt.append(sample.domain, sample.country, sample.status,
+                           sample.length, sample.body, error=sample.error,
+                           interfered=sample.interfered)
+        loaded.close()
+        write_segment_file(rebuilt.export_columns(), path)
 
-    @pytest.mark.parametrize("k", [1])
-    def test_resume_over_k_segments_identical(self, fresh_run, tmp_path, k):
-        fresh, root, cfg, world_config = fresh_run
-        ckpt = str(tmp_path / "ckpt")
-        shutil.copytree(root, ckpt)
-        dataset_path = os.path.join(ckpt, "top10k",
-                                    "initial-scan.initial.lshm")
-        _segment_checkpoint(dataset_path, k)
-        reloaded = load_dataset(dataset_path)
-        assert isinstance(reloaded, ScanDataset)
-        assert reloaded.is_mapped
-        assert len(read_manifest(dataset_path).entries) == k
-        reloaded.close()
-
-        store = ArtifactStore(ckpt, "top10k", cfg, world_config)
+        store = ArtifactStore(root, "top10k", cfg, world.config)
+        assert all(store.manifest(s) is not None for s in top10k_stages())
         store.invalidate([s for s in top10k_stages()
                           if s.name not in _COMPLETED])
         world = World(WorldConfig.nano())
         resumed = run_top10k_study(world, LuminatiClient(world), cfg,
-                                   checkpoint_dir=ckpt, resume=True)
+                                   checkpoint_dir=root, resume=True)
 
         assert resumed.representatives == fresh.representatives
         assert resumed.outliers == fresh.outliers
@@ -201,39 +159,6 @@ class TestSegmentedResume:
             assert a.read_bytes() == b.read_bytes()
         hits = {s.stage: s.cache_hit for s in resumed.stage_stats}
         assert all(hits[name] for name in _COMPLETED)
-
-    def test_two_segment_checkpoint_reexecutes(self, fresh_run, tmp_path):
-        """A recorded ``.lshm`` listing two segments, its fingerprint
-        patched into the stage manifest, reads as incomplete: the stage
-        re-executes instead of failing to load, and the rewrite leaves no
-        unlisted segment behind."""
-        fresh, root, cfg, world_config = fresh_run
-        ckpt = str(tmp_path / "ckpt")
-        shutil.copytree(root, ckpt)
-        dataset_path = os.path.join(ckpt, "top10k",
-                                    "initial-scan.initial.lshm")
-        _segment_checkpoint(dataset_path, 2)
-        assert len(read_manifest(dataset_path).entries) == 2
-
-        store = ArtifactStore(ckpt, "top10k", cfg, world_config)
-        stage = next(s for s in top10k_stages() if s.name == "initial-scan")
-        assert store.manifest(stage) is None
-        world = World(WorldConfig.nano())
-        resumed = run_top10k_study(world, LuminatiClient(world), cfg,
-                                   checkpoint_dir=ckpt, resume=True)
-
-        hits = {s.stage: s.cache_hit for s in resumed.stage_stats}
-        assert hits["initial-scan"] is False
-        assert hits["safe-list"] and hits["country-ranking"]
-        assert len(read_manifest(dataset_path).entries) == 1
-        assert store.manifest(stage) is not None
-        assert unreferenced_segments(ckpt) == []
-        a = tmp_path / "fresh.initial.jsonl.gz"
-        b = tmp_path / "resumed.initial.jsonl.gz"
-        dump_dataset(fresh.initial, a)
-        dump_dataset(resumed.initial, b)
-        assert a.read_bytes() == b.read_bytes()
-        assert resumed.confirmed == fresh.confirmed
 
 
 class TestTop1MResume:
@@ -309,22 +234,22 @@ class TestCheckpointInvalidation:
 
     def test_config_change_leaves_no_orphaned_segments(self, tmp_path):
         """Re-executing into the same directory under a changed config
-        replaces each dataset's segments by new content-addressed ones
-        and unlinks the old; a reader mapped before keeps its rows."""
+        replaces each dataset's segment in place; a reader mapped before
+        keeps its rows."""
         root = str(tmp_path / "ckpt")
         world = World(WorldConfig.nano())
         fresh = run_top10k_study(world, config=StudyConfig(),
                                  checkpoint_dir=root)
-        path = os.path.join(root, "top10k", "initial-scan.initial.lshm")
+        path = os.path.join(root, "top10k", "initial-scan.initial.lshd")
         reader = load_dataset(path)
-        before = read_manifest(path).segment_paths()
+        before = read_header(path, MAGIC_LSHD)[1]["fingerprint"]
         expected = tmp_path / "expected.jsonl"
         dump_dataset(fresh.initial, expected)
 
         changed = StudyConfig(seed=StudyConfig().seed + 1)
         run_top10k_study(World(WorldConfig.nano()), config=changed,
                          checkpoint_dir=root)
-        assert not any(os.path.exists(p) for p in before)
+        assert read_header(path, MAGIC_LSHD)[1]["fingerprint"] != before
         assert unreferenced_segments(root) == []
         seen = tmp_path / "seen.jsonl"
         dump_dataset(reader, seen)

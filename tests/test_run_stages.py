@@ -15,9 +15,8 @@ from repro.core.identify import CDNPopulation
 from repro.core.lengths import Outlier
 from repro.core.resample import ConfirmedBlock
 from repro.lumscan.records import Sample, ScanDataset
-from repro.lumscan.serialize import dump_dataset_manifest, sniff_format
-from repro.lumscan.shards import SegmentEntry, manifest_fingerprint, \
-    read_manifest, write_segment_file
+from repro.lumscan.serialize import sniff_format
+from repro.lumscan.shards import write_segment_file
 from repro.run import (
     KIND_DATASET,
     ArtifactSpec,
@@ -29,8 +28,7 @@ from repro.run import (
     encode_artifact,
     run_fingerprint,
 )
-from repro.util.envelope import MAGIC_LSHM, frame
-from tests.conftest import unreferenced_segments
+from repro.util.envelope import MAGIC_LSHD, read_header
 
 
 def _roundtrip(value):
@@ -200,18 +198,18 @@ class TestArtifactStore:
         assert store.manifest(resalted) is None
 
     def test_missing_artifact_file_invalidates(self, tmp_path):
-        """Completeness covers the dataset manifest and every segment it
-        lists: losing either makes the stage incomplete."""
+        """Completeness covers every file the stage manifest lists:
+        losing the dataset segment or the JSON artifact makes the stage
+        incomplete."""
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         study = tmp_path / "study"
-        (segment,) = study.glob("scan.initial.seg-*.lshd")
-        segment.unlink()
+        (study / "scan.initial.lshd").unlink()
         assert store.manifest(_STAGE) is None
 
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         assert store.manifest(_STAGE) is not None
-        (study / "scan.initial.lshm").unlink()
+        (study / "scan.notes.json").unlink()
         assert store.manifest(_STAGE) is None
 
     def test_missing_segment_reexecutes_stage(self, tmp_path):
@@ -226,22 +224,23 @@ class TestArtifactStore:
         stage = dataclasses.replace(_STAGE, run=run)
         store = _store(tmp_path)
         StudyRunner("study", [stage], store=store).run(_context())
-        for segment in (tmp_path / "study").glob("*.seg-*.lshd"):
-            segment.unlink()
+        (tmp_path / "study" / "scan.initial.lshd").unlink()
         ctx = _context()
         StudyRunner("study", [stage], store=store, resume=True).run(ctx)
         assert calls == ["scan", "scan"]
         assert [s.cache_hit for s in ctx.stats] == [False]
         assert store.manifest(stage) is not None
 
-    def test_replaced_dataset_manifest_invalidates(self, tmp_path):
-        """An ``.lshm`` other than the one the stage recorded (here a
-        valid manifest over different rows) is not this checkpoint."""
+    def test_replaced_dataset_segment_invalidates(self, tmp_path):
+        """A segment other than the one the stage recorded (here a valid
+        segment over different rows, at the recorded name) is not this
+        checkpoint."""
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         other = _dataset()
         other.append("z.com", "DE", 200, 1, None)
-        dump_dataset_manifest(other, tmp_path / "study" / "scan.initial.lshm")
+        write_segment_file(other.export_columns(),
+                           str(tmp_path / "study" / "scan.initial.lshd"))
         assert store.manifest(_STAGE) is None
 
     def test_invalidate_drops_manifest_only(self, tmp_path):
@@ -251,84 +250,75 @@ class TestArtifactStore:
         assert store.manifest(_STAGE) is None
         # Artifact files survive — only completion is revoked.
         study = tmp_path / "study"
-        assert (study / "scan.initial.lshm").exists()
-        assert len(list(study.glob("scan.initial.seg-*.lshd"))) == 1
+        assert sorted(p.name for p in study.iterdir()) == \
+            ["scan.initial.lshd", "scan.notes.json"]
 
     def test_invalidate_can_remove_artifacts(self, tmp_path):
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         store.invalidate([_STAGE], remove_artifacts=True)
         assert store.manifest(_STAGE) is None
-        # The manifest, the dataset manifest, its segment and the JSON
-        # artifact are all gone.
+        # The manifest, the dataset segment and the JSON artifact are
+        # all gone.
         assert sorted(p.name for p in (tmp_path / "study").iterdir()) == []
 
-    def test_dataset_checkpoint_is_mapped_manifest(self, tmp_path):
+    def test_dataset_checkpoint_is_mapped_segment(self, tmp_path):
+        """A dataset checkpoint is one LSHD segment; the stage manifest
+        records its file, row count and header fingerprint."""
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         study = tmp_path / "study"
-        assert sniff_format(study / "scan.initial.lshm") == "lshm"
+        assert sorted(p.name for p in study.iterdir()) == \
+            ["scan.initial.lshd", "scan.manifest.json", "scan.notes.json"]
+        segment = study / "scan.initial.lshd"
+        assert sniff_format(segment) == "lshd"
+        _, header = read_header(segment, MAGIC_LSHD)
         entry = store.manifest(_STAGE)["artifacts"][0]
-        assert entry["file"] == "scan.initial.lshm"
-        assert entry["manifest_fingerprint"] == \
-            read_manifest(study / "scan.initial.lshm").fingerprint
+        assert entry == {"name": "initial", "kind": KIND_DATASET,
+                         "file": "scan.initial.lshd", "records": 3,
+                         "fingerprint": header["fingerprint"]}
         loaded = store.load_stage(_STAGE)["initial"]
         assert isinstance(loaded, ScanDataset)
         assert loaded.is_mapped
-        assert len(read_manifest(study / "scan.initial.lshm").entries) == 1
         assert [loaded.row(i) for i in range(3)] \
             == [_dataset().row(i) for i in range(3)]
         loaded.close()
 
-    @staticmethod
-    def _single_segment_checkpoint(tmp_path):
-        """Rewrite the saved stage as checkpoints were written before
-        every checkpoint became a manifest: one ``.lshd`` segment named
-        by the stage manifest, no manifest fingerprint."""
-        _store(tmp_path).save_stage(
-            _STAGE, {"initial": _dataset(), "notes": ["n1"]})
+    def test_version_1_manifest_reexecutes(self, tmp_path):
+        """A stage manifest of the previous format version is incomplete
+        even when everything it lists is in place: the stage re-executes,
+        and saving it removes the files only the old manifest listed."""
+        calls = []
+
+        def run(ctx):
+            calls.append("scan")
+            return {"initial": _dataset(), "notes": ["n1"]}
+
+        stage = dataclasses.replace(_STAGE, run=run)
+        store = _store(tmp_path)
+        store.save_stage(stage, {"initial": _dataset(), "notes": ["n1"]})
         study = tmp_path / "study"
         manifest_path = study / "scan.manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        for path in study.glob("scan.initial.*"):
-            path.unlink()
-        write_segment_file(_dataset().export_columns(),
-                           str(study / "scan.initial.lshd"))
-        for entry in manifest["artifacts"]:
-            if entry["name"] == "initial":
-                entry["file"] = "scan.initial.lshd"
-                del entry["manifest_fingerprint"]
+        entry = manifest["artifacts"][0]
+        old = f"scan.initial.seg-{entry['fingerprint']}.lshd"
+        (study / entry["file"]).rename(study / old)
+        entry["file"] = old
+        manifest["version"] = 1
         manifest_path.write_text(json.dumps(manifest))
-        return study
+        assert store.manifest(stage) is None
 
-    def test_cross_format_resume(self, tmp_path):
-        # Loads sniff magic bytes and the format is not part of the
-        # fingerprint, so a single-segment .lshd checkpoint still
-        # resumes, and invalidation removes the file its manifest lists.
-        study = self._single_segment_checkpoint(tmp_path)
-        resumed = _store(tmp_path)
-        assert resumed.manifest(_STAGE) is not None
-        loaded = resumed.load_stage(_STAGE)["initial"]
-        assert isinstance(loaded, ScanDataset) and loaded.is_mapped
-        assert loaded.row(2) == _dataset().row(2)
-        loaded.close()
-
-        resumed.invalidate([_STAGE], remove_artifacts=True)
-        assert sorted(p.name for p in study.iterdir()) == []
-
-    def test_resave_replaces_single_segment_checkpoint(self, tmp_path):
-        """Saving the stage again supersedes the ``.lshd`` file: the new
-        manifest no longer lists it, so it is removed."""
-        study = self._single_segment_checkpoint(tmp_path)
-        _store(tmp_path, study_config={"seed": 2}).save_stage(
-            _STAGE, {"initial": _dataset(), "notes": ["n1"]})
-        assert not (study / "scan.initial.lshd").exists()
-        assert (study / "scan.initial.lshm").exists()
-        assert unreferenced_segments(study) == []
+        ctx = _context()
+        StudyRunner("study", [stage], store=store, resume=True).run(ctx)
+        assert calls == ["scan"]
+        assert [s.cache_hit for s in ctx.stats] == [False]
+        assert store.manifest(stage)["version"] == 2
+        assert sorted(p.name for p in study.iterdir()) == \
+            ["scan.initial.lshd", "scan.manifest.json", "scan.notes.json"]
 
     def test_bad_dataset_format_rejected(self, tmp_path):
         # One checkpoint format: the store takes no format option at all.
-        for fmt in ("lshd", "lshm", "csv", "jsonl.gz", "jsonl"):
+        for fmt in ("lshd", "csv", "jsonl.gz", "jsonl"):
             with pytest.raises(TypeError):
                 ArtifactStore(str(tmp_path), "study", {}, {},
                               dataset_format=fmt)
@@ -352,28 +342,64 @@ class TestArtifactStore:
 
     def test_invalidate_never_follows_a_forged_dataset_manifest(
             self, tmp_path):
-        """A dataset ``.lshm`` listing a segment outside the directory is
-        rejected whole: its own file goes, the outside file stays."""
+        """A dataset entry naming a segment outside the directory is
+        rejected even when its row count and fingerprint match that
+        segment: the stage is incomplete, and invalidation removes only
+        the files inside."""
         store = _store(tmp_path)
         store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
         outside = tmp_path / "outside.lshd"
         write_segment_file(_dataset().export_columns(), str(outside))
-        forged = (SegmentEntry("../outside.lshd", 3, "ab" * 16),)
-        doc = {"fingerprint": manifest_fingerprint(forged), "rows": 3,
-               "segments": [["../outside.lshd", 3, "ab" * 16]]}
+        _, header = read_header(outside, MAGIC_LSHD)
         study = tmp_path / "study"
-        (study / "scan.initial.lshm").write_bytes(frame(MAGIC_LSHM, doc))
+        manifest_path = study / "scan.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"][0].update(file="../outside.lshd", records=3,
+                                        fingerprint=header["fingerprint"])
+        manifest_path.write_text(json.dumps(manifest))
         assert store.manifest(_STAGE) is None
         store.invalidate([_STAGE], remove_artifacts=True)
         assert outside.exists()
-        # Only the segment the forged manifest displaced is left.
-        assert [p.name for p in study.iterdir()] == \
-            [p.name for p in study.glob("scan.initial.seg-*.lshd")]
+        # Only the segment the forged entry displaced is left.
+        assert [p.name for p in study.iterdir()] == ["scan.initial.lshd"]
 
     def test_dataset_type_enforced(self, tmp_path):
         with pytest.raises(TypeError):
             _store(tmp_path).save_stage(
                 _STAGE, {"initial": ["not a dataset"], "notes": []})
+
+
+class TestSegmentHeaderCheck:
+    """A dataset segment must match its stage manifest entry: a segment
+    swapped or edited after the completeness check fails to load with a
+    ``ValueError`` naming the file, and a resume re-executes it."""
+
+    @staticmethod
+    def _checkpoint(tmp_path):
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        return store, store.manifest(_STAGE), \
+            str(tmp_path / "study" / "scan.initial.lshd")
+
+    def test_swapped_segment_fails_to_load(self, tmp_path):
+        store, manifest, segment = self._checkpoint(tmp_path)
+        evil = ScanDataset()
+        evil.append("evil.com", "US", 200, 30, None)
+        write_segment_file(evil.export_columns(), segment)
+        with pytest.raises(ValueError, match="fingerprint mismatch") as info:
+            store.load_stage(_STAGE, manifest)
+        assert segment in str(info.value)
+        assert store.manifest(_STAGE) is None
+
+    def test_row_count_edit_fails_to_load(self, tmp_path):
+        store, manifest, segment = self._checkpoint(tmp_path)
+        manifest["artifacts"][0]["records"] += 1
+        with pytest.raises(ValueError, match="rows") as info:
+            store.load_stage(_STAGE, manifest)
+        assert segment in str(info.value)
+        manifest_path = tmp_path / "study" / "scan.manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.manifest(_STAGE) is None
 
 
 def _context(**extras) -> RunContext:
