@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSuite
 from repro.core.pipeline import (
     build_observation_pools,
     run_top10k_study,

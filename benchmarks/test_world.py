@@ -22,7 +22,6 @@ from bench_util import measure_child, write_trajectory
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
 from repro.websim.world import World, WorldConfig
-from repro.websim.worldpack import freeze_world
 
 WORLD_SEED = 7
 SCAN_SEED = 9

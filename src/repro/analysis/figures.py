@@ -12,7 +12,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.classify import VERDICT_EXPLICIT, classify_sample
 from repro.core.fingerprints import FingerprintRegistry
 from repro.core.lengths import representative_lengths
 from repro.core.pipeline import Top10KResult

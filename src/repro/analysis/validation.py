@@ -18,7 +18,7 @@ claims of the paper — orderings, rate regimes, and curve behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, List, Mapping
 
 SANCTIONED_TOP = {"IR", "SY", "SD", "CU"}
 

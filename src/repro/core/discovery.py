@@ -19,8 +19,8 @@ block-page family, and tests verify these recover the curated registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.fingerprints import Fingerprint, FingerprintRegistry
 from repro.textutil.htmltext import extract_text_cached

@@ -22,7 +22,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.httpsim.messages import Headers, Request
+from repro.httpsim.messages import Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers
 from repro.netsim.dns import DNSServer, expand_spf_netblocks

@@ -17,7 +17,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.classify import classify_sample
 from repro.core.fingerprints import FingerprintRegistry, PAGE_DISPLAY_NAMES
 from repro.core.lengths import extract_outliers
 from repro.core.resample import ConfirmedBlock

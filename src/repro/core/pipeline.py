@@ -40,7 +40,6 @@ from repro.core.classify import (
     VERDICT_CHALLENGE,
     VERDICT_EXPLICIT,
     classify_body,
-    classify_sample,
     classify_samples,
 )
 from repro.core.consistency import DomainConsistency, domain_consistency
@@ -50,7 +49,6 @@ from repro.core.identify import CDNPopulation, identify_by_ns, identify_cdn_cust
 from repro.core.lengths import Outlier, extract_outliers, representative_lengths
 from repro.core.resample import (
     ConfirmedBlock,
-    block_rates,
     confirm_blocks,
     find_candidate_pairs,
 )

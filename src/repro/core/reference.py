@@ -1,8 +1,9 @@
 """Scalar reference implementations of the columnar analytics kernels.
 
 :class:`~repro.lumscan.records.ScanDataset` and :mod:`repro.core.lengths`
-run their aggregation kernels as vectorized numpy expressions.  This
-module retains the original row-at-a-time implementations — one pass of
+run their aggregation kernels as vectorized numpy expressions, as does
+the §7.3 timeout screen in :mod:`repro.core.timeouts`.  This module
+retains the original row-at-a-time implementations — one pass of
 Python-level :class:`Sample` materialization per kernel — as the ground
 truth for the equivalence suite (``tests/test_columnar_equiv.py``) and
 as the baseline for ``benchmarks/test_columnar.py``.
@@ -14,9 +15,11 @@ independent code path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.lengths import Outlier
+from repro.core.timeouts import TimeoutCandidate
 from repro.lumscan.records import NO_RESPONSE, Sample, ScanDataset
 
 
@@ -139,3 +142,31 @@ def relative_differences(dataset: ScanDataset,
             continue
         out.append(((rep - sample.length) / rep, sample.body is not None))
     return out
+
+
+def find_timeout_candidates(dataset: ScanDataset,
+                            min_responsive_countries: int = 5
+                            ) -> List[TimeoutCandidate]:
+    """Scalar reference for :func:`repro.core.timeouts.find_timeout_candidates`."""
+    responsive: Dict[str, Set[str]] = {}
+    failures: Dict[Tuple[str, str], Tuple[int, int]] = {}
+    for domain, country, samples in pairs(dataset):
+        fail = sum(1 for s in samples if s.status == NO_RESPONSE)
+        key = (domain, country)
+        f0, t0 = failures.get(key, (0, 0))
+        failures[key] = (f0 + fail, t0 + len(samples))
+
+    for (domain, country), (fail, total) in failures.items():
+        if total > 0 and fail <= total / 2:
+            responsive.setdefault(domain, set()).add(country)
+
+    candidates: List[TimeoutCandidate] = []
+    for (domain, country), (fail, total) in sorted(failures.items()):
+        if total == 0 or fail < total:
+            continue
+        alive_elsewhere = len(responsive.get(domain, set()) - {country})
+        if alive_elsewhere >= min_responsive_countries:
+            candidates.append(TimeoutCandidate(
+                domain=domain, country=country, failures=fail,
+                countries_responsive=alive_elsewhere))
+    return candidates

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classify import (
     VERDICT_EXPLICIT,
     Verdict,
     classify_body,
-    classify_samples,
 )
 from repro.core.fingerprints import FingerprintRegistry, PAGE_PROVIDER
-from repro.lumscan.records import NO_RESPONSE, Sample, ScanDataset
+from repro.lumscan.records import NO_RESPONSE, ScanDataset
 
 DEFAULT_AGREEMENT_THRESHOLD = 0.80
 CONFIRM_SAMPLES = 20

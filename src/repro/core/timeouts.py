@@ -22,7 +22,9 @@ pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.lumscan.base import Scanner
@@ -64,30 +66,38 @@ def find_timeout_candidates(dataset: ScanDataset,
     serves its own 403 without ever reaching the site, and one such
     artifact must not qualify the domain as alive (it would then confirm
     as a bogus timeout block in all ~190 other countries).
+
+    Counting is one ``np.bincount`` per column over the distinct
+    (domain, country) keys, so every row of a pair counts wherever its
+    runs lie and no :class:`Sample` is built;
+    :func:`repro.core.reference.find_timeout_candidates` is the
+    row-at-a-time oracle.
     """
-    responsive: Dict[str, Set[str]] = {}
-    failures: Dict[Tuple[str, str], Tuple[int, int]] = {}
-    for domain, country, samples in dataset.pairs():
-        fail = sum(1 for s in samples if s.status == NO_RESPONSE)
-        total = len(samples)
-        key = (domain, country)
-        f0, t0 = failures.get(key, (0, 0))
-        failures[key] = (f0 + fail, t0 + total)
-
-    for (domain, country), (fail, total) in failures.items():
-        if total > 0 and fail <= total / 2:
-            responsive.setdefault(domain, set()).add(country)
-
-    candidates: List[TimeoutCandidate] = []
-    for (domain, country), (fail, total) in sorted(failures.items()):
-        if total == 0 or fail < total:
-            continue
-        alive_elsewhere = len(responsive.get(domain, set()) - {country})
-        if alive_elsewhere >= min_responsive_countries:
-            candidates.append(TimeoutCandidate(
-                domain=domain, country=country, failures=fail,
-                countries_responsive=alive_elsewhere))
-    return candidates
+    if len(dataset) == 0:
+        return []
+    n_countries = len(dataset.countries())
+    keys = (dataset.domain_code_array().astype(np.int64) * n_countries
+            + dataset.country_code_array())
+    pair_keys, pair_of_row = np.unique(keys, return_inverse=True)
+    totals = np.bincount(pair_of_row)
+    fails = np.bincount(pair_of_row[dataset.status_array() == NO_RESPONSE],
+                        minlength=pair_keys.size)
+    pair_domains = pair_keys // n_countries
+    responsive = np.bincount(pair_domains[2 * fails <= totals],
+                             minlength=len(dataset.domains()))
+    # An all-fail pair is never responsive itself, so every responsive
+    # country of its domain is another country.
+    hit = np.flatnonzero((fails == totals) & (
+        responsive[pair_domains] >= min_responsive_countries))
+    domains, countries = dataset.domains(), dataset.countries()
+    return sorted(
+        (TimeoutCandidate(domain=domains[key // n_countries],
+                          country=countries[key % n_countries],
+                          failures=fail, countries_responsive=alive)
+         for key, fail, alive in zip(
+             pair_keys[hit].tolist(), fails[hit].tolist(),
+             responsive[pair_domains[hit]].tolist())),
+        key=lambda candidate: (candidate.domain, candidate.country))
 
 
 def confirm_timeout_blocks(scanner: Scanner,

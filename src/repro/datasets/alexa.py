@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.util.rng import derive_rng
 from repro.websim.domains import DomainPopulation

@@ -16,7 +16,7 @@ expressed and tested faithfully, including the whitelist-escape pattern
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 ACTION_PRIORITY = ("whitelist", "block", "challenge", "js_challenge")
 SCOPE_PRIORITY = ("ip", "asn", "country")

@@ -17,14 +17,14 @@ findings the module reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.classify import VERDICT_EXPLICIT, classify_body
 from repro.core.fingerprints import FingerprintRegistry
-from repro.httpsim.messages import BodyPolicy, Request
+from repro.httpsim.messages import (BODY_KEEP_THRESHOLD, KEEP_THRESHOLD_POLICY,
+                                    Request)
 from repro.httpsim.url import parse_url
-from repro.httpsim.useragent import browser_headers, crawler_headers
-from repro.lumscan.records import BODY_KEEP_THRESHOLD
+from repro.httpsim.useragent import browser_headers
 from repro.netsim.errors import FetchError
 from repro.proxynet.transport import fetch_with_redirects
 from repro.util.rng import derive_rng
@@ -36,12 +36,6 @@ from repro.util.rng import derive_rng
 _TOR_BLOCK_BASE = 0.02
 _TOR_BLOCK_CDN = 0.35
 _TOR_BLOCK_PROTECTED = 0.70
-
-#: Local bodies over the dataset keep threshold are not retained: every
-#: CDN block page, captcha and censor page is far below it, so the
-#: analyses (which only fingerprint block pages) are unaffected, and the
-#: origin is asked not to render them at all.
-_LOCAL_BODY_POLICY = BodyPolicy.lengths_over(BODY_KEEP_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,9 @@ class OONICorpus:
         request = Request(url=parse_url(f"http://{domain}/"),
                           headers=browser_headers())
         try:
+            # Large local pages are kept as a length: none need rendering.
             result = fetch_with_redirects(world, request, ip,
-                                          body_policy=_LOCAL_BODY_POLICY)
+                                          body_policy=KEEP_THRESHOLD_POLICY)
         except FetchError:
             return 0, None
         response = result.response

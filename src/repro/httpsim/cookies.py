@@ -9,7 +9,7 @@ ignored), and ``Cookie`` header emission.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.httpsim.messages import Headers
 

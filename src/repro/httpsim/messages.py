@@ -100,8 +100,8 @@ class Request:
 class BodyPolicy:
     """What a caller needs from response bodies.
 
-    The scan pipeline and the OONI corpus discard the body of any 200
-    response longer than ``BODY_KEEP_THRESHOLD`` — only its length
+    Scan tasks, the OONI corpus and the VPS fleet discard the body of any
+    200 response longer than ``BODY_KEEP_THRESHOLD`` — only its length
     survives.  Declaring that up front (``lengths_over(threshold)``) lets
     the origin simulation skip materializing exactly those bodies and
     answer with ``Response.body_length`` instead.  Block pages, errors,
@@ -131,6 +131,12 @@ class BodyPolicy:
         if threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         return cls(length_threshold=threshold)
+
+
+#: A 200 body longer than this is an ordinary page (block pages are far
+#: shorter): readers keep only its length and fetch under this policy.
+BODY_KEEP_THRESHOLD = 6_000
+KEEP_THRESHOLD_POLICY = BodyPolicy.lengths_over(BODY_KEEP_THRESHOLD)
 
 
 @dataclass

@@ -19,7 +19,8 @@ review time by walking the AST of every module and flagging
   atomic temp-then-rename writers (``atomic-write``).  Whether owners
   really release is checked at run time: :mod:`repro.util.envelope`
   keeps a ledger of open mappings and published shm blocks, and the
-  test suite asserts it is unchanged after every test.
+  test suite asserts it is unchanged after every test,
+* import hygiene: a name imported and never read (``unused-import``).
 
 The analyzer is stdlib-only (``ast`` + ``tokenize``).  See
 :mod:`repro.lint.rules` for the rule registry, ``docs/METHODOLOGY.md`` for

@@ -1,4 +1,4 @@
-"""Per-module AST checks for the determinism and ownership rules.
+"""Per-module AST checks for the determinism, ownership and import rules.
 
 Each check takes a :class:`~repro.lint.visitor.ModuleInfo` and yields raw
 :class:`~repro.lint.report.Finding`\\ s at the rule's default severity;
@@ -9,6 +9,7 @@ tier demotion, suppression matching, and baseline application happen in
 from __future__ import annotations
 
 import ast
+import posixpath
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.lint.report import Finding
@@ -472,4 +473,79 @@ def check_atomic_write(module: ModuleInfo) -> List[Finding]:
                 f"direct write to a '{suffix}' path can leave a torn "
                 f"file; write through repro.util.envelope.atomic_write "
                 f"or a codec writer built on it"))
+    return findings
+
+
+# --------------------------------------------------------------------- #
+# unused-import
+
+def _annotations(tree: ast.Module) -> Iterable[ast.AST]:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                        + [args.vararg, args.kwarg]):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree: ast.Module) -> Set[str]:
+    """Every name the module mentions, quoted annotations included."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(name.id for name in ast.walk(quoted)
+                             if isinstance(name, ast.Name))
+    return names
+
+
+def _exported_names(tree: ast.Module) -> Set[str]:
+    """String entries of a module-level ``__all__`` (=, += or annotated)."""
+    exported: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if node.value is not None and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in targets):
+            exported.update(item.value for item in ast.walk(node.value)
+                            if isinstance(item, ast.Constant)
+                            and isinstance(item.value, str))
+    return exported
+
+
+def check_unused_import(module: ModuleInfo) -> List[Finding]:
+    """Imported names that appear nowhere else in the module."""
+    if posixpath.basename(_normalized(module.path)) == "__init__.py":
+        return []
+    read = _read_names(module.tree) | _exported_names(module.tree)
+    findings: List[Finding] = []
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0]
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names
+                     if alias.name != "*"]
+        else:
+            continue
+        findings.extend(
+            _finding(module, node, "unused-import",
+                     f"{name} is imported but never read; delete it (or "
+                     f"list it in __all__ if it is a re-export)")
+            for name in bound if name not in read)
     return findings

@@ -31,6 +31,7 @@ from repro.lint.checks import (
     check_iter_order,
     check_resource_owner,
     check_spec_pickle,
+    check_unused_import,
 )
 from repro.lint.config import LintConfig
 from repro.lint.report import Baseline, Finding, sort_findings
@@ -417,6 +418,8 @@ def analyze_sources(items: Sequence[Tuple[str, str, str]],
             findings.extend(check_resource_owner(module))
         if config.rule_enabled("atomic-write"):
             findings.extend(check_atomic_write(module))
+        if config.rule_enabled("unused-import"):
+            findings.extend(check_unused_import(module))
     if config.rule_enabled("shared-mutation"):
         findings.extend(check_shared_mutation(modules, config.worker_roots))
 

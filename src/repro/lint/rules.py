@@ -189,6 +189,29 @@ RULES: Tuple[Rule, ...] = (
             "'.tmp.<pid>' sibling and os.replace()s it into place."
         ),
     ),
+    Rule(
+        rule_id="unused-import",
+        severity=SEVERITY_ERROR,
+        summary="imported name the module never reads",
+        rationale=(
+            "An import nothing reads still loads its module, still reads "
+            "as a dependency, and outlives the code that needed it: "
+            "removals leave them behind.  A name counts as read when it "
+            "appears anywhere in the module (a quoted annotation "
+            "included) or in its __all__; package __init__.py files, "
+            "which import to re-export, are skipped."
+        ),
+        example=(
+            "from typing import Dict, List   # <- Dict is never read\n"
+            "\n"
+            "def names(rows) -> List[str]:\n"
+            "    return [row.name for row in rows]"
+        ),
+        fix=(
+            "Delete the name from the import.  A deliberate re-export "
+            "goes in the module's __all__."
+        ),
+    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in RULES}

@@ -37,8 +37,7 @@ from typing import (
 
 import numpy as np
 
-#: Bodies at or below this length are always retained.
-BODY_KEEP_THRESHOLD = 6_000
+from repro.httpsim.messages import BODY_KEEP_THRESHOLD
 
 #: Sentinel status for failed probes (no HTTP response).
 NO_RESPONSE = 0

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.lumscan")
 
-from repro.httpsim.messages import BodyPolicy, Headers
+from repro.httpsim.messages import KEEP_THRESHOLD_POLICY, BodyPolicy, Headers
 from repro.httpsim.useragent import browser_headers
 from repro.lumscan.engine import (
     ProbeTask,
@@ -41,7 +41,7 @@ from repro.lumscan.engine import (
     WorkerInitStats,
     record_probe,
 )
-from repro.lumscan.records import BODY_KEEP_THRESHOLD, ScanDataset
+from repro.lumscan.records import ScanDataset
 from repro.netsim.errors import NoExitAvailable
 from repro.proxynet.luminati import ExitNode, LuminatiClient, ProbeResult
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -153,13 +153,11 @@ class Lumscan:
         self._seed = seed
         self._rng = derive_rng(seed, "lumscan")
         self._rotation = RotationState()
-        # Scan tasks only keep lengths of large 200-bodies (ScanDataset
-        # drops them past BODY_KEEP_THRESHOLD), so by default they declare
-        # that and let the origin elide exactly those bodies.  Pass
-        # BodyPolicy.full() to force materialization; ad-hoc probe() calls
-        # always materialize.
+        # Scan tasks keep only lengths of large 200-bodies, so by default
+        # the origin elides them.  BodyPolicy.full() forces materialization;
+        # ad-hoc probe() calls always materialize.
         self._task_body_policy = (body_policy if body_policy is not None
-                                  else BodyPolicy.lengths_over(BODY_KEEP_THRESHOLD))
+                                  else KEEP_THRESHOLD_POLICY)
         self.superproxy_loads = [0] * self._config.superproxies
         self._superproxy_cursor = 0
         self._superproxy_lock = threading.Lock()

@@ -15,7 +15,7 @@ The study uses DNS three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 
 class DNSError(Exception):

@@ -37,7 +37,6 @@ from repro.netsim.errors import (
     FetchError,
     LuminatiRefusal,
     NoExitAvailable,
-    ProxyError,
 )
 from repro.proxynet.transport import DEFAULT_MAX_REDIRECTS, FetchResult, fetch_with_redirects
 from repro.util.cache import MemoDict

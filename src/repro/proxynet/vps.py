@@ -8,6 +8,12 @@ detection far more often than Lumscan's full browser profile does.
 Each VPS's location is *verified* the way the paper did it: by fetching a
 Cloudflare-fronted canary domain and reading the geolocation Cloudflare
 derived for the client address.
+
+Every VPS consumer reads statuses and block-page bodies only, so fetches
+run on the length-only body lane: a 200 body over the keep threshold is
+an ordinary page and comes back as ``body_length`` with an empty body.
+The world's shared noise stream advances exactly as under full
+materialization.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.httpsim.messages import Headers, Request, Response
+from repro.httpsim.messages import (KEEP_THRESHOLD_POLICY, Headers, Request,
+                                    Response)
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers, crawler_headers, CURL_UA
 from repro.netsim.errors import FetchError
@@ -72,7 +79,8 @@ class VPSClient:
         try:
             result: FetchResult = fetch_with_redirects(
                 self._world, request, self.ip,
-                max_redirects=max_redirects, epoch=epoch)
+                max_redirects=max_redirects, epoch=epoch,
+                body_policy=KEEP_THRESHOLD_POLICY)
         except FetchError as exc:
             return VPSProbeResult(url=url, country=self.country, response=None,
                                   chain=[], error=exc.kind)

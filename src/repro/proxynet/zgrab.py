@@ -13,9 +13,8 @@ provider.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.proxynet.vps import VPSClient
 from repro.util.rng import derive_rng

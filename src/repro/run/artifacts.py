@@ -47,7 +47,7 @@ from typing import Dict, Iterable, Optional, Sequence, Set
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import encode_shard, mapped_dataset
 from repro.run.codecs import decode_artifact, encode_artifact
-from repro.run.stage import KIND_DATASET, Stage
+from repro.run.stage import KIND_DATASET, Stage, is_bare_file_name
 from repro.util.envelope import KIND_FILE, MAGIC_LSHD, SegmentMapping, \
     atomic_write, publish, read_header
 
@@ -90,16 +90,6 @@ def run_fingerprint(study_config: object, world_config: object,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def is_bare_file_name(name) -> bool:
-    """True for a plain file name: no directory part, not ``.``/``..``.
-
-    Everything a stage manifest names may be read, mapped or unlinked
-    on its behalf, so names must stay in the study directory.
-    """
-    return (isinstance(name, str) and name not in ("", ".", "..")
-            and os.path.basename(name) == name and "\0" not in name)
 
 
 def _atomic_write_json(path: str, payload: object) -> None:

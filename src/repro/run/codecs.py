@@ -17,7 +17,7 @@ via ``repr`` and parses back the same IEEE value.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List
+from typing import Any
 
 from repro.core.consistency import DomainConsistency
 from repro.core.discovery import DiscoveredCluster

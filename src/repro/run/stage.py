@@ -10,6 +10,7 @@ and lets a resumed run load them back without executing the stage.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -18,9 +19,24 @@ KIND_DATASET = "dataset"     # ScanDataset -> one LSHD segment
 KIND_JSON = "json"           # derived values -> versioned, tagged JSON
 
 
+def is_bare_file_name(name) -> bool:
+    """True for a plain file name: no directory part, not ``.``/``..``.
+
+    Everything a stage manifest names may be read, mapped or unlinked
+    on its behalf, so names must stay in the study directory.
+    """
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name and "\0" not in name)
+
+
 @dataclass(frozen=True)
 class ArtifactSpec:
-    """One declared stage output."""
+    """One declared stage output.
+
+    The name becomes part of a file name, ``<stage>.<name>.<suffix>``, so
+    it must be a bare file name, and neither ``manifest`` nor end in
+    ``.manifest``: its JSON file would be a stage manifest's path.
+    """
 
     name: str
     kind: str = KIND_JSON
@@ -28,6 +44,9 @@ class ArtifactSpec:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_DATASET, KIND_JSON):
             raise ValueError(f"unknown artifact kind {self.kind!r}")
+        if (not is_bare_file_name(self.name)
+                or f".{self.name}".endswith(".manifest")):
+            raise ValueError(f"bad artifact name {self.name!r}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 

@@ -16,7 +16,7 @@ which matches sklearn's defaults (``smooth_idf=True``, ``norm="l2"``,
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 # Canonical page-type identifiers (match Table 2 rows).
 AKAMAI_BLOCK = "akamai"

@@ -238,6 +238,8 @@ _JITTER_PREFIX = "<!-- dyn:"
 _JITTER_SUFFIX = " -->\n"
 _TOKEN_ALPHABET = "abcdefghij0123456789"
 _TOKEN_LEN = 16
+_N_TOKEN_CHARS = len(_TOKEN_ALPHABET)
+_TOKEN_BITS = _N_TOKEN_CHARS.bit_length()
 #: Bytes the dynamic-content comment adds beyond the pad itself
 #: (prefix + token + ":" separator + suffix).
 JITTER_OVERHEAD = len(_JITTER_PREFIX) + _TOKEN_LEN + 1 + len(_JITTER_SUFFIX)
@@ -250,8 +252,19 @@ def jitter_pad(base_length: int, rng: random.Random,
 
 
 def jitter_token(rng: random.Random) -> str:
-    """Draw the 16-character dynamic token (the remaining jitter draws)."""
-    return "".join(rng.choice(_TOKEN_ALPHABET) for _ in range(_TOKEN_LEN))
+    """Draw the 16-character dynamic token (the remaining jitter draws).
+
+    Makes exactly the draws of 16 ``rng.choice(_TOKEN_ALPHABET)`` calls:
+    CPython's choice → _randbelow rejection loop is inlined over a local
+    ``getrandbits``, as _sentence_length does for words.
+    """
+    getrandbits = rng.getrandbits
+    chars = []
+    while len(chars) < _TOKEN_LEN:
+        r = getrandbits(_TOKEN_BITS)
+        if r < _N_TOKEN_CHARS:
+            chars.append(_TOKEN_ALPHABET[r])
+    return "".join(chars)
 
 
 def jitter_length(base_length: int, pad: int) -> int:

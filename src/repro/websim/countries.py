@@ -18,7 +18,7 @@ The registry drives three aspects of the simulation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: ISO codes of U.S.-sanctioned countries at the time of the study.

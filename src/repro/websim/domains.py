@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.rng import derive_rng

@@ -34,8 +34,8 @@ confirmation scan — reproducing the makro.co.za episode of §4.2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.util.rng import derive_rng
 from repro.websim import blockpages

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.httpsim.messages import BodyPolicy, Headers, Request, Response
@@ -51,7 +51,7 @@ from repro.websim.content import (
     render_jitter,
     sample_jitter,
 )
-from repro.websim.countries import CRIMEA, CountryRegistry
+from repro.websim.countries import CountryRegistry
 from repro.websim.domains import (
     AKAMAI,
     APPENGINE,

@@ -1,7 +1,8 @@
 """Property-based equivalence: vectorized kernels vs scalar references.
 
 Every aggregation kernel on :class:`ScanDataset` (and the length
-heuristics in :mod:`repro.core.lengths`) is checked against the retained
+heuristics in :mod:`repro.core.lengths`, and the §7.3 timeout screen in
+:mod:`repro.core.timeouts`) is checked against the retained
 row-at-a-time implementation in :mod:`repro.core.reference` over
 hypothesis-generated datasets — including the empty dataset, all-failure
 datasets, and datasets merged with ``extend`` across differently-ordered
@@ -19,7 +20,10 @@ from repro.core.lengths import (
     relative_differences,
     representative_lengths,
 )
+from repro.core.timeouts import TimeoutCandidate, find_timeout_candidates
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
+from repro.lumscan.serialize import load_dataset
+from repro.lumscan.shards import write_segment_file
 
 _domains = st.sampled_from(
     [f"d{i}.example" for i in range(6)] + ["血腥.example", "a-b.co"])
@@ -51,6 +55,16 @@ def _build(records) -> ScanDataset:
 
 
 _datasets = st.one_of(_records, _failure_records).map(_build)
+
+# Timeout screens: few domains over many countries, mostly failures, so
+# pairs repeat in non-contiguous runs and candidates actually appear.
+_screen_records = st.lists(
+    st.tuples(st.sampled_from(["a.example", "b.example", "c.example"]),
+              st.sampled_from(["US", "DE", "IR", "CN", "RU", "FR", "BR",
+                               "血"]),
+              st.sampled_from([200, 403, NO_RESPONSE, NO_RESPONSE]),
+              st.just(100), st.none()),
+    max_size=80)
 
 
 class TestAggregationEquivalence:
@@ -138,6 +152,51 @@ class TestExtendEquivalence:
         merged = ScanDataset()
         merged.extend(_build(records))
         assert [s for s in merged] == [s for s in _build(records)]
+
+
+class TestTimeoutScreenEquivalence:
+    @given(dataset=st.one_of(_records, _failure_records,
+                             _screen_records).map(_build),
+           min_responsive=st.integers(0, 6))
+    def test_matches_reference(self, dataset, min_responsive):
+        assert find_timeout_candidates(dataset, min_responsive) == \
+            reference.find_timeout_candidates(dataset, min_responsive)
+
+    def test_counts_every_run_of_a_pair(self):
+        # (a, IR) fails in its first run and answers in its second, so it
+        # is responsive; (a, CN) fails in both of its runs and is the one
+        # candidate, with the failures of both runs.
+        rows = [("IR", NO_RESPONSE), ("CN", NO_RESPONSE), ("US", 200),
+                ("IR", 200), ("DE", 403), ("CN", NO_RESPONSE), ("FR", 200)]
+        dataset = _build([("a.example", country, status, 100, None)
+                          for country, status in rows])
+        expected = [TimeoutCandidate(domain="a.example", country="CN",
+                                     failures=2, countries_responsive=4)]
+        assert find_timeout_candidates(dataset, 4) == expected
+        assert reference.find_timeout_candidates(dataset, 4) == expected
+        assert find_timeout_candidates(dataset, 5) == []
+
+    def test_empty_dataset(self):
+        assert find_timeout_candidates(ScanDataset()) == []
+        assert reference.find_timeout_candidates(ScanDataset()) == []
+
+    def test_mapped_checkpoint_dataset(self, tmp_path):
+        records = [(f"d{i % 4}.example", country,
+                    NO_RESPONSE if (i % 4 == 0 and country == "IR")
+                    or i % 7 == 0 else 200, 100, None)
+                   for i in range(40)
+                   for country in ("US", "DE", "IR", "FR", "BR", "JP")]
+        path = str(tmp_path / "initial.lshd")
+        write_segment_file(_build(records).export_columns(), path)
+        mapped = load_dataset(path)
+        try:
+            assert mapped.is_mapped
+            got = find_timeout_candidates(mapped, 3)
+            assert got == reference.find_timeout_candidates(mapped, 3)
+            assert [(c.domain, c.country) for c in got] == \
+                [("d0.example", "IR")]
+        finally:
+            mapped.close()
 
 
 class TestEdgeDatasets:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.consistency import (
-    DomainConsistency,
     confirmed_instances,
     domain_consistency,
 )

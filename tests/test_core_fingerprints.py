@@ -16,7 +16,6 @@ from repro.core.classify import (
 )
 from repro.core.fingerprints import (
     Fingerprint,
-    FingerprintRegistry,
     PAGE_DISPLAY_NAMES,
     PAGE_PROVIDER,
 )

@@ -120,7 +120,7 @@ class TestBodyElision:
         elided = generate(elided_world)
         full_world = World(WorldConfig.tiny())
         with monkeypatch.context() as patch:
-            patch.setattr(ooni_module, "_LOCAL_BODY_POLICY",
+            patch.setattr(ooni_module, "KEEP_THRESHOLD_POLICY",
                           BodyPolicy.full())
             full = generate(full_world)
         assert elided == full

@@ -1,7 +1,5 @@
 """End-to-end determinism: identical seeds yield identical studies."""
 
-import pytest
-
 from repro.core.pipeline import run_top10k_study
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient

@@ -9,7 +9,7 @@ from repro.datasets.firewall_rules import (
     rules_from_geopolicy,
 )
 from repro.netsim.asn import ASRecord, ASRegistry
-from repro.netsim.ip import AddressAllocator, Netblock
+from repro.netsim.ip import Netblock
 
 
 class TestFirewallRule:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.httpsim.url import URL, URLError, parse_url
+from repro.httpsim.url import URLError, parse_url
 
 
 class TestParseUrl:

@@ -916,7 +916,49 @@ def test_atomic_write_clean_for_read_mode_and_unprotected_suffix():
 
 
 # --------------------------------------------------------------------- #
-# Contract registry: module self-registration
+# unused-import
+
+def test_unused_import_flags_each_unread_name():
+    findings = run_lint("""
+        import os.path
+        import numpy as np
+        from typing import Dict, List
+
+        def names(rows) -> List[str]:
+            return [row.name for row in rows]
+    """)
+    assert rule_ids(findings) == ["unused-import"] * 3
+    assert [f.message.split()[0] for f in findings] == ["os", "np", "Dict"]
+    assert findings[0].severity == "error"
+
+
+def test_unused_import_clean_for_reads_exports_and_future():
+    findings = run_lint("""
+        from __future__ import annotations
+
+        import os.path
+        from typing import TYPE_CHECKING, Optional
+        from repro.core import timeouts as _timeouts
+        from repro.httpsim.messages import Response
+        from repro.lumscan.records import ScanDataset
+
+        __all__ = ["ScanDataset"]
+
+        if TYPE_CHECKING:
+            pass
+
+        def f(path) -> "Optional[Response]":
+            return _timeouts.run(os.path.join(path))
+    """)
+    assert rule_ids(findings) == []
+
+
+def test_unused_import_skips_package_init():
+    source = """
+        from repro.lint.rules import RULES
+    """
+    assert rule_ids(run_lint(source)) == ["unused-import"]
+    assert run_lint(source, path="src/repro/fake/__init__.py") == []
 
 
 # --------------------------------------------------------------------- #

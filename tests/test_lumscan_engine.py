@@ -12,7 +12,7 @@ from repro.lumscan.engine import (
     resample_tasks,
     scan_tasks,
 )
-from repro.lumscan.scanner import Lumscan, LumscanConfig
+from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
 
 

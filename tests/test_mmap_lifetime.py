@@ -14,7 +14,6 @@ iteration-order rules.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import subprocess

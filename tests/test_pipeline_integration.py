@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.metrics import score_confirmed_blocks
 from repro.core.pipeline import (
-    StudyConfig,
     build_safe_list,
     run_top1m_study,
     run_vps_exploration,

@@ -12,28 +12,35 @@ The fast lane's correctness claim has three layers, each pinned here:
    whose columns, retained bodies, candidate pairs, confirmed blocks and
    per-sample classifications are identical to a full-materialization
    scan.
+4. The §3.1 VPS exploration on the lane gives the full-body result and
+   leaves the world's shared streams where it found them, because every
+   front page the lane can elide classifies as an ordinary page.
 
 A ``HEAD`` (header-only CDN identification) returns the matching GET's
 status and headers without touching page synthesis at all.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify import classify_samples
+from repro.core.classify import VERDICT_OK, classify_body, classify_samples
+from repro.core.fingerprints import FingerprintRegistry
+from repro.core.pipeline import run_vps_exploration
 from repro.core.resample import confirm_blocks, find_candidate_pairs
-from repro.httpsim.messages import BodyPolicy, Request
+from repro.httpsim.messages import BODY_KEEP_THRESHOLD, BodyPolicy, Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers
 from repro.lumscan.engine import ScanEngine
-from repro.lumscan.records import BODY_KEEP_THRESHOLD
 from repro.lumscan.scanner import Lumscan
 from repro.netsim.errors import FetchError
 from repro.proxynet.luminati import LuminatiClient
 from repro.util.rng import derive_rng
 from repro.websim.world import World, WorldConfig
 from repro.websim.content import (
+    _TOKEN_ALPHABET,
     JITTER_OVERHEAD,
     generate_page,
     jitter_length,
@@ -127,6 +134,27 @@ class TestJitterSplit:
         pad = jitter_pad(len(page), rng)
         assert len(render_jitter(page, pad, jitter_token(rng))) == \
             len(page) + pad + JITTER_OVERHEAD
+
+
+class TestJitterTokenDraws:
+    """jitter_token inlines choice's rejection loop; pin it to the literal
+    (TestJitterSplit calls jitter_token on both sides, so cannot)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.lists(st.integers(1, 64), max_size=12),
+           st.integers(1, 3))
+    def test_equals_sixteen_choice_calls(self, seed, advance, tokens):
+        inlined = random.Random(seed)
+        literal = random.Random(seed)
+        for rng in (inlined, literal):
+            for bits in advance:
+                rng.getrandbits(bits)
+        for _ in range(tokens):
+            expected = "".join(literal.choice(_TOKEN_ALPHABET)
+                               for _ in range(16))
+            assert jitter_token(inlined) == expected
+            assert inlined.getstate() == literal.getstate()
 
 
 class TestFetchEquivalence:
@@ -347,3 +375,59 @@ class TestDatasetEquivalence:
                             workers=4, chunk_size=7).scan(
             urls, countries, samples=3)
         assert _rows(pooled) == _rows(full)
+
+
+class TestVPSLane:
+    """The VPS fleet fetches on the length-only lane (proxynet/vps.py)."""
+
+    def test_exploration_matches_full_bodies(self, monkeypatch, nano_top10k):
+        import repro.proxynet.vps as vps_module
+        import repro.websim.world as world_module
+
+        rendered = []
+        render = world_module.generate_page
+
+        def counting_render(*args, **kwargs):
+            rendered.append(args[0])
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(world_module, "generate_page", counting_render)
+        registry = nano_top10k.registry
+        lane_world = World(WorldConfig.nano())
+        lane = run_vps_exploration(lane_world, registry=registry)
+        lane_renders = len(rendered)
+        full_world = World(WorldConfig.nano())
+        with monkeypatch.context() as patch:
+            patch.setattr(vps_module, "KEEP_THRESHOLD_POLICY",
+                          BodyPolicy.full())
+            full = run_vps_exploration(full_world, registry=registry)
+        assert lane == full
+        assert full.flagged_pairs and full.iran_403_count
+        assert lane_world._noise_rng.getstate() == \
+            full_world._noise_rng.getstate()
+        assert lane_world._render_rng.getstate() == \
+            full_world._render_rng.getstate()
+        # The lane engaged: most front pages were never rendered.
+        assert 2 * lane_renders < len(rendered) - lane_renders
+
+    @pytest.mark.parametrize("source", ["default", "nano-top10k"])
+    def test_every_front_page_classifies_ok(self, nano_top10k, source):
+        # The premise of the lane: a page it elides to a length would
+        # have classified as an ordinary page, degraded or not.
+        registry = (FingerprintRegistry.default() if source == "default"
+                    else nano_top10k.registry)
+        world = World(WorldConfig.nano())
+        degraded = 0
+        for domain in world.population:
+            pages = [world._page(domain)]
+            degradation = world.degradations.get(domain.name)
+            if degradation is not None:
+                countries = (set(degradation.remove_account_countries)
+                             | set(degradation.price_multipliers))
+                pages += [world._degraded_page(domain, degradation, country)
+                          for country in sorted(countries)]
+                degraded += len(countries)
+            for page in pages:
+                assert classify_body(page, registry).kind == VERDICT_OK, \
+                    domain.name
+        assert degraded > 0

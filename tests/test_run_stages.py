@@ -157,6 +157,24 @@ def _store(tmp_path, study_config=None, world_config=None) -> ArtifactStore:
                          world_config or {"n": 10})
 
 
+class TestArtifactSpec:
+    @pytest.mark.parametrize("name", ["manifest", "x.manifest", "", ".",
+                                      "..", "a/b", "../initial", "/abs",
+                                      "nul\0"])
+    def test_name_that_is_no_artifact_file_rejected(self, name):
+        # "manifest" would write <stage>.manifest.json: the stage
+        # manifest's own path, which save_stage then overwrites
+        # ("x.manifest": the manifest of a stage "<stage>.x").
+        with pytest.raises(ValueError, match="artifact name"):
+            ArtifactSpec(name)
+        with pytest.raises(ValueError, match="artifact name"):
+            ArtifactSpec(name, KIND_DATASET)
+
+    def test_plain_names_accepted(self):
+        assert ArtifactSpec("manifests").name == "manifests"
+        assert ArtifactSpec("initial", KIND_DATASET).kind == KIND_DATASET
+
+
 class TestArtifactStore:
     def test_save_then_load_roundtrip(self, tmp_path):
         store = _store(tmp_path)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.textutil.htmltext import extract_text, normalize_whitespace
 from repro.textutil.linkage import (
-    agglomerative_clusters,
     cluster_documents,
     single_link_clusters,
 )

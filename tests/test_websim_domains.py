@@ -3,7 +3,6 @@
 import pytest
 
 from repro.websim.domains import (
-    AKAMAI,
     CLOUDFLARE,
     CDN_PROVIDERS,
     Domain,

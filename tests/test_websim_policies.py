@@ -9,7 +9,7 @@ from repro.websim.domains import (
     CLOUDFLARE,
     DomainPopulation,
 )
-from repro.websim.policies import GeoPolicy, PolicyConfig, PolicyModel
+from repro.websim.policies import GeoPolicy, PolicyModel
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.httpsim.messages import Headers, Request
+from repro.httpsim.messages import Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers, crawler_headers
 from repro.netsim.errors import ConnectionTimeout, FetchError
-from repro.websim import blockpages
 from repro.websim.world import World, WorldConfig
 
 
