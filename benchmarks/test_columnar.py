@@ -11,10 +11,7 @@ through both paths:
 * outlier extraction — ``representative_lengths`` + ``extract_outliers``
   (the §4.1.2 length heuristic).
 
-Both must be at least 5x faster than the row-at-a-time reference.  The
-clustering check then asserts the inverted-index sparse join and the
-dense blocked matmul produce *bit-identical* labels on the discovery
-corpus (real simulated block pages, not synthetic text).
+Both must be at least 5x faster than the row-at-a-time reference.
 
 Timings land in ``BENCH_columnar.json`` at the repo root so CI keeps a
 trajectory of the speedup across commits.
@@ -32,8 +29,6 @@ import pytest
 from repro.core import reference
 from repro.core.lengths import extract_outliers, representative_lengths
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
-from repro.textutil.linkage import single_link_clusters
-from repro.textutil.tfidf import TfidfVectorizer
 
 ROWS = 120_000
 DOMAINS = 600
@@ -153,26 +148,3 @@ def test_outlier_extraction_speedup(big_dataset):
     assert speedup >= MIN_SPEEDUP, (
         f"outlier extraction only {speedup:.1f}x faster "
         f"({scalar_s:.3f}s scalar vs {vectorized_s:.3f}s vectorized)")
-
-
-def test_sparse_join_bit_identical(world, top10k):
-    """Sparse-join and dense clustering labels match on the discovery corpus."""
-    bodies = sorted({o.sample.body for o in top10k.outliers
-                     if o.sample.body is not None})
-    assert len(bodies) >= 2
-    matrix = TfidfVectorizer(min_df=2).fit_transform(bodies)
-    dense_s = _time(lambda: single_link_clusters(matrix, join="dense"),
-                    repeat=1)
-    sparse_s = _time(lambda: single_link_clusters(matrix, join="sparse"),
-                     repeat=1)
-    dense = single_link_clusters(matrix, join="dense")
-    sparse_labels = single_link_clusters(matrix, join="sparse")
-    auto = single_link_clusters(matrix, join="auto")
-    assert dense == sparse_labels == auto
-    _write_trajectory("clustering", {
-        "documents": len(bodies),
-        "clusters": len(set(dense)),
-        "dense_s": round(dense_s, 4),
-        "sparse_s": round(sparse_s, 4),
-        "bit_identical": True,
-    })

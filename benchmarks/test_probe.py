@@ -9,9 +9,11 @@ worlds (cold page caches, the state a real scan starts from):
   ``page_length`` replaying ``generate_page``'s RNG draws without
   building the page, plus skipping the jitter concatenation for bodies
   the dataset would drop anyway.
-* **Process sharding**: at 4 workers the ``ProcessPoolExecutor`` shape
-  (columnar shard exchange, streaming merge) must beat both the
-  GIL-bound thread pool *and* a plain serial scan on wall clock.  A
+* **Process sharding**: at ``min(4, cpus)`` workers the
+  ``ProcessPoolExecutor`` shape (columnar shard exchange, streaming
+  merge) must beat both the GIL-bound thread pool *and* a plain serial
+  scan on wall clock.  Timing the headline runs at no more workers than
+  cpus keeps the comparison about scaling, not oversubscription.  A
   single-core host cannot show that, so those assertions are gated on
   ``os.cpu_count() >= 2``; the timings are recorded unconditionally,
   including a 1/2/4-worker scaling curve.
@@ -124,30 +126,32 @@ def _process_engine_factory(workers: int, engines=None):
 
 def test_executor_scaling():
     cpus = cpu_count()
+    headline = min(WORKERS, cpus)
     serial, serial_rate, _ = _timed_scan(
         lambda world: Lumscan(LuminatiClient(world), seed=SCAN_SEED),
         n_countries=EXECUTOR_COUNTRIES)
     threaded, thread_rate, thread_time = _timed_scan(
         lambda world: ScanEngine(Lumscan(LuminatiClient(world),
                                          seed=SCAN_SEED),
-                                 workers=WORKERS, executor="thread"),
+                                 workers=headline, executor="thread"),
         n_countries=EXECUTOR_COUNTRIES)
     process_engines = []
     processed, process_rate, process_time = _timed_scan(
-        _process_engine_factory(WORKERS, process_engines),
+        _process_engine_factory(headline, process_engines),
         n_countries=EXECUTOR_COUNTRIES)
 
     assert _rows(threaded) == _rows(serial)
     assert _rows(processed) == _rows(serial)
 
-    # The multi-core scaling curve across worker counts.  Single-repeat per point keeps the curve affordable; the headline
-    # numbers above stay best-of-2.  Every point carries the shared
+    # The multi-core scaling curve across worker counts.  Single-repeat
+    # per point keeps the curve affordable; the headline numbers above
+    # stay best-of-2.  Every point carries the shared
     # cpu-count/oversubscription fields (see bench_util) — on a 1-CPU
     # runner a 4-worker entry measures process overhead, not scaling,
     # and must not be read as "parallelism loses to serial".
     curve = []
-    for workers in sorted({1, 2, WORKERS, min(WORKERS, cpus)}):
-        if workers == WORKERS:
+    for workers in sorted({1, 2, WORKERS, headline}):
+        if workers == headline:
             point, rate, elapsed = processed, process_rate, process_time
             engine = process_engines[-1]
         else:
@@ -163,7 +167,7 @@ def test_executor_scaling():
                       **oversubscription_fields(workers),
                       **worker_rss_fields(engine)})
 
-    print(f"\nexecutors ({cpus} cpus, {WORKERS} workers): "
+    print(f"\nexecutors ({cpus} cpus, {headline} workers): "
           f"serial {serial_rate:,.0f} probes/s, "
           f"thread {thread_rate:,.0f} probes/s ({thread_time:.2f}s), "
           f"process {process_rate:,.0f} probes/s ({process_time:.2f}s)")
@@ -173,7 +177,7 @@ def test_executor_scaling():
               f"{point['probes_per_sec']:,.0f} probes/s{tag}")
     payload = {
         "cpus": cpus,
-        "workers": WORKERS,
+        "workers": headline,
         "probes": len(serial),
         "serial_probes_per_sec": round(serial_rate, 1),
         "thread_probes_per_sec": round(thread_rate, 1),

@@ -7,7 +7,7 @@ renders the measured-vs-paper report.  Expect tens of minutes of runtime.
 
 Usage: python scripts/run_experiments.py [--scale paper|small|tiny]
            [--workers N] [--executor thread|process]
-           [--merge memory|spill] [--target-chunk-ms N]
+           [--merge memory|spill]
            [--checkpoint-dir DIR [--resume]]
            [--out PATH]
 

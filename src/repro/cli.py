@@ -61,17 +61,12 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="process-merge sink: accumulate worker shards "
                              "in RAM, or stream them to an on-disk LSHD "
                              "segment and mmap the result (default: memory)")
-    parser.add_argument("--target-chunk-ms", type=int, default=250,
-                        help="autotune process chunks toward this "
-                             "wall-time per chunk; 0 keeps a fixed chunk "
-                             "size (default: 250)")
 
 
 def suite_from_args(world: World, args: argparse.Namespace) -> ExperimentSuite:
     """The experiment suite the :func:`add_run_flags` flags describe."""
     config = StudyConfig(seed=args.seed, workers=max(1, args.workers),
-                         executor=args.executor, merge=args.merge,
-                         target_chunk_ms=max(0, args.target_chunk_ms))
+                         executor=args.executor, merge=args.merge)
     return ExperimentSuite(world, study_config=config,
                            checkpoint_dir=args.checkpoint_dir,
                            resume=args.resume)

@@ -94,7 +94,6 @@ class StudyConfig:
     workers: int = 1                  # scan-engine pool width (1 = inline)
     executor: str = "thread"          # scan-engine pool shape (or "process")
     merge: str = "memory"             # process-merge sink ("spill" = on-disk)
-    target_chunk_ms: int = 250        # chunk autotune target (0 = fixed)
 
 
 def registry_salt(registry: Optional[FingerprintRegistry]) -> str:
@@ -121,11 +120,9 @@ def _build_engine(scanner: Lumscan, cfg: StudyConfig,
     exchange close) so large spills land on the same volume the operator
     provisioned for run state rather than in the system temp dir.
     """
-    target = cfg.target_chunk_ms / 1000.0 if cfg.target_chunk_ms else None
     return ScanEngine(scanner, workers=cfg.workers, executor=cfg.executor,
                       merge=cfg.merge,
-                      spill_dir=store.directory if store else None,
-                      target_chunk_seconds=target)
+                      spill_dir=store.directory if store else None)
 
 
 def run_study(name: str, stages: Sequence[Stage], world: World,
@@ -189,11 +186,6 @@ class Top10KResult:
     def confirmed_countries(self) -> List[str]:
         """Countries with >= 1 confirmed geoblocked domain."""
         return sorted({c.country for c in self.confirmed})
-
-    @property
-    def http_451_observations(self) -> int:
-        """Samples with RFC 7725 status 451 (the paper saw exactly two)."""
-        return self.initial.count_status(451)
 
     def instances_by_country(self) -> Counter:
         """Confirmed instances per country (Table 5 right / Table 6)."""

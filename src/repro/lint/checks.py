@@ -2,8 +2,7 @@
 
 Each check takes a :class:`~repro.lint.visitor.ModuleInfo` and yields raw
 :class:`~repro.lint.report.Finding`\\ s at the rule's default severity;
-tier demotion, suppression matching, and baseline application happen in
-:mod:`repro.lint.engine`.
+tier demotion and suppression matching happen in :mod:`repro.lint.engine`.
 """
 
 from __future__ import annotations

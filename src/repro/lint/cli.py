@@ -2,16 +2,15 @@
 
 Exit codes (CI semantics)::
 
-    0   no active error findings (warnings and baselined findings allowed)
+    0   no active error findings (warnings allowed)
     1   at least one active error finding
-    2   usage error (bad paths, unreadable baseline)
+    2   usage error (bad paths)
 
 Examples::
 
     python -m repro.lint                      # lint the default targets
     python -m repro.lint src/repro            # one tree, error tier
     python -m repro.lint --format json --out lint-report.json
-    python -m repro.lint --write-baseline     # grandfather current findings
     python -m repro.lint --list-rules
 """
 
@@ -23,12 +22,11 @@ import sys
 import traceback
 from typing import List, Optional
 
-from repro.lint.config import BASELINE_FILENAME, LintConfig, find_repo_root
+from repro.lint.config import LintConfig
 from repro.lint.engine import analyze_paths
 from repro.lint.report import (
     EXIT_CLEAN,
     EXIT_USAGE,
-    Baseline,
     exit_code,
     render_error_json,
     render_json,
@@ -52,19 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="report format")
     parser.add_argument("--out", default=None,
                         help="write the report to a file instead of stdout")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: <repo-root>/"
-                             f"{BASELINE_FILENAME} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write the baseline grandfathering every "
-                             "current finding, then exit 0")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids to run "
                              "(default: all)")
     parser.add_argument("--verbose", action="store_true",
-                        help="also show suppressed and baselined findings")
+                        help="also show suppressed findings")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule registry and exit")
     parser.add_argument("--explain", metavar="RULE", default=None,
@@ -149,12 +139,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         selected = tuple(part.strip() for part in args.select.split(",")
                          if part.strip())
     try:
-        config = LintConfig.for_paths(
-            args.paths,
-            baseline_path=args.baseline,
-            use_baseline=not (args.no_baseline or args.write_baseline),
-            selected_rules=selected,
-        )
+        config = LintConfig.for_paths(args.paths, selected_rules=selected)
         findings = analyze_paths(config)
     except FileNotFoundError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
@@ -171,22 +156,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 handle.write(render_error_json(
                     type(exc).__name__, str(exc), trace) + "\n")
         return EXIT_USAGE
-
-    if args.write_baseline:
-        target = args.baseline
-        if target is None:
-            root = find_repo_root(args.paths[0] if args.paths
-                                  else os.getcwd())
-            if root is None:
-                print("repro.lint: cannot locate repo root for the "
-                      "baseline; pass --baseline", file=sys.stderr)
-                return EXIT_USAGE
-            target = os.path.join(root, BASELINE_FILENAME)
-        Baseline.from_findings(findings).dump(target)
-        print(f"baseline written to {target} "
-              f"({len([f for f in findings if not f.suppressed])} "
-              f"finding(s) grandfathered)")
-        return EXIT_CLEAN
 
     if args.format == "json":
         text = render_json(findings, rule_ids=config.selected_rules)

@@ -1,4 +1,4 @@
-"""Lint run configuration: targets, tiers, baseline, rule selection.
+"""Lint run configuration: targets, tiers, rule selection.
 
 Severity works in two layers: each rule has a default severity
 (:mod:`repro.lint.rules`), and each analyzed tree has a *tier*.  The
@@ -25,8 +25,6 @@ DEFAULT_TARGETS: Tuple[Tuple[str, str], ...] = (
 #: Path fragments that select the warn tier when paths are given
 #: explicitly on the command line.
 WARN_TIER_FRAGMENTS = ("benchmarks", "scripts")
-
-BASELINE_FILENAME = "lint-baseline.json"
 
 
 def find_repo_root(start: str) -> Optional[str]:
@@ -58,8 +56,6 @@ class LintConfig:
 
     #: (path, tier) pairs to analyze.
     targets: Tuple[Tuple[str, str], ...] = ()
-    #: Baseline file (None disables baseline matching).
-    baseline_path: Optional[str] = None
     #: Rule ids to run (default: all registered rules).
     selected_rules: Tuple[str, ...] = tuple(r.rule_id for r in RULES)
     #: Reachability roots of the shared-mutation rule.
@@ -71,8 +67,6 @@ class LintConfig:
 
     @classmethod
     def for_paths(cls, paths: Sequence[str],
-                  baseline_path: Optional[str] = None,
-                  use_baseline: bool = True,
                   selected_rules: Optional[Sequence[str]] = None,
                   worker_roots: Optional[Sequence[str]] = None,
                   ) -> "LintConfig":
@@ -80,13 +74,11 @@ class LintConfig:
 
         Without ``paths`` the repo root is located from the working
         directory and the default targets (src/repro at error tier,
-        benchmarks+scripts at warn tier) are used.  The baseline defaults
-        to ``<repo-root>/lint-baseline.json`` when present.
+        benchmarks+scripts at warn tier) are used.
         """
         targets: Tuple[Tuple[str, str], ...]
         if paths:
             targets = tuple((path, tier_for_path(path)) for path in paths)
-            root = find_repo_root(paths[0]) or find_repo_root(os.getcwd())
         else:
             root = find_repo_root(os.getcwd())
             if root is None:
@@ -96,13 +88,7 @@ class LintConfig:
             targets = tuple((os.path.join(root, rel), tier)
                             for rel, tier in DEFAULT_TARGETS
                             if os.path.exists(os.path.join(root, rel)))
-        if use_baseline and baseline_path is None and root is not None:
-            candidate = os.path.join(root, BASELINE_FILENAME)
-            if os.path.exists(candidate):
-                baseline_path = candidate
-        if not use_baseline:
-            baseline_path = None
-        config = cls(targets=targets, baseline_path=baseline_path)
+        config = cls(targets=targets)
         if selected_rules is not None:
             config.selected_rules = tuple(selected_rules)
         if worker_roots is not None:

@@ -34,7 +34,7 @@ from repro.lint.checks import (
     check_unused_import,
 )
 from repro.lint.config import LintConfig
-from repro.lint.report import Baseline, Finding, sort_findings
+from repro.lint.report import Finding, sort_findings
 from repro.lint.rules import (
     MUTATOR_METHODS,
     RULES_BY_ID,
@@ -433,9 +433,6 @@ def analyze_sources(items: Sequence[Tuple[str, str, str]],
                 finding.suppress_reason = directive.reason
         if tiers.get(finding.path) == SEVERITY_WARN:
             finding.severity = SEVERITY_WARN
-
-    if config.baseline_path is not None:
-        Baseline.load(config.baseline_path).apply(findings)
     return sort_findings(findings)
 
 

@@ -1,30 +1,22 @@
-"""Findings, baseline matching, and human/JSON rendering.
+"""Findings and human/JSON rendering.
 
 Output is deterministic by construction: findings sort by
 (path, line, column, rule), and the JSON form contains no timestamps or
-absolute paths.  The baseline keys a finding by
-``(path, rule, blake2 of the stripped source line)`` so grandfathered
-findings survive unrelated line drift but die with any edit to the
-offending line itself.
+absolute paths.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.lint.rules import SEVERITY_ERROR, SEVERITY_WARN
 
 #: Exit codes of the CLI (suitable for CI gating).
-EXIT_CLEAN = 0        # no errors (warnings and baselined findings allowed)
-EXIT_FINDINGS = 1     # at least one non-baselined error finding
+EXIT_CLEAN = 0        # no errors (warnings allowed)
+EXIT_FINDINGS = 1     # at least one unsuppressed error finding
 EXIT_USAGE = 2        # bad invocation / unreadable input
-
-BASELINE_VERSION = 1
 
 
 @dataclass
@@ -40,11 +32,6 @@ class Finding:
     line_text: str = ""
     suppressed: bool = False      # matched a # lint: allow(...) directive
     suppress_reason: str = ""
-    baselined: bool = False       # grandfathered by the baseline file
-
-    def key(self) -> str:
-        """The baseline identity of this finding."""
-        return baseline_key(self.path, self.rule_id, self.line_text)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe form."""
@@ -57,7 +44,6 @@ class Finding:
             "message": self.message,
             "text": self.line_text,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
 
@@ -68,10 +54,9 @@ def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
 
 
 def active_errors(findings: Sequence[Finding]) -> List[Finding]:
-    """Error findings that actually gate (not suppressed, not baselined)."""
+    """Error findings that actually gate (not suppressed)."""
     return [f for f in findings
-            if f.severity == SEVERITY_ERROR
-            and not f.suppressed and not f.baselined]
+            if f.severity == SEVERITY_ERROR and not f.suppressed]
 
 
 def exit_code(findings: Sequence[Finding]) -> int:
@@ -80,77 +65,13 @@ def exit_code(findings: Sequence[Finding]) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Baseline
-
-def baseline_key(path: str, rule_id: str, line_text: str) -> str:
-    """Stable identity of one finding for baseline matching."""
-    normalized = path.replace(os.sep, "/")
-    digest = hashlib.blake2b(line_text.strip().encode("utf-8"),
-                             digest_size=8).hexdigest()
-    return f"{normalized}:{rule_id}:{digest}"
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings, keyed with per-key multiplicity."""
-
-    counts: Counter = field(default_factory=Counter)
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        """Read a baseline file (missing file -> empty baseline)."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return cls()
-        if payload.get("version") != BASELINE_VERSION:
-            raise ValueError(
-                f"{path}: unsupported baseline version "
-                f"{payload.get('version')!r}")
-        counts: Counter = Counter()
-        for entry in payload.get("entries", []):
-            counts[entry["key"]] += int(entry.get("count", 1))
-        return cls(counts=counts)
-
-    def apply(self, findings: Sequence[Finding]) -> None:
-        """Mark findings covered by the baseline (consuming credits)."""
-        remaining = Counter(self.counts)
-        for finding in sort_findings(findings):
-            if finding.suppressed:
-                continue
-            key = finding.key()
-            if remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-                finding.baselined = True
-
-    @classmethod
-    def from_findings(cls, findings: Sequence[Finding]) -> "Baseline":
-        """A baseline grandfathering every active finding."""
-        counts: Counter = Counter(
-            f.key() for f in findings if not f.suppressed)
-        return cls(counts=counts)
-
-    def dump(self, path: str) -> None:
-        """Write the baseline file (sorted, stable)."""
-        entries = [{"key": key, "count": count}
-                   for key, count in sorted(self.counts.items())]
-        payload = {"version": BASELINE_VERSION, "entries": entries}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-
-
-# --------------------------------------------------------------------- #
 # Rendering
 
 def _summary_counts(findings: Sequence[Finding]) -> Dict[str, int]:
-    errors = warns = suppressed = baselined = 0
+    errors = warns = suppressed = 0
     for finding in findings:
         if finding.suppressed:
             suppressed += 1
-        elif finding.baselined:
-            baselined += 1
         elif finding.severity == SEVERITY_ERROR:
             errors += 1
         elif finding.severity == SEVERITY_WARN:
@@ -159,7 +80,6 @@ def _summary_counts(findings: Sequence[Finding]) -> Dict[str, int]:
         "errors": errors,
         "warnings": warns,
         "suppressed": suppressed,
-        "baselined": baselined,
         "total": len(findings),
     }
 
@@ -170,13 +90,7 @@ def render_text(findings: Sequence[Finding], verbose: bool = False) -> str:
     for finding in sort_findings(findings):
         if finding.suppressed and not verbose:
             continue
-        if finding.baselined and not verbose:
-            continue
-        marker = finding.severity
-        if finding.suppressed:
-            marker = "allowed"
-        elif finding.baselined:
-            marker = "baselined"
+        marker = "allowed" if finding.suppressed else finding.severity
         lines.append(f"{finding.path}:{finding.line}:{finding.column}: "
                      f"{marker} [{finding.rule_id}] {finding.message}")
         if finding.line_text:
@@ -184,15 +98,15 @@ def render_text(findings: Sequence[Finding], verbose: bool = False) -> str:
     counts = _summary_counts(findings)
     lines.append(
         f"lint: {counts['errors']} error(s), {counts['warnings']} "
-        f"warning(s), {counts['suppressed']} suppressed, "
-        f"{counts['baselined']} baselined")
+        f"warning(s), {counts['suppressed']} suppressed")
     return "\n".join(lines)
 
 
 #: lint-report.json schema version.  v2 added the ``internal_error``
 #: payload written when the analyzer itself crashes; v3 drops the
-#: per-finding ``trace`` arrays.
-REPORT_VERSION = 3
+#: per-finding ``trace`` arrays; v4 drops the ``baselined`` counts and
+#: flags.
+REPORT_VERSION = 4
 
 
 def render_json(findings: Sequence[Finding],

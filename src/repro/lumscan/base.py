@@ -28,14 +28,12 @@ class Scanner(Protocol):
     """Anything that can run scans and resamples over (domain, country)."""
 
     def scan(self, urls: Sequence[str], countries: Sequence[str],
-             samples: int = 3, epoch: int = 0,
-             dataset: Optional[ScanDataset] = None) -> ScanDataset:
+             samples: int = 3, epoch: int = 0) -> ScanDataset:
         """Probe every (country, url) pair ``samples`` times."""
         ...
 
     def resample(self, pairs: Iterable[Tuple[str, str]], samples: int,
-                 epoch: int = 0,
-                 dataset: Optional[ScanDataset] = None) -> ScanDataset:
+                 epoch: int = 0) -> ScanDataset:
         """Re-probe specific (domain, country) pairs ``samples`` times."""
         ...
 

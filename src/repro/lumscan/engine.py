@@ -280,22 +280,17 @@ class ChunkAutotuner:
     """
 
     def __init__(self, initial: int,
-                 target_seconds: Optional[float] = None,
+                 target_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS,
                  min_size: int = 8, max_size: int = 8192,
                  smoothing: float = 0.5) -> None:
         if initial < 1:
             raise ValueError(f"initial chunk size must be >= 1, got {initial}")
         self._size = initial
-        self._target = float(target_seconds or 0.0)
+        self._target = float(target_seconds)
         self._min = min_size
         self._max = max_size
         self._smoothing = smoothing
         self._rate: Optional[float] = None
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a target is set (no target = fixed chunk size)."""
-        return self._target > 0.0
 
     @property
     def rate(self) -> Optional[float]:
@@ -308,7 +303,7 @@ class ChunkAutotuner:
 
     def record(self, tasks: int, elapsed: float) -> None:
         """Fold in one completed chunk's observed latency."""
-        if not self.enabled or tasks <= 0 or elapsed <= 0.0:
+        if tasks <= 0 or elapsed <= 0.0:
             return
         rate = tasks / elapsed
         self._rate = rate if self._rate is None else (
@@ -423,10 +418,9 @@ class ScanEngine:
 
     ``merge="spill"`` routes the process pool's streaming merge through
     a :class:`SpillDatasetBuilder`: ``scan``/``resample`` then return a
-    *new* mapped dataset (the caller-passed ``dataset``, if any, seeds
-    the builder but is not mutated), with records identical to the
-    in-memory merge.  Runs that take the inline shortcut (``workers=1``
-    or a single task) still merge in memory.
+    mapped dataset with records identical to the in-memory merge.  Runs
+    that take the inline shortcut (``workers=1`` or a single task) still
+    merge in memory.
 
     With ``executor="process"`` the engine owns one worker pool and one
     frozen world pack, opened by the first process scan and reused by
@@ -441,8 +435,6 @@ class ScanEngine:
                  executor: str = "thread",
                  merge: str = "memory",
                  spill_dir: Optional[str] = None,
-                 target_chunk_seconds: Optional[float] =
-                 DEFAULT_TARGET_CHUNK_SECONDS,
                  clock: Optional[Clock] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -464,7 +456,6 @@ class ScanEngine:
         self._chunk_size = chunk_size
         self._executor = executor
         self._spill_dir = spill_dir
-        self._target_chunk_seconds = target_chunk_seconds
         self._clock = clock if clock is not None else SYSTEM_CLOCK
         self._pool: Optional[ProcessPoolExecutor] = None
         # Shuts self._pool and releases its pack; dead once either is gone.
@@ -509,27 +500,23 @@ class ScanEngine:
     # ------------------------------------------------------------------ #
 
     def scan(self, urls: Sequence[str], countries: Sequence[str],
-             samples: int = 3, epoch: int = 0,
-             dataset: Optional[ScanDataset] = None) -> ScanDataset:
+             samples: int = 3, epoch: int = 0) -> ScanDataset:
         """Probe every (country, domain) pair ``samples`` times.
 
         Samples for a pair land contiguously in serial order, which
         downstream consumers (``ScanDataset.pairs``) rely on.
         """
-        return self._execute(scan_tasks(urls, countries, samples, epoch),
-                             dataset)
+        return self._execute(scan_tasks(urls, countries, samples, epoch))
 
     def resample(self, pairs: Iterable[Tuple[str, str]], samples: int,
-                 epoch: int = 0,
-                 dataset: Optional[ScanDataset] = None) -> ScanDataset:
+                 epoch: int = 0) -> ScanDataset:
         """Re-probe specific (domain, country) pairs ``samples`` times."""
-        return self._execute(resample_tasks(pairs, samples, epoch), dataset)
+        return self._execute(resample_tasks(pairs, samples, epoch))
 
     # ------------------------------------------------------------------ #
 
-    def _execute(self, tasks: List[ProbeTask],
-                 dataset: Optional[ScanDataset]) -> ScanDataset:
-        data = dataset if dataset is not None else ScanDataset()
+    def _execute(self, tasks: List[ProbeTask]) -> ScanDataset:
+        data = ScanDataset()
         if self._workers == 1 or len(tasks) <= 1:
             for task in tasks:
                 record_probe(data, task.domain, task.country,
@@ -598,8 +585,7 @@ class ScanEngine:
                            data: ScanDataset) -> ScanDataset:
         scanner = self._scanner
         pool, freeze_failures = self._open_pool()
-        tuner = ChunkAutotuner(initial=self._chunk_size,
-                               target_seconds=self._target_chunk_seconds)
+        tuner = ChunkAutotuner(initial=self._chunk_size)
         buffer = ChunkReorderBuffer()
         pending: Dict[object, int] = {}   # future -> chunk sequence number
         requests = fetches = 0
@@ -616,9 +602,9 @@ class ScanEngine:
                     ShardExchange(spill_dir=self._spill_dir))
                 exchange_spec = exchange.spec()
                 logger.debug("engine: %d tasks over %d process workers "
-                             "(exchange=%s, merge=%s, autotune=%s)",
+                             "(exchange=%s, merge=%s)",
                              len(tasks), self._workers, exchange.kind,
-                             self._merge, tuner.enabled)
+                             self._merge)
                 merger = None
                 if self._merge == "spill":
                     # The builder owns its own directory under spill_dir —
@@ -626,8 +612,6 @@ class ScanEngine:
                     # wholesale when the exchange closes.
                     merger = owned.enter_context(
                         SpillDatasetBuilder(directory=self._spill_dir))
-                    if len(data):
-                        merger.extend_columns(data.export_columns())
                 sink = data if merger is None else merger
 
                 def submit_next() -> bool:

@@ -39,7 +39,6 @@ from repro.lumscan.engine import (
     ScanEngine,
     WorkerBuildInfo,
     WorkerInitStats,
-    record_probe,
 )
 from repro.lumscan.records import ScanDataset
 from repro.netsim.errors import NoExitAvailable
@@ -194,28 +193,21 @@ class Lumscan:
                           task.sample_idx, task.epoch)
 
     def scan(self, urls: Sequence[str], countries: Sequence[str],
-             samples: int = 3, epoch: int = 0,
-             dataset: Optional[ScanDataset] = None,
-             workers: int = 1, executor: str = "thread") -> ScanDataset:
-        """Probe every (country, domain) pair ``samples`` times.
+             samples: int = 3, epoch: int = 0) -> ScanDataset:
+        """Probe every (country, domain) pair ``samples`` times, inline.
 
         Results for a pair are appended contiguously, which downstream
-        consumers (``ScanDataset.pairs``) rely on.  ``workers`` > 1 shards
-        the task space across a worker pool via :class:`ScanEngine`
-        (``executor`` picks threads or processes); the output is identical
-        to ``workers=1`` regardless of count or executor.
+        consumers (``ScanDataset.pairs``) rely on.  To shard the task
+        space across a worker pool, wrap the scanner in a
+        :class:`ScanEngine`; its output is identical to this one.
         """
-        with ScanEngine(self, workers=workers, executor=executor) as engine:
-            return engine.scan(urls, countries, samples=samples, epoch=epoch,
-                               dataset=dataset)
+        return ScanEngine(self).scan(urls, countries, samples=samples,
+                                     epoch=epoch)
 
-    def resample(self, pairs: Iterable, samples: int, epoch: int = 0,
-                 dataset: Optional[ScanDataset] = None,
-                 workers: int = 1, executor: str = "thread") -> ScanDataset:
+    def resample(self, pairs: Iterable, samples: int,
+                 epoch: int = 0) -> ScanDataset:
         """Re-probe specific (domain, country) pairs ``samples`` times."""
-        with ScanEngine(self, workers=workers, executor=executor) as engine:
-            return engine.resample(pairs, samples, epoch=epoch,
-                                   dataset=dataset)
+        return ScanEngine(self).resample(pairs, samples, epoch=epoch)
 
     # ------------------------------------------------------------------ #
     # Process-executor support
@@ -290,11 +282,6 @@ class Lumscan:
 
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _domain_of(url: str) -> str:
-        host = url.split("://", 1)[-1].split("/", 1)[0]
-        return host[4:] if host.startswith("www.") else host
-
     def _probe(self, url: str, country: str, epoch: int,
                rng: random.Random, state: RotationState,
                body_policy: Optional[BodyPolicy] = None) -> ProbeResult:
@@ -346,7 +333,3 @@ class Lumscan:
             self._superproxy_cursor = (index + 1) % len(self.superproxy_loads)
             self.superproxy_loads[index] += 1
             return index
-
-    # Kept as an alias so existing callers/tests that append probe results
-    # to datasets keep working; the implementation lives in the engine.
-    _record = staticmethod(record_probe)

@@ -20,8 +20,7 @@ change any methodology knob, world parameter, or seed and every stage
 re-executes.
 The engine settings in :data:`ENGINE_FIELDS` are left out: they change
 how probes are scheduled, never what they return, so a run resumed with
-a different ``workers``/``executor``/``merge``/``target_chunk_ms``
-reuses every stage.
+a different ``workers``/``executor``/``merge`` reuses every stage.
 
 Crash safety is ordering + atomicity: artifact files are written first
 (each atomically, via temp + ``os.replace``), the manifest last.  A stage
@@ -57,7 +56,7 @@ FORMAT_VERSION = 2
 #: ``StudyConfig`` fields that choose how the scan engine runs probes,
 #: never what the probes return (output is byte-identical for any of
 #: them), so they stay out of the checkpoint fingerprint.
-ENGINE_FIELDS = ("workers", "executor", "merge", "target_chunk_ms")
+ENGINE_FIELDS = ("workers", "executor", "merge")
 
 
 def _jsonable_config(config: object) -> object:

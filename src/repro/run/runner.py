@@ -19,7 +19,7 @@ artifacts they would have recomputed.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lumscan.engine import WorkerInitStats
 from repro.lumscan.records import ScanDataset
@@ -127,7 +127,3 @@ class StudyRunner:
         source = getattr(context.scanner, "worker_init_stats", None)
         stats = source() if source is not None else None
         return stats if stats is not None else WorkerInitStats()
-
-    def stats_by_stage(self, context: RunContext) -> Dict[str, StageStats]:
-        """The context's stats keyed by stage name (convenience)."""
-        return {stats.stage: stats for stats in context.stats}

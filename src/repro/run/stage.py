@@ -57,12 +57,19 @@ class Stage:
     does not hold (the suite's pool sizes, say); the store folds it into
     this stage's checkpoint fingerprint alone, so changing such an input
     re-executes just the stages that read it.
+
+    The name starts every file name the stage writes, so it must be a
+    bare file name.
     """
 
     name: str
     outputs: Tuple[ArtifactSpec, ...]
     run: Callable[["RunContext"], Dict[str, object]]
     salt: str = ""
+
+    def __post_init__(self) -> None:
+        if not is_bare_file_name(self.name):
+            raise ValueError(f"bad stage name {self.name!r}")
 
     def output_names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.outputs)

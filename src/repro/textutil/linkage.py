@@ -8,15 +8,10 @@ threshold, so the implementation is a union-find over similarity pairs,
 with an exact-duplicate pre-collapse that makes template-generated pages
 (the common case) nearly free.
 
-Block pages are extremely sparse in shared high-idf terms, so the
-default join is *subquadratic in practice*: an inverted index over the
-rare (high-idf) vocabulary proposes candidate pairs, and a residual
-Cauchy–Schwarz bound over the remaining common terms catches the few
-pairs that could clear the cosine threshold without sharing a rare term.
-Only candidates are scored, with exactly the same cosine threshold as
-the dense path, so labels are bit-identical; when the candidate set
-degenerates toward O(n²) (dense corpora), the join falls back to the
-blocked matmul automatically.
+The similarity pairs come from one blocked sparse matmul.  Its O(n²)
+cost is small at the corpus sizes this reproduction produces: after the
+duplicate collapse the discovery corpus holds tens of pages in the
+benchmark world and under two thousand at paper scale.
 
 For the linkage-ablation benchmark, scipy's agglomerative linkage
 (complete / average) is also exposed.
@@ -25,7 +20,7 @@ For the linkage-ablation benchmark, scipy's agglomerative linkage
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -58,154 +53,25 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-#: Below this many documents the dense blocked matmul is cheapest.
-_SPARSE_MIN_DOCS = 64
+def single_link_clusters(matrix: sparse.csr_matrix,
+                         distance_threshold: float = 0.4,
+                         block: int = 1024) -> List[int]:
+    """Single-link clusters by cosine distance threshold.
 
-#: Inverted-index budget: candidate pairs generated per document.  Sized
-#: so that realistic block-page families (tens of members, a few dozen
-#: shared terms each) are indexed in full; only boilerplate terms shared
-#: across most of the corpus spill into the residual-bound side.
-_PAIR_BUDGET_PER_DOC = 512
-
-#: Candidate-set density (fraction of n²) above which the sparse join
-#: abandons the inverted index and falls back to the dense path.
-_DENSE_FALLBACK_FRACTION = 0.25
-
-#: Candidate pairs scored per chunk in the sparse join.
-_SCORE_CHUNK = 1 << 16
-
-
-def _candidate_pairs(matrix: sparse.csr_matrix, sim_threshold: float,
-                     force: bool) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Exact candidate (i, j) pairs for ``cosine >= sim_threshold``.
-
-    Vocabulary terms are split by document frequency: the rare (high-idf)
-    tail feeds an inverted index — every pair sharing a rare term is a
-    candidate — while the common head is covered by a residual bound.
-    With ``r_i`` the L2 mass of document *i* restricted to common terms,
-    a pair sharing no indexed term satisfies ``sim <= r_i * r_j``
-    (Cauchy–Schwarz), so only documents with ``r_i * max(r) >= threshold``
-    need pairwise checks among themselves.  Every pair at or above the
-    threshold is therefore proposed by one of the two generators.
-
-    Returns None when the candidate set would degenerate toward O(n²)
-    (unless ``force``), signalling the caller to use the dense path.
+    Returns a cluster label per row.  Rows with cosine distance below the
+    threshold to any member of a cluster join that cluster.  Similarities
+    are computed ``block`` rows at a time, so the dense intermediate stays
+    at ``block`` x n.
     """
     n = matrix.shape[0]
-    csc = matrix.tocsc()
-    df = np.diff(csc.indptr).astype(np.int64)
-    order = np.argsort(df, kind="stable")
-    cumulative_cost = np.cumsum(df[order] ** 2)
-    budget = _PAIR_BUDGET_PER_DOC * n + 1024
-    split = int(np.searchsorted(cumulative_cost, budget, side="right"))
-    indexed_cols = order[:split]
-    common_cols = order[split:]
-
-    if common_cols.size:
-        common = csc[:, common_cols]
-        residual = np.sqrt(np.asarray(
-            common.multiply(common).sum(axis=1)).ravel())
-    else:
-        residual = np.zeros(n)
-    residual_max = float(residual.max()) if n else 0.0
-    heavy_rows = np.flatnonzero(residual * residual_max >= sim_threshold)
-
-    indexed_cost = int(cumulative_cost[split - 1]) if split else 0
-    estimate = indexed_cost + int(heavy_rows.size) ** 2
-    if not force and estimate > _DENSE_FALLBACK_FRACTION * n * n:
-        return None
-
-    def _pairs_within_groups(flat: np.ndarray, sizes: np.ndarray,
-                             values: Optional[np.ndarray]
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused i*n+j keys of all ordered pairs within each group.
-
-        ``flat`` holds the groups' members back to back, ``sizes`` their
-        lengths.  The full per-group cross products are built with one
-        repeat/arange construction — no Python loop over groups.  When
-        ``values`` is given (one weight per member), the per-pair weight
-        product rides along so the caller can accumulate partial dot
-        products per pair.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        sizes = sizes.astype(np.int64)
-        counts = sizes * sizes
-        total = int(counts.sum())
-        if total == 0:
-            return empty, empty.astype(np.float64)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-        pair_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        position = np.arange(total, dtype=np.int64) \
-            - np.repeat(pair_starts, counts)
-        size_of = np.repeat(sizes, counts)
-        offset_of = np.repeat(offsets, counts)
-        left_at = offset_of + position // size_of
-        right_at = offset_of + position % size_of
-        left = flat[left_at].astype(np.int64)
-        right = flat[right_at].astype(np.int64)
-        keep = left < right
-        keys = left[keep] * n + right[keep]
-        if values is None:
-            return keys, np.empty(0, dtype=np.float64)
-        return keys, values[left_at[keep]] * values[right_at[keep]]
-
-    # Indexed-column pairs carry their partial dot product over indexed
-    # terms; combined with the residual bound this prunes coincidental
-    # shared-rare-term pairs before the (costly) exact scoring pass.
-    if indexed_cols.size:
-        lengths = df[indexed_cols]
-        gathered = [csc.indices[csc.indptr[col]:csc.indptr[col + 1]]
-                    for col in indexed_cols.tolist()]
-        gathered_vals = [csc.data[csc.indptr[col]:csc.indptr[col + 1]]
-                         for col in indexed_cols.tolist()]
-        keys, prods = _pairs_within_groups(
-            np.concatenate(gathered), lengths,
-            np.concatenate(gathered_vals))
-    else:
-        keys = np.empty(0, dtype=np.int64)
-        prods = np.empty(0, dtype=np.float64)
-
-    if keys.size:
-        order_k = np.argsort(keys, kind="stable")
-        keys = keys[order_k]
-        prods = prods[order_k]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
-        keys = keys[starts]
-        partial = np.add.reduceat(prods, starts)
-        # Upper bound: indexed partial sum plus Cauchy–Schwarz over the
-        # common terms.  The margin keeps the prune conservative against
-        # summation-order rounding; survivors are still scored exactly.
-        bound = partial + residual[keys // n] * residual[keys % n]
-        keys = keys[bound >= sim_threshold - 1e-9]
-
-    heavy_keys, _ = _pairs_within_groups(
-        heavy_rows, np.array([heavy_rows.size], dtype=np.int64), None)
-    if heavy_keys.size:
-        keys = np.concatenate((keys, heavy_keys))
-        keys.sort()
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys // n, keys % n
-
-
-def _sparse_union(matrix: sparse.csr_matrix, uf: "_UnionFind",
-                  pairs: Tuple[np.ndarray, np.ndarray],
-                  sim_threshold: float) -> None:
-    """Score candidate pairs in chunks and union those over threshold."""
-    ii, jj = pairs
-    for start in range(0, ii.size, _SCORE_CHUNK):
-        i = ii[start:start + _SCORE_CHUNK]
-        j = jj[start:start + _SCORE_CHUNK]
-        sims = np.asarray(matrix[i].multiply(matrix[j]).sum(axis=1)).ravel()
-        hit = np.flatnonzero(sims >= sim_threshold)
-        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
-            uf.union(a, b)
-
-
-def _dense_union(matrix: sparse.csr_matrix, uf: "_UnionFind",
-                 sim_threshold: float, block: int) -> None:
-    """The O(n²) blocked-matmul join (fallback and small-corpus path)."""
-    n = matrix.shape[0]
+    if n == 0:
+        return []
+    sim_threshold = 1.0 - distance_threshold
+    if sim_threshold <= 0.0:
+        # Every pair qualifies (cosine similarity is >= 0 for tf-idf
+        # rows): one cluster.
+        return [0] * n
+    uf = _UnionFind(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
         sims = (matrix[start:stop] @ matrix.T).toarray()
@@ -214,42 +80,6 @@ def _dense_union(matrix: sparse.csr_matrix, uf: "_UnionFind",
             i = start + r
             if c > i:
                 uf.union(i, c)
-
-
-def single_link_clusters(matrix: sparse.csr_matrix,
-                         distance_threshold: float = 0.4,
-                         block: int = 1024,
-                         join: str = "auto") -> List[int]:
-    """Single-link clusters by cosine distance threshold.
-
-    Returns a cluster label per row.  Rows with cosine distance below the
-    threshold to any member of a cluster join that cluster.
-
-    ``join`` selects the pair-generation strategy: ``"auto"`` (default)
-    uses the inverted-index sparse join on large corpora with automatic
-    dense fallback, ``"sparse"`` forces the inverted index, ``"dense"``
-    forces the blocked matmul.  All strategies apply the exact same
-    cosine threshold, so labels are identical across them.
-    """
-    n = matrix.shape[0]
-    if n == 0:
-        return []
-    if join not in ("auto", "sparse", "dense"):
-        raise ValueError(f"unknown join strategy: {join!r}")
-    sim_threshold = 1.0 - distance_threshold
-    if sim_threshold <= 0.0:
-        # Every pair qualifies (cosine similarity is >= 0 for tf-idf
-        # rows): one cluster, same as the dense path would produce.
-        return [0] * n
-    uf = _UnionFind(n)
-    pairs = None
-    if join == "sparse" or (join == "auto" and n >= _SPARSE_MIN_DOCS):
-        pairs = _candidate_pairs(matrix.tocsr(), sim_threshold,
-                                 force=join == "sparse")
-    if pairs is not None:
-        _sparse_union(matrix.tocsr(), uf, pairs, sim_threshold)
-    else:
-        _dense_union(matrix, uf, sim_threshold, block)
     roots: Dict[int, int] = {}
     labels: List[int] = []
     for i in range(n):

@@ -85,12 +85,3 @@ class MemoDict(Dict[K, V]):
     """
 
     __slots__ = ()
-
-    def memoize(self, key: K, compute) -> V:
-        """Return ``self[key]``, computing and storing it on a miss."""
-        try:
-            return self[key]
-        except KeyError:
-            value = compute()
-            self[key] = value
-            return value

@@ -29,6 +29,7 @@ from repro.lumscan.scanner import Lumscan, ScannerSpec
 from repro.lumscan.serialize import dump_dataset
 from repro.proxynet.luminati import LuminatiClient
 from repro.util import envelope
+from repro.util.clock import ManualClock
 from repro.util.envelope import shm_available
 from repro.websim.content import page_length
 from repro.websim.world import World, WorldConfig
@@ -247,7 +248,7 @@ class TestShardExchange:
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=3, chunk_size=24, executor="process",
                             spill_dir=str(tmp_path),
-                            target_chunk_seconds=None)
+                            clock=ManualClock())
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, "inverted") == \
             _encoded(expected, tmp_path, "serial")
@@ -265,7 +266,7 @@ class TestShardExchange:
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
                             spill_dir=str(spill),
-                            target_chunk_seconds=None)
+                            clock=ManualClock())
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
         leftovers = [os.path.join(root, name)
@@ -283,7 +284,7 @@ class TestShardExchange:
                             _exploding_run_chunk)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            target_chunk_seconds=None)
+                            clock=ManualClock())
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
         assert set(os.listdir("/dev/shm")) - before == set()
@@ -294,8 +295,7 @@ class TestShardExchange:
         # to run — and must never leak into the output bytes.
         urls, countries, expected = serial
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
-                            target_chunk_seconds=0.05)
+                            workers=2, chunk_size=8, executor="process")
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, "tuned") == \
             _encoded(expected, tmp_path, "serial")
@@ -358,7 +358,7 @@ class TestSpillMerge:
                             workers=2, chunk_size=8, executor="process",
                             merge="spill",
                             spill_dir=str(spill),
-                            target_chunk_seconds=None)
+                            clock=ManualClock())
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
         leftovers = [os.path.join(root, name)
@@ -435,7 +435,7 @@ class TestWorldpackInitCleanup:
                             _exploding_worker_init)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            target_chunk_seconds=None)
+                            clock=ManualClock())
         with pytest.raises(Exception) as excinfo:
             engine.scan(urls, ["US", "IR"], samples=2)
         assert "process" in type(excinfo.value).__name__.lower() \
@@ -449,7 +449,7 @@ class TestWorldpackInitCleanup:
         before = set(os.listdir("/dev/shm"))
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8, executor="process",
-                            target_chunk_seconds=None)
+                            clock=ManualClock())
         engine.scan(urls, ["US", "IR"], samples=2)
         engine.close()
         assert set(os.listdir("/dev/shm")) - before == set()
@@ -503,7 +503,7 @@ class TestPoolLifecycle:
 
     def _engine(self, world, **kwargs):
         options = dict(workers=2, chunk_size=8, executor="process",
-                       target_chunk_seconds=None)
+                       clock=ManualClock())
         options.update(kwargs)
         return ScanEngine(Lumscan(LuminatiClient(world), seed=11), **options)
 

@@ -1,8 +1,8 @@
 """Positive and negative fixtures for every repro.lint rule.
 
 Each rule gets at least one fixture that must flag and one that must
-stay clean; the suppression, order-guarantee, confinement, baseline,
-tier, and CLI exit-code machinery is exercised on top.  The final tests
+stay clean; the suppression, order-guarantee, confinement, tier, and
+CLI exit-code machinery is exercised on top.  The final tests
 assert the *real* tree keeps the acceptance contract: ``src/repro`` is
 lint-clean with zero suppressions, and the module-scope
 ``random.random()`` fixture exits non-zero through the CLI.
@@ -26,7 +26,6 @@ from repro.lint.report import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
     EXIT_USAGE,
-    Baseline,
     Finding,
     exit_code,
     render_json,
@@ -482,7 +481,7 @@ def test_spec_pickle_ignores_non_spec_classes():
 
 
 # --------------------------------------------------------------------- #
-# Suppression, baseline, tiers, rendering
+# Suppression, tiers, rendering
 
 def test_allow_directive_suppresses_and_exits_clean():
     findings = run_lint("""
@@ -519,48 +518,6 @@ def test_directive_inside_string_literal_is_inert():
     assert not findings[0].suppressed
 
 
-def test_baseline_grandfathers_with_multiplicity():
-    source = """
-        import time
-
-        def first():
-            return time.time()
-
-        def second():
-            return time.time()
-    """
-    findings = run_lint(source)
-    assert len(findings) == 2
-    # Both offending lines hash identically; grandfather only one credit.
-    baseline = Baseline.from_findings(findings[:1])
-    fresh = run_lint(source)
-    baseline.apply(fresh)
-    assert [f.baselined for f in fresh] == [True, False]
-    assert exit_code(fresh) == EXIT_FINDINGS
-    Baseline.from_findings(findings).apply(findings)
-
-
-def test_baseline_round_trips_through_disk(tmp_path):
-    findings = run_lint("""
-        import time
-
-        def legacy():
-            return time.time()
-    """)
-    path = str(tmp_path / "lint-baseline.json")
-    Baseline.from_findings(findings).dump(path)
-    reloaded = Baseline.load(path)
-    fresh = run_lint("""
-        import time
-
-        def legacy():
-            return time.time()
-    """)
-    reloaded.apply(fresh)
-    assert all(f.baselined for f in fresh)
-    assert exit_code(fresh) == EXIT_CLEAN
-
-
 def test_warn_tier_demotes_everything_and_exits_clean():
     findings = run_lint("""
         import time
@@ -586,7 +543,9 @@ def test_render_json_is_stable_and_timestamp_free():
     assert payload["summary"]["errors"] == 1
     assert payload["findings"][0]["rule"] == "wall-clock"
     assert "time" not in payload["summary"]
-    assert payload["version"] == 3
+    assert payload["version"] == 4
+    assert "baselined" not in payload["summary"]
+    assert "baselined" not in payload["findings"][0]
     assert "trace" not in payload["findings"][0]
 
 
@@ -642,16 +601,15 @@ def test_cli_json_report_to_file(tmp_path, capsys):
     assert payload["summary"]["errors"] == 1
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
+def test_cli_has_no_baseline(tmp_path, capsys):
+    """``# lint: allow`` is the only suppression: no file can bank a
+    finding, so the baseline options are usage errors."""
     fixture = tmp_path / "fixture.py"
-    fixture.write_text("import time\nSTAMP = time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    assert lint_main([str(fixture), "--write-baseline",
-                      "--baseline", str(baseline)]) == EXIT_CLEAN
-    assert lint_main([str(fixture),
-                      "--baseline", str(baseline)]) == EXIT_CLEAN
-    assert lint_main([str(fixture), "--no-baseline",
-                      "--baseline", str(baseline)]) == EXIT_FINDINGS
+    fixture.write_text("x = 1\n")
+    for flag in ("--baseline=b.json", "--no-baseline", "--write-baseline"):
+        with pytest.raises(SystemExit) as raised:
+            lint_main([str(fixture), flag])
+        assert raised.value.code == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -1005,7 +963,7 @@ def test_cli_internal_error_lands_in_json_report(tmp_path, capsys,
 
 def test_src_repro_is_clean_with_zero_suppressions(capsys):
     src = os.path.join(REPO_ROOT, "src", "repro")
-    code = lint_main([src, "--no-baseline"])
+    code = lint_main([src])
     out = capsys.readouterr().out
     assert code == EXIT_CLEAN, out
     assert "0 error(s)" in out

@@ -113,14 +113,6 @@ class TestParallelSerialDeterminism:
             runs.append(_rows(engine.scan(urls, countries, samples=2)))
         assert runs[0] == runs[1] == runs[2]
 
-    def test_workers_param_on_scanner(self, nano_world, scan_inputs):
-        urls, countries = scan_inputs
-        a = Lumscan(LuminatiClient(nano_world), seed=9).scan(
-            urls, countries, samples=2)
-        b = Lumscan(LuminatiClient(nano_world), seed=9).scan(
-            urls, countries, samples=2, workers=4)
-        assert _rows(a) == _rows(b)
-
     def test_pairs_stay_contiguous_under_parallelism(self, nano_world,
                                                      scan_inputs):
         urls, countries = scan_inputs
@@ -128,15 +120,6 @@ class TestParallelSerialDeterminism:
                             workers=8, chunk_size=2)
         data = engine.scan(urls, countries, samples=3)
         assert all(len(samples) == 3 for _, _, samples in data.pairs())
-
-    def test_merge_into_existing_dataset(self, nano_world):
-        urls = _clean_urls(nano_world, 3)
-        engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=1),
-                            workers=2)
-        data = engine.scan(urls, ["US"], samples=1)
-        engine.scan(urls, ["DE"], samples=1, dataset=data)
-        assert len(data) == 6
-        assert data.countries() == ["US", "DE"]
 
 
 class TestStudyParity:

@@ -54,12 +54,6 @@ class TestScan:
         data = scanner.resample(pairs, samples=4)
         assert len(data) == 8
 
-    def test_scan_into_existing_dataset(self, scanner, nano_world):
-        urls = _clean_urls(nano_world, 2)
-        data = scanner.scan(urls, ["US"], samples=1)
-        scanner.scan(urls, ["DE"], samples=1, dataset=data)
-        assert len(data) == 4
-
 
 class TestReliabilityFeatures:
     def test_retries_reduce_failures(self, nano_world):

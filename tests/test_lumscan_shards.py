@@ -400,12 +400,6 @@ class TestChunkReorderBuffer:
 
 
 class TestChunkAutotuner:
-    def test_disabled_without_target(self):
-        tuner = ChunkAutotuner(64, target_seconds=None)
-        assert not tuner.enabled
-        tuner.record(64, 10.0)
-        assert tuner.chunk_size() == 64
-
     def test_grows_toward_target(self):
         # 1000 probes/s at a 0.25s target wants ~250-task chunks, but
         # growth is clamped to doubling per observation.

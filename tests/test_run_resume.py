@@ -355,8 +355,9 @@ class TestSuiteResume:
 
     def test_suite_engine_takes_the_run_flags(self, tiny_suite, tmp_path,
                                               monkeypatch):
-        """--merge, --target-chunk-ms and the spill dir reach the suite's
-        scans, and the spilled, pooled rescans match the fresh report."""
+        """--merge and the spill dir reach the suite's scans, every process
+        scan autotunes from the default chunk size, and the spilled,
+        pooled rescans match the fresh report."""
         fresh, root = tiny_suite
         root = _copy_checkpoints(root, tmp_path)
         _drop_suite_manifests(root, "observation-pools")
@@ -374,8 +375,7 @@ class TestSuiteResume:
             monkeypatch.setattr(engine_module, name,
                                 recording(getattr(engine_module, name)))
         config = StudyConfig(seed=WorldConfig.tiny().seed, workers=2,
-                             executor="process", merge="spill",
-                             target_chunk_ms=123)
+                             executor="process", merge="spill")
         report, _ = _resume_suite(root, config=config)
 
         assert _executed(report) == ["observation-pools"]
@@ -392,7 +392,8 @@ class TestSuiteResume:
             len(built["ShardExchange"])
         assert all(kw == {"directory": suite_dir}
                    for kw in built["SpillDatasetBuilder"])
-        assert all(kw["target_seconds"] == pytest.approx(0.123)
+        assert len(built["ChunkAutotuner"]) == len(built["ShardExchange"])
+        assert all(kw == {"initial": engine_module.DEFAULT_CHUNK_SIZE}
                    for kw in built["ChunkAutotuner"])
         spawned = {e["stage"]: e["workers_spawned"]
                    for e in report.stage_stats["suite"]}

@@ -175,6 +175,19 @@ class TestArtifactSpec:
         assert ArtifactSpec("initial", KIND_DATASET).kind == KIND_DATASET
 
 
+class TestStage:
+    @pytest.mark.parametrize("name", ["../x", "", ".", "a/b"])
+    def test_name_that_is_no_file_name_rejected(self, name):
+        # The store writes <root>/<study>/<stage>.manifest.json; a stage
+        # named "../x" would write outside the study directory.
+        with pytest.raises(ValueError, match="stage name"):
+            Stage(name, (ArtifactSpec("x"),), lambda ctx: {"x": 1})
+
+    def test_plain_name_accepted(self):
+        assert Stage("initial-scan", (), lambda ctx: {}).name == \
+            "initial-scan"
+
+
 class TestArtifactStore:
     def test_save_then_load_roundtrip(self, tmp_path):
         store = _store(tmp_path)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.textutil.htmltext import extract_text, normalize_whitespace
 from repro.textutil.linkage import (
@@ -117,7 +120,6 @@ class TestTfidf:
 
 class TestSingleLinkClusters:
     def test_empty(self):
-        from scipy import sparse
         labels = single_link_clusters(sparse.csr_matrix((0, 4)))
         assert labels == []
 
@@ -151,6 +153,55 @@ class TestSingleLinkClusters:
         order = result.largest_first()
         sizes = [len(result.members(l)) for l in order]
         assert sizes == sorted(sizes, reverse=True)
+
+
+def _first_seen(labels):
+    """Relabel a partition by first occurrence, so equal partitions match."""
+    names = {}
+    return [names.setdefault(label, len(names)) for label in labels]
+
+
+@st.composite
+def _normalized_rows(draw):
+    """A non-negative sparse matrix whose non-empty rows have unit L2 norm.
+
+    Weights come from a small set, so duplicate rows (cosine 1)
+    and pairs tied at a threshold are common.
+    """
+    n_rows = draw(st.integers(min_value=1, max_value=24))
+    n_cols = draw(st.integers(min_value=1, max_value=12))
+    weights = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+    rows = draw(st.lists(st.lists(weights, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    dense = np.array(rows, dtype=np.float64)
+    norms = np.linalg.norm(dense, axis=1, keepdims=True)
+    dense = np.divide(dense, norms, out=np.zeros_like(dense),
+                      where=norms > 0)
+    return sparse.csr_matrix(dense)
+
+
+class TestSingleLinkOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=_normalized_rows(), data=st.data(),
+           block=st.integers(min_value=1, max_value=32))
+    def test_partition_is_threshold_graph_components(self, matrix, data,
+                                                     block):
+        """The clusters are the connected components of the graph with an
+        edge wherever cosine similarity reaches ``1 - distance``."""
+        sims = (matrix @ matrix.T).toarray()
+        # Half the draws put the threshold exactly on a pair's similarity:
+        # for s >= 0.5 both 1 - s and 1 - (1 - s) are exact, so the pair
+        # sits on the boundary and must join.
+        on_edge = sorted({float(v) for v in np.triu(sims, k=1).ravel()
+                          if 0.5 <= v <= 1.0})
+        if on_edge and data.draw(st.booleans()):
+            distance = 1.0 - data.draw(st.sampled_from(on_edge))
+        else:
+            distance = data.draw(st.floats(min_value=0.01, max_value=0.99))
+        edges = sparse.csr_matrix(np.triu(sims >= 1.0 - distance, k=1))
+        _, expected = connected_components(edges, directed=False)
+        labels = single_link_clusters(matrix, distance, block=block)
+        assert _first_seen(labels) == _first_seen(expected.tolist())
 
 
 class TestAgglomerative:

@@ -39,6 +39,7 @@ from repro.lumscan.scanner import Lumscan
 from repro.lumscan.serialize import dump_dataset
 from repro.proxynet.luminati import LuminatiClient
 from repro.util import envelope
+from repro.util.clock import ManualClock
 from repro.util.envelope import KIND_FILE, KIND_SHM, MAGIC_LSHW, \
     read_header, shm_available
 from repro.websim.world import World, WorldConfig
@@ -255,7 +256,7 @@ class TestEngineByteIdentity:
         workers = 2
         engine = ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
                             workers=workers, chunk_size=8,
-                            executor="process", target_chunk_seconds=None)
+                            executor="process", clock=ManualClock())
         with caplog.at_level(logging.WARNING, logger=engine_mod.logger.name):
             data = engine.scan(urls, countries, samples=2)
         assert _encoded(data, tmp_path, "rebuilt") == \
