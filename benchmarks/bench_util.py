@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import operator
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Tuple, Union
 
+from repro.util.clock import SYSTEM_CLOCK
 from repro.util.memory import rss_bytes
 
 __all__ = [
@@ -47,9 +47,9 @@ def best_of(fn: Callable[[], object], repeat: int = 3) -> float:
     """
     best = float("inf")
     for _ in range(repeat):
-        start = time.perf_counter()
+        stopwatch = SYSTEM_CLOCK.stopwatch()
         fn()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, stopwatch.elapsed())
     return best
 
 
@@ -88,9 +88,9 @@ def oversubscription_fields(workers: int) -> Dict[str, object]:
 
 def _child_probe(target: Callable[[], object], conn) -> None:
     before = rss_bytes()
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     target()
-    conn.send({"seconds": time.perf_counter() - started,
+    conn.send({"seconds": stopwatch.elapsed(),
                "rss_bytes": rss_bytes(),
                "rss_delta_bytes": max(0, rss_bytes() - before)})
     conn.close()

@@ -19,13 +19,10 @@ trajectory of the speedup across commits.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from bench_util import best_of, write_trajectory
 from repro.core import reference
 from repro.core.lengths import extract_outliers, representative_lengths
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
@@ -34,7 +31,6 @@ ROWS = 120_000
 DOMAINS = 600
 COUNTRIES = 40
 MIN_SPEEDUP = 5.0
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
 
 
 def _synthetic_dataset(rows: int = ROWS, seed: int = 17) -> ScanDataset:
@@ -68,26 +64,6 @@ def _synthetic_dataset(rows: int = ROWS, seed: int = 17) -> ScanDataset:
     return dataset
 
 
-def _time(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _write_trajectory(key: str, payload: dict) -> None:
-    record = {}
-    if _RESULTS_PATH.exists():
-        try:
-            record = json.loads(_RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            record = {}
-    record[key] = payload
-    _RESULTS_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module")
 def big_dataset() -> ScanDataset:
     return _synthetic_dataset()
@@ -109,10 +85,10 @@ def test_aggregation_speedup(big_dataset):
                 dataset.lengths_by_domain())
 
     assert scalar() == vectorized()
-    scalar_s = _time(scalar)
-    vectorized_s = _time(vectorized)
+    scalar_s = best_of(scalar)
+    vectorized_s = best_of(vectorized)
     speedup = scalar_s / vectorized_s
-    _write_trajectory("aggregation", {
+    write_trajectory("columnar", "aggregation", {
         "rows": len(dataset),
         "scalar_s": round(scalar_s, 4),
         "vectorized_s": round(vectorized_s, 4),
@@ -135,10 +111,10 @@ def test_outlier_extraction_speedup(big_dataset):
         return extract_outliers(dataset, reps)
 
     assert scalar() == vectorized()
-    scalar_s = _time(scalar)
-    vectorized_s = _time(vectorized)
+    scalar_s = best_of(scalar)
+    vectorized_s = best_of(vectorized)
     speedup = scalar_s / vectorized_s
-    _write_trajectory("outlier_extraction", {
+    write_trajectory("columnar", "outlier_extraction", {
         "rows": len(dataset),
         "outliers": len(vectorized()),
         "scalar_s": round(scalar_s, 4),

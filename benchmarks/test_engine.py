@@ -22,6 +22,7 @@ import time
 from repro.lumscan.engine import ScanEngine
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
+from repro.util.clock import SYSTEM_CLOCK
 
 SEED = 11
 SAMPLES = 2
@@ -59,9 +60,9 @@ def _rows(data):
 def _calibrate_latency(world, urls) -> float:
     """Per-request latency = 20x the measured per-probe CPU cost."""
     scanner = Lumscan(LuminatiClient(world), seed=SEED)
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     data = scanner.scan(urls, COUNTRIES, samples=SAMPLES)
-    per_probe = (time.perf_counter() - started) / len(data)
+    per_probe = stopwatch.elapsed() / len(data)
     return max(0.004, 20.0 * per_probe)
 
 
@@ -70,16 +71,16 @@ def test_parallel_scan_speedup(world):
     latency = _calibrate_latency(world, urls)
 
     serial_scanner = Lumscan(SimulatedLatencyClient(world, latency), seed=SEED)
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     serial = serial_scanner.scan(urls, COUNTRIES, samples=SAMPLES)
-    serial_time = time.perf_counter() - started
+    serial_time = stopwatch.elapsed()
 
     engine = ScanEngine(Lumscan(SimulatedLatencyClient(world, latency),
                                 seed=SEED),
                         workers=WORKERS, chunk_size=4)
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     parallel = engine.scan(urls, COUNTRIES, samples=SAMPLES)
-    parallel_time = time.perf_counter() - started
+    parallel_time = stopwatch.elapsed()
 
     # Correctness first: the parallel dataset is identical to the serial
     # one, record for record.
@@ -99,14 +100,14 @@ def test_engine_overhead_negligible_serial(world):
     urls = _scan_urls(world, n=10)
     scanner = Lumscan(LuminatiClient(world), seed=SEED)
 
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     direct = scanner.scan(urls, COUNTRIES, samples=SAMPLES)
-    direct_time = time.perf_counter() - started
+    direct_time = stopwatch.elapsed()
 
     engine = ScanEngine(Lumscan(LuminatiClient(world), seed=SEED), workers=1)
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     engined = engine.scan(urls, COUNTRIES, samples=SAMPLES)
-    engine_time = time.perf_counter() - started
+    engine_time = stopwatch.elapsed()
 
     assert _rows(engined) == _rows(direct)
     # Generous bound: the engine path must stay within 2x of the plain

@@ -16,11 +16,10 @@ which is where the N-copies-of-the-world memory cost shows up.
 
 from __future__ import annotations
 
-import time
-
 from bench_util import measure_child, write_trajectory
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
+from repro.util.clock import SYSTEM_CLOCK
 from repro.websim.world import World, WorldConfig
 
 WORLD_SEED = 7
@@ -41,14 +40,14 @@ def _best(spec_build, repeats):
 
 
 def test_pack_worker_init_speedup():
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     world = World(WorldConfig(seed=WORLD_SEED))
-    parent_build_seconds = time.perf_counter() - started
+    parent_build_seconds = stopwatch.elapsed()
     scanner = Lumscan(LuminatiClient(world), seed=SCAN_SEED)
 
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     pack = scanner.freeze_world_pack()
-    freeze_seconds = time.perf_counter() - started
+    freeze_seconds = stopwatch.elapsed()
     try:
         rebuild = _best(scanner.spawn_spec().build, REBUILD_REPEATS)
         mapped = _best(scanner.spawn_spec(world_source=pack.handle).build,
@@ -98,9 +97,9 @@ def test_freeze_is_cheaper_than_one_rebuild():
     """
     world = World(WorldConfig.small(seed=WORLD_SEED))
     scanner = Lumscan(LuminatiClient(world), seed=SCAN_SEED)
-    started = time.perf_counter()
+    stopwatch = SYSTEM_CLOCK.stopwatch()
     pack = scanner.freeze_world_pack()
-    freeze_seconds = time.perf_counter() - started
+    freeze_seconds = stopwatch.elapsed()
     try:
         rebuild = _best(scanner.spawn_spec().build, 1)
     finally:

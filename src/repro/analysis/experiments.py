@@ -14,7 +14,9 @@ suite's own checkpointed phases as a third study, ``suite``::
 Its stages return plain codec values (findings dicts, table rows, figure
 series), so a resumed suite loads them instead of recomputing them.  The
 timeout study and the surveys (VPS exploration, appdiff, OONI) run after
-the stages on every run, resumed or not.
+the stages on every run, resumed or not.  A checkpointed run also keeps
+the world's base-page lengths at the checkpoint root, and a resume
+loads them before the first study (see :mod:`repro.run.artifacts`).
 
 Paper reference values live in :data:`PAPER_REFERENCE`.  Absolute counts
 are scale-dependent (the synthetic Top-1M is smaller than the real one);
@@ -65,6 +67,7 @@ from repro.datasets.ooni import (
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
 from repro.run import ArtifactSpec, RunContext, Stage, StageStats
+from repro.run.artifacts import load_page_lengths, save_page_lengths
 from repro.websim.policies import ACTION_DROP
 from repro.websim.world import World
 
@@ -167,6 +170,9 @@ class ExperimentSuite:
                                            seed=world.config.seed)
         self.top10k: Optional[Top10KResult] = None
         self.top1m: Optional[Top1MResult] = None
+        #: Resumes that found the checkpoint root's page-length table
+        #: unusable and recomputed the lengths instead.
+        self.page_length_fallbacks = 0
 
     # ------------------------------------------------------------------ #
 
@@ -175,6 +181,23 @@ class ExperimentSuite:
             pool_pairs: int = 60, pool_samples: int = 100,
             cf_rule_zones: int = 120_000) -> ExperimentReport:
         """Run every study, then assemble the report from their outputs."""
+        # Every length-only probe needs its domain's base-page length, a
+        # pure function of the world config that costs ~1 ms to replay.
+        # A resume memoizes the lengths its earlier runs computed, so
+        # pool workers receive them with each chunk as well.
+        table: Dict[str, int] = {}
+        if self.resume and self.checkpoint_dir is not None:
+            try:
+                table = load_page_lengths(
+                    self.checkpoint_dir, self.world.config,
+                    self.world.population)
+            except ValueError as exc:
+                self.page_length_fallbacks += 1
+                # The message, not the exception: a kept log record must
+                # not pin this frame (and the datasets it maps) alive.
+                logger.warning("suite: recomputing base-page lengths: %s",
+                               str(exc))
+            self.world.learn_page_lengths(table)
         logger.info("suite: starting Top-10K study")
         self.top10k = result = run_top10k_study(
             self.world, self.luminati, self.config,
@@ -198,6 +221,8 @@ class ExperimentSuite:
         # The timeout scan and the surveys re-run on every resume: the
         # benchmark's resumed-suite workload (perfbench ``suite-resume``)
         # is defined as checkpoint loads plus exactly this live probing.
+        # Only the base-page lengths they need come from the table a
+        # resume loaded; every probe and fetch still runs.
         # run_study closed the engine; the timeout scan reopens its pool,
         # which the with block closes again.
         with suite.scanner:
@@ -206,6 +231,14 @@ class ExperimentSuite:
             logger.info("suite: starting surveys")
             live.update(_suite_surveys(suite, vps=include_vps,
                                        ooni=include_ooni))
+        if self.checkpoint_dir is not None:
+            known = self.world.known_page_lengths(
+                domain.name for domain in self.world.population)
+            # The table is a subset of what the world knows, so a size
+            # gap means this run computed lengths the table lacks.
+            if len(known) > len(table):
+                save_page_lengths(self.checkpoint_dir, self.world.config,
+                                  known)
         logger.info("suite: done")
         return self._assemble({**suite.artifacts, **live}, suite.stats)
 

@@ -315,7 +315,7 @@ ENVELOPE_FILES = ("repro/util/envelope.py",)
 
 #: Suffixes of files that may only appear by temp-then-rename.
 PROTECTED_SUFFIXES = (".lshd", ".lshw", "manifest.json",
-                      ".jsonl", ".jsonl.gz")
+                      "page-lengths.json", ".jsonl", ".jsonl.gz")
 
 #: Opening calls and path methods the atomic-write rule inspects.
 OPEN_CALLS = frozenset({"open", "io.open", "gzip.open", "bz2.open",

@@ -6,9 +6,19 @@ Layout under the checkpoint root::
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
     <root>/<study>/<stage>.<artifact>.lshd      scan datasets: one
                                                 mmap-loaded LSHD segment
+    <root>/world.page-lengths.json              the world's base-page
+                                                lengths (suite runs)
 
 The stage manifest records each dataset's segment file, row count and
 header fingerprint, so a dataset checkpoint is exactly one file.
+
+The page-length table is keyed by :data:`FORMAT_VERSION` and a SHA-256
+of the ``WorldConfig`` alone (a length is a pure function of world seed,
+domain and category) and carries a SHA-256 of its payload.  It is
+trusted like a stage checkpoint: a table whose version, world key or
+digest disagrees, or that holds a value other than a non-negative int
+for a population name, is ignored as a whole and the lengths are
+recomputed; no loaded value is recomputed to check it.
 
 Every stage is keyed by a **fingerprint**: a SHA-256 over the canonical
 JSON of ``(StudyConfig, WorldConfig, study name, stage name)`` plus an
@@ -41,7 +51,8 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Container, Dict, Iterable, Mapping, Optional, Sequence, \
+    Set
 
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import encode_shard, mapped_dataset
@@ -73,6 +84,11 @@ def _jsonable_config(config: object) -> object:
     return repr(config)
 
 
+def _sha256_json(value: object) -> str:
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def run_fingerprint(study_config: object, world_config: object,
                     study: str, stage: str, salt: str = "") -> str:
     """SHA-256 key of one stage's checkpoint (engine fields excluded)."""
@@ -87,14 +103,79 @@ def run_fingerprint(study_config: object, world_config: object,
         "stage": stage,
         "salt": salt,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256_json(payload)
 
 
 def _atomic_write_json(path: str, payload: object) -> None:
     with atomic_write(path) as handle:
         handle.write(json.dumps(payload,
                                 separators=(",", ":")).encode("utf-8"))
+
+
+# --------------------------------------------------------------------- #
+# The world's base-page lengths
+
+#: File under the checkpoint root holding the base-page length table.
+PAGE_LENGTHS_FILE = "world.page-lengths.json"
+
+
+def world_fingerprint(world_config: object) -> str:
+    """SHA-256 key of the page-length table: the world config alone.
+
+    A base-page length is a pure function of (world seed, domain,
+    category), so no study setting can change one.
+    """
+    return _sha256_json(_jsonable_config(world_config))
+
+
+def save_page_lengths(root: str, world_config: object,
+                      lengths: Mapping[str, int]) -> None:
+    """Write the base-page length table under ``root`` (atomically)."""
+    table = dict(sorted(lengths.items()))
+    os.makedirs(root, exist_ok=True)
+    _atomic_write_json(os.path.join(os.fspath(root), PAGE_LENGTHS_FILE), {
+        "version": FORMAT_VERSION,
+        "world": world_fingerprint(world_config),
+        "digest": _sha256_json(table),
+        "lengths": table,
+    })
+
+
+def load_page_lengths(root: str, world_config: object,
+                      names: Container[str]) -> Dict[str, int]:
+    """The base-page length table under ``root`` (empty without one).
+
+    Raises ValueError, naming the reason, when the table is unusable:
+    unreadable or not JSON, another format version or world, a payload
+    that disagrees with its digest, or an entry that is not a
+    non-negative int for a name in ``names``.
+    """
+    path = os.path.join(os.fspath(root), PAGE_LENGTHS_FILE)
+    try:
+        with open(path, "rb") as handle:
+            table = json.loads(handle.read())
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: unreadable ({exc})") from None
+    if not isinstance(table, dict):
+        raise ValueError(f"{path}: not a length table")
+    if table.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: format version {table.get('version')!r}"
+                         f" is not {FORMAT_VERSION}")
+    if table.get("world") != world_fingerprint(world_config):
+        raise ValueError(f"{path}: written for another world")
+    lengths = table.get("lengths")
+    if not isinstance(lengths, dict) \
+            or table.get("digest") != _sha256_json(lengths):
+        raise ValueError(f"{path}: payload does not match its digest")
+    for name, length in lengths.items():
+        if type(length) is not int or length < 0:
+            raise ValueError(f"{path}: length {length!r} of {name!r} is "
+                             f"not a non-negative int")
+        if name not in names:
+            raise ValueError(f"{path}: {name!r} is not in the population")
+    return lengths
 
 
 class ArtifactStore:

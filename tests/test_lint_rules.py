@@ -815,6 +815,23 @@ OWNERSHIP_CASES = [
         def f(root):
             return (Path(root) / "scan.jsonl.gz").read_bytes()
     """, id="write-bytes"),
+    pytest.param("atomic-write", """
+        import json
+        import os
+
+        def f(root, table):
+            with open(os.path.join(root, "world.page-lengths.json"),
+                      "w") as out:
+                json.dump(table, out)
+    """, """
+        import json
+        import os
+
+        def f(root):
+            with open(os.path.join(root, "world.page-lengths.json"),
+                      "rb") as handle:
+                return json.load(handle)
+    """, id="page-length-table"),
 ]
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import shutil
 
 import pytest
 
+from repro.analysis import experiments as experiments_module
 from repro.analysis.experiments import ExperimentSuite, suite_stages
 from repro.core.pipeline import (
     StudyConfig,
@@ -31,7 +33,14 @@ from repro.lumscan.serialize import dump_dataset, load_dataset
 from repro.lumscan.shards import write_segment_file
 from repro.proxynet.luminati import LuminatiClient
 from repro.run import ArtifactStore, encode_artifact
+from repro.run.artifacts import (
+    FORMAT_VERSION,
+    PAGE_LENGTHS_FILE,
+    load_page_lengths,
+    world_fingerprint,
+)
 from repro.util.envelope import MAGIC_LSHD, read_header
+from repro.websim.content import page_length
 from repro.websim.world import World, WorldConfig
 from tests.conftest import SUITE_TEST_PARAMS, unreferenced_segments
 
@@ -288,8 +297,9 @@ def _drop_suite_manifests(root: str, *stages: str) -> None:
         os.remove(os.path.join(root, "suite", f"{stage}.manifest.json"))
 
 
-def _resume_suite(root: str, config=None, **overrides):
-    """(report, CDN-identification HEAD fetches) of a resumed suite."""
+def _resumed(root: str, config=None, **overrides):
+    """(suite, report, CDN-identification HEAD fetches) of a resumed
+    suite."""
     world = World(WorldConfig.tiny())
     suite = ExperimentSuite(world, study_config=config, checkpoint_dir=root,
                             resume=True)
@@ -303,7 +313,12 @@ def _resume_suite(root: str, config=None, **overrides):
 
     world.fetch = counting_fetch
     report = suite.run(**{**SUITE_TEST_PARAMS, **overrides})
-    return report, len(heads)
+    return suite, report, len(heads)
+
+
+def _resume_suite(root: str, config=None, **overrides):
+    """(report, CDN-identification HEAD fetches) of a resumed suite."""
+    return _resumed(root, config, **overrides)[1:]
 
 
 def _executed(report):
@@ -398,6 +413,132 @@ class TestSuiteResume:
         spawned = {e["stage"]: e["workers_spawned"]
                    for e in report.stage_stats["suite"]}
         assert spawned["observation-pools"] > 0
+        # The parent learned every length from the table before the pool
+        # froze its worldpack, so no worker computed one.
+        assert all(e["worker_page_lengths"] == 0
+                   for e in report.stage_stats["suite"])
         assert not [name for name in os.listdir(suite_dir)
                     if name.startswith("lshd-")]
         assert report.to_markdown() == fresh.to_markdown()
+
+
+# --------------------------------------------------------------------- #
+# The base-page length table under the checkpoint root.
+
+def _digest(lengths) -> str:
+    canonical = json.dumps(lengths, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _edited(edit, sign: bool = True):
+    """A corruption applying ``edit`` to the parsed table; ``sign``
+    re-computes the payload digest, so only the edit is wrong."""
+    def corrupt(raw: bytes) -> bytes:
+        table = json.loads(raw)
+        edit(table)
+        if sign:
+            table["digest"] = _digest(table["lengths"])
+        return json.dumps(table).encode("utf-8")
+    return corrupt
+
+
+def _set_field(key, value):
+    return _edited(lambda table: table.update({key: value}))
+
+
+def _set_length(value, name=None, sign=True):
+    """Set the alphabetically first entry (or ``name``'s) to ``value``."""
+    def edit(table):
+        lengths = table["lengths"]
+        lengths[name or min(lengths)] = value
+    return _edited(edit, sign=sign)
+
+
+#: One corruption per reason a resume must ignore the table.
+_UNUSABLE_TABLES = [
+    pytest.param(_set_field("version", FORMAT_VERSION + 1),
+                 id="format-version"),
+    pytest.param(_set_field("world", world_fingerprint(
+        WorldConfig.tiny(seed=8))), id="other-world"),
+    pytest.param(lambda raw: raw[:len(raw) // 2], id="truncated"),
+    pytest.param(lambda raw: b"\xff not json", id="invalid-json"),
+    pytest.param(_set_length(1, sign=False), id="digest-mismatch"),
+    pytest.param(_set_length("1234"), id="non-int"),
+    pytest.param(_set_length(-1), id="negative"),
+    pytest.param(_set_length(1234, name="not-a-domain.example"),
+                 id="name-not-in-population"),
+]
+
+
+def _table(root: str, world: World):
+    return load_page_lengths(root, world.config, world.population)
+
+
+class TestPageLengthTable:
+    def test_fresh_run_writes_the_lengths_it_computed(self, tiny_suite,
+                                                      tiny_world):
+        lengths = _table(tiny_suite[1], tiny_world)
+        assert len(lengths) > 100
+        for name in sorted(lengths)[::40]:
+            domain = tiny_world.population.get(name)
+            assert lengths[name] == page_length(
+                name, domain.category, seed=tiny_world.config.seed)
+
+    def test_full_resume_computes_no_page_length(self, tiny_suite):
+        fresh, root = tiny_suite
+        suite, report, _ = _resumed(root)
+        assert suite.world.take_computed_page_lengths() == {}
+        assert suite.page_length_fallbacks == 0
+        assert suite.world.fetch_count > 0      # the live phases still ran
+        assert report.to_markdown() == fresh.to_markdown()
+
+    @pytest.mark.parametrize("corrupt", _UNUSABLE_TABLES)
+    def test_unusable_table_is_recomputed(self, tiny_suite, tmp_path,
+                                          caplog, corrupt):
+        fresh, root = tiny_suite
+        root = _copy_checkpoints(root, tmp_path)
+        path = os.path.join(root, PAGE_LENGTHS_FILE)
+        with open(path, "rb") as handle:
+            good = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(corrupt(good))
+        with caplog.at_level(logging.WARNING, logger="repro.experiments"):
+            suite, report, _ = _resumed(root)
+        assert suite.page_length_fallbacks == 1
+        assert "recomputing base-page lengths" in caplog.text
+        assert suite.world.take_computed_page_lengths()
+        assert report.to_markdown() == fresh.to_markdown()
+        # The bad table gave way to the lengths this run computed.
+        original = json.loads(good)["lengths"]
+        assert _table(root, suite.world).items() <= original.items()
+
+    def test_checkpoints_without_a_table_write_it_once(self, tiny_suite,
+                                                       tmp_path,
+                                                       monkeypatch):
+        """A checkpoint root from before the table resumes every stage
+        from disk; the first resume writes the table, the next reads
+        it and writes nothing."""
+        fresh, root = tiny_suite
+        root = _copy_checkpoints(root, tmp_path)
+        os.remove(os.path.join(root, PAGE_LENGTHS_FILE))
+        saves = []
+        save = experiments_module.save_page_lengths
+
+        def counting_save(*args):
+            saves.append(args)
+            save(*args)
+
+        monkeypatch.setattr(experiments_module, "save_page_lengths",
+                            counting_save)
+        suite, report, _ = _resumed(root)
+        assert all(entry["cache_hit"]
+                   for stats in report.stage_stats.values()
+                   for entry in stats)
+        assert suite.page_length_fallbacks == 0
+        assert report.to_markdown() == fresh.to_markdown()
+        assert len(saves) == 1
+        suite, report, _ = _resumed(root)
+        assert len(saves) == 1
+        assert suite.world.take_computed_page_lengths() == {}
+        assert report.to_markdown() == fresh.to_markdown()
+
