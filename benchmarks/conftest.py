@@ -1,24 +1,18 @@
-"""Session-scoped study artifacts shared by all benchmarks.
+"""Session-scoped study artifacts shared by the throughput benchmarks.
 
-Each benchmark regenerates one paper artifact (table/figure) and asserts
-its *shape* against the paper, so the benchmark suite doubles as the
-reproduction harness.  The expensive scans run once per session; the
-benchmarked callables are the artifact-regeneration steps.
+The paper's shape claims are not checked here: claims about a finding
+are rows of :data:`repro.analysis.validation.CLAIMS`, and the table,
+figure and ablation shapes are tier-1 tests in
+``tests/test_analysis_tables.py``, ``tests/test_analysis_figures.py``
+and ``tests/test_study_shapes.py``.  The expensive scan runs once per
+session; the benchmarked callables are the steps timed over it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import (
-    build_observation_pools,
-    run_top10k_study,
-    run_top1m_study,
-)
-from repro.datasets.cloudflare_rules import CloudflareRuleDataset
-from repro.datasets.fortiguard import FortiGuardClient
-from repro.lumscan.scanner import Lumscan
-from repro.proxynet.luminati import LuminatiClient
+from repro.core.pipeline import run_top10k_study
 from repro.websim.world import World, WorldConfig
 
 
@@ -30,27 +24,3 @@ def world() -> World:
 @pytest.fixture(scope="session")
 def top10k(world):
     return run_top10k_study(world)
-
-
-@pytest.fixture(scope="session")
-def top1m(world, top10k):
-    return run_top1m_study(world, registry=top10k.registry)
-
-
-@pytest.fixture(scope="session")
-def fortiguard(world):
-    return FortiGuardClient(world.population, world.taxonomy,
-                            seed=world.config.seed)
-
-
-@pytest.fixture(scope="session")
-def pools(world, top10k):
-    pairs = [(c.domain, c.country) for c in top10k.confirmed][:20]
-    scanner = Lumscan(LuminatiClient(world), seed=1)
-    return build_observation_pools(world, scanner, pairs, top10k.registry,
-                                   samples=100)
-
-
-@pytest.fixture(scope="session")
-def cf_rules():
-    return CloudflareRuleDataset.generate(n_zones=80_000, seed=7)

@@ -22,7 +22,7 @@ import argparse
 import logging
 import sys
 
-from repro.analysis.experiments import PAPER_REFERENCE
+from repro.analysis.validation import PUBLISHED
 from repro.cli import add_run_flags, suite_from_args
 from repro.util.clock import SystemClock
 from repro.util.envelope import atomic_write
@@ -121,7 +121,7 @@ def main() -> int:
     # Print the headline comparison to the console too.
     for key in sorted(report.findings):
         print(f"  {key}: measured={report.findings[key]} "
-              f"paper={PAPER_REFERENCE.get(key, '-')}", flush=True)
+              f"paper={PUBLISHED.get(key, '-')}", flush=True)
     return 0
 
 

@@ -18,9 +18,11 @@ the stages on every run, resumed or not.  A checkpointed run also keeps
 the world's base-page lengths at the checkpoint root, and a resume
 loads them before the first study (see :mod:`repro.run.artifacts`).
 
-Paper reference values live in :data:`PAPER_REFERENCE`.  Absolute counts
-are scale-dependent (the synthetic Top-1M is smaller than the real one);
-the comparisons that must hold are *shapes*: orderings, rates, and ratios.
+The published values the report prints beside the measured ones come
+from the claims table, :data:`repro.analysis.validation.CLAIMS`.
+Absolute counts are scale-dependent (the synthetic Top-1M is smaller
+than the real one); the comparisons that must hold are *shapes*:
+orderings, rates, and ratios.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ logger = logging.getLogger("repro.experiments")
 from repro.analysis import figures as figs
 from repro.analysis import tables as tabs
 from repro.analysis.report import render_figure, render_markdown_table, render_table
+from repro.analysis.validation import PUBLISHED
 from repro.core.appdiff import is_genuine, run_appdiff_study
 from repro.core.identify import identify_by_ns, identify_cdn_customers
 from repro.core.metrics import (
@@ -71,36 +74,6 @@ from repro.run.artifacts import load_page_lengths, save_page_lengths
 from repro.websim.policies import ACTION_DROP
 from repro.websim.world import World
 
-#: Published values used for the paper-vs-measured comparison.
-PAPER_REFERENCE: Dict[str, object] = {
-    "top10k.safe_domains": 8003,
-    "top10k.instances": 596,
-    "top10k.unique_domains": 100,
-    "top10k.countries_blocked": 165,
-    "top10k.median_blocked_per_country": 3,
-    "top10k.max_blocked_syria": 71,
-    "top10k.top_countries": ["SY", "IR", "SD", "CU"],
-    "top10k.appengine_rate": 0.407,
-    "top10k.cloudflare_rate": 0.031,
-    "top10k.cloudfront_rate": 0.014,
-    "top10k.length_recall": 0.583,
-    "table1.clusters": 119,
-    "table1.discovered_cdns": 7,
-    "fig1.frac_below_80_at_20": 0.039,
-    "fig3.fn_at_3": 0.017,
-    "top1m.rate_any": 0.044,
-    "top1m.appengine_rate": 0.168,
-    "top1m.cloudflare_rate": 0.026,
-    "top1m.cloudfront_rate": 0.031,
-    "top1m.top_countries": ["IR", "SD", "SY", "CU"],
-    "top1m.median_blocked_per_country": 4,
-    "ooni.domain_fraction": 0.09,
-    "vps.fp_rate": 0.27,
-    "table9.baseline_enterprise": 0.3707,
-    "table9.baseline_free": 0.0172,
-}
-
-
 @dataclass
 class ExperimentReport:
     """All artifacts produced by a suite run."""
@@ -126,7 +99,7 @@ class ExperimentReport:
             parts.append("")
         parts.append("Headline findings (measured vs paper):")
         for key in sorted(self.findings):
-            paper = PAPER_REFERENCE.get(key, "-")
+            paper = PUBLISHED.get(key, "-")
             parts.append(f"  {key}: measured={self.findings[key]} paper={paper}")
         return "\n".join(parts)
 
@@ -149,7 +122,7 @@ class ExperimentReport:
         parts.append("| Metric | Measured | Paper |")
         parts.append("|---|---|---|")
         for key in sorted(self.findings):
-            paper = PAPER_REFERENCE.get(key, "—")
+            paper = PUBLISHED.get(key, "—")
             parts.append(f"| `{key}` | {self.findings[key]} | {paper} |")
         return "\n".join(parts)
 

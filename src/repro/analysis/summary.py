@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Mapping
 
-from repro.analysis.experiments import PAPER_REFERENCE
+from repro.analysis.validation import paper_pct
 
 
 def _fmt_pct(value: object) -> str:
@@ -37,14 +37,17 @@ def executive_summary(findings: Mapping[str, object]) -> str:
     if "top10k.appengine_rate" in f:
         lines.append(
             "Per-provider adoption among popular-site customers: AppEngine "
-            f"{_fmt_pct(f['top10k.appengine_rate'])} (paper 40.7%), "
-            f"Cloudflare {_fmt_pct(f['top10k.cloudflare_rate'])} (3.1%), "
-            f"CloudFront {_fmt_pct(f['top10k.cloudfront_rate'])} (1.4%).")
+            f"{_fmt_pct(f['top10k.appengine_rate'])} "
+            f"(paper {paper_pct('top10k.appengine_rate')}), "
+            f"Cloudflare {_fmt_pct(f['top10k.cloudflare_rate'])} "
+            f"({paper_pct('top10k.cloudflare_rate')}), "
+            f"CloudFront {_fmt_pct(f['top10k.cloudfront_rate'])} "
+            f"({paper_pct('top10k.cloudfront_rate')}).")
     if "top1m.rate_any" in f:
         lines.append(
             f"In the long-tail study, {_fmt_pct(f['top1m.rate_any'])} of "
             "sampled CDN customers geoblock at least one country "
-            "(paper: 4.4%).")
+            f"(paper: {paper_pct('top1m.rate_any')}).")
     if "top10k.gt_precision" in f:
         lines.append(
             "Against simulator ground truth the confirmed detections score "
@@ -54,7 +57,8 @@ def executive_summary(findings: Mapping[str, object]) -> str:
     if "ooni.domain_fraction" in f:
         lines.append(
             f"{_fmt_pct(f['ooni.domain_fraction'])} of the censorship test "
-            "list shows CDN geoblock pages somewhere (paper: 9%), so "
+            "list shows CDN geoblock pages somewhere "
+            f"(paper: {paper_pct('ooni.domain_fraction')}), so "
             "geoblocking materially confounds censorship measurement.")
     if "timeout.confirmed" in f:
         lines.append(
@@ -73,11 +77,3 @@ def executive_summary(findings: Mapping[str, object]) -> str:
         return "No findings recorded."
     return "\n".join(f"- {line}" for line in lines)
 
-
-def paper_comparison_rows(findings: Mapping[str, object]) -> List[tuple]:
-    """(key, measured, paper) rows for keys with published references."""
-    rows = []
-    for key in sorted(findings):
-        if key in PAPER_REFERENCE:
-            rows.append((key, findings[key], PAPER_REFERENCE[key]))
-    return rows

@@ -86,6 +86,10 @@ class SpawnableScanner(Protocol):
         """Memoize base-page lengths another replica computed."""
         ...
 
-    def take_computed_page_lengths(self) -> Dict[str, int]:
-        """The base-page lengths computed here since the last call."""
+    def page_length_mark(self) -> int:
+        """A mark for :meth:`page_lengths_since`."""
+        ...
+
+    def page_lengths_since(self, mark: int) -> Dict[str, int]:
+        """The base-page lengths memoized here since ``mark`` was taken."""
         ...

@@ -379,11 +379,13 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask],
 
     ``lengths`` holds the base-page lengths the parent already knows for
     the chunk's domains; the worker memoizes them first, so it computes
-    only lengths no replica has reported yet.
+    only lengths no replica has reported yet, and returns the lengths it
+    memoized after them.
     """
     global _WORKER_COUNTS, _WORKER_INIT_INFO
     scanner = _WORKER_SCANNER
     scanner.learn_page_lengths(lengths)
+    mark = scanner.page_length_mark()
     stopwatch = _WORKER_CLOCK.stopwatch()
     data = ScanDataset()
     run = scanner.run_task
@@ -397,7 +399,7 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask],
     init_info, _WORKER_INIT_INFO = _WORKER_INIT_INFO, None
     return ChunkResult(seq, handle, requests - prev_requests,
                        fetches - prev_fetches, len(chunk), elapsed,
-                       init_info, scanner.take_computed_page_lengths())
+                       init_info, scanner.page_lengths_since(mark))
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, pack) -> None:

@@ -259,9 +259,13 @@ class Lumscan:
         """Memoize base-page lengths a worker replica computed."""
         self._luminati.world.learn_page_lengths(lengths)
 
-    def take_computed_page_lengths(self) -> Dict[str, int]:
-        """The lengths this scanner's world computed since the last call."""
-        return self._luminati.world.take_computed_page_lengths()
+    def page_length_mark(self) -> int:
+        """A mark for :meth:`page_lengths_since`."""
+        return self._luminati.world.page_length_mark()
+
+    def page_lengths_since(self, mark: int) -> Dict[str, int]:
+        """The lengths this scanner's world memoized since ``mark``."""
+        return self._luminati.world.page_lengths_since(mark)
 
     def absorb_worker_counts(self, requests: int, fetches: int,
                              token: Optional[str] = None,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.httpsim.messages import BodyPolicy, Headers, Request, Response
@@ -251,11 +252,10 @@ class World:
         # Lengths are 28-byte ints — an unbounded memo over the population
         # is cheaper than any eviction policy could ever be.  Clearance
         # grants are add-only and commutative, so both tables satisfy the
-        # MemoDict idempotent-write contract on worker paths.
+        # MemoDict idempotent-write contract on worker paths.  No length
+        # is ever removed, so insertion order tells a worker which
+        # lengths a chunk added (see page_lengths_since).
         self._page_length_cache: MemoDict[str, int] = MemoDict()
-        # The subset this world computed itself and nobody collected yet:
-        # process-pool workers hand these to the parent after each chunk.
-        self._fresh_lengths: MemoDict[str, int] = MemoDict()
         self._clearances: MemoDict[str, set] = MemoDict()
         self._fetch_count = ShardedCounter()
         # Read-only views into a mapped worldpack: (sorted rank-1 index
@@ -514,7 +514,6 @@ class World:
                 length = page_length(domain.name, domain.category,
                                      seed=self.config.seed)
             self._page_length_cache[domain.name] = length
-            self._fresh_lengths[domain.name] = length
         return length
 
     def known_page_lengths(self, names: Iterable[str]) -> Dict[str, int]:
@@ -530,11 +529,19 @@ class World:
         """
         self._page_length_cache.update(lengths)
 
-    def take_computed_page_lengths(self) -> Dict[str, int]:
-        """The lengths this world computed since the last call."""
-        fresh = dict(self._fresh_lengths)
-        self._fresh_lengths.clear()
-        return fresh
+    def page_length_mark(self) -> int:
+        """A mark for :meth:`page_lengths_since`: the memo's size now."""
+        return len(self._page_length_cache)
+
+    def page_lengths_since(self, mark: int) -> Dict[str, int]:
+        """The lengths memoized after :meth:`page_length_mark` gave ``mark``.
+
+        The memo only grows, in insertion order, so they are its last
+        entries; reading them costs nothing per probe.
+        """
+        added = islice(reversed(self._page_length_cache.items()),
+                       len(self._page_length_cache) - mark)
+        return dict(reversed(list(added)))
 
     def _frozen_length(self, domain: Domain) -> Optional[int]:
         """The domain's base-page length from a mapped worldpack, if any.

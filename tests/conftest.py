@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis.experiments import ExperimentSuite
 from repro.core.fingerprints import FingerprintRegistry
-from repro.core.pipeline import run_top10k_study
+from repro.core.pipeline import run_top10k_study, run_top1m_study
+from repro.datasets.cloudflare_rules import CloudflareRuleDataset
 from repro.proxynet.luminati import LuminatiClient
 from repro.util.envelope import ledger
 from repro.websim.world import World, WorldConfig
@@ -81,6 +82,18 @@ def nano_top10k(nano_world):
 def tiny_top10k(tiny_world):
     """A full Top-10K study over the tiny world (read-only)."""
     return run_top10k_study(tiny_world)
+
+
+@pytest.fixture(scope="session")
+def tiny_top1m(tiny_world, tiny_top10k):
+    """A full Top-1M study over the tiny world (read-only)."""
+    return run_top1m_study(tiny_world, registry=tiny_top10k.registry)
+
+
+@pytest.fixture(scope="session")
+def cf_rules() -> CloudflareRuleDataset:
+    """The Cloudflare firewall-rule dataset at 80,000 zones (read-only)."""
+    return CloudflareRuleDataset.generate(n_zones=80_000, seed=7)
 
 
 def unreferenced_segments(root) -> list:

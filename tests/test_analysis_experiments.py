@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.experiments import ExperimentReport, PAPER_REFERENCE
+from repro.analysis.experiments import ExperimentReport
+from repro.analysis.validation import PUBLISHED
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ class TestSuiteRun:
     def test_baseline_tracks_table9(self, report):
         measured = report.findings["table9.baseline_enterprise"]
         assert measured == pytest.approx(
-            PAPER_REFERENCE["table9.baseline_enterprise"], rel=0.3)
+            PUBLISHED["table9.baseline_enterprise"], rel=0.3)
 
 
 class TestReportRendering:

@@ -1,6 +1,6 @@
 """Tests for the executive-summary generator."""
 
-from repro.analysis.summary import executive_summary, paper_comparison_rows
+from repro.analysis.summary import executive_summary
 
 
 def _findings():
@@ -48,20 +48,3 @@ class TestExecutiveSummary:
         assert "timeout-geoblocking detector" in text
         assert "feature-removal" in text
 
-
-class TestPaperComparisonRows:
-    def test_only_referenced_keys(self):
-        rows = paper_comparison_rows({
-            "top10k.instances": 500,
-            "made.up.key": 1,
-        })
-        assert len(rows) == 1
-        key, measured, paper = rows[0]
-        assert key == "top10k.instances"
-        assert measured == 500
-        assert paper == 596
-
-    def test_sorted_by_key(self):
-        rows = paper_comparison_rows(_findings())
-        keys = [r[0] for r in rows]
-        assert keys == sorted(keys)

@@ -1,7 +1,9 @@
 """Tests for the shape-validation checks."""
 
 from repro.analysis.validation import (
+    CLAIMS,
     CheckResult,
+    PUBLISHED,
     render_validation,
     validate_findings,
 )
@@ -28,8 +30,8 @@ def _good_findings():
         "ooni.domain_fraction": 0.09,
         "ooni.control_403": 36_000,
         "ooni.local_blocked_control_ok": 14_000,
-        "vps.iran_403": 707,
-        "vps.us_403": 69,
+        "vps.iran_blockpage": 707,
+        "vps.us_blockpage": 69,
         "vps.fp_rate": 0.27,
     }
 
@@ -71,6 +73,31 @@ class TestValidateFindings:
         results = validate_findings(findings)
         check = next(r for r in results if "enterprise >> free" in r.name)
         assert check.passed  # ratio against epsilon is huge
+
+    def test_detail_cites_the_published_value(self):
+        results = validate_findings({"top1m.rate_any": 0.05})
+        assert results[0].detail == "rate=0.05 (paper 4.4%)"
+
+
+class TestClaimsTable:
+    def test_one_published_value_and_unique_check_names(self):
+        published = [c.key for c in CLAIMS if c.paper is not None]
+        assert len(published) == len(set(published)) == len(PUBLISHED)
+        checks = [c.check for c in CLAIMS if c.holds is not None]
+        assert len(checks) == len(set(checks))
+        assert all(checks)
+
+    def test_every_key_is_a_suite_finding(self, tiny_suite):
+        findings = tiny_suite[0].findings
+        assert [c.key for c in CLAIMS if c.key not in findings] == []
+
+    def test_suite_verdicts(self, tiny_suite):
+        # The one known failure: the VPS model yields no ZGrab false
+        # positives at tiny scale (fp_rate 0.0 against the paper's 27%).
+        results = validate_findings(tiny_suite[0].findings)
+        assert len(results) == sum(c.holds is not None for c in CLAIMS)
+        assert {r.name for r in results if not r.passed} == {
+            "vps: ZGrab shows nontrivial false positives"}
 
 
 class TestRendering:

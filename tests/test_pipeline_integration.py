@@ -5,7 +5,6 @@ import pytest
 from repro.core.metrics import score_confirmed_blocks
 from repro.core.pipeline import (
     build_safe_list,
-    run_top1m_study,
     run_vps_exploration,
 )
 from repro.datasets.alexa import AlexaList
@@ -81,11 +80,6 @@ class TestBuildSafeList:
         citizenlab = CitizenLabList(tiny_world.population, tiny_world.taxonomy,
                                     seed=tiny_world.config.seed)
         assert all(d not in citizenlab for d in safe)
-
-
-@pytest.fixture(scope="session")
-def tiny_top1m(tiny_world, tiny_top10k):
-    return run_top1m_study(tiny_world, registry=tiny_top10k.registry)
 
 
 class TestTop1MStudy:

@@ -40,6 +40,7 @@ from repro.run.artifacts import (
     world_fingerprint,
 )
 from repro.util.envelope import MAGIC_LSHD, read_header
+from repro.websim import world as world_module
 from repro.websim.content import page_length
 from repro.websim.world import World, WorldConfig
 from tests.conftest import SUITE_TEST_PARAMS, unreferenced_segments
@@ -474,6 +475,23 @@ def _table(root: str, world: World):
     return load_page_lengths(root, world.config, world.population)
 
 
+def _memo(world: World):
+    """Every base-page length the world has memoized."""
+    return world.known_page_lengths(d.name for d in world.population)
+
+
+def _count_computed(monkeypatch) -> list:
+    """The domains whose base-page length a world computes from now on."""
+    computed = []
+
+    def counting_page_length(name, *args, **kwargs):
+        computed.append(name)
+        return page_length(name, *args, **kwargs)
+
+    monkeypatch.setattr(world_module, "page_length", counting_page_length)
+    return computed
+
+
 class TestPageLengthTable:
     def test_fresh_run_writes_the_lengths_it_computed(self, tiny_suite,
                                                       tiny_world):
@@ -484,17 +502,21 @@ class TestPageLengthTable:
             assert lengths[name] == page_length(
                 name, domain.category, seed=tiny_world.config.seed)
 
-    def test_full_resume_computes_no_page_length(self, tiny_suite):
+    def test_full_resume_computes_no_page_length(self, tiny_suite,
+                                                 tiny_world, monkeypatch):
         fresh, root = tiny_suite
+        before = _table(root, tiny_world)
+        computed = _count_computed(monkeypatch)
         suite, report, _ = _resumed(root)
-        assert suite.world.take_computed_page_lengths() == {}
+        assert computed == []
+        assert _memo(suite.world) == before
         assert suite.page_length_fallbacks == 0
         assert suite.world.fetch_count > 0      # the live phases still ran
         assert report.to_markdown() == fresh.to_markdown()
 
     @pytest.mark.parametrize("corrupt", _UNUSABLE_TABLES)
     def test_unusable_table_is_recomputed(self, tiny_suite, tmp_path,
-                                          caplog, corrupt):
+                                          caplog, monkeypatch, corrupt):
         fresh, root = tiny_suite
         root = _copy_checkpoints(root, tmp_path)
         path = os.path.join(root, PAGE_LENGTHS_FILE)
@@ -502,15 +524,33 @@ class TestPageLengthTable:
             good = handle.read()
         with open(path, "wb") as handle:
             handle.write(corrupt(good))
+        computed = _count_computed(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="repro.experiments"):
             suite, report, _ = _resumed(root)
         assert suite.page_length_fallbacks == 1
         assert "recomputing base-page lengths" in caplog.text
-        assert suite.world.take_computed_page_lengths()
+        assert computed
         assert report.to_markdown() == fresh.to_markdown()
         # The bad table gave way to the lengths this run computed.
         original = json.loads(good)["lengths"]
         assert _table(root, suite.world).items() <= original.items()
+
+    def test_chunk_reports_what_it_computed_not_what_it_learned(self):
+        # A pool worker learns the parent's lengths, takes a mark, runs
+        # its chunk, and reports the lengths memoized since the mark.
+        world = World(WorldConfig.nano())
+        domains = list(world.population)[:6]
+        truth = {d.name: page_length(d.name, d.category,
+                                     seed=world.config.seed)
+                 for d in domains}
+        world.learn_page_lengths({d.name: truth[d.name] for d in domains[::2]})
+        mark = world.page_length_mark()
+        for domain in domains:
+            world._page_length(domain)
+        computed = [d.name for d in domains[1::2]]
+        assert world.page_lengths_since(mark) == {n: truth[n] for n in computed}
+        assert list(world.page_lengths_since(mark)) == computed
+        assert world.page_lengths_since(world.page_length_mark()) == {}
 
     def test_checkpoints_without_a_table_write_it_once(self, tiny_suite,
                                                        tmp_path,
@@ -537,8 +577,11 @@ class TestPageLengthTable:
         assert suite.page_length_fallbacks == 0
         assert report.to_markdown() == fresh.to_markdown()
         assert len(saves) == 1
+        before = _table(root, suite.world)
+        computed = _count_computed(monkeypatch)
         suite, report, _ = _resumed(root)
         assert len(saves) == 1
-        assert suite.world.take_computed_page_lengths() == {}
+        assert computed == []
+        assert _memo(suite.world) == before
         assert report.to_markdown() == fresh.to_markdown()
 
