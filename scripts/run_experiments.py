@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
+import resource
 import sys
 
 from repro.analysis.validation import PUBLISHED
@@ -30,8 +32,8 @@ from repro.websim.world import World, WorldConfig
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
-Generated by `scripts/run_experiments.py --scale {scale}` (seed {seed});
-world size {size} domains, {countries} countries, runtime {minutes:.1f} min.
+Generated by `scripts/run_experiments.py --scale {scale} --workers {workers} --executor {executor}{resume}` (seed {seed}) on {cpus} cpus;
+world size {size} domains, {countries} countries, runtime {minutes:.1f} min, peak RSS {rss_self:.0f} MB (main process) and {rss_workers:.0f} MB (largest child process).
 
 The synthetic Top-1M is scaled down (see DESIGN.md §2); absolute counts
 scale with population size, so the comparisons that matter are *shapes*:
@@ -97,9 +99,17 @@ def main() -> int:
                   f"{spawn}",
                   flush=True)
 
-    body = HEADER.format(scale=args.scale, seed=args.seed,
-                         size=len(world.population),
-                         countries=len(world.registry), minutes=minutes)
+    # ru_maxrss is in KiB on Linux; the children's figure is the largest
+    # single child process that has exited, not a sum over the pool.
+    body = HEADER.format(
+        scale=args.scale, seed=args.seed, workers=max(1, args.workers),
+        executor=args.executor, resume=" --resume" if args.resume else "",
+        cpus=os.cpu_count() or 1,
+        size=len(world.population),
+        countries=len(world.registry), minutes=minutes,
+        rss_self=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        rss_workers=resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
     body += report.to_markdown() + "\n"
     with atomic_write(args.out) as handle:
         handle.write(body.encode("utf-8"))
@@ -110,7 +120,6 @@ def main() -> int:
         save_report(report, args.save_json)
         print(f"wrote {args.save_json}", flush=True)
     if args.figures_dir:
-        import os
         from repro.analysis.svgplot import save_svg
         os.makedirs(args.figures_dir, exist_ok=True)
         for key, figure in sorted(report.figures.items()):

@@ -252,12 +252,15 @@ class ExperimentSuite:
         self._top10k_findings(report, result, recall_rows,
                               artifacts["cdn_rates"])
 
-        if "figure1" in artifacts:
-            report.figures["figure1"] = figs.FigureData.from_plain(
-                artifacts["figure1"])
-            report.figures["figure3"] = figs.FigureData.from_plain(
-                artifacts["figure3"])
-            report.findings.update(artifacts["pool_findings"])
+        if "pool_counts" in artifacts:
+            figure1 = figs.figure1(artifacts["pool_counts"])
+            figure3 = figs.figure3(artifacts["pool_counts"])
+            report.figures["figure1"] = figure1
+            report.figures["figure3"] = figure3
+            fn_curve = dict(figure3.series["false negatives"])
+            report.findings["fig1.frac_below_80_at_20"] = round(
+                figs.figure1_stat(figure1, size=20), 4)
+            report.findings["fig3.fn_at_3"] = round(fn_curve[3.0], 4)
 
         if self.top1m is not None:
             report.stage_stats["top1m"] = [s.as_dict()
@@ -352,8 +355,7 @@ def suite_stages(pool_pairs: int, pool_samples: int, cf_rule_zones: int,
     if pools:
         stages.append(Stage(
             "observation-pools",
-            (ArtifactSpec("figure1"), ArtifactSpec("figure3"),
-             ArtifactSpec("pool_findings")),
+            (ArtifactSpec("pool_counts"),),
             functools.partial(_suite_observation_pools, pairs=pool_pairs,
                               samples=pool_samples),
             salt=_params_salt(pool_pairs=pool_pairs,
@@ -388,23 +390,13 @@ def _suite_cdn_rates(ctx: RunContext) -> Dict[str, object]:
 
 def _suite_observation_pools(ctx: RunContext, pairs: int,
                              samples: int) -> Dict[str, object]:
-    """§4.1.4 sampling statistics: Figures 1 and 3 over resampled pools."""
+    """§4.1.4 sampling statistics: per-pair (hits, pool size) over
+    resampled pools, from which the report builds Figures 1 and 3."""
     result = ctx.extras["top10k"]
     confirmed = [(c.domain, c.country) for c in result.confirmed][:pairs]
-    pools = build_observation_pools(ctx.world, ctx.scanner, confirmed,
-                                    result.registry, samples=samples)
-    figure1 = figs.figure1(pools)
-    figure3 = figs.figure3(pools)
-    fn_curve = {int(x): y for x, y in figure3.series["false negatives"]}
-    return {
-        "figure1": figure1.to_plain(),
-        "figure3": figure3.to_plain(),
-        "pool_findings": {
-            "fig1.frac_below_80_at_20": round(
-                figs.figure1_stat(figure1, size=20), 4),
-            "fig3.fn_at_3": round(fn_curve.get(3, 0.0), 4),
-        },
-    }
+    return {"pool_counts": build_observation_pools(
+        ctx.world, ctx.scanner, confirmed, result.registry,
+        samples=samples)}
 
 
 def _suite_cloudflare_rules(ctx: RunContext, zones: int) -> Dict[str, object]:

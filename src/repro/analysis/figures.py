@@ -40,12 +40,13 @@ class FigureData:
     def to_plain(self) -> Dict[str, object]:
         """Checkpoint form: the labels, and each series as ``[xs, ys]``.
 
-        Figure 1 carries 48,000 points at benchmark scale.  As two flat
-        columns per series its checkpoint loads 0.16 s faster and peaks
-        4.8 MB lower than as one ``[x, y]`` list per point (perfbench
-        ``suite-resume``, 2-vCPU VM), because decoding then allocates a
-        handful of lists rather than one per point.  Saved reports keep
-        their ``[x, y]`` point lists (:mod:`repro.analysis.store`).
+        Figure 5, checkpointed by the suite's ``cloudflare-rules`` stage
+        beside Table 9's rows, carries 731 points over five series at
+        120,000 zones.  As two flat columns per series it decodes in
+        0.36 ms against 0.82 ms as one ``[x, y]`` list per point (best
+        of 50, 2-vCPU VM), because decoding then allocates a handful of
+        lists rather than one per point.  Saved reports keep their
+        ``[x, y]`` point lists (:mod:`repro.analysis.store`).
         """
         return {"title": self.title, "x_label": self.x_label,
                 "y_label": self.y_label,
@@ -71,29 +72,29 @@ def _cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
-def figure1(pools: Mapping[Tuple[str, str], Sequence[bool]],
-            sizes: Sequence[int] = (1, 3, 5, 10, 20, 50),
-            draws: int = 500, seed: int = 0) -> FigureData:
-    """Figure 1: CDF of observed geoblocking rate per sample size."""
+def figure1(counts: Mapping[Tuple[str, str], Tuple[int, int]],
+            sizes: Sequence[int] = (1, 3, 5, 10, 20, 50)) -> FigureData:
+    """Figure 1: CDF of observed geoblocking rate per sample size, from
+    each pair's (hits, pool size)."""
     figure = FigureData(
         title="Figure 1: Consistency for various sample rates",
         x_label="observed geoblocking rate",
-        y_label="CDF over (pair, draw)",
+        y_label="CDF averaged over pairs",
     )
-    combined = consistency_cdf(pools, sizes, draws=draws, seed=seed)
+    cdf = consistency_cdf(counts, sizes)
     for size in sizes:
-        figure.add_series(f"samples={size}", _cdf_points(combined[size]))
+        figure.add_series(f"samples={size}",
+                          [(float(rate), float(p)) for rate, p in cdf[size]])
     return figure
 
 
 def figure1_stat(figure: FigureData, size: int = 20,
                  rate_threshold: float = 0.8) -> float:
-    """The §4.1.4 headline: fraction of draws below an 80% block rate."""
-    points = figure.series.get(f"samples={size}", [])
-    if not points:
-        return 0.0
-    below = sum(1 for rate, _ in points if rate < rate_threshold)
-    return below / len(points)
+    """The §4.1.4 headline: P(a draw's block rate < 80%), averaged over
+    pairs — the CDF at the largest attainable rate below the threshold."""
+    below = [p for rate, p in figure.series.get(f"samples={size}", [])
+             if rate < rate_threshold]
+    return below[-1] if below else 0.0
 
 
 def figure2(dataset: ScanDataset,
@@ -141,18 +142,17 @@ def figure2(dataset: ScanDataset,
     return figure
 
 
-def figure3(pools: Mapping[Tuple[str, str], Sequence[bool]],
-            sizes: Sequence[int] = (1, 2, 3, 4, 5, 6, 8, 10),
-            draws: int = 500, seed: int = 0) -> FigureData:
+def figure3(counts: Mapping[Tuple[str, str], Tuple[int, int]],
+            sizes: Sequence[int] = (1, 2, 3, 4, 5, 6, 8, 10)) -> FigureData:
     """Figure 3: false-negative rate of the initial sample size."""
-    curve = false_negative_curve(pools, sizes, draws=draws, seed=seed)
+    curve = false_negative_curve(counts, sizes)
     figure = FigureData(
         title="Figure 3: False negative rate for known geoblockers",
         x_label="samples per (domain, country) pair",
         y_label="false negative rate",
     )
     figure.add_series("false negatives",
-                      [(float(size), curve[size]) for size in sizes])
+                      [(float(size), float(curve[size])) for size in sizes])
     return figure
 
 

@@ -38,7 +38,6 @@ logger = logging.getLogger("repro.pipeline")
 from repro.core.classify import (
     VERDICT_AMBIGUOUS,
     VERDICT_CHALLENGE,
-    VERDICT_EXPLICIT,
     classify_body,
     classify_samples,
 )
@@ -49,6 +48,7 @@ from repro.core.identify import CDNPopulation, identify_by_ns, identify_cdn_cust
 from repro.core.lengths import Outlier, extract_outliers, representative_lengths
 from repro.core.resample import (
     ConfirmedBlock,
+    block_rates,
     confirm_blocks,
     find_candidate_pairs,
 )
@@ -757,14 +757,10 @@ def build_observation_pools(world: World, scanner: Scanner,
                             pairs: Sequence[Tuple[str, str]],
                             registry: Optional[FingerprintRegistry] = None,
                             samples: int = 100,
-                            epoch: int = 1) -> Dict[Tuple[str, str], List[bool]]:
-    """Probe each pair ``samples`` times; True = explicit block page seen."""
-    reg = registry or FingerprintRegistry.default()
+                            epoch: int = 1
+                            ) -> Dict[Tuple[str, str], Tuple[int, int]]:
+    """Probe each pair ``samples`` times; per pair, (explicit block pages
+    seen, samples taken)."""
     data = scanner.resample(list(pairs), samples, epoch=epoch)
-    pools: Dict[Tuple[str, str], List[bool]] = {}
-    memo: Dict[str, object] = {}
-    for domain, country, samples_list in data.pairs():
-        pool = pools.setdefault((domain, country), [])
-        for verdict in classify_samples(samples_list, reg, cache=memo):
-            pool.append(verdict.kind == VERDICT_EXPLICIT)
-    return pools
+    return {pair: (hits, total)
+            for pair, (hits, total, _) in block_rates(data, registry).items()}

@@ -9,8 +9,10 @@ behind Figures 1, 3, and 4.
 
 from __future__ import annotations
 
-import random
+import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classify import (
@@ -145,75 +147,62 @@ def confirm_blocks(initial: ScanDataset, resampled: ScanDataset,
 
 
 # --------------------------------------------------------------------- #
-# Sampling-statistics experiments (Figures 1, 3, 4)
+# Sampling statistics (Figures 1 and 3), exact over per-pair hit counts.
+# A pair's pool of n samples holds h block pages; a draw of k = min(size,
+# n) of them without replacement shows a hypergeometric number of hits.
 
 
-def draw_block_rates(pool: Sequence[bool], sizes: Sequence[int],
-                     draws: int = 500, seed: int = 0
-                     ) -> Dict[int, List[float]]:
-    """For each sample size, the block rate in ``draws`` random subsamples.
+def hit_distribution(hits: int, n: int, size: int) -> List[Fraction]:
+    """P(j block pages) for j = 0..k in a draw of k = min(size, n) of a
+    pool's ``n`` samples (``n`` >= 1), ``hits`` of them block pages:
+    C(hits, j) C(n - hits, k - j) / C(n, k)."""
+    k = min(size, n)
+    draws = math.comb(n, k)
+    return [Fraction(math.comb(hits, j) * math.comb(n - hits, k - j), draws)
+            for j in range(k + 1)]
 
-    ``pool`` is the per-sample block indicator for one (domain, country)
-    pair's 100-sample pool.  Used for Figure 1.
+
+def consistency_cdf(counts: Mapping[Tuple[str, str], Tuple[int, int]],
+                    sizes: Sequence[int]
+                    ) -> Dict[int, List[Tuple[Fraction, Fraction]]]:
+    """Figure 1: per size, the pair-averaged CDF of a draw's block rate.
+
+    ``counts`` maps each pair to (hits, n).  Each point is (rate, mean
+    over pairs of P(observed rate <= rate)), one per rate j/k a draw of
+    that size can show.
     """
-    rng = random.Random(seed)
-    out: Dict[int, List[float]] = {}
-    n = len(pool)
+    # Pairs with equal counts share one distribution (most pools are
+    # all hits), so each distinct (hits, n) is expanded once.
+    pools = Counter(counts.values())
+    out: Dict[int, List[Tuple[Fraction, Fraction]]] = {}
     for size in sizes:
-        k = min(size, n)
-        rates: List[float] = []
-        for _ in range(draws):
-            picked = rng.sample(range(n), k)
-            rates.append(sum(1 for i in picked if pool[i]) / k)
-        out[size] = rates
+        mass: Dict[Fraction, Fraction] = {}
+        for (hits, n), pairs in pools.items():
+            k = min(size, n)
+            for j, p in enumerate(hit_distribution(hits, n, size)):
+                rate = Fraction(j, k)
+                mass[rate] = mass.get(rate, 0) + pairs * p
+        cdf = Fraction(0)
+        points: List[Tuple[Fraction, Fraction]] = []
+        for rate in sorted(mass):
+            cdf += mass[rate]
+            points.append((rate, cdf / len(counts)))
+        out[size] = points
     return out
 
 
-def consistency_cdf(pools: Mapping[Tuple[str, str], Sequence[bool]],
-                    sizes: Sequence[int], draws: int = 500,
-                    seed: int = 0) -> Dict[int, List[float]]:
-    """Figure 1: pooled per-draw block rates across all pairs, per size."""
-    combined: Dict[int, List[float]] = {size: [] for size in sizes}
-    for idx, (key, pool) in enumerate(sorted(pools.items())):
-        rates = draw_block_rates(pool, sizes, draws=draws, seed=seed + idx)
-        for size in sizes:
-            combined[size].extend(rates[size])
-    return combined
-
-
-def false_negative_curve(pools: Mapping[Tuple[str, str], Sequence[bool]],
-                         sizes: Sequence[int], draws: int = 500,
-                         seed: int = 0) -> Dict[int, float]:
-    """Figure 3: fraction of draws with *zero* block pages, per size.
+def false_negative_curve(counts: Mapping[Tuple[str, str], Tuple[int, int]],
+                         sizes: Sequence[int]) -> Dict[int, Fraction]:
+    """Figure 3: per size, the pair-averaged chance that a draw shows
+    *zero* block pages, C(n - h, k) / C(n, k).
 
     For known-geoblocking pairs the block page should appear every time;
     a zero-hit draw reflects proxy noise, transient failures, and local
     filtering — the false-negative risk of a small initial sample size.
     """
-    out: Dict[int, float] = {}
+    out: Dict[int, Fraction] = {}
     for size in sizes:
-        misses = 0
-        total = 0
-        rng = random.Random(seed + size)
-        for key in sorted(pools):
-            pool = pools[key]
-            n = len(pool)
-            k = min(size, n)
-            for _ in range(draws):
-                picked = rng.sample(range(n), k)
-                total += 1
-                if not any(pool[i] for i in picked):
-                    misses += 1
-        out[size] = (misses / total) if total else 0.0
+        misses = sum((hit_distribution(hits, n, size)[0]
+                      for hits, n in counts.values()), Fraction(0))
+        out[size] = misses / len(counts) if counts else misses
     return out
-
-
-def agreement_distribution(confirmed_rates: Mapping[Tuple[str, str], Tuple[int, int]]
-                           ) -> List[float]:
-    """Figure 4 input: per-pair block-page agreement fractions."""
-    values = []
-    for hits, total in confirmed_rates.values():
-        if total > 0:
-            values.append(hits / total)
-    values.sort()
-    return values

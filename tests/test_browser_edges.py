@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.classify import VERDICT_EXPLICIT, classify_samples
 from repro.core.pipeline import build_observation_pools
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.browser import InteractiveBrowser
@@ -74,9 +75,9 @@ class TestObservationPools:
         pools = build_observation_pools(nano_world, scanner, pairs,
                                         nano_top10k.registry, samples=15)
         assert set(pools) == set(pairs)
-        for pool in pools.values():
-            assert len(pool) == 15
-            assert all(isinstance(v, bool) for v in pool)
+        for hits, samples in pools.values():
+            assert samples == 15
+            assert isinstance(hits, int) and 0 <= hits <= samples
 
     def test_known_blockers_mostly_true(self, nano_world, nano_top10k):
         pairs = [(c.domain, c.country) for c in nano_top10k.confirmed][:3]
@@ -85,5 +86,32 @@ class TestObservationPools:
         scanner = Lumscan(LuminatiClient(nano_world), seed=3)
         pools = build_observation_pools(nano_world, scanner, pairs,
                                         nano_top10k.registry, samples=20)
-        for pool in pools.values():
-            assert sum(pool) / len(pool) >= 0.6
+        for hits, samples in pools.values():
+            assert hits / samples >= 0.6
+
+    def test_counts_match_per_sample_classification(self, tiny_world,
+                                                    tiny_top10k):
+        """The pool counts equal one explicit-verdict tally per sample
+        over the same resampled dataset (the tiny study's pools)."""
+        pairs = [(c.domain, c.country) for c in tiny_top10k.confirmed][:20]
+        data = Lumscan(LuminatiClient(tiny_world), seed=1).resample(
+            pairs, 100, epoch=1)
+        expected = {}
+        memo = {}
+        for domain, country, samples in data.pairs():
+            hits, total = expected.get((domain, country), (0, 0))
+            verdicts = classify_samples(samples, tiny_top10k.registry,
+                                        cache=memo)
+            expected[(domain, country)] = (
+                hits + sum(v.kind == VERDICT_EXPLICIT for v in verdicts),
+                total + len(verdicts))
+
+        class Replay:
+            def resample(self, pairs, samples, epoch):
+                return data
+
+        pools = build_observation_pools(tiny_world, Replay(), pairs,
+                                        tiny_top10k.registry, samples=100)
+        assert list(pools.items()) == list(expected.items())
+        assert sum(total for _, total in pools.values()) == 100 * len(pairs)
+        assert any(hits < total for hits, total in pools.values())

@@ -1,17 +1,20 @@
 """Tests for the 3/20-sample confirmation protocol and sampling curves."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
 from repro.core.resample import (
-    agreement_distribution,
     block_rates,
     confirm_blocks,
     consistency_cdf,
-    draw_block_rates,
     false_negative_curve,
     find_candidate_pairs,
+    hit_distribution,
 )
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.websim import blockpages
@@ -138,41 +141,120 @@ class TestConfirmBlocks:
         assert confirmed == []  # 13/23 = 56% < 80%
 
 
+def _enumerated_rates(hits, n, size):
+    """The block rate of every k-subset of a pool, k = min(size, n)."""
+    k = min(size, n)
+    return [Fraction(sum(1 for i in subset if i < hits), k)
+            for subset in itertools.combinations(range(n), k)]
+
+
+#: Up to four pairs' (hits, n) with pools of at most 12 samples.
+_small_counts = st.lists(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(st.integers(min_value=0, max_value=n),
+                            st.just(n))),
+    min_size=1, max_size=4).map(
+        lambda pools: {(f"d{i}.com", "IR"): pool
+                       for i, pool in enumerate(pools)})
+
+
 class TestSamplingCurves:
-    def test_draw_block_rates_bounds(self):
-        pool = [True] * 90 + [False] * 10
-        rates = draw_block_rates(pool, sizes=[1, 5, 20], draws=200, seed=1)
-        for size, values in rates.items():
-            assert len(values) == 200
-            assert all(0.0 <= v <= 1.0 for v in values)
+    def test_cdf_bounds(self):
+        cdf = consistency_cdf({("a.com", "IR"): (90, 100)}, sizes=[1, 5, 20])
+        for size, points in cdf.items():
+            assert [rate for rate, _ in points] == \
+                [Fraction(j, size) for j in range(size + 1)]
+            assert all(0 <= p <= 1 for _, p in points)
+            assert points[-1][1] == 1
 
     def test_bigger_samples_concentrate(self):
-        pool = [True] * 85 + [False] * 15
-        rates = draw_block_rates(pool, sizes=[2, 50], draws=400, seed=2)
-        import statistics
-        assert (statistics.pstdev(rates[50]) < statistics.pstdev(rates[2]))
+        cdf = consistency_cdf({("a.com", "IR"): (85, 100)}, sizes=[2, 50])
+
+        def variance(points):
+            masses = [p - q for (_, p), (_, q)
+                      in zip(points, [(0, 0)] + points)]
+            mean = sum(r * m for (r, _), m in zip(points, masses))
+            return sum((r - mean) ** 2 * m
+                       for (r, _), m in zip(points, masses))
+        assert variance(cdf[50]) < variance(cdf[2])
 
     def test_consistency_cdf_combines_pairs(self):
-        pools = {("a.com", "IR"): [True] * 95 + [False] * 5,
-                 ("b.com", "SY"): [True] * 80 + [False] * 20}
-        combined = consistency_cdf(pools, sizes=[20], draws=100, seed=0)
-        assert len(combined[20]) == 200
+        pools = {("a.com", "IR"): (95, 100), ("b.com", "SY"): (80, 100)}
+        combined = consistency_cdf(pools, sizes=[20])
+        alone = [consistency_cdf({pair: pool}, sizes=[20])[20]
+                 for pair, pool in pools.items()]
+        assert len(combined[20]) == 21
+        for (rate, p), (rate_a, p_a), (rate_b, p_b) in zip(combined[20],
+                                                           *alone):
+            assert rate == rate_a == rate_b
+            assert p == (p_a + p_b) / 2
 
     def test_false_negative_curve_decreases(self):
-        pool = [True] * 70 + [False] * 30
-        pools = {("a.com", "IR"): pool}
-        curve = false_negative_curve(pools, sizes=[1, 3, 10], draws=500, seed=0)
+        pools = {("a.com", "IR"): (70, 100)}
+        curve = false_negative_curve(pools, sizes=[1, 3, 10])
         assert curve[1] > curve[3] > curve[10]
-        assert curve[1] == pytest.approx(0.30, abs=0.08)
+        assert curve[1] == Fraction(30, 100)
+        assert curve[3] == Fraction(30 * 29 * 28, 100 * 99 * 98)
 
     def test_fn_zero_for_always_blocked(self):
-        pools = {("a.com", "IR"): [True] * 100}
-        curve = false_negative_curve(pools, sizes=[1, 3], draws=100)
-        assert curve[1] == 0.0
-        assert curve[3] == 0.0
+        pools = {("a.com", "IR"): (100, 100)}
+        curve = false_negative_curve(pools, sizes=[1, 3])
+        assert curve[1] == 0
+        assert curve[3] == 0
 
-    def test_agreement_distribution(self):
-        rates = {("a", "IR"): (20, 23), ("b", "SY"): (23, 23), ("c", "X"): (0, 0)}
-        values = agreement_distribution(rates)
-        assert values == sorted(values)
-        assert len(values) == 2
+    @settings(max_examples=60, deadline=None)
+    @given(counts=_small_counts,
+           sizes=st.lists(st.integers(min_value=1, max_value=14),
+                          min_size=1, max_size=3, unique=True))
+    def test_closed_form_equals_enumeration(self, counts, sizes):
+        """Every k-subset of every pool, counted in exact fractions."""
+        for hits, n in counts.values():
+            for size in range(1, n + 2):
+                rates = _enumerated_rates(hits, n, size)
+                k = min(size, n)
+                assert hit_distribution(hits, n, size) == [
+                    Fraction(rates.count(Fraction(j, k)), len(rates))
+                    for j in range(k + 1)]
+        cdf = consistency_cdf(counts, sizes)
+        misses = false_negative_curve(counts, sizes)
+        for size in sizes:
+            per_pair = [_enumerated_rates(hits, n, size)
+                        for hits, n in counts.values()]
+            attainable = sorted({Fraction(j, min(size, n))
+                                 for _, n in counts.values()
+                                 for j in range(min(size, n) + 1)})
+            assert cdf[size] == [
+                (x, sum(Fraction(sum(1 for r in rates if r <= x),
+                                 len(rates)) for rates in per_pair)
+                 / len(per_pair))
+                for x in attainable]
+            assert misses[size] == sum(
+                Fraction(rates.count(0), len(rates)) for rates in per_pair
+            ) / len(per_pair)
+
+    def test_bootstrap_within_binomial_interval(self):
+        """A seeded draw-and-count bootstrap lands inside the 99.9%
+        binomial interval of the exact rates.  Pooled over pairs of
+        unequal rates its count varies less than a binomial's, so the
+        interval is conservative."""
+        pools = {("a.com", "IR"): (92, 100), ("b.com", "SY"): (99, 100),
+                 ("c.com", "CU"): (70, 100)}
+        sizes, draws = (1, 3, 20), 2_000
+        cdf = consistency_cdf(pools, sizes)
+        misses = false_negative_curve(pools, sizes)
+        rng = random.Random(0)
+        for size in sizes:
+            zero = below = 0
+            for hits, n in pools.values():
+                for _ in range(draws):
+                    seen = sum(1 for i in rng.sample(range(n), size)
+                               if i < hits)
+                    zero += seen == 0
+                    below += seen / size < 0.8
+            trials = draws * len(pools)
+            exact_below = max((p for rate, p in cdf[size]
+                               if rate < Fraction(4, 5)), default=0)
+            for count, exact in ((zero, misses[size]),
+                                 (below, exact_below)):
+                low, high = binom.interval(0.999, trials, float(exact))
+                assert low <= count <= high, (size, count, exact)

@@ -360,6 +360,41 @@ class TestSuiteResume:
         report, _ = _resume_suite(root, pool_samples=20)
         assert _executed(report) == ["observation-pools"]
 
+    def test_figure_checkpoint_reexecutes_observation_pools(self,
+                                                           tiny_suite,
+                                                           tmp_path):
+        """A directory whose observation-pools manifest lists the figure
+        artifacts that stage once saved, not ``pool_counts``, re-executes
+        the stage, and the figure files go with the old manifest."""
+        fresh, root = tiny_suite
+        root = _copy_checkpoints(root, tmp_path)
+        suite_dir = os.path.join(root, "suite")
+        manifest_path = os.path.join(suite_dir,
+                                     "observation-pools.manifest.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        os.remove(os.path.join(suite_dir,
+                               "observation-pools.pool_counts.json"))
+        manifest["artifacts"] = []
+        for name in ("figure1", "figure3", "pool_findings"):
+            filename = f"observation-pools.{name}.json"
+            with open(os.path.join(suite_dir, filename), "w",
+                      encoding="utf-8") as handle:
+                json.dump({"version": FORMAT_VERSION, "artifact": name,
+                           "payload": None}, handle)
+            manifest["artifacts"].append(
+                {"name": name, "kind": "json", "file": filename})
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
+        report, _ = _resume_suite(root)
+        assert _executed(report) == ["observation-pools"]
+        assert sorted(name for name in os.listdir(suite_dir)
+                      if name.startswith("observation-pools.")) == [
+            "observation-pools.manifest.json",
+            "observation-pools.pool_counts.json"]
+        assert report.to_markdown() == fresh.to_markdown()
+
     def test_include_vps_changes_no_stage(self, tiny_suite, tmp_path):
         """The surveys run after the stages, so dropping VPS exploration
         leaves every checkpoint valid."""
