@@ -104,8 +104,9 @@ def figure2(dataset: ScanDataset,
     reg = registry or FingerprintRegistry.default()
     reps = representative_lengths(dataset, reference_countries)
     # Vectorized: per-row representative lengths and relative differences
-    # come from one mask expression; only rows with a retained body reach
-    # the fingerprint matcher, memoized over distinct body texts.
+    # come from one mask expression, and the "all pages" series sorts the
+    # valid rows' differences in one call; only valid rows with a retained
+    # body reach the fingerprint matcher, memoized over distinct texts.
     rep_rows = np.zeros(len(dataset.domains()), dtype=np.int64)
     for domain, rep in reps.items():
         code = dataset.domain_code(domain)
@@ -116,15 +117,10 @@ def figure2(dataset: ScanDataset,
     relative = np.zeros(len(dataset), dtype=np.float64)
     np.divide(per_row - dataset.length_array(), per_row,
               out=relative, where=per_row > 0)
-    has_body = dataset.has_body_array()
     match_memo: Dict[str, bool] = {}
     blocked: List[float] = []
-    everything: List[float] = []
-    for index in np.flatnonzero(valid).tolist():
+    for index in np.flatnonzero(valid & dataset.has_body_array()).tolist():
         diff = float(relative[index])
-        everything.append(diff)
-        if not has_body[index]:
-            continue
         body = dataset.body(index)
         matched = match_memo.get(body)
         if matched is None:
@@ -137,7 +133,7 @@ def figure2(dataset: ScanDataset,
         x_label="relative length difference vs representative",
         y_label="CDF",
     )
-    figure.add_series("all pages", _cdf_points(everything))
+    figure.add_series("all pages", _cdf_points(relative[valid].tolist()))
     figure.add_series("blocked pages", _cdf_points(blocked))
     return figure
 

@@ -15,17 +15,24 @@ from repro.httpsim.url import URL
 
 
 class Headers:
-    """A case-insensitive, insertion-ordered HTTP header multimap."""
+    """A case-insensitive, insertion-ordered HTTP header multimap.
+
+    Each field's lower-cased name is kept beside it, computed once when
+    the field is added, so lookups lower-case only the name asked for
+    and scan the lowered names in C (``list.index``).
+    """
+
+    __slots__ = ("_items", "_names")
 
     def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
-        self._items: List[Tuple[str, str]] = []
-        if items:
-            for name, value in items:
-                self.add(name, value)
+        self._items: List[Tuple[str, str]] = (
+            [(name, value) for name, value in items] if items else [])
+        self._names: List[str] = [name.lower() for name, _ in self._items]
 
     def add(self, name: str, value: str) -> None:
         """Append a header field, preserving existing fields of that name."""
         self._items.append((name, value))
+        self._names.append(name.lower())
 
     def set(self, name: str, value: str) -> None:
         """Replace all fields of ``name`` with a single field."""
@@ -35,25 +42,28 @@ class Headers:
     def remove(self, name: str) -> None:
         """Delete every field whose name matches case-insensitively."""
         lowered = name.lower()
-        self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
+        kept = [(item, low) for item, low in zip(self._items, self._names)
+                if low != lowered]
+        self._items = [item for item, _ in kept]
+        self._names = [low for _, low in kept]
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Return the first value for ``name`` (case-insensitive)."""
-        lowered = name.lower()
-        for n, v in self._items:
-            if n.lower() == lowered:
-                return v
-        return default
+        try:
+            return self._items[self._names.index(name.lower())][1]
+        except ValueError:
+            return default
 
     def get_all(self, name: str) -> List[str]:
         """Return every value for ``name`` in insertion order."""
         lowered = name.lower()
-        return [v for n, v in self._items if n.lower() == lowered]
+        return [item[1] for item, low in zip(self._items, self._names)
+                if low == lowered]
 
     def __contains__(self, name: object) -> bool:
         if not isinstance(name, str):
             return False
-        return self.get(name) is not None
+        return name.lower() in self._names
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
         return iter(self._items)
@@ -70,9 +80,16 @@ class Headers:
         """All (name, value) pairs in insertion order."""
         return list(self._items)
 
+    def content_key(self) -> Tuple[Tuple[str, str], ...]:
+        """The fields as a hashable tuple: equal for equal header maps."""
+        return tuple(self._items)
+
     def copy(self) -> "Headers":
         """A shallow copy of this header map."""
-        return Headers(self._items)
+        clone = Headers.__new__(Headers)
+        clone._items = self._items.copy()
+        clone._names = self._names.copy()
+        return clone
 
     def __repr__(self) -> str:
         return f"Headers({self._items!r})"

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.util.cache import MemoDict
+
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
@@ -64,9 +66,9 @@ class URL:
         paths and (rudimentarily) relative paths.
         """
         if "://" in location:
-            return parse_url(location)
+            return parse_url_memo(location)
         if location.startswith("//"):
-            return parse_url(f"{self.scheme}:{location}")
+            return parse_url_memo(f"{self.scheme}:{location}")
         if location.startswith("/"):
             path, _, query = location.partition("?")
             return replace(self, path=path, query=query)
@@ -101,3 +103,19 @@ def parse_url(text: str) -> URL:
     path_and_query = f"/{tail}" if slash else "/"
     path, _, query = path_and_query.partition("?")
     return URL(scheme=scheme, host=host.lower(), port=port, path=path, query=query)
+
+
+# Probes revisit the same few URLs per domain (the probe target and its
+# redirect targets), so parses are memoized per text.  parse_url is pure,
+# so entries are idempotent; the table holds one entry per distinct URL
+# text the process has probed or been redirected to, a few per domain.
+_PARSED: MemoDict[str, URL] = MemoDict()
+
+
+def parse_url_memo(text: str) -> URL:
+    """:func:`parse_url`, memoized per text (URLs are immutable)."""
+    url = _PARSED.get(text)
+    if url is None:
+        url = parse_url(text)
+        _PARSED[text] = url
+    return url

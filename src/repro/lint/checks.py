@@ -29,6 +29,8 @@ from repro.lint.rules import (
     RELEASE_CALLS,
     RULES_BY_ID,
     SANCTIONED_CLOCK_FILES,
+    SEED_KEYWORDS,
+    SEEDED_CONSTRUCTORS,
     SERIALIZATION_FUNCTIONS,
     SERIALIZATION_SINKS,
     UNPICKLABLE_LEAVES,
@@ -69,6 +71,21 @@ def _is_order_free_consumer(node: ast.AST) -> bool:
 # --------------------------------------------------------------------- #
 # wall-clock / raw-entropy / global-random
 
+def _unseeded(call: ast.Call) -> bool:
+    """True when a generator construction passes no seed, or None.
+
+    A starred argument or ``**kwargs`` may carry a seed, so it counts as
+    seeded.
+    """
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return False
+    seeds = call.args[:1] + [kw.value for kw in call.keywords
+                             if kw.arg in SEED_KEYWORDS]
+    return all(isinstance(seed, ast.Constant) and seed.value is None
+               for seed in seeds)
+
+
 def check_clock_and_entropy(module: ModuleInfo) -> List[Finding]:
     """wall-clock, raw-entropy, and global-random in one AST walk."""
     findings: List[Finding] = []
@@ -90,6 +107,11 @@ def check_clock_and_entropy(module: ModuleInfo) -> List[Finding]:
                 module, node, "raw-entropy",
                 f"{dotted}() draws OS entropy; derive randomness with "
                 f"repro.util.rng.derive_rng instead"))
+        elif dotted in SEEDED_CONSTRUCTORS and _unseeded(node):
+            findings.append(_finding(
+                module, node, "raw-entropy",
+                f"{dotted}() without a seed seeds from OS entropy; "
+                f"derive randomness with repro.util.rng.derive_rng"))
         elif (dotted.startswith(GLOBAL_RANDOM_PREFIXES)
                 and dotted not in GLOBAL_RANDOM_ALLOWED):
             findings.append(_finding(

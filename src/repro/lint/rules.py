@@ -49,12 +49,15 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         rule_id="raw-entropy",
         severity=SEVERITY_ERROR,
-        summary="OS entropy source (os.urandom / uuid / secrets)",
+        summary=("OS entropy source (os.urandom / uuid / secrets / a "
+                 "generator constructed without a seed)"),
         rationale=(
             "Kernel entropy can never be replayed.  Identifiers and "
             "tokens must be drawn from a derived generator "
             "(repro.util.rng.derive_rng) so two runs with the same seed "
-            "emit identical streams."
+            "emit identical streams.  random.Random(), _random.Random() "
+            "and numpy.random.default_rng() with no seed (or None) seed "
+            "themselves from the kernel too."
         ),
     ),
     Rule(
@@ -252,6 +255,17 @@ RAW_ENTROPY_CALLS = frozenset({
 
 #: Any call into this namespace is raw entropy.
 RAW_ENTROPY_PREFIXES = ("secrets.",)
+
+#: Generator constructors that seed from OS entropy when given no seed
+#: (no argument, or None).
+SEEDED_CONSTRUCTORS = frozenset({
+    "random.Random", "_random.Random",
+    "numpy.random.default_rng", "numpy.random.SeedSequence",
+    "numpy.random.PCG64", "numpy.random.Philox",
+})
+
+#: Keyword names under which those constructors take their seed.
+SEED_KEYWORDS = frozenset({"x", "seed", "entropy"})
 
 #: Module-level random.* callables that are allowed (constructors of
 #: private generators, not draws from the shared global stream).

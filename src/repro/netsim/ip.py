@@ -31,17 +31,15 @@ def _address_to_int(address: str) -> Optional[int]:
     digits) or rejects with a ValueError (superscripts).
     """
     parts = address.split(".")
-    if len(parts) != 4:
+    if len(parts) != 4 or not address.isascii():
         return None
-    value = 0
-    for part in parts:
-        if not (part.isascii() and part.isdigit()):
-            return None
-        octet = int(part)
-        if octet > 255:
-            return None
-        value = (value << 8) | octet
-    return value
+    a, b, c, d = parts
+    if not (a.isdigit() and b.isdigit() and c.isdigit() and d.isdigit()):
+        return None
+    a, b, c, d = map(int, parts)
+    if a > 255 or b > 255 or c > 255 or d > 255:
+        return None
+    return (a << 24) | (b << 16) | (c << 8) | d
 
 
 def _int_to_address(value: int) -> str:
@@ -193,8 +191,10 @@ class AddressAllocator:
         if not blocks:
             raise KeyError(f"no netblocks allocated to {owner!r}")
         r = rng if rng is not None else self._rng
-        block = r.choice(blocks)
-        return block.address_at(r.randrange(1, 65534))
+        # The draws of r.choice(blocks) and r.randrange(1, 65534), without
+        # their wrapper frames (exit pools draw one address per exit).
+        block = blocks[r._randbelow(len(blocks))]
+        return block.address_at(1 + r._randbelow(65533))
 
     def owners(self) -> Iterator[str]:
         """All owners with at least one allocation."""

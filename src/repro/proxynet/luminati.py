@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.httpsim.messages import BodyPolicy, Headers, Request, Response
-from repro.httpsim.url import URL, parse_url
+from repro.httpsim.url import parse_url_memo
 from repro.httpsim.useragent import browser_headers
 from repro.netsim.errors import (
     ConnectionTimeout,
@@ -129,13 +129,11 @@ class LuminatiClient:
         # Hot-path memo tables: these predicates are deterministic
         # functions of (seed, domain[, country/exit]), so memoizing them
         # is semantics-preserving and avoids re-hashing on every probe.
-        # parse_url is a pure function and probes revisit the same few
-        # URLs per domain.  MemoDict marks the idempotent-write contract
-        # that makes these safe to fill from scan workers.
+        # MemoDict marks the idempotent-write contract that makes these
+        # safe to fill from scan workers.
         self._refusal_cache: MemoDict[str, bool] = MemoDict()
         self._flaky_cache: MemoDict[Tuple[str, str], bool] = MemoDict()
         self._fw_cache: MemoDict[Tuple[str, str], bool] = MemoDict()
-        self._url_cache: MemoDict[str, URL] = MemoDict()
 
     # ------------------------------------------------------------------ #
 
@@ -171,7 +169,8 @@ class LuminatiClient:
         """Choose an exit node in a country."""
         pool = self.exits(country)
         r = rng if rng is not None else self._rng
-        return r.choice(pool)
+        # r.choice(pool) is pool[r._randbelow(len(pool))]: same draw.
+        return pool[r._randbelow(len(pool))]
 
     def verify_connectivity(self, exit_node: ExitNode) -> Dict[str, str]:
         """Fetch the Luminati-controlled echo page through an exit.
@@ -205,10 +204,7 @@ class LuminatiClient:
         :meth:`repro.websim.world.World.fetch`).
         """
         self._request_count.increment()
-        target = self._url_cache.get(url)
-        if target is None:
-            target = parse_url(url)
-            self._url_cache[url] = target
+        target = parse_url_memo(url)
         domain_name = self._registrable(target.host)
 
         if self._refused(domain_name):

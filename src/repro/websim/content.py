@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import List
 
+import numpy as np
+
 from repro.util.rng import derive_rng
 
 _LOREM_WORDS = (
@@ -34,18 +36,27 @@ _ACCOUNT_BLOCK = (
 )
 
 # Length-only synthesis (page_length) replays generate_page's draw
-# sequence but only needs each chosen word's *length*; rng._randbelow is
-# exactly the draw random.Random.choice makes, so indexing this table
-# consumes identical RNG state at a fraction of the cost.  The
-# equivalence suite pins page_length == len(generate_page) across whole
-# world populations, guarding the replication against drift.
+# sequence but only needs each chosen word's *length*.  CPython's
+# choice(seq) and randint(a, b) both come down to _randbelow(n), which
+# draws getrandbits(n.bit_length()) until the value is below n, and each
+# getrandbits(k <= 32) draw takes the top k bits of one 32-bit Mersenne
+# Twister word.  The equivalence suite pins page_length ==
+# len(generate_page) across whole world populations, guarding the
+# replication against drift; the constants below track the vocabulary.
 _WORD_LENGTHS = tuple(len(w) for w in _LOREM_WORDS)
 _N_WORDS = len(_LOREM_WORDS)
-# CPython's _randbelow(n) draws getrandbits(n.bit_length()) and rejects
-# values >= n.  page_length inlines that loop for the hot word draw (with
-# the C-level getrandbits bound locally), so the constants below must
-# track the vocabulary size.
 _WORD_BITS = _N_WORDS.bit_length()
+#: Word length by word draw (the top _WORD_BITS bits of a stream word);
+#: draws the rejection loop discards map to 0.
+_LENGTH_BY_DRAW = np.zeros(1 << _WORD_BITS, dtype=np.int64)
+_LENGTH_BY_DRAW[:_N_WORDS] = _WORD_LENGTHS
+#: A control draw of _randbelow(11) is a word draw's top 4 bits; of
+#: _randbelow(4) or _randbelow(5), its top 3 bits.
+_TOP4_SHIFT = _WORD_BITS - 4
+_TOP3_SHIFT = _WORD_BITS - 3
+#: A section loop consumes about 0.31 stream words per page character;
+#: the slight overestimate keeps most pages to one getrandbits call.
+_WORDS_PER_CHAR = 0.32
 
 
 def _sentence(rng: random.Random) -> str:
@@ -55,13 +66,16 @@ def _sentence(rng: random.Random) -> str:
     return " ".join(words) + "."
 
 
-def _sentence_length(randbelow, getrandbits) -> int:
-    # Same draws as _sentence — randint(a, b) is a + _randbelow(b - a + 1),
-    # and choice(words) is words[_randbelow(len(words))], whose rejection
-    # loop is inlined here — but skipping the randrange/choice wrappers
-    # and string work.  capitalize() keeps length, join adds n-1 spaces,
-    # the period adds 1: sum(words) + n.
-    n = 6 + randbelow(11)
+def _sentence_length(getrandbits) -> int:
+    # Same draws as _sentence — randint(6, 16) is 6 + _randbelow(11) and
+    # choice(words) is words[_randbelow(len(words))], both with their
+    # rejection loops inlined — but skipping the randrange/choice
+    # wrappers and string work.  capitalize() keeps length, join adds n-1
+    # spaces, the period adds 1: sum(words) + n.
+    r = getrandbits(4)
+    while r >= 11:
+        r = getrandbits(4)
+    n = 6 + r
     lengths = _WORD_LENGTHS
     total = 0
     drawn = 0
@@ -75,16 +89,6 @@ def _sentence_length(randbelow, getrandbits) -> int:
 
 def _paragraph(rng: random.Random) -> str:
     return " ".join(_sentence(rng) for _ in range(rng.randint(2, 6)))
-
-
-def _paragraph_length(randbelow, getrandbits) -> int:
-    # range(randint) is evaluated before any sentence draw, matching the
-    # generator expression in _paragraph.
-    k = 2 + randbelow(5)
-    total = 0
-    for _ in range(k):
-        total += _sentence_length(randbelow, getrandbits)
-    return total + (k - 1)
 
 
 def generate_page(domain_name: str, category: str, seed: int = 0) -> str:
@@ -163,21 +167,21 @@ _FOOTER_OVERHEAD = len(
 def page_length(domain_name: str, category: str, seed: int = 0) -> int:
     """Exact ``len(generate_page(...))`` without building the page.
 
-    Replays generate_page's RNG draw sequence (so downstream draws from a
-    shared stream would be unperturbed) while accumulating lengths instead
-    of concatenating strings — roughly an order of magnitude cheaper for
-    large pages.  The handful of variable-width fragments (price blocks)
-    are still rendered and measured.
+    Replays generate_page's RNG draw sequence while accumulating lengths
+    instead of concatenating strings — roughly an order of magnitude
+    cheaper for large pages.  The handful of variable-width fragments
+    (price blocks) are still rendered and measured.  The page stream is
+    private to this call, so the section loop may read the stream ahead
+    of the draws it uses (see :func:`_sections_length`).
     """
     rng = derive_rng(seed, "page", domain_name)
     target = int(min(max(rng.lognormvariate(10.2, 0.8), 4_000), 400_000))
     title_len = len(domain_name.split(".")[0])
-    randbelow = rng._randbelow
     getrandbits = rng.getrandbits
 
     total = _HEAD_LEN
     total += _TITLE_OVERHEAD + title_len + len(category)
-    total += _DESC_OVERHEAD + _sentence_length(randbelow, getrandbits)
+    total += _DESC_OVERHEAD + _sentence_length(getrandbits)
     total += _STATIC_LINKS_LEN
     for item in rng.sample(_NAV_ITEMS, k=6):
         # lower()/replace(' ', '-') keep the item's length, and the item
@@ -194,12 +198,104 @@ def page_length(domain_name: str, category: str, seed: int = 0) -> int:
                 f"<span class=\"price\" data-amount=\"{amount:.2f}\">"
                 f"${amount:.2f}</span></div>\n"
             )
-    while total < target:
-        total += _SECTION_OPEN_OVERHEAD + _sentence_length(randbelow, getrandbits)
-        for _ in range(1 + randbelow(4)):
-            total += _P_OVERHEAD + _paragraph_length(randbelow, getrandbits)
-        total += _SECTION_CLOSE_LEN
+    if total < target:
+        total = _sections_length(getrandbits, total, target)
     total += _FOOTER_OVERHEAD + title_len
+    return total
+
+
+def _word_tables(words: np.ndarray):
+    """Lookup tables over a stream of 32-bit words for _sections_length.
+
+    ``top[i]`` is word i's top _WORD_BITS bits (its draw as a word
+    choice); ``at[j]`` is the stream position of the j-th word whose draw
+    names a word (a rejection-loop survivor; every position counts,
+    control draws included); ``summed[j]`` is the total length of the
+    first j such words.  ``top`` is bytes and the others memoryviews, so
+    a lookup yields a Python int without converting whole arrays.
+    """
+    top = words >> (32 - _WORD_BITS)
+    named = top < _N_WORDS
+    summed = np.zeros(int(np.count_nonzero(named)) + 1, dtype=np.int64)
+    np.cumsum(_LENGTH_BY_DRAW[top[named]], out=summed[1:])
+    return (top.astype(np.uint8).tobytes(), memoryview(np.flatnonzero(named)),
+            memoryview(summed))
+
+
+def _fetch_words(getrandbits, chars: int) -> np.ndarray:
+    """The next stream words, enough for about ``chars`` more characters."""
+    count = int(chars * _WORDS_PER_CHAR) + 256
+    return np.frombuffer(getrandbits(32 * count).to_bytes(4 * count, "little"),
+                         dtype="<u4")
+
+
+def _sections_length(getrandbits, total: int, target: int) -> int:
+    """generate_page's section loop, measured over a word stream.
+
+    Every draw in the loop is a _randbelow(n) with n <= 2**_WORD_BITS,
+    so each consumes exactly one 32-bit stream word and is that word's
+    top n.bit_length() bits; ``getrandbits(32 * m)`` returns the next m
+    words in draw order, least significant first.  Count draws are read
+    one word at a time; a sentence's n words are the next n positions
+    whose draw names a word, located and summed by two table lookups
+    instead of n rejection loops.  A section that runs off the fetched
+    words is replayed after fetching more; words fetched past the last
+    section are never used, which is harmless on a stream private to the
+    page.
+    """
+    n_words = _N_WORDS
+    words = _fetch_words(getrandbits, target - total)
+    top, at, summed = _word_tables(words)
+    pos = 0     # next stream position
+    named = 0   # positions before ``pos`` whose draw names a word
+    while total < target:
+        mark = (pos, named, total)
+        try:
+            # A section: a heading sentence, then 1 + _randbelow(4)
+            # paragraphs of 2 + _randbelow(5) sentences each.
+            total += _SECTION_OPEN_OVERHEAD + _SECTION_CLOSE_LEN
+            sentences = 1
+            paragraphs = None
+            while True:
+                for _ in range(sentences):
+                    while True:   # 6 + _randbelow(11)
+                        draw = top[pos]
+                        pos += 1
+                        if draw < n_words:
+                            named += 1
+                        if draw >> _TOP4_SHIFT < 11:
+                            break
+                    n = 6 + (draw >> _TOP4_SHIFT)
+                    end = named + n
+                    pos = at[end - 1] + 1
+                    total += summed[end] - summed[named] + n
+                    named = end
+                if paragraphs is None:
+                    while True:   # 1 + _randbelow(4)
+                        draw = top[pos]
+                        pos += 1
+                        if draw < n_words:
+                            named += 1
+                        if draw >> _TOP3_SHIFT < 4:
+                            break
+                    paragraphs = 1 + (draw >> _TOP3_SHIFT)
+                if not paragraphs:
+                    break
+                paragraphs -= 1
+                while True:   # 2 + _randbelow(5)
+                    draw = top[pos]
+                    pos += 1
+                    if draw < n_words:
+                        named += 1
+                    if draw >> _TOP3_SHIFT < 5:
+                        break
+                sentences = 2 + (draw >> _TOP3_SHIFT)
+                total += _P_OVERHEAD + sentences - 1
+        except IndexError:
+            pos, named, total = mark
+            words = np.concatenate(
+                (words, _fetch_words(getrandbits, target - total)))
+            top, at, summed = _word_tables(words)
     return total
 
 
@@ -247,8 +343,12 @@ JITTER_OVERHEAD = len(_JITTER_PREFIX) + _TOKEN_LEN + 1 + len(_JITTER_SUFFIX)
 
 def jitter_pad(base_length: int, rng: random.Random,
                max_fraction: float = 0.04) -> int:
-    """Draw the pad size — the first (and length-determining) jitter draw."""
-    return rng.randint(0, max(1, int(base_length * max_fraction)))
+    """Draw the pad size — the first (and length-determining) jitter draw.
+
+    The draw of ``rng.randint(0, b)``, which is ``rng._randbelow(b + 1)``,
+    without the randint/randrange frames.
+    """
+    return rng._randbelow(max(1, int(base_length * max_fraction)) + 1)
 
 
 def jitter_token(rng: random.Random) -> str:

@@ -85,6 +85,17 @@ _BOT_PAGE = {
     SOASTA: blockpages.SOASTA_BLOCK,
 }
 
+
+def _classify_client(headers: Headers) -> str:
+    """The bot-detection profile ("browser", "zgrab" or "curl") of a request."""
+    if looks_like_browser(headers):
+        return "browser"
+    ua = headers.get("User-Agent", "")
+    if ua and "curl" not in ua.lower() and "zgrab" not in ua.lower():
+        return "zgrab"
+    return "curl"
+
+
 _IRAN_CENSOR_PAGE = (
     "<html><head><meta http-equiv=\"Content-Type\" content=\"text/html; "
     "charset=windows-1256\"><title>M1-4</title></head><body><iframe "
@@ -257,6 +268,9 @@ class World:
         # lengths a chunk added (see page_lengths_since).
         self._page_length_cache: MemoDict[str, int] = MemoDict()
         self._clearances: MemoDict[str, set] = MemoDict()
+        # Bot-detection profile per distinct request-header content.
+        self._client_profiles: MemoDict[
+            Tuple[Tuple[str, str], ...], str] = MemoDict()
         self._fetch_count = ShardedCounter()
         # Read-only views into a mapped worldpack: (sorted rank-1 index
         # array, length array).  None for built worlds.
@@ -584,27 +598,27 @@ class World:
     def _edge_headers(self, domain: Domain, request: Request,
                       rng: Optional[random.Random] = None) -> Headers:
         render = rng if rng is not None else self._render_rng
-        headers = Headers([("Date", "Tue, 10 Jul 2018 00:00:00 GMT")])
+        items = [("Date", "Tue, 10 Jul 2018 00:00:00 GMT")]
         for provider in domain.providers():
             if provider == CLOUDFLARE:
                 ray = f"{render.getrandbits(48):012x}"
-                headers.add("CF-RAY", f"{ray}-SIM")
-                headers.add("Server", "cloudflare")
+                items.append(("CF-RAY", f"{ray}-SIM"))
+                items.append(("Server", "cloudflare"))
             elif provider == CLOUDFRONT:
-                headers.add("X-Amz-Cf-Id", f"{render.getrandbits(64):016x}")
-                headers.add("Via", "1.1 sim.cloudfront.net (CloudFront)")
+                items.append(("X-Amz-Cf-Id", f"{render.getrandbits(64):016x}"))
+                items.append(("Via", "1.1 sim.cloudfront.net (CloudFront)"))
             elif provider == INCAPSULA:
-                headers.add("X-Iinfo", f"1-{render.getrandbits(30)} NNNN CT")
+                items.append(("X-Iinfo", f"1-{render.getrandbits(30)} NNNN CT"))
             elif provider == AKAMAI:
                 pragma = request.headers.get("Pragma", "")
                 if "akamai-x-cache-on" in pragma:
-                    headers.add("X-Cache",
-                                "TCP_HIT from a23-1.deploy.akamaitechnologies.com")
-                    headers.add("X-Cache-Key", f"/L/1/{domain.name}/")
-                    headers.add("X-Check-Cacheable", "YES")
+                    items.append(("X-Cache",
+                                  "TCP_HIT from a23-1.deploy.akamaitechnologies.com"))
+                    items.append(("X-Cache-Key", f"/L/1/{domain.name}/"))
+                    items.append(("X-Check-Cacheable", "YES"))
             elif provider == APPENGINE:
-                headers.add("Server", "Google Frontend")
-        return headers
+                items.append(("Server", "Google Frontend"))
+        return Headers(items)
 
     def _bot_flagged(self, domain: Domain, request: Request,
                      rng: Optional[random.Random] = None) -> bool:
@@ -616,14 +630,16 @@ class World:
             return noise.random() < _CURL_BASELINE_TRIGGER
         return False
 
-    @staticmethod
-    def _client_profile(headers: Headers) -> str:
-        if looks_like_browser(headers):
-            return "browser"
-        ua = headers.get("User-Agent", "")
-        if ua and "curl" not in ua.lower() and "zgrab" not in ua.lower():
-            return "zgrab"
-        return "curl"
+    def _client_profile(self, headers: Headers) -> str:
+        # A scan sends one or two distinct header sets, so the profile is
+        # memoized on the headers' content (not their identity: a
+        # Headers object may be mutated between requests).
+        key = headers.content_key()
+        profile = self._client_profiles.get(key)
+        if profile is None:
+            profile = _classify_client(headers)
+            self._client_profiles[key] = profile
+        return profile
 
     def _bot_page(self, domain: Domain) -> str:
         if domain.origin_server == "distil":

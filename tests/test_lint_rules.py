@@ -120,6 +120,37 @@ def test_raw_entropy_flags_urandom_and_uuid4():
     assert rule_ids(findings) == ["raw-entropy", "raw-entropy"]
 
 
+def test_raw_entropy_flags_unseeded_generator_construction():
+    findings = run_lint("""
+        import random
+        import _random
+        import numpy as np
+        from numpy.random import default_rng
+
+        def draws():
+            return (random.Random().random(), _random.Random().random(),
+                    random.Random(None), np.random.default_rng(),
+                    default_rng(seed=None), random.Random(x=None))
+    """)
+    assert rule_ids(findings) == ["raw-entropy"] * 6
+    assert "without a seed" in findings[0].message
+
+
+def test_raw_entropy_clean_for_seeded_or_forwarded_construction():
+    findings = run_lint("""
+        import random
+        import _random
+        import numpy as np
+
+        def generators(seed, *args, **kwargs):
+            return (random.Random(seed), _random.Random(seed),
+                    random.Random(x=seed), np.random.default_rng(seed),
+                    np.random.default_rng(seed=0), random.Random(*args),
+                    np.random.default_rng(**kwargs))
+    """)
+    assert findings == []
+
+
 def test_raw_entropy_clean_for_derived_rng():
     findings = run_lint("""
         from repro.util.rng import derive_rng
