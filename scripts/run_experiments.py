@@ -5,13 +5,14 @@ This is the long-running driver behind EXPERIMENTS.md: it builds the
 paper-scale world (60,000 domains, ~190 countries), runs every study, and
 renders the measured-vs-paper report.  Expect tens of minutes of runtime.
 
-Usage: python scripts/run_experiments.py [--scale paper|small|tiny]
-           [--workers N] [--executor thread|process]
+Usage: python scripts/run_experiments.py [--scale paper|small|tiny|nano]
+           [--seed N] [--workers N] [--executor thread|process]
            [--merge memory|spill]
            [--checkpoint-dir DIR [--resume]]
-           [--out PATH]
+           [--out PATH] [--save-json PATH] [--figures-dir DIR]
 
 The engine and checkpoint flags are those of ``repro-geoblock run``.
+``--figures-dir`` also renders Figures 1-5 as SVG files.
 Checkpoints are written one directory per study under DIR, each dataset
 as one ``.lshd`` segment named by its stage's ``.manifest.json``.
 """
@@ -25,10 +26,9 @@ import resource
 import sys
 
 from repro.analysis.validation import PUBLISHED
-from repro.cli import add_run_flags, suite_from_args
+from repro.cli import SCALES, add_run_flags, suite_from_args
 from repro.util.clock import SystemClock
 from repro.util.envelope import atomic_write
-from repro.websim.world import World, WorldConfig
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -47,8 +47,7 @@ end lines measured values up against the paper's published numbers.
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--scale", default="paper",
-                        choices=("paper", "small", "tiny"))
+    parser.add_argument("--scale", default="paper", choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=7)
     add_run_flags(parser)
     parser.add_argument("--out", default="EXPERIMENTS.md")
@@ -57,8 +56,6 @@ def main() -> int:
     parser.add_argument("--figures-dir", default=None,
                         help="also render Figures 1-5 as SVG into this dir")
     args = parser.parse_args()
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
 
     logging.basicConfig(
         level=logging.INFO,
@@ -66,18 +63,17 @@ def main() -> int:
         datefmt="%H:%M:%S",
         stream=sys.stdout,
     )
-    factory = {"paper": WorldConfig.paper, "small": WorldConfig.small,
-               "tiny": WorldConfig.tiny}[args.scale]
     stopwatch = SystemClock().stopwatch()
     print(f"[+{stopwatch.elapsed():7.1f}s] building {args.scale} world...",
           flush=True)
-    world = World(factory(seed=args.seed))
+    suite = suite_from_args(args)
+    world = suite.world
     print(f"[+{stopwatch.elapsed():7.1f}s] world ready: "
           f"{len(world.population)} domains, {len(world.registry)} countries, "
           f"{len(world.geoblocking_domains())} geoblocking domains",
           flush=True)
 
-    report = suite_from_args(world, args).run()
+    report = suite.run()
     minutes = stopwatch.elapsed() / 60.0
     print(f"[+{stopwatch.elapsed():7.1f}s] suite finished in "
           f"{minutes:.1f} min", flush=True)

@@ -31,6 +31,11 @@ class StabilityReport:
         return sorted(name for name, results in self.per_check.items()
                       if any(results) and not all(results))
 
+    def failing_checks(self) -> List[str]:
+        """Checks that failed under every seed."""
+        return sorted(name for name, results in self.per_check.items()
+                      if results and not any(results))
+
     def stability_rate(self) -> float:
         """Fraction of checks stable across all seeds."""
         if not self.per_check:

@@ -149,9 +149,7 @@ class ExperimentSuite:
 
     # ------------------------------------------------------------------ #
 
-    def run(self, include_top1m: bool = True, include_vps: bool = True,
-            include_ooni: bool = True, include_pools: bool = True,
-            pool_pairs: int = 60, pool_samples: int = 100,
+    def run(self, pool_pairs: int = 60, pool_samples: int = 100,
             cf_rule_zones: int = 120_000) -> ExperimentReport:
         """Run every study, then assemble the report from their outputs."""
         # Every length-only probe needs its domain's base-page length, a
@@ -175,18 +173,15 @@ class ExperimentSuite:
         self.top10k = result = run_top10k_study(
             self.world, self.luminati, self.config,
             checkpoint_dir=self.checkpoint_dir, resume=self.resume)
-        self.top1m = None
-        if include_top1m:
-            logger.info("suite: starting Top-1M study")
-            self.top1m = run_top1m_study(
-                self.world, self.luminati, self.config,
-                registry=result.registry,
-                checkpoint_dir=self.checkpoint_dir, resume=self.resume)
+        logger.info("suite: starting Top-1M study")
+        self.top1m = run_top1m_study(
+            self.world, self.luminati, self.config,
+            registry=result.registry,
+            checkpoint_dir=self.checkpoint_dir, resume=self.resume)
         logger.info("suite: starting suite stages")
         suite = run_study(
             "suite", suite_stages(pool_pairs, pool_samples, cf_rule_zones,
-                                  pools=include_pools and bool(
-                                      result.confirmed)),
+                                  pools=bool(result.confirmed)),
             self.world, self.config, self.luminati,
             Lumscan(self.luminati, seed=self.config.seed),
             extras={"fortiguard": self.fortiguard, "top10k": result},
@@ -202,8 +197,7 @@ class ExperimentSuite:
             logger.info("suite: starting timeout study")
             live = _suite_timeouts(suite)
             logger.info("suite: starting surveys")
-            live.update(_suite_surveys(suite, vps=include_vps,
-                                       ooni=include_ooni))
+            live.update(_suite_surveys(suite))
         if self.checkpoint_dir is not None:
             known = self.world.known_page_lengths(
                 domain.name for domain in self.world.population)
@@ -262,12 +256,11 @@ class ExperimentSuite:
                 figs.figure1_stat(figure1, size=20), 4)
             report.findings["fig3.fn_at_3"] = round(fn_curve[3.0], 4)
 
-        if self.top1m is not None:
-            report.stage_stats["top1m"] = [s.as_dict()
-                                           for s in self.top1m.stage_stats]
-            report.tables["table7"] = tabs.table7(self.top1m)
-            report.tables["table8"] = tabs.table8(self.top1m, self.fortiguard)
-            self._top1m_findings(report, self.top1m)
+        report.stage_stats["top1m"] = [s.as_dict()
+                                       for s in self.top1m.stage_stats]
+        report.tables["table7"] = tabs.table7(self.top1m)
+        report.tables["table8"] = tabs.table8(self.top1m, self.fortiguard)
+        self._top1m_findings(report, self.top1m)
 
         report.findings.update(artifacts["vps_findings"])
         report.tables["table9"] = tabs.TableData.from_plain(
@@ -346,8 +339,9 @@ def suite_stages(pool_pairs: int, pool_samples: int, cf_rule_zones: int,
                  pools: bool = True) -> List[Stage]:
     """The suite's checkpointed phases as an ordered stage graph.
 
-    ``pools=False`` leaves out ``observation-pools`` (and with it Figures
-    1 and 3).  Each stage's salt holds exactly the parameters it reads,
+    ``pools=False`` (the suite passes it when the Top-10K study confirmed
+    nothing) leaves out ``observation-pools`` and with it Figures 1 and
+    3.  Each stage's salt holds exactly the parameters it reads,
     so changing one re-executes only the stages that depend on it.
     """
     stages = [Stage("cdn-rates", (ArtifactSpec("cdn_rates"),),
@@ -454,8 +448,7 @@ def _suite_timeouts(ctx: RunContext) -> Dict[str, object]:
     return {"timeout_findings": findings}
 
 
-def _suite_surveys(ctx: RunContext, vps: bool,
-                   ooni: bool) -> Dict[str, object]:
+def _suite_surveys(ctx: RunContext) -> Dict[str, object]:
     """§3.1 VPS exploration, §7.3 appdiff survey, §7.1 OONI, in order.
 
     One unit, never to be split across checkpoints: all of them draw
@@ -463,12 +456,9 @@ def _suite_surveys(ctx: RunContext, vps: bool,
     client's), so each observes the stream state its predecessors leave.
     A resume that skipped one would hand the next a different stream.
     """
-    vps_findings = _vps_findings(ctx) if vps else {}
-    appdiff_findings = _appdiff_findings(ctx)
-    ooni_findings = _ooni_findings(ctx) if ooni else {}
-    return {"vps_findings": vps_findings,
-            "appdiff_findings": appdiff_findings,
-            "ooni_findings": ooni_findings}
+    return {"vps_findings": _vps_findings(ctx),
+            "appdiff_findings": _appdiff_findings(ctx),
+            "ooni_findings": _ooni_findings(ctx)}
 
 
 def _vps_findings(ctx: RunContext) -> Dict[str, object]:

@@ -6,6 +6,10 @@ Examples::
     repro-geoblock top10k --scale small
     repro-geoblock table 9
     repro-geoblock figure 5
+    repro-geoblock stability --seeds 7 8 9
+
+``table``, ``figure``, ``validate`` and ``stability`` print from the
+report of the full suite, the same report ``run`` prints.
 """
 
 from __future__ import annotations
@@ -14,13 +18,15 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.analysis.experiments import ExperimentSuite
+from repro.analysis.experiments import ExperimentReport, ExperimentSuite
 from repro.analysis.report import render_figure, render_table
 from repro.core.pipeline import StudyConfig, run_top10k_study
 from repro.util.clock import Clock, SystemClock
 from repro.websim.world import World, WorldConfig
 
-_SCALES = {
+#: World size presets by ``--scale`` name (also read by
+#: ``scripts/run_experiments.py``).
+SCALES = {
     "nano": WorldConfig.nano,
     "tiny": WorldConfig.tiny,
     "small": WorldConfig.small,
@@ -29,11 +35,13 @@ _SCALES = {
 
 
 def _world(scale: str, seed: int) -> World:
-    try:
-        factory = _SCALES[scale]
-    except KeyError:
-        raise SystemExit(f"unknown scale {scale!r}; choose from {sorted(_SCALES)}")
-    return World(factory(seed=seed))
+    """The world of a ``--scale`` preset (argparse checks the name)."""
+    return World(SCALES[scale](seed=seed))
+
+
+def _full_report(scale: str, seed: int) -> ExperimentReport:
+    """The full suite's report for one scale and seed."""
+    return ExperimentSuite(_world(scale, seed)).run()
 
 
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,8 +71,16 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
                              "segment and mmap the result (default: memory)")
 
 
-def suite_from_args(world: World, args: argparse.Namespace) -> ExperimentSuite:
-    """The experiment suite the :func:`add_run_flags` flags describe."""
+def suite_from_args(args: argparse.Namespace) -> ExperimentSuite:
+    """The experiment suite over the ``--scale``/``--seed`` world that the
+    :func:`add_run_flags` flags describe.
+
+    Rejects ``--resume`` without ``--checkpoint-dir`` before it builds
+    the world: with nothing to resume from, the run would start fresh.
+    """
+    if args.resume and not args.checkpoint_dir:
+        raise SystemExit("--resume requires --checkpoint-dir")
+    world = _world(args.scale, args.seed)
     config = StudyConfig(seed=args.seed, workers=max(1, args.workers),
                          executor=args.executor, merge=args.merge)
     return ExperimentSuite(world, study_config=config,
@@ -73,12 +89,9 @@ def suite_from_args(world: World, args: argparse.Namespace) -> ExperimentSuite:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    world = _world(args.scale, args.seed)
-    suite = suite_from_args(world, args)
+    suite = suite_from_args(args)
     stopwatch = args.clock.stopwatch()
-    report = suite.run(include_top1m=not args.no_top1m,
-                       include_vps=not args.no_vps,
-                       include_ooni=not args.no_ooni)
+    report = suite.run()
     elapsed = stopwatch.elapsed()
     if args.save_json:
         from repro.analysis.store import save_report
@@ -111,25 +124,15 @@ def _cmd_top10k(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    world = _world(args.scale, args.seed)
-    suite = ExperimentSuite(world)
-    number = args.number
-    needs_top1m = number in (7, 8)
-    report = suite.run(include_top1m=needs_top1m, include_vps=False,
-                       include_ooni=False, include_pools=False)
-    key = f"table{number}"
-    if key not in report.tables:
-        raise SystemExit(f"no such table: {number}")
-    print(render_table(report.tables[key]))
+    report = _full_report(args.scale, args.seed)
+    print(render_table(report.tables[f"table{args.number}"]))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.analysis.validation import render_validation, validate_findings
 
-    world = _world(args.scale, args.seed)
-    suite = ExperimentSuite(world)
-    report = suite.run()
+    report = _full_report(args.scale, args.seed)
     results = validate_findings(report.findings)
     print(render_validation(results))
     return 0 if all(r.passed for r in results) else 1
@@ -178,16 +181,19 @@ def _cmd_timeouts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
-    from repro.analysis.compare import compare_findings
+#: Findings whose spread across seeds ``stability`` prints.
+DRIFT_KEYS = (
+    "top10k.appengine_rate", "top10k.cloudflare_rate",
+    "top10k.length_recall", "top10k.gt_precision",
+    "table9.baseline_enterprise",
+)
 
-    findings_by_seed = {}
-    for seed in args.seeds:
-        world = _world(args.scale, seed)
-        suite = ExperimentSuite(world)
-        report = suite.run(include_top1m=False, include_vps=False,
-                           include_ooni=False, include_pools=False)
-        findings_by_seed[seed] = report.findings
+
+def _cmd_stability(args: argparse.Namespace) -> int:
+    from repro.analysis.compare import compare_findings, numeric_drift
+
+    findings_by_seed = {seed: _full_report(args.scale, seed).findings
+                        for seed in args.seeds}
     stability = compare_findings(findings_by_seed)
     print(f"seeds: {stability.seeds}")
     print(f"stable checks ({len(stability.stable_checks())}):")
@@ -195,7 +201,13 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         print(f"  [STABLE]   {name}")
     for name in stability.unstable_checks():
         print(f"  [UNSTABLE] {name}")
+    for name in stability.failing_checks():
+        print(f"  [FAILS]    {name}")
     print(f"stability rate: {stability.stability_rate():.0%}")
+    print("numeric drift across seeds:")
+    for key, stats in numeric_drift(findings_by_seed, DRIFT_KEYS).items():
+        print(f"  {key}: min={stats['min']:.4f} max={stats['max']:.4f} "
+              f"spread={stats['spread']:.1%}")
     return 0 if stability.stability_rate() >= 0.8 else 1
 
 
@@ -289,14 +301,11 @@ def _cmd_world_freeze(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    world = _world(args.scale, args.seed)
-    suite = ExperimentSuite(world)
-    number = args.number
-    report = suite.run(include_top1m=False, include_vps=False,
-                       include_ooni=False, include_pools=number in (1, 3))
-    key = f"figure{number}"
+    report = _full_report(args.scale, args.seed)
+    key = f"figure{args.number}"
     if key not in report.figures:
-        raise SystemExit(f"no such figure: {number}")
+        raise SystemExit(f"figure {args.number}: no confirmed geoblocking "
+                         f"to resample at this scale and seed")
     print(render_figure(report.figures[key]))
     return 0
 
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthetic Internet.",
     )
     parser.add_argument("--seed", type=int, default=7, help="world seed")
-    parser.add_argument("--scale", default="tiny", choices=sorted(_SCALES),
+    parser.add_argument("--scale", default="tiny", choices=sorted(SCALES),
                         help="world size preset")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -318,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--save-json", help="also save the report as JSON")
     run.add_argument("--markdown", action="store_true",
                      help="emit markdown instead of plain text")
-    run.add_argument("--no-top1m", action="store_true")
-    run.add_argument("--no-vps", action="store_true")
-    run.add_argument("--no-ooni", action="store_true")
     add_run_flags(run)
     run.set_defaults(func=_cmd_run)
 

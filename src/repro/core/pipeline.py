@@ -228,7 +228,9 @@ def rank_countries_by_blocking(world: World, lumscan: Scanner,
     data = lumscan.scan(urls, countries, samples=config.ranking_samples)
     known = FingerprintRegistry.default()
     counts: Counter = Counter()
-    flagged = [s for s in data if s.status == 403 and s.body is not None]
+    # Only 403s with a body can be block pages: materialize just those.
+    flagged = [data.row(index) for index in np.flatnonzero(
+        (data.status_array() == 403) & data.has_body_array()).tolist()]
     for sample, verdict in zip(flagged, classify_samples(flagged, known)):
         if (verdict.is_blockpage
                 and verdict.provider in ("cloudflare", "akamai")):
@@ -269,8 +271,10 @@ def _t10k_initial_scan(ctx: RunContext) -> Dict[str, object]:
     initial = ctx.scanner.scan(urls, ctx.artifact("countries"),
                                samples=cfg.samples_initial)
     logger.info("top10k: initial scan complete (%d samples)", len(initial))
-    refused = sorted({s.domain for s in initial
-                      if s.error == "luminati-refusal"})
+    names = initial.domains()
+    refused = sorted(names[code] for code in np.unique(
+        initial.domain_code_array()[initial.error_mask("luminati-refusal")]
+    ).tolist())
     error_by_domain = initial.error_rate_by_domain()
     never = sorted(d for d, rate in error_by_domain.items() if rate >= 1.0)
     return {"initial": initial, "luminati_refused_domains": refused,

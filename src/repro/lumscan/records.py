@@ -423,6 +423,13 @@ class ScanDataset:
                              count=len(self._bodies))] = True
         return mask
 
+    def error_mask(self, kind: str) -> np.ndarray:
+        """Boolean mask of rows that failed with error ``kind``."""
+        code = self._error_code.get(kind)
+        if code is None:
+            return np.zeros(self._n, dtype=bool)
+        return self._view(self._ecodes) == code
+
     def country_mask(self, countries) -> np.ndarray:
         """Boolean mask of rows whose country is in ``countries``."""
         allowed = np.zeros(len(self._country_names), dtype=bool)

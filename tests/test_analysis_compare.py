@@ -28,6 +28,18 @@ class TestCompareFindings:
         report = compare_findings({1: _findings(0.4)})
         assert "top10k: ground-truth precision high" in report.stable_checks()
 
+    def test_failing_check_listed(self):
+        # A check that fails under every seed is neither stable nor
+        # unstable, yet it lowers the stability rate.
+        report = compare_findings({1: _findings(0.001), 2: _findings(0.002)})
+        check = "top10k: AppEngine rate >> Cloudflare/CloudFront"
+        assert report.failing_checks() == [check]
+        assert not report.unstable_checks()
+        assert report.stability_rate() < 1.0
+        listed = (report.stable_checks() + report.unstable_checks()
+                  + report.failing_checks())
+        assert sorted(listed) == sorted(report.per_check)
+
     def test_empty(self):
         assert StabilityReport().stability_rate() == 1.0
 

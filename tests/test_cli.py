@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import runpy
+import sys
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.compare import compare_findings, numeric_drift
+from repro.analysis.experiments import ExperimentSuite
+from repro.analysis.report import render_figure, render_table
+from repro.cli import DRIFT_KEYS, build_parser, main
+from repro.websim.world import World, WorldConfig
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
+    "run_experiments.py"
 
 
 class TestParser:
@@ -53,6 +64,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run", *flags])
 
+    def test_removed_suite_switches_rejected(self):
+        # The suite has one shape: run always runs every study.
+        for flag in ("--no-top1m", "--no-vps", "--no-ooni"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", flag])
+
     def test_store_inspect_requires_path(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "inspect"])
@@ -83,11 +100,66 @@ class TestCommands:
     def test_run_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.md"
         code = main(["--scale", "nano", "run", "--markdown",
-                     "--no-top1m", "--no-vps", "--no-ooni",
                      "--out", str(out_file)])
         assert code == 0
         content = out_file.read_text()
         assert "### Table 1" in content
+
+    def test_resume_without_checkpoint_dir_rejected(self, tmp_path,
+                                                    monkeypatch):
+        # Both entry points share the flag handling, so both refuse a
+        # resume that has nothing to resume from instead of running fresh.
+        with pytest.raises(SystemExit,
+                           match="--resume requires --checkpoint-dir"):
+            main(["--scale", "nano", "run", "--resume"])
+        script_main = runpy.run_path(str(SCRIPT), run_name="script")["main"]
+        monkeypatch.setattr(sys, "argv", [
+            str(SCRIPT), "--scale", "nano", "--resume",
+            "--out", str(tmp_path / "experiments.md")])
+        with pytest.raises(SystemExit,
+                           match="--resume requires --checkpoint-dir"):
+            script_main()
+        assert not (tmp_path / "experiments.md").exists()
+
+    def test_table_and_figure_print_the_full_report(self, capsys):
+        full = ExperimentSuite(World(WorldConfig.nano(seed=7))).run()
+        for argv, expected in (
+                (["table", "7"], render_table(full.tables["table7"])),
+                (["figure", "1"], render_figure(full.figures["figure1"])),
+                (["figure", "5"], render_figure(full.figures["figure5"]))):
+            assert main(["--scale", "nano", "--seed", "7", *argv]) == 0
+            assert capsys.readouterr().out == expected + "\n"
+
+    def test_stability_reads_full_reports(self, capsys, monkeypatch):
+        reports = []
+        run = ExperimentSuite.run
+
+        def recording(suite, *args, **kwargs):
+            reports.append(run(suite, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(ExperimentSuite, "run", recording)
+        code = main(["--scale", "nano", "stability", "--seeds", "7", "8"])
+        out = capsys.readouterr().out
+        assert len(reports) == 2
+        # Top-1M, VPS and OONI findings are all in: the full suite ran.
+        assert all({"top1m.rate_any", "vps.fp_rate",
+                    "ooni.measurements"} <= set(report.findings)
+                   for report in reports)
+        findings_by_seed = {7: reports[0].findings, 8: reports[1].findings}
+        stability = compare_findings(findings_by_seed)
+        failing = [line[len("  [FAILS]    "):] for line in out.splitlines()
+                   if line.startswith("  [FAILS]    ")]
+        assert failing == stability.failing_checks()
+        # At nano scale some checks fail under both seeds.
+        assert failing
+        assert code == (0 if stability.stability_rate() >= 0.8 else 1)
+        drift = numeric_drift(findings_by_seed, DRIFT_KEYS)
+        assert list(drift) == list(DRIFT_KEYS)
+        drift_lines = out.split("numeric drift across seeds:\n")[1]
+        assert drift_lines.splitlines() == [
+            f"  {key}: min={stats['min']:.4f} max={stats['max']:.4f} "
+            f"spread={stats['spread']:.1%}" for key, stats in drift.items()]
 
 
 class TestStoreInspect:

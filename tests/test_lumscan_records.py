@@ -92,6 +92,17 @@ class TestAggregates:
         assert data.count_status(451) == 0
         assert data.count_status(NO_RESPONSE) == 1
 
+    def test_error_mask(self):
+        data = _dataset()
+        data.append("b.com", "IR", NO_RESPONSE, 0, None,
+                    error="luminati-refusal")
+        assert data.error_mask("timeout").tolist() == [
+            False, False, False, True, False, False]
+        assert data.error_mask("luminati-refusal").tolist() == [
+            False, False, False, False, False, True]
+        assert not data.error_mask("dns").any()
+        assert len(data.error_mask("dns")) == len(data)
+
     def test_extend(self):
         a = _dataset()
         b = ScanDataset()

@@ -1,14 +1,24 @@
 """Integration tests: the full study pipelines over the tiny world."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.classify import classify_samples
+from repro.core.fingerprints import FingerprintRegistry
 from repro.core.metrics import score_confirmed_blocks
 from repro.core.pipeline import (
+    StudyConfig,
     build_safe_list,
+    rank_countries_by_blocking,
+    run_top10k_study,
     run_vps_exploration,
 )
 from repro.datasets.alexa import AlexaList
+from repro.lumscan.scanner import Lumscan
+from repro.proxynet.luminati import LuminatiClient
 from repro.websim import blockpages
+from repro.websim.world import World, WorldConfig
 
 
 class TestTop10KStudy:
@@ -70,6 +80,48 @@ class TestTop10KStudy:
         rates = tiny_top10k.initial.response_rate_by_country()
         # Nearly every country should have >= 1 response for most domains.
         assert all(rate > 0.75 for rate in rates.values())
+
+
+class TestColumnMasks:
+    """The column masks the studies select rows with, against the
+    per-row loops they replaced."""
+
+    def test_refused_domains_match_row_loop(self):
+        # Refusals are rare at small scales: refuse a block of names.
+        world = World(WorldConfig.nano())
+        luminati = LuminatiClient(world)
+        luminati._refused = lambda name: name < "c"
+        result = run_top10k_study(world, luminati)
+        refused = sorted({s.domain for s in result.initial
+                          if s.error == "luminati-refusal"})
+        assert refused
+        assert result.luminati_refused_domains == refused
+
+    def test_country_ranking_matches_row_loop(self):
+        world = World(WorldConfig.nano())
+        luminati = LuminatiClient(world)
+        scanner = Lumscan(luminati, seed=7)
+        scans = []
+
+        class Recording:
+            def scan(self, *args, **kwargs):
+                scans.append(scanner.scan(*args, **kwargs))
+                return scans[-1]
+
+        countries = list(luminati.countries())
+        ranked = rank_countries_by_blocking(world, Recording(), countries,
+                                            StudyConfig())
+        flagged = [s for s in scans[0]
+                   if s.status == 403 and s.body is not None]
+        counts = Counter(
+            sample.country for sample, verdict in zip(
+                flagged, classify_samples(flagged,
+                                          FingerprintRegistry.default()))
+            if verdict.is_blockpage
+            and verdict.provider in ("cloudflare", "akamai"))
+        assert counts
+        assert ranked == [c for c, _ in counts.most_common()] + [
+            c for c in countries if c not in counts]
 
 
 class TestBuildSafeList:

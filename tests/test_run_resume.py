@@ -395,15 +395,6 @@ class TestSuiteResume:
             "observation-pools.pool_counts.json"]
         assert report.to_markdown() == fresh.to_markdown()
 
-    def test_include_vps_changes_no_stage(self, tiny_suite, tmp_path):
-        """The surveys run after the stages, so dropping VPS exploration
-        leaves every checkpoint valid."""
-        root = _copy_checkpoints(tiny_suite[1], tmp_path)
-        report, _ = _resume_suite(root, include_vps=False)
-        assert _executed(report) == []
-        assert not any(key.startswith("vps.") for key in report.findings)
-        assert "ooni.measurements" in report.findings
-
     def test_suite_engine_takes_the_run_flags(self, tiny_suite, tmp_path,
                                               monkeypatch):
         """--merge and the spill dir reach the suite's scans, every process
