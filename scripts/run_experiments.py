@@ -12,6 +12,9 @@ Usage: python scripts/run_experiments.py [--scale paper|small|tiny|nano]
            [--out PATH] [--save-json PATH] [--figures-dir DIR]
 
 The engine and checkpoint flags are those of ``repro-geoblock run``.
+``--out`` defaults to EXPERIMENTS.md only at ``--scale paper``; any
+other scale must name its report file, so a small run cannot replace
+the paper-scale report.
 ``--figures-dir`` also renders Figures 1-5 as SVG files.
 Checkpoints are written one directory per study under DIR, each dataset
 as one ``.lshd`` segment named by its stage's ``.manifest.json``.
@@ -50,12 +53,19 @@ def main() -> int:
     parser.add_argument("--scale", default="paper", choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=7)
     add_run_flags(parser)
-    parser.add_argument("--out", default="EXPERIMENTS.md")
+    parser.add_argument("--out", default=None,
+                        help="report path (default EXPERIMENTS.md at "
+                             "--scale paper; required at other scales)")
     parser.add_argument("--save-json", default=None,
                         help="also save the report as JSON")
     parser.add_argument("--figures-dir", default=None,
                         help="also render Figures 1-5 as SVG into this dir")
     args = parser.parse_args()
+    if args.out is None:
+        if args.scale != "paper":
+            parser.error(f"--scale {args.scale} needs --out: EXPERIMENTS.md "
+                         "holds the paper-scale report")
+        args.out = "EXPERIMENTS.md"
 
     logging.basicConfig(
         level=logging.INFO,

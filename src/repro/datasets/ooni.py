@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.core.classify import VERDICT_EXPLICIT, classify_body
 from repro.core.fingerprints import FingerprintRegistry
 from repro.httpsim.messages import (BODY_KEEP_THRESHOLD, KEEP_THRESHOLD_POLICY,
-                                    Request)
-from repro.httpsim.url import parse_url
+                                    Headers, Request)
+from repro.httpsim.url import parse_url_memo
 from repro.httpsim.useragent import browser_headers
 from repro.netsim.errors import FetchError
 from repro.proxynet.transport import fetch_with_redirects
@@ -86,6 +86,9 @@ class OONICorpus:
         codes = list(countries) if countries is not None else (
             world.registry.luminati_codes())
         rng = derive_rng(seed, "ooni")
+        # Every probe sends the same browser header set; each request
+        # gets its own copy, as a fetch may add to it.
+        headers = browser_headers()
         measurements: List[OONIMeasurement] = []
         for domain in test_list:
             try:
@@ -101,7 +104,8 @@ class OONICorpus:
             for country in codes:
                 for _ in range(measurements_per_pair):
                     local_status, local_body = cls._probe(
-                        world, domain, world.residential_address(country, rng))
+                        world, domain, world.residential_address(country, rng),
+                        headers)
                     # Control: often over Tor; Tor-blocking sites 403 it,
                     # and the saved report keeps no control body.
                     over_tor = rng.random() < 0.8
@@ -109,7 +113,7 @@ class OONICorpus:
                         control_status = 403
                     else:
                         control_status, _ = cls._probe(
-                            world, domain, world.vps_address("US"))
+                            world, domain, world.vps_address("US"), headers)
                     measurements.append(OONIMeasurement(
                         domain=domain,
                         country=country,
@@ -121,9 +125,10 @@ class OONICorpus:
         return cls(measurements)
 
     @staticmethod
-    def _probe(world, domain: str, ip: str) -> Tuple[int, Optional[str]]:
-        request = Request(url=parse_url(f"http://{domain}/"),
-                          headers=browser_headers())
+    def _probe(world, domain: str, ip: str,
+               headers: Headers) -> Tuple[int, Optional[str]]:
+        request = Request(url=parse_url_memo(f"http://{domain}/"),
+                          headers=headers.copy())
         try:
             # Large local pages are kept as a length: none need rendering.
             result = fetch_with_redirects(world, request, ip,

@@ -19,8 +19,9 @@ Hola VPN users.  The measurement consequences the simulation reproduces:
 * **Luminati refusals.**  Luminati itself refuses to carry traffic to a
   small set of (popular) domains, signalled by an ``X-Luminati-Error``
   header; the Top-10K study saw 13 such domains, the Top-1M sample 3.
-* **Geolocation metadata.**  Each probe reports the exit's IP and the
-  geolocation Luminati believes, which the client uses for bookkeeping.
+* **Exit metadata.**  Each probe reports the exit's IP.  Geolocating
+  that IP is the CDN edge's job (see :meth:`World.fetch`), not the
+  proxy's.
 """
 
 from __future__ import annotations
@@ -85,11 +86,7 @@ class ExitNode:
 
 @dataclass
 class ProbeResult:
-    """One completed probe through Luminati.
-
-    ``geo_country`` is the geolocation Luminati reported for the exit —
-    the paper's analyses key measurements on this, *not* on ground truth.
-    """
+    """One completed probe through Luminati."""
 
     url: str
     country: str                  # requested country
@@ -97,7 +94,6 @@ class ProbeResult:
     chain: List[Response] = field(default_factory=list)
     error: Optional[str] = None   # FetchError.kind on failure
     exit_ip: Optional[str] = None
-    geo_country: Optional[str] = None
     interfered: bool = False      # served by a local firewall, not the site
 
     @property
@@ -175,15 +171,10 @@ class LuminatiClient:
     def verify_connectivity(self, exit_node: ExitNode) -> Dict[str, str]:
         """Fetch the Luminati-controlled echo page through an exit.
 
-        Returns the client IP and geolocation data the echo page reports —
-        the connectivity pre-check Lumscan performs before real probes.
+        Returns the client IP the echo page reports — the connectivity
+        pre-check Lumscan performs before real probes.
         """
-        geo = self._world.geoip.lookup(exit_node.ip)
-        return {
-            "ip": exit_node.ip,
-            "country": geo.country if geo else "ZZ",
-            "region": (geo.region or "") if geo else "",
-        }
+        return {"ip": exit_node.ip}
 
     # ------------------------------------------------------------------ #
 
@@ -216,20 +207,15 @@ class LuminatiClient:
             return ProbeResult(url=url, country=country, response=None,
                                error=exc.kind)
 
-        geo = self._world.geoip.lookup(node.ip)
-        geo_country = geo.country if geo else None
-
         if self._path_fails(domain_name, country, rng):
             return ProbeResult(url=url, country=country, response=None,
-                               error=ConnectionTimeout.kind, exit_ip=node.ip,
-                               geo_country=geo_country)
+                               error=ConnectionTimeout.kind, exit_ip=node.ip)
 
         if node.firewalled and self._locally_filtered(node, domain_name):
             response = Response(status=403, body=_LOCAL_FIREWALL_403, url=target)
             response.headers.add("Server", "nginx")
             return ProbeResult(url=url, country=country, response=response,
-                               exit_ip=node.ip, geo_country=geo_country,
-                               interfered=True)
+                               exit_ip=node.ip, interfered=True)
 
         request = Request(url=target,
                           headers=(headers.copy() if headers else browser_headers()))
@@ -240,11 +226,9 @@ class LuminatiClient:
                 body_policy=body_policy)
         except FetchError as exc:
             return ProbeResult(url=url, country=country, response=None,
-                               error=exc.kind, exit_ip=node.ip,
-                               geo_country=geo_country)
+                               error=exc.kind, exit_ip=node.ip)
         return ProbeResult(url=url, country=country, response=result.response,
-                           chain=result.chain, exit_ip=node.ip,
-                           geo_country=geo_country)
+                           chain=result.chain, exit_ip=node.ip)
 
     @property
     def request_count(self) -> int:

@@ -87,14 +87,14 @@ def _sentence_length(getrandbits) -> int:
     return total + n
 
 
-def _paragraph(rng: random.Random) -> str:
-    return " ".join(_sentence(rng) for _ in range(rng.randint(2, 6)))
-
-
 def generate_page(domain_name: str, category: str, seed: int = 0) -> str:
     """Generate the canonical front page for a domain.
 
-    The page is fully determined by (domain_name, category, seed).
+    The page is fully determined by (domain_name, category, seed).  The
+    head, navigation and prices are drawn one call at a time; the body
+    sections are rendered from a bulk read of the word stream (see
+    :func:`_sections_text`), which is safe because the page stream is
+    private to this call.
     """
     rng = derive_rng(seed, "page", domain_name)
     # Log-normal page size, clipped: median ~30 KB, long right tail.
@@ -126,16 +126,9 @@ def generate_page(domain_name: str, category: str, seed: int = 0) -> str:
                 f"<span class=\"price\" data-amount=\"{amount:.2f}\">"
                 f"${amount:.2f}</span></div>\n"
             )
-    # A running total: re-summing every part after each section made the
-    # loop quadratic in page size.
     size = sum(len(p) for p in parts)
-    while size < target:
-        section = [f"<section>\n<h2>{_sentence(rng)}</h2>\n"]
-        for _ in range(rng.randint(1, 4)):
-            section.append(f"<p>{_paragraph(rng)}</p>\n")
-        section.append("</section>\n")
-        size += sum(len(p) for p in section)
-        parts.extend(section)
+    if size < target:
+        parts.extend(_sections_text(rng.getrandbits, size, target))
     parts.append(
         f"</main>\n<footer>\n<p>&copy; 2018 {title}. All rights reserved.</p>\n"
         "</footer>\n</body>\n</html>\n"
@@ -297,6 +290,92 @@ def _sections_length(getrandbits, total: int, target: int) -> int:
                 (words, _fetch_words(getrandbits, target - total)))
             top, at, summed = _word_tables(words)
     return total
+
+
+#: Word text by word draw; draws the rejection loop discards map to "".
+_WORD_BY_DRAW = np.array(
+    _LOREM_WORDS + [""] * ((1 << _WORD_BITS) - _N_WORDS), dtype=object)
+
+
+def _named_words(words: np.ndarray) -> List[str]:
+    """The text of each stream word whose draw names a word, in order."""
+    top = words >> (32 - _WORD_BITS)
+    return _WORD_BY_DRAW[top[top < _N_WORDS]].tolist()
+
+
+def _sections_text(getrandbits, size: int, target: int) -> List[str]:
+    """generate_page's section loop, rendered from a word stream.
+
+    The draws are decoded as in :func:`_sections_length`.  A sentence is
+    one join over the words its n draws name, the first capitalized;
+    each section is returned as one string.  A section that runs off the
+    fetched words is replayed after fetching more.
+    """
+    n_words = _N_WORDS
+    words = _fetch_words(getrandbits, target - size)
+    top, at, _ = _word_tables(words)
+    text = _named_words(words)
+    sections: List[str] = []
+    pos = 0     # next stream position
+    named = 0   # positions before ``pos`` whose draw names a word
+    while size < target:
+        mark = (pos, named)
+        try:
+            # A heading sentence, then 1 + _randbelow(4) paragraphs of
+            # 2 + _randbelow(5) sentences each.
+            blocks = []
+            sentences = 1
+            paragraphs = None
+            while True:
+                block = []
+                for _ in range(sentences):
+                    while True:   # 6 + _randbelow(11)
+                        draw = top[pos]
+                        pos += 1
+                        if draw < n_words:
+                            named += 1
+                        if draw >> _TOP4_SHIFT < 11:
+                            break
+                    end = named + 6 + (draw >> _TOP4_SHIFT)
+                    pos = at[end - 1] + 1
+                    block.append(f"{text[named].capitalize()} "
+                                 f"{' '.join(text[named + 1:end])}.")
+                    named = end
+                blocks.append(block)
+                if paragraphs is None:
+                    while True:   # 1 + _randbelow(4)
+                        draw = top[pos]
+                        pos += 1
+                        if draw < n_words:
+                            named += 1
+                        if draw >> _TOP3_SHIFT < 4:
+                            break
+                    paragraphs = 1 + (draw >> _TOP3_SHIFT)
+                if not paragraphs:
+                    break
+                paragraphs -= 1
+                while True:   # 2 + _randbelow(5)
+                    draw = top[pos]
+                    pos += 1
+                    if draw < n_words:
+                        named += 1
+                    if draw >> _TOP3_SHIFT < 5:
+                        break
+                sentences = 2 + (draw >> _TOP3_SHIFT)
+        except IndexError:
+            pos, named = mark
+            words = np.concatenate(
+                (words, _fetch_words(getrandbits, target - size)))
+            top, at, _ = _word_tables(words)
+            text = _named_words(words)
+            continue
+        (heading,), *paras = blocks
+        section = "".join((f"<section>\n<h2>{heading}</h2>\n",
+                           *(f"<p>{' '.join(p)}</p>\n" for p in paras),
+                           "</section>\n"))
+        size += len(section)
+        sections.append(section)
+    return sections
 
 
 _ACCOUNT_RE = None

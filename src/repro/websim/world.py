@@ -382,6 +382,14 @@ class World:
         redirects are served as for ``GET``.  A ``HEAD`` must bring a
         task-private ``rng``: the draws it skips would otherwise shift the
         shared streams, so one on the shared streams raises ValueError.
+
+        The client address is geolocated only where the answer is read:
+        for a domain with a country policy or a degradation, and for a
+        bot page (which names the country).  Censorship reads the true
+        country only for a domain some country censors.  A lookup's only
+        randomness is its address's own derived stream, never ``rng`` or
+        a shared stream, so a lookup skipped or made later changes no
+        response.
         """
         head = request.method == "HEAD"
         if head and rng is None:
@@ -398,14 +406,15 @@ class World:
                 "Location", f"{request.url.scheme}://{request.url.host}/loop")
             return response
 
-        true_country = self.geoip.true_country(client_ip)
-        if true_country and true_country in domain.censored_in:
-            return self._censor(true_country, request)
+        if domain.censored_in:
+            true_country = self.geoip.true_country(client_ip)
+            if true_country in domain.censored_in:
+                return self._censor(true_country, request)
 
-        geo = self.geoip.lookup(client_ip)
-        seen_country = geo.country if geo else "ZZ"
-        seen_region = geo.region if geo else None
         policy = self.policies.get(domain.name)
+        seen_country = seen_region = None
+        if policy is not None:
+            seen_country, seen_region = self._geolocate(client_ip)
 
         edge_headers = self._edge_headers(domain, request, rng)
         if policy is not None and policy.blocks(seen_country, seen_region, epoch):
@@ -426,8 +435,8 @@ class World:
 
         if self._bot_flagged(domain, request, rng):
             page = self._bot_page(domain)
-            return self._render_page(page, domain, seen_country, edge_headers,
-                                     rng)
+            country = seen_country or self._geolocate(client_ip)[0]
+            return self._render_page(page, domain, country, edge_headers, rng)
 
         redirect = self._redirect_for(domain, request)
         if redirect is not None:
@@ -439,12 +448,15 @@ class World:
             )
             return response
 
-        degradation = self.degradations.get(domain.name)
-        degraded = degradation is not None and degradation.applies(seen_country)
         headers = edge_headers
         headers.add("Content-Type", "text/html; charset=utf-8")
         if head:
             return Response(status=200, headers=headers, url=request.url)
+
+        degradation = self.degradations.get(domain.name)
+        if degradation is not None:
+            seen_country = seen_country or self._geolocate(client_ip)[0]
+        degraded = degradation is not None and degradation.applies(seen_country)
 
         noise = rng if rng is not None else self._noise_rng
         if body_policy is not None and body_policy.elides:
@@ -491,6 +503,14 @@ class World:
 
     # ------------------------------------------------------------------ #
     # Internals
+
+    def _geolocate(self, client_ip: str) -> Tuple[str, Optional[str]]:
+        """The (country, region) the edge's GeoIP database gives the client.
+
+        Unregistered space is ("ZZ", None).
+        """
+        geo = self.geoip.lookup(client_ip)
+        return (geo.country, geo.region) if geo else ("ZZ", None)
 
     def _page(self, domain: Domain) -> str:
         """The domain's canonical (undegraded) front page, cached.

@@ -14,6 +14,7 @@ from repro.analysis.experiments import ExperimentSuite
 from repro.core.fingerprints import FingerprintRegistry
 from repro.core.pipeline import run_top10k_study, run_top1m_study
 from repro.datasets.cloudflare_rules import CloudflareRuleDataset
+from repro.netsim.geoip import GeoIPDatabase
 from repro.proxynet.luminati import LuminatiClient
 from repro.util.envelope import ledger
 from repro.websim.world import World, WorldConfig
@@ -46,6 +47,26 @@ def envelope_ledger():
     assert not opened, f"mappings left open: {opened}"
     assert not changed, (f"shm blocks published or released and not "
                          f"restored: {sorted(changed)}")
+
+
+@pytest.fixture
+def geoip_calls(monkeypatch):
+    """Every ``(method, address)`` GeoIP answer asked for during a test.
+
+    Wraps :meth:`GeoIPDatabase.lookup` (the edge's view) and
+    :meth:`GeoIPDatabase.true_country` (the censor's) on the class, so
+    calls on every world's database are recorded.
+    """
+    calls = []
+    for method in ("lookup", "true_country"):
+        original = getattr(GeoIPDatabase, method)
+
+        def wrapper(self, address, _method=method, _original=original):
+            calls.append((_method, address))
+            return _original(self, address)
+
+        monkeypatch.setattr(GeoIPDatabase, method, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="session")

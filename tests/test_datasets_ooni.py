@@ -130,3 +130,46 @@ class TestBodyElision:
             full_world._noise_rng.getstate()
         assert elided_world._render_rng.getstate() == \
             full_world._render_rng.getstate()
+
+
+class TestProbeGlue:
+    def test_shared_headers_match_fresh_per_probe(self, monkeypatch):
+        # One header set per corpus, copied per request, and memoized URL
+        # parses must give the corpus a fresh set and parse per probe gave.
+        import repro.datasets.ooni as ooni_module
+        from repro.httpsim.messages import KEEP_THRESHOLD_POLICY, Request
+        from repro.httpsim.url import parse_url
+        from repro.httpsim.useragent import browser_headers
+        from repro.netsim.errors import FetchError
+        from repro.proxynet.transport import fetch_with_redirects
+
+        def fresh_probe(world, domain, ip, headers):
+            request = Request(url=parse_url(f"http://{domain}/"),
+                              headers=browser_headers())
+            try:
+                result = fetch_with_redirects(
+                    world, request, ip, body_policy=KEEP_THRESHOLD_POLICY)
+            except FetchError:
+                return 0, None
+            response = result.response
+            if response.status == 200 and \
+                    response.content_length > ooni_module.BODY_KEEP_THRESHOLD:
+                return 200, None
+            return response.status, response.body
+
+        def generate(world):
+            citizenlab = CitizenLabList(world.population, world.taxonomy,
+                                        seed=world.config.seed)
+            return list(OONICorpus.generate(
+                world, citizenlab.domains(), measurements_per_pair=2,
+                seed=world.config.seed))
+
+        shared_world = World(WorldConfig.nano())
+        shared = generate(shared_world)
+        fresh_world = World(WorldConfig.nano())
+        with monkeypatch.context() as patch:
+            patch.setattr(OONICorpus, "_probe", staticmethod(fresh_probe))
+            fresh = generate(fresh_world)
+        assert shared == fresh
+        assert shared_world._noise_rng.getstate() == \
+            fresh_world._noise_rng.getstate()

@@ -2,7 +2,7 @@
 
 Each function below was rewritten for speed on the serial probe path
 (derived generators, header maps, redirect resolution, client profiles,
-length-only page synthesis, exit and address draws).  The straightforward
+length-only page synthesis, page text, exit and address draws).  The straightforward
 version each replaced is kept here, and only here, as the oracle: the
 rewrite must give the same values and leave every RNG stream in the same
 state.
@@ -31,6 +31,7 @@ from repro.httpsim.useragent import (
 from repro.netsim.ip import AddressAllocator, _address_to_int
 from repro.util.rng import derive_rng, derive_seed, stable_hash
 from repro.websim import content
+from repro.websim.categories import CategoryTaxonomy
 from repro.websim.content import (
     _ACCOUNT_BLOCK,
     _DESC_OVERHEAD,
@@ -179,6 +180,58 @@ def old_page_length(domain_name: str, category: str, seed: int = 0) -> int:
                                                          getrandbits)
         total += _SECTION_CLOSE_LEN
     return total + _FOOTER_OVERHEAD + title_len
+
+
+def old_sentence(rng: random.Random) -> str:
+    n = rng.randint(6, 16)
+    words = [rng.choice(_LOREM_WORDS) for _ in range(n)]
+    words[0] = words[0].capitalize()
+    return " ".join(words) + "."
+
+
+def old_paragraph(rng: random.Random) -> str:
+    return " ".join(old_sentence(rng) for _ in range(rng.randint(2, 6)))
+
+
+def old_generate_page(domain_name: str, category: str, seed: int = 0) -> str:
+    """The draw-by-draw page synthesis."""
+    rng = old_derive_rng(seed, "page", domain_name)
+    target = int(min(max(rng.lognormvariate(10.2, 0.8), 4_000), 400_000))
+    title = domain_name.split(".")[0].capitalize()
+    parts: List[str] = [
+        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n",
+        f"<title>{title} — {category}</title>\n",
+        f"<meta name=\"description\" content=\"{old_sentence(rng)}\">\n",
+        "<link rel=\"stylesheet\" href=\"/static/main.css\">\n",
+        "<script src=\"/static/app.js\" defer></script>\n",
+        "</head>\n<body>\n<header>\n<nav>\n",
+    ]
+    for item in rng.sample(_NAV_ITEMS, k=6):
+        parts.append(f"<a href=\"/{item.lower().replace(' ', '-')}\">{item}</a>\n")
+    parts.append("</nav>\n")
+    parts.append(_ACCOUNT_BLOCK)
+    parts.append(f"</header>\n<main>\n<h1>{title}</h1>\n")
+    if category in ("Shopping", "Travel", "Auctions", "Personal Vehicles"):
+        for product in range(3):
+            amount = round(rng.uniform(8, 400), 2)
+            parts.append(
+                f"<div class=\"product\" id=\"p{product}\">"
+                f"<span class=\"price\" data-amount=\"{amount:.2f}\">"
+                f"${amount:.2f}</span></div>\n"
+            )
+    size = sum(len(p) for p in parts)
+    while size < target:
+        section = [f"<section>\n<h2>{old_sentence(rng)}</h2>\n"]
+        for _ in range(rng.randint(1, 4)):
+            section.append(f"<p>{old_paragraph(rng)}</p>\n")
+        section.append("</section>\n")
+        size += sum(len(p) for p in section)
+        parts.extend(section)
+    parts.append(
+        f"</main>\n<footer>\n<p>&copy; 2018 {title}. All rights reserved.</p>\n"
+        "</footer>\n</body>\n</html>\n"
+    )
+    return "".join(parts)
 
 
 def old_address_to_int(address: str) -> Optional[int]:
@@ -426,6 +479,48 @@ class TestPageLength:
         name = f"{label}.com"
         assert page_length(name, category, seed=seed) == old_page_length(
             name, category, seed=seed)
+
+
+#: Every category a world assigns; the four price-block ones among them
+#: take the page's only uniform draws.
+_ALL_CATEGORIES = tuple(CategoryTaxonomy().names())
+
+
+class TestGeneratePage:
+    def test_price_block_categories_are_assigned(self):
+        assert {"Shopping", "Travel", "Auctions",
+                "Personal Vehicles"} <= set(_ALL_CATEGORIES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(label=st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
+                         min_size=1, max_size=20),
+           category=st.sampled_from(_ALL_CATEGORIES),
+           seed=st.integers(min_value=0, max_value=2 ** 32))
+    def test_matches_draw_by_draw_synthesis(self, label, category, seed):
+        name = f"{label}.com"
+        assert generate_page(name, category, seed=seed) == old_generate_page(
+            name, category, seed=seed)
+
+    @pytest.mark.parametrize("category", _CATEGORIES)
+    def test_clipped_pages(self, category):
+        for name in (LOW_CLIP, HIGH_CLIP):
+            assert generate_page(name, category, seed=0) == old_generate_page(
+                name, category, seed=0)
+
+    def test_sections_replay_after_short_fetches(self, monkeypatch):
+        # 256 words per fetch: most pages run off the stream mid-section
+        # many times, so every replay path is taken.
+        monkeypatch.setattr(content, "_WORDS_PER_CHAR", 0.0)
+        for name in ("a.com", LOW_CLIP, "shop.example.org"):
+            for category in ("Shopping", "News"):
+                assert generate_page(name, category, seed=3) == \
+                    old_generate_page(name, category, seed=3)
+
+    def test_page_length_over_nano_population(self, nano_world):
+        seed = nano_world.config.seed
+        for domain in nano_world.population:
+            assert page_length(domain.name, domain.category, seed=seed) == \
+                len(generate_page(domain.name, domain.category, seed=seed))
 
 
 # --------------------------------------------------------------------- #

@@ -7,11 +7,14 @@ from repro.util.rng import derive_rng
 from repro.websim.content import (
     _ACCOUNT_BLOCK,
     _NAV_ITEMS,
-    _paragraph,
     _sentence,
     generate_page,
     sample_jitter,
 )
+
+
+def _paragraph(rng: random.Random) -> str:
+    return " ".join(_sentence(rng) for _ in range(rng.randint(2, 6)))
 
 
 def _quadratic_generate_page(domain_name: str, category: str,

@@ -1,12 +1,20 @@
 """Tests for the assembled World and its fetch semantics."""
 
+import random
+
 import pytest
 
+from repro.analysis.experiments import ExperimentSuite
 from repro.httpsim.messages import Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers, crawler_headers
+from repro.lumscan.shards import encode_shard
 from repro.netsim.errors import ConnectionTimeout, FetchError
+from repro.netsim.geoip import GeoEntry, GeoIPDatabase
+from repro.proxynet.luminati import LuminatiClient
+from repro.websim import blockpages
 from repro.websim.world import World, WorldConfig
+from tests.conftest import SUITE_TEST_PARAMS
 
 
 def _request(domain, headers=None):
@@ -272,3 +280,120 @@ class TestPageCache:
         for domain in list(world.population)[:40]:
             # length-first (cold page cache), then materialize and check
             assert world._page_length(domain) == len(world._page(domain))
+
+
+class _EagerWorld(World):
+    """Geolocates every client on every fetch, before serving it."""
+
+    def fetch(self, request, client_ip, *args, **kwargs):
+        self.geoip.true_country(client_ip)
+        self.geoip.lookup(client_ip)
+        return super().fetch(request, client_ip, *args, **kwargs)
+
+
+def _rendered_pages(monkeypatch):
+    """Record the (page type, country) of every page the world renders."""
+    pages = []
+    real = blockpages.render
+
+    def render(page_type, rng, host, country):
+        pages.append((page_type, country))
+        return real(page_type, rng, host, country)
+
+    monkeypatch.setattr(blockpages, "render", render)
+    return pages
+
+
+def _plain(world, domain):
+    return (not domain.dead and not domain.redirect_loop
+            and not domain.censored_in and domain.name not in world.policies)
+
+
+class TestLazyGeolocation:
+    """The world geolocates a client only where a rule reads the answer."""
+
+    def test_plain_probe_makes_no_lookups(self, nano_world, geoip_calls):
+        domain = _find(nano_world, lambda d: _plain(nano_world, d)
+                       and d.name not in nano_world.degradations
+                       and not d.bot_protection)
+        client = LuminatiClient(nano_world)
+        results = [client.request(f"http://{domain.name}/", "US",
+                                  rng=random.Random(seed))
+                   for seed in range(8)]
+        assert any(result.ok for result in results)
+        assert geoip_calls == []
+
+    def test_block_page_for_looked_up_country(self, nano_world, monkeypatch):
+        policies = nano_world.policies
+        domain = _find(nano_world, lambda d: d.name in policies
+                       and policies[d.name].blocked_countries
+                       and policies[d.name].action != "drop"
+                       and not d.dead and not d.redirect_loop)
+        policy = policies[domain.name]
+        blocked = sorted(policy.blocked_countries)[0]
+        open_country = next(c for c in nano_world.registry.luminati_codes()
+                            if c not in policy.blocked_countries
+                            and c not in domain.censored_in)
+        ip = nano_world.residential_address(open_country, random.Random(0))
+        pages = _rendered_pages(monkeypatch)
+        # The edge's database places this open-country client in a
+        # blocked country: the block page follows the looked-up answer.
+        monkeypatch.setattr(GeoIPDatabase, "lookup",
+                            lambda self, address: GeoEntry(blocked))
+        response = nano_world.fetch(_request(domain.name), ip,
+                                    rng=random.Random(1))
+        assert pages == [(policy.block_page, blocked)]
+        assert response.status >= 400
+
+    def test_degraded_page_for_looked_up_country(self, nano_world,
+                                                 monkeypatch):
+        domain = _find(nano_world, lambda d: _plain(nano_world, d)
+                       and d.name in nano_world.degradations
+                       and not d.https_redirect and not d.www_redirect)
+        degradation = nano_world.degradations[domain.name]
+        affected = sorted(set(degradation.remove_account_countries)
+                          | set(degradation.price_multipliers))[0]
+        ip = nano_world.residential_address("US", random.Random(3))
+        bodies = {}
+        for country in (affected, "ZZ"):
+            monkeypatch.setattr(GeoIPDatabase, "lookup",
+                                lambda self, address: GeoEntry(country))
+            bodies[country] = nano_world.fetch(
+                _request(domain.name), ip, rng=random.Random(4)).body
+        assert bodies[affected].startswith(
+            nano_world._degraded_page(domain, degradation, affected))
+        assert bodies["ZZ"].startswith(nano_world._page(domain))
+        assert bodies[affected] != bodies["ZZ"]
+
+    def test_bot_page_names_client_country(self, nano_world, monkeypatch,
+                                           geoip_calls):
+        domain = _find(nano_world, lambda d: _plain(nano_world, d)
+                       and d.bot_protection)
+        ip = nano_world.residential_address("BR", random.Random(2))
+        pages = _rendered_pages(monkeypatch)
+        for seed in range(20):
+            nano_world.fetch(_request(domain.name, crawler_headers()), ip,
+                             rng=random.Random(seed))
+            if pages:
+                break
+        assert pages, "a crawler was never flagged (0.85 per request)"
+        country = nano_world.geoip.lookup(ip).country
+        assert pages[0][1] == country
+        assert ("lookup", ip) in geoip_calls
+
+    def test_eager_geolocation_changes_no_output(self, geoip_calls):
+        outputs = []
+        for world_class in (World, _EagerWorld):
+            before = len(geoip_calls)
+            suite = ExperimentSuite(world_class(WorldConfig.nano()))
+            report = suite.run(**SUITE_TEST_PARAMS)
+            datasets = [bytes(encode_shard(data.export_columns()).to_bytes())
+                        for data in (suite.top10k.initial,
+                                     suite.top10k.resampled)]
+            outputs.append((datasets, report.to_markdown(),
+                            len(geoip_calls) - before))
+        (lazy_data, lazy_report, lazy_calls), \
+            (eager_data, eager_report, eager_calls) = outputs
+        assert lazy_data == eager_data
+        assert lazy_report == eager_report
+        assert eager_calls > 10 * lazy_calls
