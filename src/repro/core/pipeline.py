@@ -58,7 +58,7 @@ from repro.datasets.fortiguard import FortiGuardClient
 from repro.lumscan.base import Scanner
 from repro.lumscan.engine import ScanEngine
 from repro.lumscan.records import ScanDataset
-from repro.lumscan.scanner import Lumscan, LumscanConfig
+from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
 from repro.proxynet.vps import VPSFleet
 from repro.run import (
@@ -369,7 +369,6 @@ def top10k_stages() -> List[Stage]:
 def run_top10k_study(world: World,
                      luminati: Optional[LuminatiClient] = None,
                      config: Optional[StudyConfig] = None,
-                     lumscan_config: Optional[LumscanConfig] = None,
                      catalog: Optional[FingerprintRegistry] = None,
                      checkpoint_dir: Optional[str] = None,
                      resume: bool = False) -> Top10KResult:
@@ -382,7 +381,7 @@ def run_top10k_study(world: World,
     """
     cfg = config or StudyConfig()
     lum = luminati or LuminatiClient(world)
-    scanner = Lumscan(lum, config=lumscan_config, seed=cfg.seed)
+    scanner = Lumscan(lum, seed=cfg.seed)
     ctx = run_study("top10k", top10k_stages(), world, cfg, lum, scanner,
                     extras={"catalog": catalog},
                     checkpoint_dir=checkpoint_dir, resume=resume,

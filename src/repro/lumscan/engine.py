@@ -110,8 +110,12 @@ MERGES = ("memory", "spill")
 #: always has a queued chunk, small enough to bound unmerged backlog.
 PIPELINE_DEPTH = 2
 
-#: Default autotuning target: wall-time one chunk should take.
-DEFAULT_TARGET_CHUNK_SECONDS = 0.25
+#: Chunk autotuning: the wall-time one chunk should take, the bounds on
+#: a chunk's task count, and the weight of the newest probes/s reading.
+TARGET_CHUNK_SECONDS = 0.25
+MIN_CHUNK_SIZE = 8
+MAX_CHUNK_SIZE = 8192
+RATE_SMOOTHING = 0.5
 
 #: Monotonic ids for stat-absorption tokens (see absorb_worker_counts).
 _ABSORB_BATCH_IDS = itertools.count()
@@ -271,25 +275,19 @@ class ChunkAutotuner:
 
     Each completed chunk reports ``(tasks, elapsed_seconds)``; the tuner
     keeps an exponentially-smoothed probes/s estimate and proposes
-    ``rate * target_seconds`` tasks for the next chunk, clamped to at
-    most double/halve per observation so one noisy chunk cannot whipsaw
-    the stream.  The tuner is a pure function of the observations it is
-    fed — driven by a :class:`~repro.util.clock.ManualClock` (elapsed
-    values under test control, or frozen at zero) it is fully
-    deterministic, and chunk boundaries never affect output bytes.
+    ``rate * TARGET_CHUNK_SECONDS`` tasks for the next chunk, clamped to
+    at most double/halve per observation so one noisy chunk cannot
+    whipsaw the stream, and to ``[MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]``.
+    The tuner is a pure function of the observations it is fed — driven
+    by a :class:`~repro.util.clock.ManualClock` (elapsed values under
+    test control, or frozen at zero) it is fully deterministic, and
+    chunk boundaries never affect output bytes.
     """
 
-    def __init__(self, initial: int,
-                 target_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS,
-                 min_size: int = 8, max_size: int = 8192,
-                 smoothing: float = 0.5) -> None:
+    def __init__(self, initial: int) -> None:
         if initial < 1:
             raise ValueError(f"initial chunk size must be >= 1, got {initial}")
         self._size = initial
-        self._target = float(target_seconds)
-        self._min = min_size
-        self._max = max_size
-        self._smoothing = smoothing
         self._rate: Optional[float] = None
 
     @property
@@ -307,11 +305,11 @@ class ChunkAutotuner:
             return
         rate = tasks / elapsed
         self._rate = rate if self._rate is None else (
-            self._smoothing * rate + (1.0 - self._smoothing) * self._rate)
-        proposed = int(round(self._rate * self._target))
+            RATE_SMOOTHING * rate + (1.0 - RATE_SMOOTHING) * self._rate)
+        proposed = int(round(self._rate * TARGET_CHUNK_SECONDS))
         proposed = min(proposed, self._size * 2)
         proposed = max(proposed, self._size // 2)
-        self._size = max(self._min, min(self._max, proposed))
+        self._size = max(MIN_CHUNK_SIZE, min(MAX_CHUNK_SIZE, proposed))
 
 
 # Module-level worker state for the process executor: each worker process
@@ -320,10 +318,10 @@ class ChunkAutotuner:
 _WORKER_SCANNER = None
 _WORKER_COUNTS = (0, 0)
 _WORKER_CLOCK: Clock = SYSTEM_CLOCK
-# One-shot init-cost record: the first chunk a worker completes carries
-# it back to the parent (then it is cleared, so a worker reports its
-# spawn cost exactly once however many chunks it runs).
-_WORKER_INIT_INFO: Optional[dict] = None
+# Spawn costs not yet reported: the first chunk a worker completes
+# carries them back to the parent, and later chunks carry zeros, so a
+# worker reports its spawn cost exactly once however many chunks it runs.
+_WORKER_INIT_STATS = WorkerInitStats()
 
 #: Closes the one live process pool in this process (see _open_pool).
 _LIVE_POOL: Optional[weakref.finalize] = None
@@ -332,10 +330,10 @@ _LIVE_POOL: Optional[weakref.finalize] = None
 class ChunkResult(NamedTuple):
     """What a worker returns for one chunk.
 
-    The rows stay in the segment ``handle`` names.  ``init_info`` is the
-    worker's one-time spawn-cost record (None on every chunk after its
-    first); ``lengths`` maps each base-page length the worker computed
-    during the chunk to its domain.
+    The rows stay in the segment ``handle`` names.  ``lengths`` maps
+    each base-page length the worker computed during the chunk to its
+    domain, and ``stats`` counts them; a worker's first chunk also
+    carries its spawn cost in ``stats`` (``spawned=1``).
     """
 
     seq: int
@@ -344,32 +342,25 @@ class ChunkResult(NamedTuple):
     fetches: int
     tasks: int
     elapsed: float
-    init_info: Optional[dict]
+    stats: WorkerInitStats
     lengths: Dict[str, int]
 
 
 def _process_worker_init(spec, clock: Clock) -> None:
-    global _WORKER_SCANNER, _WORKER_COUNTS, _WORKER_CLOCK, _WORKER_INIT_INFO
+    global _WORKER_SCANNER, _WORKER_COUNTS, _WORKER_CLOCK, _WORKER_INIT_STATS
     stopwatch = clock.stopwatch()
-    build_timed = getattr(spec, "build_timed", None)
-    if build_timed is not None:
-        scanner, build_info = build_timed(clock)
-    else:
-        scanner = spec.build()
-        build_info = WorkerBuildInfo(source="build",
-                                     build_seconds=stopwatch.elapsed())
+    scanner, build_info = spec.build_timed(clock)
     _WORKER_SCANNER = scanner
     _WORKER_COUNTS = scanner.worker_counts()
     _WORKER_CLOCK = clock
-    _WORKER_INIT_INFO = {
-        "spawn_seconds": stopwatch.elapsed(),
-        "build_seconds": build_info.build_seconds,
-        "source": build_info.source,
-        "rss_bytes": rss_bytes(),
-    }
+    _WORKER_INIT_STATS = WorkerInitStats(
+        spawned=1, spawn_seconds=stopwatch.elapsed(),
+        build_seconds=build_info.build_seconds,
+        pack_loads=int(build_info.source == "pack"),
+        rss_peak_bytes=rss_bytes())
     logger.debug("worker init: world %s in %.3fs (%.3fs total)",
                  build_info.source, build_info.build_seconds,
-                 _WORKER_INIT_INFO["spawn_seconds"])
+                 _WORKER_INIT_STATS.spawn_seconds)
 
 
 def _process_run_chunk(seq: int, chunk: List[ProbeTask],
@@ -382,7 +373,7 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask],
     only lengths no replica has reported yet, and returns the lengths it
     memoized after them.
     """
-    global _WORKER_COUNTS, _WORKER_INIT_INFO
+    global _WORKER_COUNTS, _WORKER_INIT_STATS
     scanner = _WORKER_SCANNER
     scanner.learn_page_lengths(lengths)
     mark = scanner.page_length_mark()
@@ -396,10 +387,12 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask],
     _WORKER_COUNTS = (requests, fetches)
     elapsed = stopwatch.elapsed()
     handle = write_shard(data.export_columns(), exchange, seq)
-    init_info, _WORKER_INIT_INFO = _WORKER_INIT_INFO, None
+    computed = scanner.page_lengths_since(mark)
+    stats = replace(_WORKER_INIT_STATS, page_lengths=len(computed))
+    _WORKER_INIT_STATS = WorkerInitStats()
     return ChunkResult(seq, handle, requests - prev_requests,
                        fetches - prev_fetches, len(chunk), elapsed,
-                       init_info, scanner.page_lengths_since(mark))
+                       stats, computed)
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, pack) -> None:
@@ -494,10 +487,9 @@ class ScanEngine:
         """Configured merge sink ("memory" or "spill")."""
         return self._merge
 
-    def worker_init_stats(self):
-        """The scanner's accumulated worker spawn/build costs, if tracked."""
-        stats = getattr(self._scanner, "worker_init_stats", None)
-        return stats() if stats is not None else None
+    def worker_init_stats(self) -> WorkerInitStats:
+        """The scanner's accumulated worker spawn/build costs."""
+        return self._scanner.worker_init_stats()
 
     # ------------------------------------------------------------------ #
 
@@ -556,15 +548,9 @@ class ScanEngine:
         global _LIVE_POOL
         if self._pool_closer is not None and self._pool_closer.alive:
             return self._pool, 0
-        spawn = getattr(self._scanner, "spawn_spec", None)
-        if spawn is None:
-            raise TypeError(
-                f"executor='process' needs a spawnable scanner "
-                f"(spawn_spec/worker_counts/absorb_worker_counts); "
-                f"{type(self._scanner).__name__} has no spawn_spec")
         if _LIVE_POOL is not None:
             _LIVE_POOL()
-        spec = spawn()
+        spec = self._scanner.spawn_spec()
         pack, freeze_failures = self._freeze_world_pack()
         try:
             if pack is not None:
@@ -591,9 +577,7 @@ class ScanEngine:
         buffer = ChunkReorderBuffer()
         pending: Dict[object, int] = {}   # future -> chunk sequence number
         requests = fetches = 0
-        spawned = pack_loads = page_lengths = 0
-        spawn_seconds = build_seconds = 0.0
-        rss_peak = 0
+        init_stats = WorkerInitStats(freeze_failures=freeze_failures)
         cursor = 0
         seq = 0
         # The stack owns the exchange session and the spill builder:
@@ -644,18 +628,10 @@ class ScanEngine:
                     for future in done:
                         pending.pop(future)
                         result = future.result()
-                        info = result.init_info
-                        if info is not None:
-                            spawned += 1
-                            spawn_seconds += info["spawn_seconds"]
-                            build_seconds += info["build_seconds"]
-                            rss_peak = max(rss_peak, info["rss_bytes"])
-                            if info["source"] == "pack":
-                                pack_loads += 1
+                        init_stats = init_stats.plus(result.stats)
                         # Fold the worker's lengths in before the next submit,
                         # so that chunk already carries them.
                         scanner.learn_page_lengths(result.lengths)
-                        page_lengths += len(result.lengths)
                         tuner.record(result.tasks, result.elapsed)
                         buffer.push(result.seq, result)
                         submit_next()
@@ -691,28 +667,21 @@ class ScanEngine:
         scanner.absorb_worker_counts(
             requests, fetches,
             token=f"engine-batch-{next(_ABSORB_BATCH_IDS)}",
-            init_stats=WorkerInitStats(
-                spawned=spawned, spawn_seconds=spawn_seconds,
-                build_seconds=build_seconds, pack_loads=pack_loads,
-                rss_peak_bytes=rss_peak, freeze_failures=freeze_failures,
-                page_lengths=page_lengths))
+            init_stats=init_stats)
         return data
 
     def _freeze_world_pack(self) -> Tuple[object, int]:
         """Freeze the scanner's world for the pool.
 
         Returns ``(pack, failures)``.  The pool's closer releases the
-        pack.  The pack is None when the scanner cannot freeze its world
-        or freezing failed; the workers then fall back to the spec
-        rebuild, which is bit-identical.  A failure is logged as a
-        warning and counted (``failures`` = 1), because the rebuild
-        costs every worker a full world build.
+        pack.  The pack is None when freezing failed; the workers then
+        fall back to the spec rebuild, which is bit-identical.  A failure
+        is logged as a warning and counted (``failures`` = 1), because
+        the rebuild costs every worker a full world build.
         """
-        freeze = getattr(self._scanner, "freeze_world_pack", None)
-        if freeze is None:
-            return None, 0
         try:
-            return freeze(directory=self._spill_dir), 0
+            return self._scanner.freeze_world_pack(
+                directory=self._spill_dir), 0
         except OSError:
             logger.warning("world freeze failed; workers will rebuild",
                            exc_info=True)

@@ -1,22 +1,24 @@
 """Lumscan: reliability features layered over the raw Luminati API (§3.2).
 
-Lumscan improves raw proxy measurements four ways, all reproduced here:
+Lumscan improves raw proxy measurements four ways:
 
 1. **Connectivity verification** — before using an exit node, fetch the
    Luminati echo page; exits that cannot reach it are discarded.  The echo
-   response also yields the exit's IP and geolocation for bookkeeping.
+   response also yields the exit's IP for bookkeeping.
 2. **Retries** — failed requests are repeated a configurable number of
-   times on a *different* exit, collapsing transient proxy noise.
+   times on a newly picked exit, collapsing transient proxy noise.
 3. **Full browser headers** — merely setting User-Agent does not suppress
    bot detection (the §3.1 ZGrab lesson), so Lumscan sends a complete
    browser header set by default (caller-overridable).
-4. **Load balancing / rotation** — at most ``requests_per_exit`` requests
-   are sent through any exit before rotating, bounding per-user resource
-   consumption; requests are spread round-robin across superproxies.
+4. **Exit rotation** — every attempt goes through a freshly picked,
+   verified exit.  The real tool also caps each exit at ten requests and
+   spreads requests over superproxies to bound per-user resource use;
+   here every attempt picks its exit afresh and a probe's outcome
+   depends only on its task, so neither limit could change a byte and
+   neither is modeled (DESIGN.md §2).
 
-Scan-shaped work (``scan`` / ``resample``) runs through the task model of
-:mod:`repro.lumscan.engine`: each (country, url, sample) probe owns a
-derived RNG and its own exit-rotation state, so the dataset a scan
+Probing runs through the task model of :mod:`repro.lumscan.engine`: each
+(country, url, sample) probe owns a derived RNG, so the dataset a scan
 produces is a pure function of the seed and the task list — independent
 of execution order, and therefore shardable across the engine's worker
 pool without changing a single byte of output.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import random
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -55,8 +56,6 @@ class LumscanConfig:
     """Tuning for a Lumscan run."""
 
     retries: int = 2                 # extra attempts after a failure
-    requests_per_exit: int = 10      # rotation threshold (§3.2)
-    superproxies: int = 8            # parallel mediating superproxies
     verify_exits: bool = True        # echo-page connectivity pre-check
     max_redirects: int = 10
 
@@ -125,19 +124,6 @@ class ScannerSpec:
         return scanner, info
 
 
-@dataclass
-class RotationState:
-    """Exit-rotation bookkeeping for one probe stream.
-
-    Scan tasks each own a fresh state (per-task rotation); the legacy
-    ``probe()`` entry point keeps one long-lived instance state.
-    """
-
-    exit_node: Optional[ExitNode] = None
-    uses: int = 0
-    country: Optional[str] = None
-
-
 class Lumscan:
     """Scanning tool built on a :class:`LuminatiClient`."""
 
@@ -150,38 +136,37 @@ class Lumscan:
         self._config = config or LumscanConfig()
         self._headers = headers or browser_headers()
         self._seed = seed
-        self._rng = derive_rng(seed, "lumscan")
-        self._rotation = RotationState()
         # Scan tasks keep only lengths of large 200-bodies, so by default
-        # the origin elides them.  BodyPolicy.full() forces materialization;
-        # ad-hoc probe() calls always materialize.
+        # the origin elides them.  BodyPolicy.full() forces materialization.
         self._task_body_policy = (body_policy if body_policy is not None
                                   else KEEP_THRESHOLD_POLICY)
-        self.superproxy_loads = [0] * self._config.superproxies
-        self._superproxy_cursor = 0
-        self._superproxy_lock = threading.Lock()
         self._worker_init_stats = WorkerInitStats()
 
     # ------------------------------------------------------------------ #
 
-    def probe(self, url: str, country: str, epoch: int = 0,
-              rng: Optional[random.Random] = None) -> ProbeResult:
-        """One logical measurement: verified exit, retries, rotation.
-
-        Without ``rng`` this consumes the scanner's shared stream and
-        long-lived rotation state (ad-hoc probing).  With ``rng`` the probe
-        is self-contained: private rotation state, every draw from the
-        caller's rng — the form scan tasks use.
-        """
-        if rng is None:
-            return self._probe(url, country, epoch, self._rng, self._rotation)
-        return self._probe(url, country, epoch, rng, RotationState())
-
     def run_task(self, task: ProbeTask) -> ProbeResult:
-        """Execute one scan task with its derived RNG (engine entry point)."""
-        return self._probe(task.url, task.country, task.epoch,
-                           self.task_rng(task), RotationState(),
-                           body_policy=self._task_body_policy)
+        """Execute one scan task with its derived RNG (engine entry point).
+
+        Each attempt picks a verified exit and sends the request; the
+        first success is the result, and a failure retries on a newly
+        picked exit.
+        """
+        rng = self.task_rng(task)
+        result: Optional[ProbeResult] = None
+        for _ in range(1 + self._config.retries):
+            try:
+                exit_node = self._pick_verified_exit(task.country, rng)
+            except NoExitAvailable as exc:
+                return ProbeResult(url=task.url, country=task.country,
+                                   response=None, error=exc.kind)
+            result = self._luminati.request(
+                task.url, task.country, headers=self._headers,
+                exit_node=exit_node, max_redirects=self._config.max_redirects,
+                epoch=task.epoch, rng=rng, body_policy=self._task_body_policy)
+            if result.ok:
+                return result
+        assert result is not None
+        return result
 
     def task_rng(self, task: ProbeTask) -> random.Random:
         """The private RNG owned by one scan task.
@@ -286,38 +271,6 @@ class Lumscan:
 
     # ------------------------------------------------------------------ #
 
-    def _probe(self, url: str, country: str, epoch: int,
-               rng: random.Random, state: RotationState,
-               body_policy: Optional[BodyPolicy] = None) -> ProbeResult:
-        attempts = 1 + self._config.retries
-        result: Optional[ProbeResult] = None
-        for _ in range(attempts):
-            rotate = (
-                state.exit_node is None
-                or state.country != country
-                or state.uses >= self._config.requests_per_exit
-            )
-            if rotate:
-                try:
-                    state.exit_node = self._pick_verified_exit(country, rng)
-                except NoExitAvailable as exc:
-                    return ProbeResult(url=url, country=country, response=None,
-                                       error=exc.kind)
-                state.uses = 0
-                state.country = country
-            state.uses += 1
-            self._balance_superproxy()
-            result = self._luminati.request(
-                url, country, headers=self._headers, exit_node=state.exit_node,
-                max_redirects=self._config.max_redirects, epoch=epoch, rng=rng,
-                body_policy=body_policy)
-            if result.ok:
-                return result
-            # Rotate away from the failing exit before retrying.
-            state.exit_node = None
-        assert result is not None
-        return result
-
     def _pick_verified_exit(self, country: str,
                             rng: random.Random) -> ExitNode:
         for _ in range(5):
@@ -328,12 +281,3 @@ class Lumscan:
             if echo.get("ip"):
                 return node
         return self._luminati.pick_exit(country, rng=rng)
-
-    def _balance_superproxy(self) -> int:
-        # Round-robin by counter: O(1) instead of an O(superproxies) min()
-        # scan, and trivially balanced (loads never differ by more than 1).
-        with self._superproxy_lock:
-            index = self._superproxy_cursor
-            self._superproxy_cursor = (index + 1) % len(self.superproxy_loads)
-            self.superproxy_loads[index] += 1
-            return index

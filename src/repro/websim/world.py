@@ -26,7 +26,6 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -193,8 +192,7 @@ class World:
                    policies: Dict[str, GeoPolicy], degradations: Dict,
                    censorship: Dict[str, Tuple[str, ...]],
                    allocator: AddressAllocator, geoip: GeoIPDatabase,
-                   dns: DNSServer, appengine_cidrs: List[str],
-                   frozen_lengths: Optional[Tuple] = None) -> "World":
+                   dns: DNSServer, appengine_cidrs: List[str]) -> "World":
         """Assemble a world from pre-built immutable parts (pack loading).
 
         The parts must be exactly what ``World(config)``'s build phase
@@ -206,9 +204,6 @@ class World:
         returning one — the loader runs on first :attr:`dns` access, so
         workers (which resolve through the population, never through
         DNS) skip rebuilding the zone table entirely.
-        ``frozen_lengths`` optionally carries the pack's cached
-        base-page lengths as a sorted ``(rank_index, length)`` array
-        pair, consulted read-only by :meth:`_page_length`.
         """
         world = cls.__new__(cls)
         world.config = config
@@ -232,7 +227,7 @@ class World:
             world._dns = dns
             world._dns_loader = None
         world._appengine_cidrs = list(appengine_cidrs)
-        world._init_runtime(frozen_lengths=frozen_lengths)
+        world._init_runtime()
         return world
 
     @property
@@ -243,7 +238,7 @@ class World:
             self._dns_loader = None
         return self._dns
 
-    def _init_runtime(self, frozen_lengths: Optional[Tuple] = None) -> None:
+    def _init_runtime(self) -> None:
         """Initialize the mutable, never-shared half of the world.
 
         Everything here is worker-private state: the shared RNG streams,
@@ -272,9 +267,6 @@ class World:
         self._client_profiles: MemoDict[
             Tuple[Tuple[str, str], ...], str] = MemoDict()
         self._fetch_count = ShardedCounter()
-        # Read-only views into a mapped worldpack: (sorted rank-1 index
-        # array, length array).  None for built worlds.
-        self._frozen_lengths = frozen_lengths
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -539,8 +531,6 @@ class World:
         """``len(self._page(domain))`` without materializing the page."""
         length = self._page_length_cache.get(domain.name)
         if length is None:
-            length = self._frozen_length(domain)
-        if length is None:
             cached = self._page_cache.get(domain.name)
             if cached is not None:
                 length = len(cached)
@@ -576,25 +566,6 @@ class World:
         added = islice(reversed(self._page_length_cache.items()),
                        len(self._page_length_cache) - mark)
         return dict(reversed(list(added)))
-
-    def _frozen_length(self, domain: Domain) -> Optional[int]:
-        """The domain's base-page length from a mapped worldpack, if any.
-
-        The pack stores lengths as a sorted (rank-1 index, value) array
-        pair; a hit is copied into the memo so repeat lookups skip the
-        bisect.  Lengths are pure functions of (seed, domain), so a pack
-        value and a computed value can never disagree.
-        """
-        if self._frozen_lengths is None:
-            return None
-        index, values = self._frozen_lengths
-        target = domain.rank - 1
-        pos = bisect_left(index, target)
-        if pos >= len(index) or index[pos] != target:
-            return None
-        length = int(values[pos])
-        self._page_length_cache[domain.name] = length
-        return length
 
     def _resolve(self, host: str) -> Optional[Domain]:
         name = host.lower()

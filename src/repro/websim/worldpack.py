@@ -9,20 +9,22 @@ canonical-JSON header + aligned payload sections + a content
 fingerprint), built once in the parent and mapped read-only by every
 worker:
 
-* **Array sections** (per-domain attribute codes, flag bitfield, cached
-  base-page lengths) come back as zero-copy ``numpy`` views over the
-  shared block — no per-worker copy of the bulk data.
+* **Array sections** (per-domain attribute codes and flag bitfield)
+  come back as zero-copy ``numpy`` views over the shared block — no
+  per-worker copy of the bulk data.
 * **JSON sections** (domain names, policies, address plan, GeoIP
   entries, DNS zones) are decoded per worker into the exact objects the
   build phase produced; each preserves the orderings the simulation's
   determinism contract depends on (GeoIP first-match order, allocator
   insertion order, policy-map insertion order).
 
-What is *not* in a pack — ``_page_cache``, ``_clearances``, counters,
-the shared RNG streams — is per-worker mutable state and is freshly
-initialized on load, so probe outcomes are bit-identical to a worker
-that rebuilt its world from the spec (the equivalence suite in
-``tests/test_worldpack.py`` holds both paths to the same bytes).
+What is *not* in a pack — the page and base-page-length memos,
+``_clearances``, counters, the shared RNG streams — is per-worker
+mutable state and is freshly initialized on load (a worker learns the
+lengths the parent knows from the chunks it is sent), so probe
+outcomes are bit-identical to a worker that rebuilt its world from the
+spec (the equivalence suite in ``tests/test_worldpack.py`` holds both
+paths to the same bytes).
 
 The envelope picks the transport: shared memory (zero-copy across the
 pool; the parent owns the unlink) wherever it works, else a file (also
@@ -74,8 +76,6 @@ ARRAY_DTYPES = {
     "cf_tier_codes": "<i2",
     "brand_codes": "<i4",
     "flags": "u1",
-    "length_index": "<i4",
-    "length_values": "<i8",
 }
 
 #: Bit positions in the per-domain ``flags`` bitfield.
@@ -192,9 +192,7 @@ def encode_worldpack(world: World) -> Envelope:
               ("tlds", "categories", "providers", "origins", "cf_tiers",
                "brands")}
     columns = {name: np.empty(size, dtype=ARRAY_DTYPES[name])
-               for name in ("tld_codes", "category_codes", "provider_codes",
-                            "secondary_codes", "origin_codes",
-                            "cf_tier_codes", "brand_codes", "flags")}
+               for name in ARRAY_DTYPES}
     names: List[str] = []
     for idx, domain in enumerate(world.population):
         if domain.rank != idx + 1:
@@ -220,15 +218,6 @@ def encode_worldpack(world: World) -> Envelope:
             | (_FLAG_HTTPS if domain.https_redirect else 0)
             | (_FLAG_DEAD if domain.dead else 0)
             | (_FLAG_LOOP if domain.redirect_loop else 0))
-
-    length_items = sorted(
-        (world.population.get(name).rank - 1, length)
-        for name, length in world._page_length_cache.items())  # lint: ordered(sorted() by rank makes the cache's insertion order irrelevant)
-    columns["length_index"] = np.array(
-        [idx for idx, _ in length_items], dtype=ARRAY_DTYPES["length_index"])
-    columns["length_values"] = np.array(
-        [value for _, value in length_items],
-        dtype=ARRAY_DTYPES["length_values"])
 
     json_values = {
         "config": _config_state(world.config),
@@ -451,15 +440,6 @@ def _thaw(mapping: SegmentMapping) -> World:
                 dns.add_record(zone_name, rtype, value)
         return dns
 
-    # Cached page lengths are the one array pair the world consults for
-    # its whole lifetime; they are copied out (they only hold the
-    # parent's memoized lengths, not all pages) so nothing the thawed
-    # world owns can dangle into the mapping after it closes.
-    length_index = array("length_index").copy()
-    length_values = array("length_values").copy()
-    length_index.setflags(write=False)
-    length_values.setflags(write=False)
-
     world = World.from_parts(
         config,
         population=population,
@@ -470,7 +450,6 @@ def _thaw(mapping: SegmentMapping) -> World:
         geoip=geoip,
         dns=load_dns,
         appengine_cidrs=list(doc("appengine")),
-        frozen_lengths=(length_index, length_values),
     )
     world.source = "pack"
     return world

@@ -16,8 +16,6 @@ import hashlib
 import json
 import os
 
-import pytest
-
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
     ExchangeSpec,
@@ -81,19 +79,19 @@ def test_worker_shard_bytes(tmp_path):
     assert "fingerprint" not in _header(handle.ref)
 
 
-@pytest.fixture(scope="module")
-def nano_pack_world():
+def test_worldpack_bytes(tmp_path):
+    # Base-page lengths reach workers with their chunks, never through
+    # the pack, so lengths the world has memoized change no byte.
     world = World(WorldConfig.nano())
+    before = str(tmp_path / "before.lshw")
+    write_worldpack_file(world, before)
     world.learn_page_lengths({
         domain.name: 4096 + 17 * domain.rank
         for domain in list(world.population)[:5]})
-    return world
-
-
-def test_worldpack_bytes(nano_pack_world, tmp_path):
     path = str(tmp_path / "nano.lshw")
-    write_worldpack_file(nano_pack_world, path)
-    assert os.path.getsize(path) == 52209
+    write_worldpack_file(world, path)
+    assert _sha(path) == _sha(before)
+    assert os.path.getsize(path) == 51953
     assert _sha(path) == (
-        "4c70a224af63742294222ca2c0980f1ac97c1750a3406795301cadc59b27f743")
-    assert _header(path)["fingerprint"] == "15893a0275c9ae65440a795d7aae15ec"
+        "4740ac3e36028702896b60a2408ebb07ee8a8ca087611bb12a498834cde00c46")
+    assert _header(path)["fingerprint"] == "7d5acf6191e2d4aab0955ebe5aa6c2a3"

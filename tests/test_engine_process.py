@@ -49,13 +49,6 @@ def _clean_urls(world, n):
     return urls
 
 
-class _InlineOnlyScanner:
-    """Satisfies Scanner but not SpawnableScanner (no spawn_spec)."""
-
-    def run_task(self, task):  # pragma: no cover - never reached
-        raise AssertionError("should fail before running tasks")
-
-
 class TestExecutorValidation:
     def test_executors_tuple(self):
         assert EXECUTORS == ("thread", "process")
@@ -63,13 +56,6 @@ class TestExecutorValidation:
     def test_unknown_executor_rejected(self, nano_luminati):
         with pytest.raises(ValueError):
             ScanEngine(Lumscan(nano_luminati, seed=3), executor="fork")
-
-    def test_non_spawnable_scanner_rejected(self):
-        engine = ScanEngine(_InlineOnlyScanner(), workers=2, chunk_size=2,
-                            executor="process")
-        with pytest.raises(TypeError, match="spawn_spec"):
-            engine.scan([f"http://d{i}.example.com/" for i in range(8)],
-                        ["US"], samples=1)
 
 
 class TestScannerSpec:
@@ -525,7 +511,7 @@ class TestPoolLifecycle:
 
     def test_warm_pool_computes_each_length_once(self, nano_world, serial):
         # A fresh world: the shared one already knows every length, and
-        # its pack would hand them all to the workers.
+        # every chunk would hand them all to the workers.
         urls, countries = serial[0], serial[1]
         with self._engine(World(WorldConfig.nano())) as engine:
             engine.scan(urls, countries, samples=2)

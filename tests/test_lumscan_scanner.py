@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.lumscan.engine import scan_tasks
 from repro.lumscan.records import NO_RESPONSE
 from repro.lumscan.scanner import Lumscan, LumscanConfig
-from repro.proxynet.luminati import LuminatiClient
+from repro.netsim.errors import NoExitAvailable
+from repro.proxynet.luminati import LuminatiClient, ProbeResult
 
 
 @pytest.fixture
@@ -22,6 +24,35 @@ def _clean_urls(world, n=5):
             if len(urls) == n:
                 break
     return urls
+
+
+def rotating_probe(scanner, task, requests_per_exit=10):
+    """The attempt loop as it was with per-exit rotation limits.
+
+    Each task owned a fresh rotation state that sent at most
+    ``requests_per_exit`` requests through one exit and dropped the exit
+    after a failure.  Kept as the oracle for ``Lumscan.run_task``.
+    """
+    rng = scanner.task_rng(task)
+    exit_node, uses = None, 0
+    result = None
+    for _ in range(1 + scanner._config.retries):
+        if exit_node is None or uses >= requests_per_exit:
+            try:
+                exit_node = scanner._pick_verified_exit(task.country, rng)
+            except NoExitAvailable as exc:
+                return ProbeResult(url=task.url, country=task.country,
+                                   response=None, error=exc.kind)
+            uses = 0
+        uses += 1
+        result = scanner._luminati.request(
+            task.url, task.country, headers=scanner._headers,
+            exit_node=exit_node, max_redirects=scanner._config.max_redirects,
+            epoch=task.epoch, rng=rng, body_policy=scanner._task_body_policy)
+        if result.ok:
+            return result
+        exit_node = None
+    return result
 
 
 class TestScan:
@@ -68,31 +99,26 @@ class TestReliabilityFeatures:
                         if s.status == NO_RESPONSE)
         assert fail_some <= fail_none
 
-    def test_superproxy_load_balanced(self, scanner, nano_world):
-        urls = _clean_urls(nano_world, 5)
-        scanner.scan(urls, ["US", "DE"], samples=2)
-        loads = scanner.superproxy_loads
-        assert max(loads) - min(loads) <= 1
-        assert sum(loads) >= 20
-
-    def test_exit_rotation_limit(self, nano_world):
-        luminati = LuminatiClient(nano_world)
-        scanner = Lumscan(luminati, config=LumscanConfig(requests_per_exit=10))
-        urls = _clean_urls(nano_world, 7)
-        # Legacy ad-hoc probes share the scanner's long-lived rotation
-        # state; 21 probes must rotate through >= 3 exits.
-        for url in urls * 3:
-            scanner.probe(url, "US")
-        assert scanner._rotation.uses <= 10
-
-    def test_scan_tasks_rotate_independently(self, nano_world):
-        # Scan tasks own private rotation state: the shared legacy state
-        # must remain untouched by a full scan.
-        luminati = LuminatiClient(nano_world)
-        scanner = Lumscan(luminati, config=LumscanConfig(requests_per_exit=10))
-        scanner.scan(_clean_urls(nano_world, 7), ["US"], samples=3)
-        assert scanner._rotation.exit_node is None
-        assert scanner._rotation.uses == 0
+    @pytest.mark.parametrize("retries", [0, 2, 4])
+    def test_run_task_matches_rotating_probe(self, nano_world, retries):
+        # Every attempt already went through a freshly picked exit, so
+        # dropping the rotation limit changes no result and no request.
+        config = LumscanConfig(retries=retries)
+        new_client = LuminatiClient(nano_world)
+        old_client = LuminatiClient(nano_world)
+        new = Lumscan(new_client, config=config, seed=5)
+        old = Lumscan(old_client, config=config, seed=5)
+        urls = [f"http://{d.name}/" for d in list(nano_world.population)[:30]]
+        tasks = scan_tasks(urls, new_client.countries(), samples=2, epoch=1)
+        failed = 0
+        for task in tasks:
+            result = new.run_task(task)
+            assert result == rotating_probe(old, task)
+            failed += not result.ok
+        assert old_client.request_count == new_client.request_count
+        assert failed > 0
+        if retries:
+            assert new_client.request_count > len(tasks)  # some retried
 
     def test_luminati_refusal_recorded(self, nano_world):
         luminati = LuminatiClient(nano_world)

@@ -12,7 +12,14 @@ import os
 
 import pytest
 
-from repro.lumscan.engine import ChunkAutotuner, ChunkReorderBuffer
+from repro.lumscan.engine import (
+    MAX_CHUNK_SIZE,
+    MIN_CHUNK_SIZE,
+    RATE_SMOOTHING,
+    TARGET_CHUNK_SECONDS,
+    ChunkAutotuner,
+    ChunkReorderBuffer,
+)
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.shards import (
     ExchangeSpec,
@@ -401,49 +408,60 @@ class TestChunkReorderBuffer:
 
 class TestChunkAutotuner:
     def test_grows_toward_target(self):
-        # 1000 probes/s at a 0.25s target wants ~250-task chunks, but
-        # growth is clamped to doubling per observation.
-        tuner = ChunkAutotuner(32, target_seconds=0.25)
+        # 1000 probes/s wants 1000 * TARGET_CHUNK_SECONDS tasks per chunk,
+        # but growth is clamped to doubling per observation.
+        target = round(1000 * TARGET_CHUNK_SECONDS)
+        assert 128 < target <= 256
+        tuner = ChunkAutotuner(32)
         tuner.record(32, 0.032)
         assert tuner.chunk_size() == 64
         tuner.record(64, 0.064)
         assert tuner.chunk_size() == 128
         tuner.record(128, 0.128)
-        assert tuner.chunk_size() == 250
+        assert tuner.chunk_size() == target
 
     def test_shrinks_on_slow_chunks(self):
-        # 100 probes/s at a 0.25s target wants 25-task chunks; shrink is
-        # clamped to halving per observation and floored at min_size.
-        tuner = ChunkAutotuner(512, target_seconds=0.25)
+        # 100 probes/s wants 100 * TARGET_CHUNK_SECONDS tasks per chunk;
+        # shrinking is clamped to halving per observation.
+        target = round(100 * TARGET_CHUNK_SECONDS)
+        assert MIN_CHUNK_SIZE <= target < 128
+        tuner = ChunkAutotuner(512)
         tuner.record(512, 5.12)
         assert tuner.chunk_size() == 256
         tuner.record(256, 2.56)
         assert tuner.chunk_size() == 128
         for _ in range(10):
             tuner.record(tuner.chunk_size(), tuner.chunk_size() / 100.0)
-        assert tuner.chunk_size() == 25
+        assert tuner.chunk_size() == target
+
+    def test_smooths_the_rate(self):
+        tuner = ChunkAutotuner(64)
+        tuner.record(64, 0.064)
+        tuner.record(64, 0.032)
+        assert tuner.rate == pytest.approx(
+            RATE_SMOOTHING * 2000 + (1 - RATE_SMOOTHING) * 1000)
 
     def test_zero_elapsed_is_a_no_op(self):
         # A frozen ManualClock shipped to workers reports zero elapsed;
         # the tuner must hold the size (deterministic chunking).
-        tuner = ChunkAutotuner(64, target_seconds=0.25)
+        tuner = ChunkAutotuner(64)
         tuner.record(64, 0.0)
         tuner.record(0, 1.0)
         assert tuner.chunk_size() == 64
         assert tuner.rate is None
 
     def test_respects_min_and_max(self):
-        tuner = ChunkAutotuner(16, target_seconds=1.0,
-                               min_size=8, max_size=64)
-        for _ in range(8):
+        tuner = ChunkAutotuner(16)
+        for _ in range(20):
             tuner.record(tuner.chunk_size(), 1e-6)  # absurdly fast
-        assert tuner.chunk_size() == 64
-        # The smoothed rate halves per observation, so walking back down
-        # from the fast regime takes a stretch of slow chunks.
-        for _ in range(40):
+        assert tuner.chunk_size() == MAX_CHUNK_SIZE
+        # The smoothed rate falls by RATE_SMOOTHING per observation, so
+        # walking back down from the fast regime takes a stretch of slow
+        # chunks.
+        for _ in range(80):
             tuner.record(tuner.chunk_size(), 1e6)  # absurdly slow
-        assert tuner.chunk_size() == 8
+        assert tuner.chunk_size() == MIN_CHUNK_SIZE
 
     def test_rejects_bad_initial(self):
         with pytest.raises(ValueError):
-            ChunkAutotuner(0, target_seconds=0.25)
+            ChunkAutotuner(0)

@@ -7,13 +7,14 @@ everywhere a probe can look — the tests here pin that down layer by
 layer:
 
 1. every frozen structure (population, policies, degradations,
-   censorship, GeoIP entries and country order, address plan, DNS, page
-   lengths, config) round-trips exactly;
+   censorship, GeoIP entries and country order, address plan, DNS,
+   config) round-trips exactly;
 2. probe outcomes — ``Lumscan.run_task`` over a hypothesis-driven slice
    of (domain, country, sample) identities — are equal on both worlds;
 3. a process-pool scan serializes to byte-identical datasets whether
    workers map the pack or — when the parent cannot freeze it — rebuild
-   from the spec;
+   from the spec, and either way the workers learn the parent's
+   base-page lengths from their chunks;
 4. the fallback, release, and tamper paths fail safe: a worker that
    cannot map the pack rebuilds, a released pack raises, a fingerprint
    mismatch is rejected.
@@ -42,6 +43,7 @@ from repro.util import envelope
 from repro.util.clock import ManualClock
 from repro.util.envelope import KIND_FILE, KIND_SHM, MAGIC_LSHW, \
     read_header, shm_available
+from repro.websim.content import page_length
 from repro.websim.world import World, WorldConfig
 from repro.websim.worldpack import (
     freeze_world,
@@ -130,14 +132,6 @@ class TestRoundTrip:
                 assert fresh.dns.try_query(domain.name, rtype) == \
                     reference.dns.try_query(domain.name, rtype)
         assert fresh._dns is not None
-
-    def test_cached_page_lengths_round_trip(self, built_world, pack):
-        # The parent's memoized lengths must be served from the frozen
-        # index — same values, no recompute, no page materialization.
-        loaded = load_world(pack.handle)
-        for name, length in built_world._page_length_cache.items():
-            domain = built_world.population.get(name)
-            assert loaded._page_length(domain) == length
 
     def test_geoblocking_domains_identical(self, built_world, loaded_world):
         assert loaded_world.geoblocking_domains() == \
@@ -266,6 +260,36 @@ class TestEngineByteIdentity:
         assert stats.pack_loads == 0
         assert stats.freeze_failures == 1
         assert "world freeze failed" in caplog.text
+
+    @pytest.mark.parametrize("freezes", [True, False],
+                             ids=["pack", "rebuild"])
+    def test_known_lengths_reach_workers_with_chunks(self, monkeypatch,
+                                                     freezes):
+        # The parent already memoizes every scanned domain's base-page
+        # length, and each chunk carries the lengths of its domains, so
+        # no worker computes one: not on a mapped pack, and not on a
+        # world rebuilt after the freeze failed.
+        world = World(WorldConfig.nano())
+        urls = _clean_urls(world, 12)
+        domains = [world.population.get(url.split("//")[1].rstrip("/"))
+                   for url in urls]
+        world.learn_page_lengths({
+            domain.name: page_length(domain.name, domain.category,
+                                     world.config.seed)
+            for domain in domains})
+        if not freezes:
+            monkeypatch.setattr(Lumscan, "freeze_world_pack", _no_room)
+        monkeypatch.setattr(engine_mod, "_process_run_chunk",
+                            _slow_run_chunk)
+        with ScanEngine(Lumscan(LuminatiClient(world), seed=11), workers=2,
+                        chunk_size=8, executor="process",
+                        clock=ManualClock()) as engine:
+            engine.scan(urls, ["US", "IR", "CN"], samples=2)
+            stats = engine.worker_init_stats()
+        assert stats.spawned == 2
+        assert stats.pack_loads == (2 if freezes else 0)
+        assert stats.freeze_failures == (0 if freezes else 1)
+        assert stats.page_lengths == 0
 
     def test_init_stats_accumulate(self, built_world):
         engine = ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
