@@ -1,9 +1,10 @@
 """Micro-benchmarks for the simulation hot paths."""
 
 from repro.core.classify import classify_body
-from repro.httpsim.messages import Request
+from repro.httpsim.messages import BodyPolicy, Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers
+from repro.lumscan.engine import scan_tasks
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
 
@@ -28,12 +29,21 @@ def test_world_fetch_throughput(benchmark, world):
 
 
 def test_lumscan_probe_throughput(benchmark, world):
-    scanner = Lumscan(LuminatiClient(world), seed=3)
+    # Full bodies: each probe renders the page, as an ad-hoc fetch would.
+    scanner = Lumscan(LuminatiClient(world), seed=3,
+                      body_policy=BodyPolicy.full())
     domain = next(d for d in world.population
                   if not d.dead and not d.redirect_loop
                   and d.name not in world.policies and not d.censored_in)
+    tasks = scan_tasks([domain.url], ["US"], samples=64)
+    state = {"i": 0}
 
-    benchmark(scanner.probe, domain.url, "US")
+    def probe_one():
+        task = tasks[state["i"] % len(tasks)]
+        state["i"] += 1
+        return scanner.run_task(task)
+
+    benchmark(probe_one)
 
 
 def test_classify_throughput(benchmark, world, top10k):
