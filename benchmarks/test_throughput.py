@@ -1,5 +1,6 @@
 """Micro-benchmarks for the simulation hot paths."""
 
+from repro.core.appdiff import extract_features
 from repro.core.classify import classify_body
 from repro.httpsim.messages import BodyPolicy, Request
 from repro.httpsim.url import parse_url
@@ -7,6 +8,7 @@ from repro.httpsim.useragent import browser_headers
 from repro.lumscan.engine import scan_tasks
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
+from repro.websim.content import generate_page
 
 
 def test_world_fetch_throughput(benchmark, world):
@@ -44,6 +46,22 @@ def test_lumscan_probe_throughput(benchmark, world):
         return scanner.run_task(task)
 
     benchmark(probe_one)
+
+
+def test_exit_pool_build_throughput(benchmark, world):
+    # A fresh client per round, so every round builds all of the tiny
+    # world's per-country exit pools.
+    def build_pools():
+        client = LuminatiClient(world)
+        return [client.exits(country) for country in client.countries()]
+
+    benchmark(build_pools)
+
+
+def test_extract_features_throughput(benchmark):
+    page = generate_page("shop.example.org", "Shopping", seed=1)
+    assert extract_features(page).prices
+    benchmark(extract_features, page)
 
 
 def test_classify_throughput(benchmark, world, top10k):

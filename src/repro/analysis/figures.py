@@ -106,7 +106,7 @@ def figure2(dataset: ScanDataset,
     # Vectorized: per-row representative lengths and relative differences
     # come from one mask expression, and the "all pages" series sorts the
     # valid rows' differences in one call; only valid rows with a retained
-    # body reach the fingerprint matcher, memoized over distinct texts.
+    # body reach the fingerprint matcher (which memoizes distinct texts).
     rep_rows = np.zeros(len(dataset.domains()), dtype=np.int64)
     for domain, rep in reps.items():
         code = dataset.domain_code(domain)
@@ -117,17 +117,9 @@ def figure2(dataset: ScanDataset,
     relative = np.zeros(len(dataset), dtype=np.float64)
     np.divide(per_row - dataset.length_array(), per_row,
               out=relative, where=per_row > 0)
-    match_memo: Dict[str, bool] = {}
-    blocked: List[float] = []
-    for index in np.flatnonzero(valid & dataset.has_body_array()).tolist():
-        diff = float(relative[index])
-        body = dataset.body(index)
-        matched = match_memo.get(body)
-        if matched is None:
-            matched = reg.match(body) is not None
-            match_memo[body] = matched
-        if matched:
-            blocked.append(diff)
+    blocked = [float(relative[index])
+               for index in np.flatnonzero(valid & dataset.has_body_array()).tolist()
+               if reg.match(dataset.body(index)) is not None]
     figure = FigureData(
         title="Figure 2: Relative sizes of block pages and representative pages",
         x_label="relative length difference vs representative",

@@ -26,7 +26,9 @@ from repro.proxynet.luminati import LuminatiClient
 
 _LOGIN_RE = re.compile(r'class="login"\s+href="/login"')
 _REGISTER_RE = re.compile(r'class="register"\s+href="/register"')
-_PRICE_RE = re.compile(r'class="price" data-amount="([0-9.]+)"')
+#: A listed price is this mark, then digits and dots, then a quote.
+_PRICE_MARK = 'class="price" data-amount="'
+_PRICE_TAIL_RE = re.compile(r'([0-9.]+)"')
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,31 @@ class PageFeatures:
         return (self.has_login, self.has_register)
 
 
+def _listed_prices(body: str) -> Tuple[float, ...]:
+    """Every listed price, in page order.
+
+    A substring search for the mark and an anchored match of the tail
+    find what a regex scan of the whole pattern would: the mark has no
+    border (no proper prefix is also a suffix) and the tail cannot
+    contain it, so matches start exactly at the mark's occurrences.
+    """
+    prices = []
+    mark_len = len(_PRICE_MARK)
+    start = body.find(_PRICE_MARK)
+    while start >= 0:
+        tail = _PRICE_TAIL_RE.match(body, start + mark_len)
+        if tail is not None:
+            prices.append(float(tail.group(1)))
+        start = body.find(_PRICE_MARK, start + mark_len)
+    return tuple(prices)
+
+
 def extract_features(body: str) -> PageFeatures:
     """Parse the feature vector out of a page body."""
     return PageFeatures(
         has_login=bool(_LOGIN_RE.search(body)),
         has_register=bool(_REGISTER_RE.search(body)),
-        prices=tuple(float(m) for m in _PRICE_RE.findall(body)),
+        prices=_listed_prices(body),
     )
 
 

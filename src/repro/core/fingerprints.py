@@ -9,6 +9,14 @@ step in the paper.
 The registry covers the 14 page types of Table 2 and knows which ones
 *explicitly* signal geoblocking, which are challenges, and which are
 ambiguous (also served for bot detection or other errors).
+
+A registry is immutable (``with_fingerprint`` returns a new one), so it
+memoizes :meth:`FingerprintRegistry.match` by body text: the
+classifier, the recall metrics and the figures match the same block
+pages against the same registry, and each distinct page is matched
+once.  The memo keeps bodies no longer than the scan datasets keep
+(``BODY_KEEP_THRESHOLD`` characters) and is cleared when it reaches
+``_MATCH_MEMO_MAX`` entries.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.httpsim.messages import BODY_KEEP_THRESHOLD
+from repro.util.cache import MemoDict
 from repro.websim import blockpages
 
 #: Attribution of each page type to the provider whose table column it
@@ -108,6 +118,12 @@ _DEFAULT_FINGERPRINTS: Sequence[Fingerprint] = (
 )
 
 
+#: Entries at which a registry's match memo is cleared.
+_MATCH_MEMO_MAX = 1024
+#: Marks a body the match memo has not seen (None is a memoized miss).
+_UNSEEN = object()
+
+
 class FingerprintRegistry:
     """An ordered collection of fingerprints with lookup helpers."""
 
@@ -125,6 +141,7 @@ class FingerprintRegistry:
             ordered = sorted(f.markers, key=len)
             cheapest = ordered[0] if ordered else ""
             self._compiled.append((cheapest, tuple(ordered[1:]), f.page_type))
+        self._match_memo: MemoDict[str, Optional[str]] = MemoDict()
 
     @classmethod
     def default(cls) -> "FingerprintRegistry":
@@ -158,10 +175,20 @@ class FingerprintRegistry:
         """Return the page type of the first matching fingerprint, if any."""
         if not body:
             return None
+        memo = self._match_memo
+        found = memo.get(body, _UNSEEN)
+        if found is not _UNSEEN:
+            return found
+        found = None
         for cheapest, rest, page_type in self._compiled:
             if cheapest in body and all(marker in body for marker in rest):
-                return page_type
-        return None
+                found = page_type
+                break
+        if len(body) <= BODY_KEEP_THRESHOLD:
+            if len(memo) >= _MATCH_MEMO_MAX:
+                memo.clear()
+            memo[body] = found
+        return found
 
     def page_types(self) -> List[str]:
         """All registered page types in priority order."""

@@ -55,21 +55,15 @@ def recall_by_fingerprint(dataset: ScanDataset,
                                           cutoff=cutoff, raw_cutoff=raw_cutoff)
     }
     # Candidate rows (HTTP response + retained body, optionally country
-    # restricted) come from one mask expression; each distinct body text
-    # hits the fingerprint matcher once.
+    # restricted) come from one mask expression; the fingerprint matcher
+    # memoizes each distinct body text.
     mask = dataset.ok_array() & dataset.has_body_array()
     if restrict_countries is not None:
         mask &= dataset.country_mask(restrict_countries)
-    match_memo: Dict[str, Optional[str]] = {}
     recalled: Dict[str, int] = {}
     actual: Dict[str, int] = {}
     for index in np.flatnonzero(mask).tolist():
-        body = dataset.body(index)
-        if body in match_memo:
-            page_type = match_memo[body]
-        else:
-            page_type = reg.match(body)
-            match_memo[body] = page_type
+        page_type = reg.match(dataset.body(index))
         if page_type is None:
             continue
         actual[page_type] = actual.get(page_type, 0) + 1

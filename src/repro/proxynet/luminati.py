@@ -6,6 +6,10 @@ Hola VPN users.  The measurement consequences the simulation reproduces:
 
 * **Per-country exit pools.**  A client asks for a country; the superproxy
   picks an exit there.  North Korea (and a few microstates) have no exits.
+  A pool is decoded from one word block of its private stream (see
+  :func:`_decode_exits`), draw-for-draw what a per-exit loop of
+  ``random``/``choice``/``randrange`` calls gives, and each
+  :class:`ExitNode` is built on first use (:class:`ExitPool`).
 * **Flaky paths.**  Residential connectivity is unreliable.  Each
   (domain, country) pair may be persistently flaky (bad peering, weak last
   mile), and every request has a small transient failure floor.  Rates are
@@ -28,7 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.httpsim.messages import BodyPolicy, Headers, Request, Response
 from repro.httpsim.url import parse_url_memo
@@ -39,10 +45,11 @@ from repro.netsim.errors import (
     LuminatiRefusal,
     NoExitAvailable,
 )
+from repro.netsim.ip import Netblock
 from repro.proxynet.transport import DEFAULT_MAX_REDIRECTS, FetchResult, fetch_with_redirects
 from repro.util.cache import MemoDict
 from repro.util.counters import ShardedCounter
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, stream_words
 
 #: Probability that a (domain, country) pair is persistently flaky, as a
 #: function of the country's reliability score r: 0.02 + 1.1 * (1 - r).
@@ -84,6 +91,157 @@ class ExitNode:
         return f"{self.country}/{self.index}"
 
 
+#: Probability that an exit in a country with modelled regions (UA's
+#: Crimea) sits in one of them.
+_REGION_EXIT_RATE = 0.06
+#: Host indices an address draw chooses among: randrange(1, 65534).
+_BLOCK_HOSTS = 65533
+#: Stream words fetched per exit before the first decode; an exit takes
+#: five to seven on average, and a short fetch is extended and redone.
+_WORDS_PER_EXIT = 8
+
+
+def _random_at(words: np.ndarray) -> np.ndarray:
+    """The ``random()`` value drawn from each stream position.
+
+    ``random()`` takes two words, ``(a >> 5) * 2**26 + (b >> 6)`` over
+    ``2**53``, which float64 computes exactly.  The last position and the
+    end of stream, where no value can be drawn, read 1.0.
+    """
+    values = np.ones(len(words) + 1)
+    values[:-2] = ((words[:-1] >> 5) * 67108864.0 + (words[1:] >> 6)) * 2.0 ** -53
+    return values
+
+
+def _first_accepts(words: np.ndarray, n: int) -> np.ndarray:
+    """Where a ``_randbelow(n)`` draw starting at each position ends.
+
+    The draw tries one word at a time and keeps the first whose top
+    ``n.bit_length()`` bits are below ``n``; the result holds that
+    word's position, or ``len(words)`` when the stream runs out (also at
+    the end-of-stream position itself).
+    """
+    size = len(words)
+    hits = np.where(words >> (32 - n.bit_length()) < n, np.arange(size), size)
+    ends = np.empty(size + 1, dtype=np.int64)
+    ends[size] = size
+    ends[:size] = np.minimum.accumulate(hits[::-1])[::-1]
+    return ends
+
+
+def _decode_exits(words: np.ndarray, count: int, sizes: Sequence[int]):
+    """A pool's per-exit draws, read off a word stream.
+
+    Each exit draws, in order: when the country has regions, a
+    ``random()`` region test and on a hit ``choice(regions)``; then
+    ``choice(blocks)`` of the chosen owner, ``randrange(1, 65534)`` for
+    the host and a ``random()`` firewall test.  Every position's exit
+    end is tabulated with numpy, so following the chain from position 0
+    takes one lookup per exit.  Returns per-exit (owner, block, host,
+    firewalled) lists, or None when the words run out first.
+    """
+    size = len(words)
+    values = _random_at(words)
+    at = np.arange(size + 1)
+    firsts = {n: _first_accepts(words, n) for n in set(sizes)}
+    if len(sizes) > 1:
+        regions = len(sizes) - 1
+        regional = values < _REGION_EXIT_RATE
+        pick = _first_accepts(words, regions)[np.minimum(at + 2, size)]
+        region = np.append(words, 0)[pick] >> (32 - regions.bit_length())
+        owner = np.where(regional, np.minimum(region + 1, regions), 0)
+        block_from = np.minimum(np.where(regional, pick + 1, at + 2), size)
+    else:
+        owner = np.zeros(size + 1, dtype=np.int64)
+        block_from = at
+    block_at = firsts[sizes[0]][block_from]
+    for index in range(1, len(sizes)):
+        block_at = np.where(owner == index, firsts[sizes[index]][block_from],
+                            block_at)
+    host_at = _first_accepts(words, _BLOCK_HOSTS)[np.minimum(block_at + 1, size)]
+    # following[p]: where the next exit starts when one starts at p, or
+    # size + 1 when the words run out (which the end sentinel keeps).
+    following = np.full(size + 2, size + 1, dtype=np.int64)
+    end = host_at + 3
+    following[:-1] = np.where(end <= size, end, size + 1)
+    step = memoryview(following)
+    starts = []
+    position = 0
+    for _ in range(count):
+        starts.append(position)
+        position = step[position]
+    if position > size:
+        return None
+    starts = np.array(starts, dtype=np.int64)
+    owners = owner[starts]
+    shifts = np.array([32 - n.bit_length() for n in sizes], dtype=np.uint32)
+    hosts = host_at[starts]
+    return (owners.tolist(),
+            (words[block_at[starts]] >> shifts[owners]).tolist(),
+            (1 + (words[hosts] >> (32 - _BLOCK_HOSTS.bit_length()))).tolist(),
+            (values[hosts + 1] < _FIREWALLED_EXIT_RATE).tolist())
+
+
+def _draw_exits(getrandbits, count: int, sizes: Sequence[int]):
+    """:func:`_decode_exits` over a pool stream, fetching words as needed.
+
+    ``sizes`` holds the block count of the country and then of each
+    region.  The stream is private to the build, so words fetched past
+    the last exit are harmless.
+    """
+    words = stream_words(getrandbits, count * _WORDS_PER_EXIT + 64)
+    while True:
+        drawn = _decode_exits(words, count, sizes)
+        if drawn is not None:
+            return drawn
+        words = np.concatenate((words, stream_words(getrandbits, len(words))))
+
+
+class ExitPool(Sequence[ExitNode]):
+    """One country's exits, each :class:`ExitNode` made on first use.
+
+    The pool keeps every exit's drawn owner, block, host and firewall
+    flag; a study reaches a few of them, so an address is formatted and
+    a node built only when an exit is first indexed.  A node is a pure
+    function of its index, so ``made`` takes idempotent writes from scan
+    workers.
+    """
+
+    __slots__ = ("country", "size", "made", "_owners", "_owner", "_block",
+                 "_host", "_firewalled")
+
+    def __init__(self, country: str, owners: Sequence[Sequence[Netblock]],
+                 owner: List[int], block: List[int], host: List[int],
+                 firewalled: List[bool]) -> None:
+        self.country = country
+        self.size = len(host)
+        self.made: MemoDict[int, ExitNode] = MemoDict()
+        self._owners = owners
+        self._owner = owner
+        self._block = block
+        self._host = host
+        self._firewalled = firewalled
+
+    def make(self, index: int) -> ExitNode:
+        """Build (and keep) the node at ``0 <= index < size``."""
+        block = self._owners[self._owner[index]][self._block[index]]
+        node = ExitNode(country=self.country, index=index,
+                        ip=block.address_at(self._host[index]),
+                        firewalled=self._firewalled[index])
+        self.made[index] = node
+        return node
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self.size)[index]]
+        index = range(self.size)[index]
+        node = self.made.get(index)
+        return node if node is not None else self.make(index)
+
+
 @dataclass
 class ProbeResult:
     """One completed probe through Luminati."""
@@ -118,7 +276,7 @@ class LuminatiClient:
         self._seed = world.config.seed if seed is None else seed
         self._exits_per_country = exits_per_country
         self._rng = derive_rng(self._seed, "luminati")
-        self._exit_cache: MemoDict[str, List[ExitNode]] = MemoDict()
+        self._exit_cache: MemoDict[str, ExitPool] = MemoDict()
         self._request_count = ShardedCounter()
         # Absorption tokens already folded in (duplicate-batch guard).
         self._absorbed_tokens: Set[str] = set()
@@ -137,7 +295,7 @@ class LuminatiClient:
         """Countries with at least one residential exit."""
         return self._world.registry.luminati_codes()
 
-    def exits(self, country: str) -> List[ExitNode]:
+    def exits(self, country: str) -> ExitPool:
         """The exit pool for a country (built lazily, deterministic)."""
         pool = self._exit_cache.get(country)
         if pool is not None:
@@ -145,19 +303,13 @@ class LuminatiClient:
         info = self._world.registry.get(country)
         if not info.luminati:
             raise NoExitAvailable(f"no Luminati exits in {country}")
-        pool = []
+        owners = [self._world.residential_blocks(country)]
+        owners += [self._world.residential_blocks(country, region)
+                   for region in info.regions]
         rng = derive_rng(self._seed, "exits", country)
-        for index in range(self._exits_per_country):
-            region = None
-            if info.regions and rng.random() < 0.06:
-                region = rng.choice(info.regions)
-            ip = self._world.residential_address(country, rng, region=region)
-            pool.append(ExitNode(
-                country=country,
-                index=index,
-                ip=ip,
-                firewalled=rng.random() < _FIREWALLED_EXIT_RATE,
-            ))
+        pool = ExitPool(country, owners,
+                        *_draw_exits(rng.getrandbits, self._exits_per_country,
+                                     [len(blocks) for blocks in owners]))
         self._exit_cache[country] = pool
         return pool
 
@@ -166,7 +318,11 @@ class LuminatiClient:
         pool = self.exits(country)
         r = rng if rng is not None else self._rng
         # r.choice(pool) is pool[r._randbelow(len(pool))]: same draw.
-        return pool[r._randbelow(len(pool))]
+        index = r._randbelow(pool.size)
+        node = pool.made.get(index)
+        if node is None:
+            node = pool.make(index)
+        return node
 
     def verify_connectivity(self, exit_node: ExitNode) -> Dict[str, str]:
         """Fetch the Luminati-controlled echo page through an exit.

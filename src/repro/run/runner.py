@@ -120,10 +120,12 @@ class StudyRunner:
     def _worker_init_snapshot(context: RunContext) -> WorkerInitStats:
         """The scanner's worker-pool totals so far, or all zeros.
 
-        Scanners without worker processes (plain :class:`Lumscan`, test
-        doubles) simply lack ``worker_init_stats`` and report all-zero
-        deltas, so the stage log line stays in its compact form for them.
+        A study's context carries its
+        :class:`~repro.lumscan.engine.ScanEngine`, whose totals
+        stay zero on the serial and thread executors.  A context built
+        without a scanner (stage tests) reports all-zero deltas, so the
+        stage log line keeps its compact form.
         """
-        source = getattr(context.scanner, "worker_init_stats", None)
-        stats = source() if source is not None else None
-        return stats if stats is not None else WorkerInitStats()
+        if context.scanner is None:
+            return WorkerInitStats()
+        return context.scanner.worker_init_stats()

@@ -13,6 +13,8 @@ import _random
 import hashlib
 import random
 
+import numpy as np
+
 _blake2b = hashlib.blake2b
 _from_bytes = int.from_bytes
 # ``random.Random(seed)`` runs the Python-level ``__init__`` and ``seed``
@@ -56,3 +58,17 @@ def derive_rng(root: int, *scope: object) -> random.Random:
     _c_seed(rng, stable_hash(root, *scope))
     rng.gauss_next = None
     return rng
+
+
+def stream_words(getrandbits, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of a generator, in draw order.
+
+    ``getrandbits(32 * m)`` returns the next m Mersenne Twister words,
+    least significant first, so its little-endian bytes are the words a
+    run of m one-word draws would have consumed.  A ``_randbelow(n)``
+    draw with ``n < 2**32`` takes exactly one word (its top
+    ``n.bit_length()`` bits, retried while they reach ``n``) and
+    ``random()`` takes two.
+    """
+    return np.frombuffer(getrandbits(32 * count).to_bytes(4 * count, "little"),
+                         dtype="<u4")

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, stream_words
 
 _LOREM_WORDS = (
     "market service global network product research report update team news "
@@ -217,9 +217,7 @@ def _word_tables(words: np.ndarray):
 
 def _fetch_words(getrandbits, chars: int) -> np.ndarray:
     """The next stream words, enough for about ``chars`` more characters."""
-    count = int(chars * _WORDS_PER_CHAR) + 256
-    return np.frombuffer(getrandbits(32 * count).to_bytes(4 * count, "little"),
-                         dtype="<u4")
+    return stream_words(getrandbits, int(chars * _WORDS_PER_CHAR) + 256)
 
 
 def _sections_length(getrandbits, total: int, target: int) -> int:

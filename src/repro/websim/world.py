@@ -35,7 +35,7 @@ from repro.httpsim.useragent import looks_like_browser
 from repro.netsim.dns import DNSServer
 from repro.netsim.errors import ConnectionReset, ConnectionTimeout, FetchError
 from repro.netsim.geoip import GeoIPDatabase
-from repro.netsim.ip import AddressAllocator
+from repro.netsim.ip import AddressAllocator, Netblock
 from repro.util.cache import LRUCache, MemoDict
 from repro.util.counters import ShardedCounter
 from repro.util.rng import derive_rng
@@ -83,6 +83,11 @@ _BOT_PAGE = {
     BAIDU: blockpages.BAIDU_CAPTCHA,
     SOASTA: blockpages.SOASTA_BLOCK,
 }
+
+
+def _residential_owner(country_code: str, region: Optional[str] = None) -> str:
+    """Allocator owner of a country's (or one region's) residential space."""
+    return f"res:{country_code}" if region is None else f"res:{country_code}:{region}"
 
 
 def _classify_client(headers: Headers) -> str:
@@ -274,10 +279,11 @@ class World:
     def _build_address_plan(self) -> None:
         for country in self.registry:
             if country.luminati:
-                for block in self.allocator.allocate(f"res:{country.code}", 2):
+                owner = _residential_owner(country.code)
+                for block in self.allocator.allocate(owner, 2):
                     self.geoip.register(block, country.code)
                 for region in country.regions:
-                    owner = f"res:{country.code}:{region}"
+                    owner = _residential_owner(country.code, region)
                     for block in self.allocator.allocate(owner, 1):
                         self.geoip.register(block, country.code, region=region)
         for country in self.registry.vps_countries():
@@ -329,8 +335,17 @@ class World:
     def residential_address(self, country_code: str, rng=None,
                             region: Optional[str] = None) -> str:
         """A random residential address in a country (or named region)."""
-        owner = f"res:{country_code}" if region is None else f"res:{country_code}:{region}"
-        return self.allocator.random_address(owner, rng)
+        return self.allocator.random_address(
+            _residential_owner(country_code, region), rng)
+
+    def residential_blocks(self, country_code: str,
+                           region: Optional[str] = None) -> List[Netblock]:
+        """The netblocks :meth:`residential_address` draws from, in order."""
+        owner = _residential_owner(country_code, region)
+        blocks = self.allocator.blocks_of(owner)
+        if not blocks:
+            raise KeyError(f"no netblocks allocated to {owner!r}")
+        return blocks
 
     def vps_address(self, country_code: str) -> str:
         """The (stable) datacenter address of the VPS in a country."""

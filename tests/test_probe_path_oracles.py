@@ -2,10 +2,11 @@
 
 Each function below was rewritten for speed on the serial probe path
 (derived generators, header maps, redirect resolution, client profiles,
-length-only page synthesis, page text, exit and address draws).  The straightforward
-version each replaced is kept here, and only here, as the oracle: the
-rewrite must give the same values and leave every RNG stream in the same
-state.
+length-only page synthesis, page text, exit and address draws, exit
+pools) or on a resumed suite's analysis (price extraction, fingerprint
+matching, whitespace normalization).  The straightforward version each
+replaced is kept here, and only here, as the oracle: the rewrite must
+give the same values and leave every RNG stream in the same state.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
+import re
+import sys
 from dataclasses import replace
 from typing import Iterable, List, Optional, Tuple
 
@@ -20,7 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.httpsim.messages import Headers
+from repro.core.appdiff import extract_features
+from repro.core.fingerprints import (
+    _MATCH_MEMO_MAX,
+    Fingerprint,
+    FingerprintRegistry,
+)
+from repro.httpsim.messages import BODY_KEEP_THRESHOLD, Headers
 from repro.httpsim.url import URL, parse_url
 from repro.httpsim.useragent import (
     CURL_UA,
@@ -29,9 +38,13 @@ from repro.httpsim.useragent import (
     looks_like_browser,
 )
 from repro.netsim.ip import AddressAllocator, _address_to_int
+from repro.proxynet import luminati
+from repro.proxynet.luminati import ExitNode, LuminatiClient
+from repro.textutil.htmltext import normalize_whitespace
 from repro.util.rng import derive_rng, derive_seed, stable_hash
 from repro.websim import content
 from repro.websim.categories import CategoryTaxonomy
+from repro.websim import blockpages
 from repro.websim.content import (
     _ACCOUNT_BLOCK,
     _DESC_OVERHEAD,
@@ -51,6 +64,7 @@ from repro.websim.content import (
     jitter_pad,
     page_length,
 )
+from repro.websim.world import World, WorldConfig
 
 # --------------------------------------------------------------------- #
 # Oracles: the plain versions the probe path used to run.
@@ -247,6 +261,59 @@ def old_address_to_int(address: str) -> Optional[int]:
             return None
         value = (value << 8) | octet
     return value
+
+
+def old_exits(client: LuminatiClient, country: str) -> List[ExitNode]:
+    """The per-exit draw loop that built a country's exit pool."""
+    world = client.world
+    info = world.registry.get(country)
+    rng = derive_rng(client.seed, "exits", country)
+    pool = []
+    for index in range(client.exits_per_country):
+        region = None
+        if info.regions and rng.random() < 0.06:
+            region = rng.choice(info.regions)
+        ip = world.residential_address(country, rng, region=region)
+        pool.append(ExitNode(country=country, index=index, ip=ip,
+                             firewalled=rng.random() < 0.03))
+    return pool
+
+
+def old_exit_draws(rng: random.Random, count: int, sizes: List[int]):
+    """That loop's draws over bare owner sizes (country, then regions)."""
+    drawn: Tuple[list, list, list, list] = ([], [], [], [])
+    for _ in range(count):
+        owner = 0
+        if len(sizes) > 1 and rng.random() < 0.06:
+            owner = 1 + rng.choice(range(len(sizes) - 1))
+        drawn[0].append(owner)
+        drawn[1].append(rng.choice(range(sizes[owner])))
+        drawn[2].append(rng.randrange(1, 65534))
+        drawn[3].append(rng.random() < 0.03)
+    return drawn
+
+
+_OLD_PRICE_RE = re.compile(r'class="price" data-amount="([0-9.]+)"')
+
+
+def old_prices(body: str) -> Tuple[float, ...]:
+    return tuple(float(m) for m in _OLD_PRICE_RE.findall(body))
+
+
+def old_match(registry: FingerprintRegistry, body: Optional[str]) -> Optional[str]:
+    if not body:
+        return None
+    for fingerprint in registry:
+        if fingerprint.matches(body):
+            return fingerprint.page_type
+    return None
+
+
+_OLD_WS_RE = re.compile(r"\s+")
+
+
+def old_normalize_whitespace(text: str) -> str:
+    return _OLD_WS_RE.sub(" ", text).strip()
 
 
 # --------------------------------------------------------------------- #
@@ -582,3 +649,177 @@ class TestInlinedDraws:
         st.text(alphabet="0123456789.٣² x-", max_size=18)))
     def test_address_to_int(self, address):
         assert _address_to_int(address) == old_address_to_int(address)
+
+
+# --------------------------------------------------------------------- #
+# Exit pools
+
+
+def _bench_sized(seed: int) -> WorldConfig:
+    return replace(WorldConfig.tiny(seed=seed), size=200)
+
+
+_POOL_WORLDS = {
+    "nano": WorldConfig.nano(),
+    "tiny": WorldConfig.tiny(),
+    "bench": _bench_sized(7),
+    "bench-seed-3": _bench_sized(3),
+}
+
+
+class TestExitPools:
+    @pytest.fixture(scope="class", params=sorted(_POOL_WORLDS))
+    def world(self, request):
+        return World(_POOL_WORLDS[request.param])
+
+    @pytest.mark.parametrize("exits", [1, 2, 3, 400])
+    def test_pools_equal_per_exit_loop(self, world, exits):
+        for seed in (None, 0, 11):
+            client = LuminatiClient(world, seed=seed, exits_per_country=exits)
+            for country in client.countries():
+                assert list(client.exits(country)) == old_exits(client, country)
+
+    def test_ua_pool_reaches_crimea(self):
+        world = World(WorldConfig.tiny())
+        client = LuminatiClient(world)
+        pool = client.exits("UA")
+        in_region = [node for node in pool
+                     if world.allocator.owner_of(node.ip) == "res:UA:crimea"]
+        assert 0 < len(in_region) < len(pool) * 0.15
+        assert list(pool) == old_exits(client, "UA")
+
+    def test_short_fetches_are_extended(self, monkeypatch):
+        # No words per exit: the first fetch (64 words) runs out within
+        # a dozen exits, so the pool is decoded again over longer streams.
+        monkeypatch.setattr(luminati, "_WORDS_PER_EXIT", 0)
+        client = LuminatiClient(World(WorldConfig.nano()), seed=5)
+        for country in ("US", "IR"):
+            assert list(client.exits(country)) == old_exits(client, country)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32),
+           count=st.integers(min_value=0, max_value=60),
+           sizes=st.lists(st.integers(min_value=1, max_value=9),
+                          min_size=1, max_size=4))
+    def test_draws_equal_per_draw_loop(self, seed, count, sizes):
+        # Block counts that are not powers of two make choice() reject
+        # draws; up to three regions take the region branch's choice().
+        new, old = random.Random(seed), random.Random(seed)
+        assert luminati._draw_exits(new.getrandbits, count, sizes) == \
+            tuple(map(list, old_exit_draws(old, count, sizes)))
+
+
+# --------------------------------------------------------------------- #
+# Price extraction
+
+_MARK = 'class="price" data-amount="'
+_price_bodies = st.lists(
+    st.one_of(
+        st.just(_MARK),
+        st.integers(min_value=1, max_value=len(_MARK) - 1).map(
+            lambda n: _MARK[:n]),
+        st.sampled_from(['1', '2.5', '.', '"', '1.2.3"', '19.99"', '07"',
+                         'x', ' ', 'c', '<span ', 'data-amount="',
+                         'class="price"', '".', '3', '\n']),
+    ),
+    max_size=24).map("".join)
+
+
+def _prices_or_error(extract, body):
+    try:
+        return extract(body)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestPriceScan:
+    @settings(max_examples=500, deadline=None)
+    @given(body=_price_bodies)
+    def test_matches_regex_findall(self, body):
+        new = _prices_or_error(lambda b: extract_features(b).prices, body)
+        assert new == _prices_or_error(old_prices, body)
+
+    def test_bad_tail_raises_like_findall(self):
+        body = f'<span {_MARK}1.2.3">x</span>'
+        with pytest.raises(ValueError) as old:
+            old_prices(body)
+        with pytest.raises(ValueError) as new:
+            extract_features(body)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rendered_commerce_pages(self, seed):
+        for name in ("a.com", "shop.example.org", "travel.example"):
+            for category in ("Shopping", "Travel", "Auctions", "News"):
+                body = generate_page(name, category, seed=seed)
+                assert extract_features(body).prices == old_prices(body)
+
+
+# --------------------------------------------------------------------- #
+# Fingerprint matching
+
+_MARKERS = sorted({marker for fingerprint in FingerprintRegistry()
+                   for marker in fingerprint.markers})
+_match_bodies = st.lists(
+    st.one_of(st.sampled_from(_MARKERS),
+              st.text(alphabet="abc <>/!", max_size=6)),
+    max_size=6).map(" ".join)
+
+
+class TestMatchMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(bodies=st.lists(_match_bodies, max_size=8))
+    def test_memoized_match_equals_loop(self, bodies):
+        registry = FingerprintRegistry()
+        for body in bodies + bodies:
+            assert registry.match(body) == old_match(registry, body)
+
+    def test_rendered_block_pages(self):
+        registry = FingerprintRegistry()
+        rng = random.Random(4)
+        for page_type in blockpages.ALL_PAGE_TYPES:
+            body = blockpages.render(page_type, rng, "a.com", "IR").body
+            first = registry.match(body)
+            assert first == old_match(registry, body)
+            assert registry.match(body) == first
+
+    def test_with_fingerprint_starts_an_empty_memo(self):
+        registry = FingerprintRegistry()
+        body = "<html>custom denial zzq</html>"
+        assert registry.match(body) is None
+        assert body in registry._match_memo
+        extended = registry.with_fingerprint(Fingerprint("custom", ("zzq",)))
+        assert extended._match_memo == {}
+        assert extended.match(body) == "custom"
+        assert registry.match(body) is None
+
+    def test_memo_is_bounded(self):
+        registry = FingerprintRegistry()
+        for index in range(_MATCH_MEMO_MAX + 5):
+            assert registry.match(f"page {index}") is None
+            assert len(registry._match_memo) <= _MATCH_MEMO_MAX
+        long_body = "Access Denied You don't have permission to access " + \
+            "x" * BODY_KEEP_THRESHOLD
+        assert registry.match(long_body) == old_match(registry, long_body)
+        assert long_body not in registry._match_memo
+
+
+# --------------------------------------------------------------------- #
+# Whitespace normalization
+
+
+class TestNormalizeWhitespace:
+    def test_split_and_regex_agree_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        spaced = "x".join(every)
+        assert normalize_whitespace(spaced) == old_normalize_whitespace(spaced)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.text(alphabet=st.one_of(
+        st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+                        "\u1680\u2000\u200a\u2028\u2029\u202f\u205f"
+                        "\u3000\u200b\ufeff"),
+        st.characters()), max_size=40))
+    def test_matches_regex_collapse(self, text):
+        assert normalize_whitespace(text) == old_normalize_whitespace(text)

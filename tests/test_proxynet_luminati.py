@@ -46,6 +46,35 @@ class TestExits:
         firewalled = [e for e in pool if e.firewalled]
         assert 0 < len(firewalled) < len(pool) * 0.15
 
+    def test_pool_behaves_like_the_eager_list(self, nano_world):
+        eager = list(LuminatiClient(nano_world).exits("US"))
+        pool = LuminatiClient(nano_world).exits("US")
+        assert len(pool) == len(eager) == 400
+        assert pool[-1] == eager[-1] and pool[-400] == eager[0]
+        assert pool[7] is pool[7 - 400]
+        for cut in (slice(None, 25), slice(5, 17, 3), slice(None, None, -1),
+                    slice(-3, None), slice(390, 900), slice(10, 2)):
+            assert pool[cut] == eager[cut]
+        assert list(pool) == eager
+        assert [node.index for node in pool] == list(range(400))
+        for bad in (400, -401):
+            with pytest.raises(IndexError):
+                pool[bad]
+
+    def test_thread_scan_builds_pools_like_a_serial_scan(self, tiny_world):
+        from repro.lumscan.engine import ScanEngine
+        from repro.lumscan.scanner import Lumscan
+
+        client = LuminatiClient(tiny_world)
+        urls = [f"http://{domain.name}/" for domain in tiny_world.population][:40]
+        countries = client.countries()
+        serial = Lumscan(client, seed=4).scan(urls, countries, samples=2)
+        with ScanEngine(Lumscan(LuminatiClient(tiny_world), seed=4),
+                        workers=4, chunk_size=7, executor="thread") as engine:
+            threaded = engine.scan(urls, countries, samples=2)
+        assert [threaded.row(i) for i in range(len(threaded))] == \
+            [serial.row(i) for i in range(len(serial))]
+
     def test_verify_connectivity(self, luminati, geoip_calls):
         node = luminati.pick_exit("US")
         assert luminati.verify_connectivity(node) == {"ip": node.ip}
