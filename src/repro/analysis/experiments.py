@@ -389,7 +389,7 @@ def _suite_observation_pools(ctx: RunContext, pairs: int,
     result = ctx.extras["top10k"]
     confirmed = [(c.domain, c.country) for c in result.confirmed][:pairs]
     return {"pool_counts": build_observation_pools(
-        ctx.world, ctx.scanner, confirmed, result.registry,
+        ctx.scanner, confirmed, result.registry,
         samples=samples)}
 
 

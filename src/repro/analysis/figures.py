@@ -148,8 +148,8 @@ def figure4(result: Top10KResult,
             registry: Optional[FingerprintRegistry] = None) -> FigureData:
     """Figure 4: CDF of block-page agreement for confirmed pairs."""
     reg = registry or result.registry
-    initial_rates = block_rates(result.initial, reg, explicit_only=True)
-    resampled_rates = block_rates(result.resampled, reg, explicit_only=True)
+    initial_rates = block_rates(result.initial, reg)
+    resampled_rates = block_rates(result.resampled, reg)
     confirmed_pairs = {(c.domain, c.country) for c in result.confirmed}
     # Include all candidate pairs (what the paper's Figure 4 shows: just
     # under half of pairs do not reach 100% agreement).

@@ -16,10 +16,12 @@ A sample is classified as one of:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.core.fingerprints import FingerprintRegistry, PAGE_PROVIDER
-from repro.lumscan.records import Sample
+from repro.lumscan.records import Sample, ScanDataset
 from repro.websim import blockpages
 
 #: Markers of known nation-state censorship pages (not geoblocking).
@@ -88,33 +90,22 @@ def classify_sample(sample: Sample,
     return classify_body(sample.body, registry)
 
 
-def classify_samples(samples: Iterable[Sample],
+def classify_dataset(dataset: ScanDataset,
                      registry: Optional[FingerprintRegistry] = None,
-                     cache: Optional[Dict[str, Verdict]] = None
-                     ) -> List[Verdict]:
-    """Classify a batch of samples, memoizing by body text.
+                     mask: Optional[np.ndarray] = None
+                     ) -> Iterator[Tuple[int, Verdict]]:
+    """(row, verdict) in row order for every row that can hold a page type.
 
-    Block pages, captchas, and stock error pages are template-generated,
-    so scans see the same body text many times; fingerprint matching runs
-    once per distinct body instead of once per sample.  Pass a ``cache``
-    dict to share the memo across several batches (e.g. per-pair batches
-    over one dataset).  Returns one verdict per sample, in order —
-    element-wise identical to calling :func:`classify_sample` on each.
+    Those are the rows with an HTTP response and a retained body, further
+    limited to ``mask`` when given.  Every other row classifies to
+    ``error`` (no response) or ``ok`` (no body) with no page type, so it
+    is skipped; each yielded verdict equals :func:`classify_sample` on
+    ``dataset.row(row)``.  No :class:`Sample` is built, and the
+    registry's match memo matches each distinct body once.
     """
     reg = registry or FingerprintRegistry.default()
-    memo: Dict[str, Verdict] = cache if cache is not None else {}
-    out: List[Verdict] = []
-    for sample in samples:
-        if not sample.ok:
-            out.append(_ERROR_VERDICT)
-            continue
-        body = sample.body
-        if body is None:
-            out.append(_OK_VERDICT)
-            continue
-        verdict = memo.get(body)
-        if verdict is None:
-            verdict = classify_body(body, reg)
-            memo[body] = verdict
-        out.append(verdict)
-    return out
+    rows = dataset.ok_array() & dataset.has_body_array()
+    if mask is not None:
+        rows &= mask
+    for index in np.flatnonzero(rows).tolist():
+        yield index, classify_body(dataset.body(index), reg)

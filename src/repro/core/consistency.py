@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.classify import Verdict, classify_body
+from repro.core.classify import classify_dataset
 from repro.core.fingerprints import FingerprintRegistry
-from repro.lumscan.records import NO_RESPONSE, ScanDataset
+from repro.lumscan.records import ScanDataset
 
 CONSISTENT_RATE = 0.80
 
@@ -77,33 +77,22 @@ def domain_consistency(dataset: ScanDataset,
     ``page_types`` restricts which fingerprinted pages count as "the block
     page" (e.g. only Akamai's); by default any block page does.
     """
-    reg = registry or FingerprintRegistry.default()
     hits: Dict[str, Dict[str, List[int]]] = {}
-    pages: Dict[str, str] = {}
-    memo: Dict[str, Verdict] = {}
-    statuses = dataset.status_array()
     for domain, country, start, stop in dataset.iter_runs():
         counts = hits.setdefault(domain, {}).setdefault(country, [0, 0])
         counts[1] += stop - start
-        for index in range(start, stop):
-            # Failed probes classify to `error` and body-less rows to
-            # `ok` — neither is a block page, so only retained bodies
-            # need the fingerprint matcher (once per distinct text).
-            if statuses[index] == NO_RESPONSE:
-                continue
-            body = dataset.body(index)
-            if body is None:
-                continue
-            verdict = memo.get(body)
-            if verdict is None:
-                verdict = classify_body(body, reg)
-                memo[body] = verdict
-            if verdict.page_type is None or not verdict.is_blockpage:
-                continue
-            if page_types is not None and verdict.page_type not in page_types:
-                continue
-            counts[0] += 1
-            pages.setdefault(domain, verdict.page_type)
+    pages: Dict[str, str] = {}
+    domain_names, country_names = dataset.domains(), dataset.countries()
+    domain_codes = dataset.domain_code_array()
+    country_codes = dataset.country_code_array()
+    for index, verdict in classify_dataset(dataset, registry):
+        if not verdict.is_blockpage:
+            continue
+        if page_types is not None and verdict.page_type not in page_types:
+            continue
+        domain = domain_names[domain_codes[index]]
+        hits[domain][country_names[country_codes[index]]][0] += 1
+        pages.setdefault(domain, verdict.page_type)
 
     results: Dict[str, DomainConsistency] = {}
     for domain, countries in hits.items():

@@ -121,13 +121,12 @@ class GroundTruthScore:
 def score_confirmed_blocks(world: World, confirmed: Sequence[ConfirmedBlock],
                            tested_domains: Sequence[str],
                            tested_countries: Sequence[str],
-                           epoch: int = 1,
-                           explicit_only: bool = True) -> GroundTruthScore:
+                           epoch: int = 1) -> GroundTruthScore:
     """Score confirmed pairs against the world's true policies.
 
     The positive class is {(domain, country) : policy blocks country}
-    restricted to tested domains/countries (and, with ``explicit_only``,
-    to policies served with explicit block pages).
+    restricted to tested domains/countries and to policies served with
+    explicit block pages.
     """
     from repro.websim.blockpages import EXPLICIT_GEOBLOCK_TYPES
 
@@ -137,7 +136,7 @@ def score_confirmed_blocks(world: World, confirmed: Sequence[ConfirmedBlock],
     for name, policy in world.policies.items():
         if name not in tested_d or not policy.active(epoch):
             continue
-        if explicit_only and policy.block_page not in EXPLICIT_GEOBLOCK_TYPES:
+        if policy.block_page not in EXPLICIT_GEOBLOCK_TYPES:
             continue
         for country in policy.blocked_countries:
             if country in tested_c:

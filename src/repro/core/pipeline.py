@@ -39,7 +39,7 @@ from repro.core.classify import (
     VERDICT_AMBIGUOUS,
     VERDICT_CHALLENGE,
     classify_body,
-    classify_samples,
+    classify_dataset,
 )
 from repro.core.consistency import DomainConsistency, domain_consistency
 from repro.core.discovery import DiscoveredCluster, discover, registry_from_discovery
@@ -226,15 +226,13 @@ def rank_countries_by_blocking(world: World, lumscan: Scanner,
         cdn_domains = sorted(rng.sample(cdn_domains, config.ranking_domains))
     urls = [f"http://{d}/" for d in cdn_domains]
     data = lumscan.scan(urls, countries, samples=config.ranking_samples)
-    known = FingerprintRegistry.default()
+    names, codes = data.countries(), data.country_code_array()
     counts: Counter = Counter()
-    # Only 403s with a body can be block pages: materialize just those.
-    flagged = [data.row(index) for index in np.flatnonzero(
-        (data.status_array() == 403) & data.has_body_array()).tolist()]
-    for sample, verdict in zip(flagged, classify_samples(flagged, known)):
+    for index, verdict in classify_dataset(data,
+                                           mask=data.status_array() == 403):
         if (verdict.is_blockpage
                 and verdict.provider in ("cloudflare", "akamai")):
-            counts[sample.country] += 1
+            counts[names[codes[index]]] += 1
     ranked = [c for c, _ in counts.most_common()]
     # Countries with no block pages keep their original order at the tail.
     ranked.extend(c for c in countries if c not in counts)
@@ -321,8 +319,7 @@ def _t10k_candidate_resample(ctx: RunContext) -> Dict[str, object]:
     """§4.1.4: find explicit block-page pairs and resample them 20x."""
     cfg: StudyConfig = ctx.config
     candidates = find_candidate_pairs(ctx.artifact("initial"),
-                                      ctx.artifact("registry"),
-                                      explicit_only=True)
+                                      ctx.artifact("registry"))
     logger.info("top10k: %d candidate pairs; resampling %dx",
                 len(candidates), cfg.samples_confirm)
     resampled = ctx.scanner.resample(sorted(candidates), cfg.samples_confirm,
@@ -417,32 +414,12 @@ def _background_bodies(dataset: ScanDataset, limit: int = 200) -> List[str]:
     return [dataset.body(index) for index in candidates[:limit].tolist()]
 
 
-def _classified_body_rows(dataset: ScanDataset, registry: FingerprintRegistry):
-    """(row index, verdict) for every row with a retained body.
-
-    Failed / body-less rows classify to error/ok — no page type — so the
-    candidate rows are one mask expression over the columns, and each
-    distinct body text hits the fingerprint matcher once.
-    """
-    memo: Dict[str, object] = {}
-    candidates = np.flatnonzero(dataset.ok_array() & dataset.has_body_array())
-    for index in candidates.tolist():
-        body = dataset.body(index)
-        verdict = memo.get(body)
-        if verdict is None:
-            verdict = classify_body(body, registry)
-            memo[body] = verdict
-        yield index, verdict
-
-
 def _count_non_explicit_pages(dataset: ScanDataset,
                               registry: FingerprintRegistry) -> Counter:
     """Counts of captchas/challenges/ambiguous pages (§4.2.2's 200,417)."""
-    counts: Counter = Counter()
-    for _, verdict in _classified_body_rows(dataset, registry):
-        if verdict.kind in (VERDICT_CHALLENGE, VERDICT_AMBIGUOUS):
-            counts[verdict.page_type] += 1
-    return counts
+    return Counter(verdict.page_type
+                   for _, verdict in classify_dataset(dataset, registry)
+                   if verdict.kind in (VERDICT_CHALLENGE, VERDICT_AMBIGUOUS))
 
 
 # ===================================================================== #
@@ -491,13 +468,10 @@ class Top1MResult:
         out: Dict[str, List[str]] = {}
         for domain, record in sorted(self.consistency.items()):
             if record.is_confirmed_geoblocker:
-                provider = {"akamai": "akamai", "incapsula": "incapsula"}.get(
-                    record.page_type, record.page_type)
-                out.setdefault(provider, []).append(domain)
+                out.setdefault(record.page_type, []).append(domain)
         return out
 
 
-_EXPLICIT_PROVIDERS = ("cloudflare", "cloudfront", "appengine")
 _NONEXPLICIT_PROVIDERS = ("akamai", "incapsula")
 
 
@@ -545,8 +519,7 @@ def _t1m_explicit_confirm(ctx: RunContext) -> Dict[str, object]:
     cfg: StudyConfig = ctx.config
     registry: FingerprintRegistry = ctx.extras["registry"]
     initial: ScanDataset = ctx.artifact("initial")
-    explicit_candidates = find_candidate_pairs(initial, registry,
-                                               explicit_only=True)
+    explicit_candidates = find_candidate_pairs(initial, registry)
     resampled_explicit = ctx.scanner.resample(sorted(explicit_candidates),
                                               cfg.samples_confirm, epoch=1)
     confirmed = confirm_blocks(initial, resampled_explicit, registry,
@@ -570,7 +543,7 @@ def _t1m_nonexplicit_confirm(ctx: RunContext) -> Dict[str, object]:
     flagged_domains: Set[str] = set()
     domain_names = initial.domains()
     domain_codes = initial.domain_code_array()
-    for index, verdict in _classified_body_rows(initial, registry):
+    for index, verdict in classify_dataset(initial, registry):
         if verdict.kind == VERDICT_AMBIGUOUS and verdict.provider in flagged:
             domain = domain_names[domain_codes[index]]
             if domain not in flagged_domains:
@@ -756,7 +729,7 @@ def run_vps_exploration(world: World,
 # Observation pools for Figures 1 and 3
 
 
-def build_observation_pools(world: World, scanner: Scanner,
+def build_observation_pools(scanner: Scanner,
                             pairs: Sequence[Tuple[str, str]],
                             registry: Optional[FingerprintRegistry] = None,
                             samples: int = 100,

@@ -15,12 +15,11 @@ independent code path.
 
 from __future__ import annotations
 
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.lengths import Outlier
 from repro.core.timeouts import TimeoutCandidate
-from repro.lumscan.records import NO_RESPONSE, Sample, ScanDataset
+from repro.lumscan.records import NO_RESPONSE, ScanDataset
 
 
 def count_status(dataset: ScanDataset, status: int) -> int:
@@ -58,24 +57,6 @@ def lengths_by_domain(dataset: ScanDataset) -> Dict[str, List[int]]:
         if sample.status == 200:
             out.setdefault(sample.domain, []).append(sample.length)
     return out
-
-
-def pairs(dataset: ScanDataset) -> Iterator[Tuple[str, str, List[Sample]]]:
-    """Scalar reference for :meth:`ScanDataset.pairs` (equality runs)."""
-    n = len(dataset)
-    start = 0
-    while start < n:
-        end = start
-        first = dataset.row(start)
-        while end < n:
-            candidate = dataset.row(end)
-            if (candidate.domain != first.domain
-                    or candidate.country != first.country):
-                break
-            end += 1
-        yield first.domain, first.country, [dataset.row(i)
-                                            for i in range(start, end)]
-        start = end
 
 
 def representative_lengths(dataset: ScanDataset,
@@ -150,11 +131,10 @@ def find_timeout_candidates(dataset: ScanDataset,
     """Scalar reference for :func:`repro.core.timeouts.find_timeout_candidates`."""
     responsive: Dict[str, Set[str]] = {}
     failures: Dict[Tuple[str, str], Tuple[int, int]] = {}
-    for domain, country, samples in pairs(dataset):
-        fail = sum(1 for s in samples if s.status == NO_RESPONSE)
-        key = (domain, country)
+    for sample in dataset:
+        key = (sample.domain, sample.country)
         f0, t0 = failures.get(key, (0, 0))
-        failures[key] = (f0 + fail, t0 + len(samples))
+        failures[key] = (f0 + (sample.status == NO_RESPONSE), t0 + 1)
 
     for (domain, country), (fail, total) in failures.items():
         if total > 0 and fail <= total / 2:

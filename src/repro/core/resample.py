@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.classify import (
-    VERDICT_EXPLICIT,
-    Verdict,
-    classify_body,
-)
+from repro.core.classify import VERDICT_EXPLICIT, classify_dataset
 from repro.core.fingerprints import FingerprintRegistry, PAGE_PROVIDER
-from repro.lumscan.records import NO_RESPONSE, ScanDataset
+from repro.lumscan.records import ScanDataset
 
 DEFAULT_AGREEMENT_THRESHOLD = 0.80
 CONFIRM_SAMPLES = 20
@@ -39,89 +35,59 @@ class ConfirmedBlock:
     total_samples: int
 
 
-def _run_verdicts(dataset: ScanDataset, start: int, stop: int,
-                  registry: FingerprintRegistry,
-                  memo: Dict[str, Verdict]):
-    """Verdicts with a page type within one run, straight off the columns.
-
-    Failed probes classify to ``error`` and body-less rows to ``ok`` —
-    both carry no page type, so the consumers below never see them.
-    Bodies are classified once per distinct text via ``memo``; no
-    :class:`Sample` objects are materialized.
-    """
-    statuses = dataset.status_array()
-    for index in range(start, stop):
-        if statuses[index] == NO_RESPONSE:
-            continue
-        body = dataset.body(index)
-        if body is None:
-            continue
-        verdict = memo.get(body)
-        if verdict is None:
-            verdict = classify_body(body, registry)
-            memo[body] = verdict
-        if verdict.page_type is not None:
-            yield verdict
-
-
 def find_candidate_pairs(dataset: ScanDataset,
-                         registry: Optional[FingerprintRegistry] = None,
-                         explicit_only: bool = True
+                         registry: Optional[FingerprintRegistry] = None
                          ) -> Dict[Tuple[str, str], str]:
-    """Pairs with at least one (explicit) block page in the dataset.
+    """Pairs with at least one explicit block page in the dataset.
 
-    Returns {(domain, country): page_type}.  With ``explicit_only`` False,
-    ambiguous block pages (Akamai, Incapsula, …) are included too — used
-    by the Top-1M study's non-explicit track.
+    Returns {(domain, country): page_type}: the first explicit page of a
+    pair's run, where a later run of the same pair overrides an earlier
+    one.
     """
-    reg = registry or FingerprintRegistry.default()
     candidates: Dict[Tuple[str, str], str] = {}
-    memo: Dict[str, Verdict] = {}
-    for domain, country, start, stop in dataset.iter_runs():
-        for verdict in _run_verdicts(dataset, start, stop, reg, memo):
-            if explicit_only and verdict.kind != VERDICT_EXPLICIT:
-                continue
-            if verdict.is_blockpage or not explicit_only:
-                candidates[(domain, country)] = verdict.page_type
-                break
+    runs = dataset.iter_runs()
+    stop = 0
+    for index, verdict in classify_dataset(dataset, registry):
+        # Rows below ``stop`` lie in a run that already gave its page.
+        if verdict.kind != VERDICT_EXPLICIT or index < stop:
+            continue
+        while index >= stop:
+            domain, country, _, stop = next(runs)
+        candidates[(domain, country)] = verdict.page_type
     return candidates
 
 
 def block_rates(dataset: ScanDataset,
-                registry: Optional[FingerprintRegistry] = None,
-                explicit_only: bool = True
+                registry: Optional[FingerprintRegistry] = None
                 ) -> Dict[Tuple[str, str], Tuple[int, int, Optional[str]]]:
-    """Per pair: (block-page samples, total samples, dominant page type)."""
-    reg = registry or FingerprintRegistry.default()
-    rates: Dict[Tuple[str, str], Tuple[int, int, Optional[str]]] = {}
-    memo: Dict[str, Verdict] = {}
+    """Per pair: (explicit block-page samples, total samples, first
+    explicit page type), counted over every run of the pair."""
+    totals: Dict[Tuple[str, str], int] = {}
     for domain, country, start, stop in dataset.iter_runs():
-        hits = 0
-        total = stop - start
-        page_type: Optional[str] = None
-        for verdict in _run_verdicts(dataset, start, stop, reg, memo):
-            is_hit = (verdict.kind == VERDICT_EXPLICIT if explicit_only
-                      else verdict.is_blockpage)
-            if is_hit:
-                hits += 1
-                page_type = page_type or verdict.page_type
         key = (domain, country)
-        if key in rates:
-            h0, t0, p0 = rates[key]
-            rates[key] = (h0 + hits, t0 + total, p0 or page_type)
-        else:
-            rates[key] = (hits, total, page_type)
-    return rates
+        totals[key] = totals.get(key, 0) + stop - start
+    hits: Counter = Counter()
+    pages: Dict[Tuple[str, str], str] = {}
+    domain_names, country_names = dataset.domains(), dataset.countries()
+    domain_codes = dataset.domain_code_array()
+    country_codes = dataset.country_code_array()
+    for index, verdict in classify_dataset(dataset, registry):
+        if verdict.kind == VERDICT_EXPLICIT:
+            key = (domain_names[domain_codes[index]],
+                   country_names[country_codes[index]])
+            hits[key] += 1
+            pages.setdefault(key, verdict.page_type)
+    return {key: (hits[key], total, pages.get(key))
+            for key, total in totals.items()}
 
 
 def confirm_blocks(initial: ScanDataset, resampled: ScanDataset,
                    registry: Optional[FingerprintRegistry] = None,
-                   threshold: float = DEFAULT_AGREEMENT_THRESHOLD,
-                   explicit_only: bool = True) -> List[ConfirmedBlock]:
+                   threshold: float = DEFAULT_AGREEMENT_THRESHOLD
+                   ) -> List[ConfirmedBlock]:
     """Apply the ≥80%-agreement rule over initial + confirmation samples."""
-    reg = registry or FingerprintRegistry.default()
-    initial_rates = block_rates(initial, reg, explicit_only)
-    resample_rates = block_rates(resampled, reg, explicit_only)
+    initial_rates = block_rates(initial, registry)
+    resample_rates = block_rates(resampled, registry)
 
     confirmed: List[ConfirmedBlock] = []
     for key, (re_hits, re_total, re_page) in resample_rates.items():

@@ -131,23 +131,24 @@ def confirm_timeout_blocks(scanner: Scanner,
     if screen_samples > 0:
         screened = scanner.resample(sorted(by_key), screen_samples,
                                     epoch=epoch)
-        for domain, country, results in screened.pairs():
-            if all(s.status == NO_RESPONSE for s in results):
+        failed = screened.status_array() == NO_RESPONSE
+        for domain, country, start, stop in screened.iter_runs():
+            if failed[start:stop].all():
                 survivors.append((domain, country))
-                screen_failures[(domain, country)] = len(results)
+                screen_failures[(domain, country)] = stop - start
     else:
         survivors = sorted(by_key)
 
     resampled = scanner.resample(survivors, samples, epoch=epoch)
     confirmed: List[ConfirmedTimeoutBlock] = []
-    for domain, country, results in resampled.pairs():
-        successes = sum(1 for s in results if s.status != NO_RESPONSE)
-        if successes > allowed_successes:
+    answered = resampled.status_array() != NO_RESPONSE
+    for domain, country, start, stop in resampled.iter_runs():
+        if np.count_nonzero(answered[start:stop]) > allowed_successes:
             continue
         key = (domain, country)
         original = by_key[key]
         total = (original.failures + screen_failures.get(key, 0)
-                 + len(results))
+                 + stop - start)
         confirmed.append(ConfirmedTimeoutBlock(
             domain=domain, country=country,
             total_samples=total,

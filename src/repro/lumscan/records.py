@@ -96,8 +96,8 @@ class ScanDataset:
     """Column-oriented collection of :class:`Sample` records.
 
     Records are stored in append order.  The scanners append samples for a
-    (country, domain) pair contiguously, and `pairs()` exploits that to
-    iterate without building a giant index.  Run boundaries are detected
+    (country, domain) pair contiguously, and :meth:`iter_runs` exploits
+    that to iterate without building a giant index.  Run boundaries are detected
     by *code equality*, never object identity, so datasets survive any
     round trip (JSON, merge, inter-process) without fragmenting runs.
     """
@@ -464,11 +464,6 @@ class ScanDataset:
         for start, stop in zip(starts.tolist(), stops.tolist()):
             yield (domain_names[dcodes[start]], country_names[ccodes[start]],
                    start, stop)
-
-    def pairs(self) -> Iterator[Tuple[str, str, List[Sample]]]:
-        """Iterate (domain, country, samples) over contiguous runs."""
-        for domain, country, start, stop in self.iter_runs():
-            yield domain, country, [self.row(i) for i in range(start, stop)]
 
     # ------------------------------------------------------------------ #
     # Vectorized aggregation kernels

@@ -28,8 +28,8 @@ def study_pools(tiny_world, tiny_top10k):
     pairs."""
     pairs = [(c.domain, c.country) for c in tiny_top10k.confirmed][:20]
     scanner = Lumscan(LuminatiClient(tiny_world), seed=1)
-    return build_observation_pools(tiny_world, scanner, pairs,
-                                   tiny_top10k.registry, samples=100)
+    return build_observation_pools(scanner, pairs, tiny_top10k.registry,
+                                   samples=100)
 
 
 class TestFigure1:

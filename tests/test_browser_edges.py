@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classify import VERDICT_EXPLICIT, classify_samples
+from repro.core.classify import VERDICT_EXPLICIT, classify_sample
 from repro.core.pipeline import build_observation_pools
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.browser import InteractiveBrowser
@@ -72,7 +72,7 @@ class TestObservationPools:
         if not pairs:
             pytest.skip("no confirmed pairs")
         scanner = Lumscan(LuminatiClient(nano_world), seed=2)
-        pools = build_observation_pools(nano_world, scanner, pairs,
+        pools = build_observation_pools(scanner, pairs,
                                         nano_top10k.registry, samples=15)
         assert set(pools) == set(pairs)
         for hits, samples in pools.values():
@@ -84,7 +84,7 @@ class TestObservationPools:
         if not pairs:
             pytest.skip("no confirmed pairs")
         scanner = Lumscan(LuminatiClient(nano_world), seed=3)
-        pools = build_observation_pools(nano_world, scanner, pairs,
+        pools = build_observation_pools(scanner, pairs,
                                         nano_top10k.registry, samples=20)
         for hits, samples in pools.values():
             assert hits / samples >= 0.6
@@ -97,11 +97,10 @@ class TestObservationPools:
         data = Lumscan(LuminatiClient(tiny_world), seed=1).resample(
             pairs, 100, epoch=1)
         expected = {}
-        memo = {}
-        for domain, country, samples in data.pairs():
+        for domain, country, start, stop in data.iter_runs():
             hits, total = expected.get((domain, country), (0, 0))
-            verdicts = classify_samples(samples, tiny_top10k.registry,
-                                        cache=memo)
+            verdicts = [classify_sample(data.row(i), tiny_top10k.registry)
+                        for i in range(start, stop)]
             expected[(domain, country)] = (
                 hits + sum(v.kind == VERDICT_EXPLICIT for v in verdicts),
                 total + len(verdicts))
@@ -110,7 +109,7 @@ class TestObservationPools:
             def resample(self, pairs, samples, epoch):
                 return data
 
-        pools = build_observation_pools(tiny_world, Replay(), pairs,
+        pools = build_observation_pools(Replay(), pairs,
                                         tiny_top10k.registry, samples=100)
         assert list(pools.items()) == list(expected.items())
         assert sum(total for _, total in pools.values()) == 100 * len(pairs)

@@ -90,9 +90,14 @@ class TestAggregationEquivalence:
 
     @given(dataset=_datasets)
     def test_pairs_run_structure(self, dataset):
-        got = [(d, c, s) for d, c, s in dataset.pairs()]
-        want = [(d, c, s) for d, c, s in reference.pairs(dataset)]
-        assert got == want
+        # Row-at-a-time oracle: a run ends where (domain, country) changes.
+        want = []
+        for index, sample in enumerate(dataset):
+            if want and want[-1][:2] == (sample.domain, sample.country):
+                want[-1] = (*want[-1][:3], index + 1)
+            else:
+                want.append((sample.domain, sample.country, index, index + 1))
+        assert list(dataset.iter_runs()) == want
 
 
 class TestLengthKernelEquivalence:
@@ -206,7 +211,7 @@ class TestEdgeDatasets:
         assert dataset.error_rate_by_domain() == {}
         assert dataset.response_rate_by_country() == {}
         assert dataset.lengths_by_domain() == {}
-        assert list(dataset.pairs()) == []
+        assert list(dataset.iter_runs()) == []
         assert representative_lengths(dataset) == {}
         assert extract_outliers(dataset, {}) == []
         assert relative_differences(dataset, {}) == []

@@ -84,6 +84,10 @@ class TestScore:
 class TestFiltering:
     def test_domains_without_blockpages_excluded(self, rng):
         data = _dataset(rng, {("e.com", "US"): (0, 10)})
+        # A challenge page is fingerprinted but is not a block page.
+        body = blockpages.render(blockpages.CLOUDFLARE_CAPTCHA, rng,
+                                 "e.com", "US").body
+        data.append("e.com", "US", 403, len(body), body)
         assert domain_consistency(data) == {}
 
     def test_page_type_restriction(self, rng):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
+from repro.core.classify import VERDICT_AMBIGUOUS, classify_dataset
 from repro.core.resample import (
     block_rates,
     confirm_blocks,
@@ -58,9 +59,26 @@ class TestCandidatePairs:
         data = ScanDataset()
         body = _block_body(rng, page_type=blockpages.AKAMAI_BLOCK)
         data.append("z.com", "IR", 403, len(body), body)
-        assert find_candidate_pairs(data, explicit_only=True) == {}
-        ambiguous = find_candidate_pairs(data, explicit_only=False)
-        assert ("z.com", "IR") in ambiguous
+        assert find_candidate_pairs(data) == {}
+        assert block_rates(data)[("z.com", "IR")] == (0, 1, None)
+        assert [(index, verdict.kind) for index, verdict
+                in classify_dataset(data)] == [(0, VERDICT_AMBIGUOUS)]
+
+    def test_noncontiguous_runs_later_run_wins(self, rng):
+        # Within a run the first explicit page counts; a later run of
+        # the same pair overrides an earlier one.
+        data = ScanDataset()
+        first = _block_body(rng)
+        second = _block_body(rng, page_type=blockpages.CLOUDFRONT_BLOCK)
+        data.append("x.com", "IR", 403, len(first), first)
+        data.append("x.com", "US", 200, 9_000, None)
+        data.append("x.com", "IR", 200, 9_000, None)
+        data.append("x.com", "IR", 403, len(second), second)
+        data.append("x.com", "IR", 403, len(first), first)
+        assert find_candidate_pairs(data) == {
+            ("x.com", "IR"): blockpages.CLOUDFRONT_BLOCK}
+        assert block_rates(data)[("x.com", "IR")] == (
+            3, 4, blockpages.CLOUDFLARE_BLOCK)
 
 
 class TestBlockRates:

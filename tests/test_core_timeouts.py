@@ -100,6 +100,20 @@ class TestConfirmationSemantics:
             samples=20, screen_samples=10)
         assert confirmed == []
 
+    def test_screen_is_strict_where_confirm_tolerates(self):
+        # The stub replays the script from its start on every pass: the
+        # screen sees one success and rejects, although the confirmation
+        # pass alone would tolerate that single success.
+        script = [False] * 9 + [True] + [False] * 10
+        scanner = _StubScanner({("a.com", "DE"): script})
+        confirmed = confirm_timeout_blocks(
+            scanner, [self._candidate("a.com", "DE")],
+            samples=20, screen_samples=10, allowed_successes=1)
+        assert confirmed == []
+        assert len(confirm_timeout_blocks(
+            scanner, [self._candidate("a.com", "DE")],
+            samples=20, screen_samples=0, allowed_successes=1)) == 1
+
     def test_single_stray_success_in_confirm_tolerated(self):
         # Screen (first 10 draws) all-fail; confirm pass has one success.
         script = [False] * 10 + [False] * 7 + [True] + [False] * 12

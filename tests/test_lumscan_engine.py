@@ -119,7 +119,8 @@ class TestParallelSerialDeterminism:
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=8, chunk_size=2)
         data = engine.scan(urls, countries, samples=3)
-        assert all(len(samples) == 3 for _, _, samples in data.pairs())
+        assert all(stop - start == 3
+                   for _, _, start, stop in data.iter_runs())
 
 
 class TestStudyParity:

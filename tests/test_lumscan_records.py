@@ -58,10 +58,10 @@ class TestIterationAndPairs:
         assert len(list(_dataset())) == 5
 
     def test_pairs_contiguous(self):
-        pairs = list(_dataset().pairs())
-        keys = [(d, c) for d, c, _ in pairs]
+        runs = list(_dataset().iter_runs())
+        keys = [(d, c) for d, c, _, _ in runs]
         assert keys == [("a.com", "US"), ("a.com", "IR"), ("b.com", "US")]
-        assert [len(samples) for _, _, samples in pairs] == [2, 2, 1]
+        assert [stop - start for _, _, start, stop in runs] == [2, 2, 1]
 
     def test_domains_and_countries(self):
         data = _dataset()
@@ -137,5 +137,6 @@ class TestAggregates:
         for i in range(4):
             data.append("x.example"[:9] + ".com", "".join(["U", "S"]),
                         200, 100 + i, None)
-        runs = [(d, c, len(s)) for d, c, s in data.pairs()]
+        runs = [(d, c, stop - start)
+                for d, c, start, stop in data.iter_runs()]
         assert runs == [("x.example.com", "US", 4)]

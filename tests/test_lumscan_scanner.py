@@ -64,7 +64,8 @@ class TestScan:
     def test_pairs_contiguous_in_scan(self, scanner, nano_world):
         urls = _clean_urls(nano_world, 3)
         data = scanner.scan(urls, ["US"], samples=2)
-        assert [len(s) for _, _, s in data.pairs()] == [2, 2, 2]
+        assert [stop - start for _, _, start, stop in data.iter_runs()] \
+            == [2, 2, 2]
 
     def test_scan_records_success(self, scanner, nano_world):
         urls = _clean_urls(nano_world, 3)

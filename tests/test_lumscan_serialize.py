@@ -40,8 +40,7 @@ class TestRoundtrip:
         path = tmp_path / "scan.jsonl"
         dump_dataset(original, path)
         loaded = load_dataset(path)
-        assert ([(d, c) for d, c, _ in loaded.pairs()]
-                == [(d, c) for d, c, _ in original.pairs()])
+        assert list(loaded.iter_runs()) == list(original.iter_runs())
 
     def test_roundtrip_run_structure(self, tmp_path):
         """Runs survive the round trip even though JSON-decoded strings
@@ -56,7 +55,8 @@ class TestRoundtrip:
         path = tmp_path / "scan.jsonl"
         dump_dataset(original, path)
         loaded = load_dataset(path)
-        runs = [(d, c, len(s)) for d, c, s in loaded.pairs()]
+        runs = [(d, c, stop - start)
+                for d, c, start, stop in loaded.iter_runs()]
         assert runs == [("run.example", "US", 3), ("run.example", "IR", 2)]
 
     def test_empty_dataset(self, tmp_path):
@@ -172,7 +172,8 @@ class TestLSHD:
         _dump_lshd(original, path)
         loaded = load_dataset(path)
         try:
-            runs = [(d, c, len(s)) for d, c, s in loaded.pairs()]
+            runs = [(d, c, stop - start)
+                    for d, c, start, stop in loaded.iter_runs()]
             assert runs == [("run.example", "US", 3),
                             ("run.example", "IR", 2)]
         finally:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.classify import classify_samples
+from repro.core.classify import classify_sample
 from repro.core.fingerprints import FingerprintRegistry
 from repro.core.metrics import score_confirmed_blocks
 from repro.core.pipeline import (
@@ -113,10 +113,10 @@ class TestColumnMasks:
                                             StudyConfig())
         flagged = [s for s in scans[0]
                    if s.status == 403 and s.body is not None]
+        verdicts = [classify_sample(s, FingerprintRegistry.default())
+                    for s in flagged]
         counts = Counter(
-            sample.country for sample, verdict in zip(
-                flagged, classify_samples(flagged,
-                                          FingerprintRegistry.default()))
+            sample.country for sample, verdict in zip(flagged, verdicts)
             if verdict.is_blockpage
             and verdict.provider in ("cloudflare", "akamai"))
         assert counts

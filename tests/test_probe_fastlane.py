@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify import VERDICT_OK, classify_body, classify_samples
+from repro.core.classify import VERDICT_OK, classify_body, classify_sample
 from repro.core.fingerprints import FingerprintRegistry
 from repro.core.pipeline import run_vps_exploration
 from repro.core.resample import confirm_blocks, find_candidate_pairs
@@ -341,8 +341,8 @@ class TestDatasetEquivalence:
 
     def test_classifications_identical(self, scans, registry):
         full, fast = scans
-        full_verdicts = classify_samples(full, registry)
-        fast_verdicts = classify_samples(fast, registry)
+        full_verdicts = [classify_sample(s, registry) for s in full]
+        fast_verdicts = [classify_sample(s, registry) for s in fast]
         assert [(v.kind, v.page_type, v.provider) for v in full_verdicts] \
             == [(v.kind, v.page_type, v.provider) for v in fast_verdicts]
 

@@ -259,5 +259,5 @@ class TestScanDatasetProperties:
         data = ScanDataset()
         for domain, country in rows:
             data.append(domain, country, 200, 10, "x" * 10)
-        total = sum(len(samples) for _, _, samples in data.pairs())
+        total = sum(stop - start for _, _, start, stop in data.iter_runs())
         assert total == len(data)
